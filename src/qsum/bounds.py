@@ -20,7 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import Measure, class_weights
-from .closedform import dirichlet_kernel_sq, outcome_probabilities, output_grid
+from .closedform import (
+    dirichlet_kernel_sq,
+    outcome_probabilities,
+    outcome_probabilities_at,
+    output_grid,
+)
 
 __all__ = [
     "EIGHT_OVER_PI_SQ",
@@ -94,6 +99,21 @@ def _validate_p(p: float) -> None:
         raise ValueError(f"probability level must lie in (0, 1], got {p}")
 
 
+def _window_halfwidth(p_max: float, M: int) -> int:
+    """Distinct output values taken on each side of sigma for levels up to p_max.
+
+    Beyond distance d the kernel's tail carries less than about 1/(pi^2 d)
+    per side, so W values per side leave out roughly 2/(pi^2 W) of the mass;
+    up to 8/pi^2 the two values bracketing sigma already carry the level.
+    Level 1 needs every value.
+    """
+    if p_max >= 1.0:
+        return M
+    if p_max <= EIGHT_OVER_PI_SQ:
+        return 2
+    return math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
+
+
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     """Level errors for many means and levels at once; shape (len(ps), len(means)).
 
@@ -101,6 +121,22 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     that order, and report the distance at which the running mass first
     reaches p - LEVEL_SLACK.  Equidistant outcomes enter as a group by
     construction, since the crossing distance already admits the whole group.
+
+    Only outcomes near sigma are evaluated.  The distinct outputs
+    v_i = sin^2(pi i/M), i = 0..M//2, increase with i, and a lies between
+    v_floor(sigma) and v_ceil(sigma).  A window of 2W consecutive values
+    i = floor(sigma)-W+1 .. floor(sigma)+W (shifted inward at the ends of the
+    range; W grows with max(ps)) takes both twin outcomes j = i and j = M - i
+    of each value, in ascending j, and runs the same stable sort and
+    accumulation.  A row is accepted when every level is reached at a
+    distance strictly below d_out, the distance of the nearest value outside
+    the window.  Every outcome closer than d_out lies in the window, and
+    both sorts order those outcomes by (distance, j), so the prefix up to the
+    crossing holds the same probabilities (one per-cell formula,
+    `outcome_probabilities_at`) in the same order: the sums, and the result,
+    are bit-identical to the full sort.  Rejected rows, and every
+    row when the window would hold every value (always at p = 1), take the
+    full sort.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -109,6 +145,45 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     means = np.atleast_1d(np.asarray(means, dtype=np.float64))
     if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):
         raise ValueError("means must lie in [0, 1]")
+    top = M // 2
+    half = _window_halfwidth(max(ps, default=0.0), M)
+    values = output_grid(M)[: top + 1]
+    # d_out bounds every outside distance only while the values increase
+    if 2 * half > top or np.any(values[1:] < values[:-1]):
+        return _full_level_errors(means, M, ps)
+
+    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
+    lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - 2 * half)
+    i = lo[:, None] + np.arange(2 * half)
+    twin = M - i[:, ::-1]
+    near = np.abs(values[i] - means[:, None])
+    # i = 0 has no twin outcome and i = M/2 is its own twin
+    far = np.where((twin == M) | (2 * twin == M), np.inf, near[:, ::-1])
+    dists = np.concatenate([near, far], axis=1)
+    probs = outcome_probabilities_at(sigma, np.concatenate([i, twin], axis=1), M)
+    order = np.argsort(dists, axis=1, kind="stable")
+    dists = np.take_along_axis(dists, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+
+    hi = lo + 2 * half
+    below = np.where(lo > 0, means - values[np.maximum(lo - 1, 0)], np.inf)
+    above = np.where(hi <= top, values[np.minimum(hi, top)] - means, np.inf)
+    d_out = np.minimum(below, above)
+    rows = np.arange(means.size)
+    accepted = np.ones(means.size, dtype=bool)
+    out = np.empty((len(ps), means.size))
+    for k, p in enumerate(ps):
+        hit = cum >= p - LEVEL_SLACK
+        idx = np.argmax(hit, axis=1)
+        out[k] = dists[rows, idx]
+        accepted &= hit[rows, idx] & (out[k] < d_out)
+    if not accepted.all():
+        out[:, ~accepted] = _full_level_errors(means[~accepted], M, ps)
+    return out
+
+
+def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
+    """The level errors of `level_errors` from the full sort of all M outcomes."""
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     probs = outcome_probabilities(sigma, M)
     dists = np.abs(output_grid(M)[None, :] - means[:, None])

@@ -47,6 +47,16 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
+def _parse_qubits(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -165,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="closed-form outcome distribution for mean k/2^n")
     p_dist.add_argument("--m", type=int, required=True, help="Fourier size M >= 1")
-    p_dist.add_argument("--n", type=int, required=True, help="data qubits, N = 2^n")
+    p_dist.add_argument("--n", type=_parse_qubits, required=True, help="data qubits, N = 2^n")
     p_dist.add_argument("--k", type=int, required=True, help="number of ones, mean = k/N")
     p_dist.add_argument("--out", default=None, help="output file (default: stdout)")
     p_dist.set_defaults(func=_cmd_dist)
 
     p_sim = sub.add_parser("simulate", help="one gate-level run with a sampled outcome")
     p_sim.add_argument("--m", type=int, required=True)
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=_parse_qubits, required=True)
     p_sim.add_argument("--f", required=True,
                        help="value table: hex (N >= 4) or bits (N < 4), point 0 first")
     p_sim.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
@@ -181,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_error_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--setting", choices=["worst", "avg"], required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_parse_qubits, required=True)
         p.add_argument("--measure", choices=["p1", "p2"], default="p1",
                        help="measure for the avg setting (default p1)")
         p.add_argument("--beta", type=float, default=2.0,

@@ -28,6 +28,7 @@ __all__ = [
     "output_value",
     "output_grid",
     "outcome_probabilities",
+    "outcome_probabilities_at",
     "distribution",
     "sigma_is_integral",
     "ceil_floor_pair",
@@ -110,11 +111,22 @@ def _snap(sigma: np.ndarray) -> np.ndarray:
     return np.where(np.abs(sigma - r) < SIGMA_INTEGRALITY_TOL, r, sigma)
 
 
+def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
+    """Probabilities of outcomes j for one or many sigma values.
+
+    `j` broadcasts against a column of the sigma values: a 1-D array asks
+    every sigma for the same outcomes, a (len(sigma), K) array gives each
+    sigma its own.  Each cell is computed on its own, so a cell's value does
+    not depend on which other outcomes are asked for.
+    """
+    s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))[:, None]
+    j = np.asarray(j, dtype=np.float64)
+    return 0.5 * (dirichlet_kernel_sq(j - s, M) + dirichlet_kernel_sq(j + s, M))
+
+
 def outcome_probabilities(sigma, M: int) -> np.ndarray:
     """Outcome laws for one or many sigma values; shape (len(sigma), M)."""
-    s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))[:, None]
-    j = np.arange(M, dtype=np.float64)[None, :]
-    return 0.5 * (dirichlet_kernel_sq(j - s, M) + dirichlet_kernel_sq(j + s, M))
+    return outcome_probabilities_at(sigma, np.arange(M), M)
 
 
 @dataclass

@@ -329,14 +329,14 @@ def _suite_bounds() -> list[CheckResult]:
            f"ratios {', '.join(f'{r:.6f}' for r in ratios)}")
 
     gap = 0.0
-    for M in range(1, 9):
+    for M in range(1, 11):
         for k in range(17):
             a = Fraction(k, 16)
             for p in (0.51, 0.75, EIGHT_OVER_PI_SQ):
                 gap = max(gap, abs(error_at_level(a, M, p)
                                    - brute_force_error_at_level(a, M, p)))
     _check(out, suite, "greedy level error equals exhaustive subset minimum",
-           gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=8, a=k/16)")
+           gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
 
     rounding_ok = True
     for N in (2, 4, 8):

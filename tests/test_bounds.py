@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qsum import bounds
 from qsum.boolfn import Measure
 from qsum.bounds import (
     EIGHT_OVER_PI_SQ,
@@ -58,6 +59,33 @@ class TestErrorAtLevel:
             a = Fraction(k, 16)
             assert abs(error_at_level(a, M, p)
                        - brute_force_error_at_level(a, M, p)) <= 1e-12
+
+    @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
+    def test_window_is_bit_identical_to_full_sort(self, M):
+        levels = [0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
+        for N in (1, 2, 1 << 12):
+            means = np.concatenate([[0.0, 0.5, 1.0], np.arange(N + 1) / N])
+            for ps in [[p] for p in levels] + [levels]:
+                window = level_errors(means, M, ps)
+                full = bounds._full_level_errors(means, M, ps)
+                assert np.array_equal(window.view(np.int64), full.view(np.int64)), (N, ps)
+
+    def test_window_rejects_some_rows_of_a_chunk(self, monkeypatch):
+        # at p = 0.99 a few means need values beyond the window; they alone
+        # take the full sort
+        rows = []
+        full = bounds._full_level_errors
+
+        def counted(means, M, ps):
+            rows.append(means.size)
+            return full(means, M, ps)
+
+        monkeypatch.setattr(bounds, "_full_level_errors", counted)
+        means = np.arange((1 << 12) + 1) / (1 << 12)
+        level_errors(means, 236, [EIGHT_OVER_PI_SQ])
+        assert rows == []
+        level_errors(means, 236, [0.99])
+        assert len(rows) == 1 and 0 < rows[0] < means.size
 
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;

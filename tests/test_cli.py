@@ -188,3 +188,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--m", "4", "--k", "0"],
+    ["simulate", "--m", "4", "--f", "0"],
+    ["error", "--setting", "worst", "--m", "4", "--p", "0.75"],
+    ["curve", "--setting", "worst", "--p", "0.75", "--m-values", "4"],
+])
+def test_negative_n_exits_two_with_a_plain_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: must be >= 0, got -1" in err
+    assert "shift" not in err

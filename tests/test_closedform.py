@@ -12,6 +12,8 @@ from qsum.closedform import (
     distribution,
     kernel,
     median_amplify,
+    outcome_probabilities,
+    outcome_probabilities_at,
     output_grid,
     output_value,
     sample,
@@ -90,6 +92,16 @@ class TestDistribution:
             assert abs(dist.probs.sum() - 1.0) <= 1e-12
             if M > 1:
                 assert np.abs(dist.probs[1:] - dist.probs[:0:-1]).max() <= 1e-12
+
+    def test_cells_do_not_depend_on_the_outcomes_asked_for(self):
+        rng = np.random.default_rng(5)
+        M = 37
+        sigma = np.concatenate([[0.0, 3.0, M / 2], rng.uniform(0.0, M / 2, 200)])
+        full = outcome_probabilities(sigma, M)
+        j = rng.integers(0, M, (sigma.size, 9))
+        cells = outcome_probabilities_at(sigma, j, M)
+        assert np.array_equal(cells.view(np.int64),
+                              np.take_along_axis(full, j, axis=1).view(np.int64))
 
     def test_integral_sigma_means_exact_output(self):
         # masses land entirely on outcomes reporting the mean itself
