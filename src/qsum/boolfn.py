@@ -21,7 +21,6 @@ __all__ = [
     "Measure",
     "SigmaValue",
     "sigma_of",
-    "class_weight",
     "class_weights",
     "first_moment",
 ]
@@ -165,15 +164,6 @@ def _weight_uniform_functions(N: int, k: int) -> float:
     return float(np.exp(_log_weights_stirling(N, np.array([k], dtype=np.float64))[0]))
 
 
-def class_weight(measure: Measure, k: int, N: int) -> float:
-    """Total weight of the mean class {f : mean(f) = k/N} under the measure."""
-    if not 0 <= k <= N:
-        raise ValueError(f"k must be in [0, {N}], got {k}")
-    if measure is Measure.UNIFORM_MEANS:
-        return 1.0 / (N + 1)
-    return _weight_uniform_functions(N, k)
-
-
 def class_weights(measure: Measure, N: int) -> np.ndarray:
     """All N+1 class weights at once; sums to 1 within 1e-12 up to N = 2**20."""
     if N < 1:
@@ -183,7 +173,7 @@ def class_weights(measure: Measure, N: int) -> np.ndarray:
     w = np.empty(N + 1)
     edge = min(_EXACT_TAIL, (N + 2) // 2)
     for k in range(edge):
-        w[k] = w[N - k] = float(Fraction(math.comb(N, k), 1 << N))
+        w[k] = w[N - k] = _weight_uniform_functions(N, k)
     if N + 1 > 2 * edge:
         mid = np.arange(edge, N + 1 - edge, dtype=np.float64)
         w[edge : N + 1 - edge] = np.exp(_log_weights_stirling(N, mid))

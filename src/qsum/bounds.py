@@ -21,7 +21,6 @@ import numpy as np
 
 from .boolfn import Measure, class_weights
 from .closedform import (
-    dirichlet_kernel_sq,
     outcome_probabilities,
     outcome_probabilities_at,
     output_grid,
@@ -33,7 +32,6 @@ __all__ = [
     "LEVEL_SLACK",
     "Setting",
     "ErrorRecord",
-    "UPPER_BOUND_REFS",
     "LOWER_BOUND_REFS",
     "error_at_level",
     "level_errors",
@@ -44,7 +42,6 @@ __all__ = [
     "c_bound",
     "g_func",
     "h_func",
-    "w_func",
     "wa4_upper_bound",
     "wan4_lower_bound",
     "queries_for_epsilon",
@@ -67,7 +64,6 @@ class Setting(Enum):
     AVG_PROBABILISTIC = "avg"
 
 
-UPPER_BOUND_REFS = frozenset({"ImprovedCor", "GlobalCor", "WA4"})
 LOWER_BOUND_REFS = frozenset({"WAn4"})
 
 
@@ -251,9 +247,9 @@ def avg_probabilistic_error(
     for ks, errs in _sweep_all_means(M, N, [p]):
         parts.append(float(np.dot(weights[ks], errs[0])))
     value = math.fsum(parts)
-    if measure is Measure.UNIFORM_FUNCTIONS and M % 4 == 0:
+    if measure is Measure.UNIFORM_FUNCTIONS and M % 4 == 0 and N >= 2:
         bound, ref = wa4_upper_bound(M, N), "WA4"
-    elif measure is Measure.UNIFORM_FUNCTIONS and M > 4:
+    elif measure is Measure.UNIFORM_FUNCTIONS and M % 4 != 0 and M > 4:
         bound, ref = wan4_lower_bound(M, N, beta), "WAn4"
     else:
         bound, ref = c_bound(p, M) * math.pi / M, "GlobalCor"
@@ -263,17 +259,13 @@ def avg_probabilistic_error(
     )
 
 
-def _sinc_sq(x: float) -> float:
-    # sin^2(pi x)/(pi x)^2 with the limit 1 at x = 0.
-    if abs(x) < 1e-9:
-        return 1.0 - (math.pi * x) ** 2 / 3.0
-    s = math.sin(math.pi * x) / (math.pi * x)
-    return s * s
-
-
 def v_func(delta: float) -> float:
-    """sin^2(pi d)/(pi d)^2; decreasing on [1/4, 1/2] where it is inverted."""
-    return _sinc_sq(delta)
+    """sin^2(pi d)/(pi d)^2 with the limit 1 at d = 0; decreasing on
+    [1/4, 1/2] where it is inverted."""
+    if abs(delta) < 1e-9:
+        return 1.0 - (math.pi * delta) ** 2 / 3.0
+    s = math.sin(math.pi * delta) / (math.pi * delta)
+    return s * s
 
 
 def v_inverse(p: float) -> float:
@@ -306,17 +298,12 @@ def c_bound(p: float, M: int) -> float:
 
 def g_func(delta: float) -> float:
     """v(d) + v(1-d); at least 8/pi^2 on [0, 1], with the minimum at d = 1/2."""
-    return _sinc_sq(delta) + _sinc_sq(1.0 - delta)
+    return v_func(delta) + v_func(1.0 - delta)
 
 
 def h_func(delta: float) -> float:
     """max(v(d), v(1-d)); at least 8/pi^2 on [0, 1/4] and [3/4, 1]."""
-    return max(_sinc_sq(delta), _sinc_sq(1.0 - delta))
-
-
-def w_func(delta: float, M: int) -> float:
-    """sin^2(pi d)/(M^2 sin^2(pi d / M)): retention mass of a rounded outcome."""
-    return float(dirichlet_kernel_sq(delta, M))
+    return max(v_func(delta), v_func(1.0 - delta))
 
 
 def wa4_upper_bound(M: int, N: int) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "OutcomeDistribution",
     "CeilFloorPair",
     "dirichlet_kernel_sq",
-    "kernel",
     "output_value",
     "output_grid",
     "outcome_probabilities",
@@ -65,15 +64,6 @@ def dirichlet_kernel_sq(delta, M: int):
     series = 1.0 - (np.pi**2 / 3.0) * (1.0 - 1.0 / (M * M)) * r * r
     out = np.where(small, series, num / den)
     return float(out) if out.ndim == 0 else out
-
-
-def kernel(omega1: float, omega2: float, M: int) -> float:
-    """Squared overlap of the M-point Fourier states at frequencies omega1, omega2.
-
-    Equals sin^2(M pi (w1-w2)) / (M^2 sin^2(pi (w1-w2))), reading 0/0 as 1,
-    so integer frequency differences give exactly 1.
-    """
-    return float(dirichlet_kernel_sq(M * (float(omega1) - float(omega2)), M))
 
 
 def output_value(j: int, M: int) -> float:
@@ -205,13 +195,16 @@ def ceil_floor_pair(a: Fraction | float, M: int) -> CeilFloorPair:
     )
 
 
-def sample(dist: OutcomeDistribution, rng: np.random.Generator, size: int | None = None):
-    """Draw outcome indices by inverse CDF; deterministic for a seeded rng."""
-    cum = np.cumsum(dist.probs)
-    u = rng.random(size)
-    idx = np.searchsorted(cum, u, side="right")
-    top = int(np.flatnonzero(dist.probs > 0.0)[-1])
-    idx = np.minimum(idx, top)
+def sample(probs, rng: np.random.Generator, size: int | None = None):
+    """Draw outcome indices from a probability vector by inverse CDF.
+
+    Deterministic for a seeded rng.  A draw at or above the rounded total
+    mass would land past the last outcome; it takes argmax(probs) instead, so
+    an outcome without mass is never returned.
+    """
+    probs = np.asarray(probs)
+    idx = np.searchsorted(np.cumsum(probs), rng.random(size), side="right")
+    idx = np.where(idx < probs.size, idx, np.argmax(probs))
     return int(idx) if size is None else idx
 
 
@@ -226,5 +219,5 @@ def median_amplify(
     if runs < 1 or runs % 2 == 0:
         raise ValueError(f"runs must be a positive odd integer, got {runs}")
     dist = distribution(a, M)
-    draws = sample(dist, rng, size=runs)
+    draws = sample(dist.probs, rng, size=runs)
     return float(np.median(dist.outputs[draws]))

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .closedform import output_value
+from .closedform import output_value, sample
 
 __all__ = [
     "Primitive",
@@ -298,10 +298,7 @@ def measure_index(state: StateVector, rng: np.random.Generator) -> MeasurementRe
     untouched; the collapsed state is returned in the record.
     """
     probs = state.index_marginal()
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    if idx >= probs.size or probs[idx] == 0.0:
-        idx = int(np.argmax(probs))
+    idx = sample(probs, rng)
     collapsed = state.copy()
     blocks = collapsed.blocks()
     keep = blocks[idx] / math.sqrt(probs[idx])

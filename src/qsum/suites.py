@@ -31,15 +31,14 @@ from .bounds import (
     queries_for_epsilon,
     v_func,
     v_inverse,
-    w_func,
     wa4_upper_bound,
     wan4_lower_bound,
     worst_probabilistic_error,
     worst_probabilistic_errors,
 )
 from .closedform import (
+    dirichlet_kernel_sq,
     distribution,
-    kernel,
     outcome_probabilities,
     output_grid,
 )
@@ -128,7 +127,7 @@ def gate_grid_deviation(n_max: int = 6, m_max: int = 16) -> tuple[float, float, 
                 max_dev = max(max_dev, dev)
                 if result.probabilities.size > M:
                     max_tail = max(max_tail, float(result.probabilities[M:].max()))
-                if result.queries != M - 1 or result.qubits != n + result.layout.m:
+                if result.queries != M - 1 or result.qubits != n + math.ceil(math.log2(M)):
                     accounting_ok = False
     return max_dev, max_tail, accounting_ok
 
@@ -408,7 +407,7 @@ def _suite_calculus() -> list[CheckResult]:
     _check(out, suite, "h stays above 8/pi^2 on the outer quarters",
            min(hh) >= EIGHT_OVER_PI_SQ - 1e-12, f"min h = {min(hh):.6f}")
 
-    wmin = min(w_func(0.5, M) for M in range(1, 65))
+    wmin = min(dirichlet_kernel_sq(0.5, M) for M in range(1, 65))
     _check(out, suite, "w(1/2, M) is at least 4/pi^2 for every M",
            wmin >= FOUR_OVER_PI_SQ, f"min over M<=64 is {wmin:.6f} >= {FOUR_OVER_PI_SQ:.6f}")
 
@@ -418,7 +417,8 @@ def _suite_calculus() -> list[CheckResult]:
         M = int(rng.integers(1, 33))
         w1 = float(rng.uniform(-3, 3))
         w2 = float(rng.uniform(-3, 3))
-        gap = max(gap, abs(kernel(w1, w2, M) - kernel_direct_sum(w1, w2, M)))
+        gap = max(gap, abs(dirichlet_kernel_sq(M * (w1 - w2), M)
+                           - kernel_direct_sum(w1, w2, M)))
     _check(out, suite, "kernel matches the direct complex sum", gap <= 1e-12,
            f"max deviation {gap:.3e} on 1000 random frequency pairs (tol 1e-12)")
     return out

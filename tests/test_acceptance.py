@@ -1,238 +1,84 @@
 """Acceptance suite: every contract criterion at its stated tolerance.
 
-Each test prints one pass/fail line (visible with `pytest -s` or in the
-captured output of a failure) and asserts the criterion.
+Each criterion is one or more named checks of `qsum.suites`, which carry the
+oracle and the tolerance; the suites run once per session (see conftest.py).
+Each test prints one pass/fail line with the checks' details (visible with
+`pytest -s` or in the captured output of a failure) and asserts the criterion.
 """
 
-import math
-from fractions import Fraction
-
-import numpy as np
-
-from qsum.boolfn import BooleanFunction, Measure, class_weights, first_moment, sigma_of
-from qsum.bounds import (
-    EIGHT_OVER_PI_SQ,
-    FOUR_OVER_PI_SQ,
-    avg_probabilistic_error,
-    error_at_level,
-    level_errors,
-    v_inverse,
-    wa4_upper_bound,
-    wan4_lower_bound,
-    worst_probabilistic_error,
-    worst_probabilistic_errors,
-)
-from qsum.closedform import (
-    dirichlet_kernel_sq,
-    distribution,
-    kernel,
-    outcome_probabilities,
-    output_grid,
-)
-from qsum.simulator import (
-    Primitive,
-    QubitLayout,
-    StateVector,
-    apply_grover,
-    apply_lambda,
-    apply_primitive,
-    grover_eigenvectors,
-    grover_spectrum,
-    run_qs,
-)
-from qsum.suites import brute_force_error_at_level, kernel_direct_sum
+UNITARITY = "unitarity"
+ORACLE = "oracle-equivalence"
+BOUNDS = "bounds"
+CALCULUS = "calculus"
+AVERAGE = "average-case"
 
 
-def _report(criterion: str, passed: bool, detail: str) -> None:
+def _accept(suite_runs, criterion: str, *checks: tuple[str, str]) -> None:
+    results = [suite_runs[suite].check(name) for suite, name in checks]
+    passed = all(r.passed for r in results)
+    detail = "; ".join(r.detail for r in results)
     print(f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"{criterion}: {detail}"
 
 
-def test_01_oracle_equivalence():
-    max_dev = 0.0
-    for n in range(1, 7):
-        N = 1 << n
-        for M in range(1, 17):
-            for k in range(N + 1):
-                marginal = run_qs(BooleanFunction.from_mean(n, k), M).probabilities
-                probs = outcome_probabilities(sigma_of(Fraction(k, N), M).sigma, M)[0]
-                max_dev = max(max_dev, float(np.abs(marginal[:M] - probs).max()))
-                if marginal.size > M:
-                    max_dev = max(max_dev, float(marginal[M:].max()))
-    _report("01 gate-level marginals equal the closed form (n<=6, M<=16)",
-            max_dev <= 1e-9, f"max deviation {max_dev:.3e} <= 1e-9")
+def test_01_oracle_equivalence(suite_runs):
+    _accept(suite_runs, "01 gate-level marginals equal the closed form (n<=6, M<=16)",
+            (ORACLE, "gate marginal equals closed form on the full grid"),
+            (ORACLE, "outcomes beyond M-1 carry no mass"))
 
 
-def test_02_query_and_qubit_accounting():
-    # queries and qubits depend only on (n, M); sweep that grid fully
-    exact = True
-    for n in range(1, 7):
-        N = 1 << n
-        for M in range(1, 17):
-            for k in (0, N // 2, N):
-                result = run_qs(BooleanFunction.from_mean(n, k), M)
-                m = 0 if M == 1 else (M - 1).bit_length()
-                exact = exact and result.queries == M - 1 and result.qubits == n + m
-    _report("02 runs report M-1 queries and n+ceil(log2 M) qubits",
-            exact, "exact match on every run (n<=6, M<=16)")
+def test_02_query_and_qubit_accounting(suite_runs):
+    _accept(suite_runs, "02 runs report M-1 queries and n+ceil(log2 M) qubits",
+            (ORACLE, "every run reports M-1 queries and n+ceil(log2 M) qubits"))
 
 
-def test_03_exact_output_cases():
-    worst_gap = 0.0
-    cases = [(Fraction(0), M) for M in range(1, 17)]
-    cases += [(Fraction(1), M) for M in range(2, 17, 2)]
-    cases += [(Fraction(1, 2), M) for M in range(4, 65, 4)]
-    for a, M in cases:
-        dist = distribution(a, M)
-        mass = float(dist.probs[np.abs(dist.outputs - float(a)) <= 1e-12].sum())
-        worst_gap = max(worst_gap, abs(mass - 1.0))
-    _report("03 integral sigma outputs the exact mean with probability 1",
-            worst_gap <= 1e-12, f"max |mass - 1| = {worst_gap:.3e} <= 1e-12")
+def test_03_exact_output_cases(suite_runs):
+    _accept(suite_runs, "03 integral sigma outputs the exact mean with probability 1",
+            (ORACLE, "integral sigma puts all mass on the exact output"))
 
 
-def test_04_improved_worst_case_bound():
-    N = 1 << 12
-    excess = -math.inf
-    for M in range(2, 65):
-        rec = worst_probabilistic_error(M, N, EIGHT_OVER_PI_SQ)
-        excess = max(excess, rec.value - 0.75 * math.pi / M)
-    _report("04 worst error at p=8/pi^2 is at most (3/4) pi / M for M=2..64",
-            excess <= 1e-12, f"max excess {excess:.3e} <= 1e-12")
+def test_04_improved_worst_case_bound(suite_runs):
+    _accept(suite_runs, "04 worst error at p=8/pi^2 is at most (3/4) pi / M for M=2..64",
+            (BOUNDS, "worst error at p = 8/pi^2 stays below (3/4) pi / M"))
 
 
-def test_05_sharpness_window_at_scale():
-    recs = worst_probabilistic_errors(64, 1 << 20,
-                                      [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-    ratios = [rec.value / ((1 - v_inverse(rec.p)) * math.pi / 64) for rec in recs]
-    _report("05 worst error at M=64, N=2^20 lies in [0.85, 1.0] of the sharp rate",
-            min(ratios) >= 0.85 and max(ratios) <= 1.0,
-            "ratios " + ", ".join(f"{r:.6f}" for r in ratios))
+def test_05_sharpness_window_at_scale(suite_runs):
+    _accept(suite_runs, "05 worst error at M=64, N=2^20 lies in [0.85, 1.0] of the sharp rate",
+            (BOUNDS, "worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate"))
 
 
-def test_06_v_calculus_anchors():
-    checks = [
-        abs(v_inverse(EIGHT_OVER_PI_SQ) - 0.25) <= 1e-10,
-        abs(v_inverse(FOUR_OVER_PI_SQ) - 0.5) <= 1e-10,
-        abs((1 - v_inverse(0.75)) * math.pi - 2.23) <= 0.01,
-        abs((1 - v_inverse(0.501)) * math.pi - 1.75) <= 0.01,
-    ]
-    grid = np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 1000)
-    resid = max(abs(math.pi**2 / 16 * p + 0.25 - (1 - v_inverse(float(p))))
-                for p in grid)
-    checks.append(resid <= 0.0085)
-    _report("06 v-calculus anchors and the linear approximation residual",
-            all(checks), f"residual {resid:.6f} <= 0.0085, endpoint anchors ok")
+def test_06_v_calculus_anchors(suite_runs):
+    _accept(suite_runs, "06 v-calculus anchors and the linear approximation residual",
+            (CALCULUS, "v inverse hits both interval endpoints"),
+            (CALCULUS, "sharp constants at the common probability levels"),
+            (CALCULUS, "linear approximation of 1 - v^-1(p) within 0.0085"))
 
 
-def test_07_first_moment_identities():
-    gap = 0.0
-    for N in range(1, 25):
-        ks = np.arange(N + 1)
-        direct = float(np.dot(class_weights(Measure.UNIFORM_FUNCTIONS, N),
-                              np.abs(0.5 - ks / N)))
-        gap = max(gap, abs(first_moment(Measure.UNIFORM_FUNCTIONS, N) - direct))
-    N = 1 << 12
-    ratio = first_moment(Measure.UNIFORM_FUNCTIONS, N) * math.sqrt(2 * math.pi * N)
-    m2 = first_moment(Measure.UNIFORM_MEANS, N)
-    ok = gap <= 1e-14 and 0.99 <= ratio <= 1.01 and 0.24 <= m2 <= 0.26
-    _report("07 first-moment closed forms, scaling 1/sqrt(2 pi N), and the 1/4 limit",
-            ok, f"closed-vs-direct gap {gap:.2e}, ratio {ratio:.6f}, p2 moment {m2:.6f}")
+def test_07_first_moment_identities(suite_runs):
+    _accept(suite_runs,
+            "07 first-moment closed forms, scaling 1/sqrt(2 pi N), and the 1/4 limit",
+            (AVERAGE, "closed-form first moment equals the direct sum for N <= 24"),
+            (AVERAGE, "uniform-function moment decays like 1/sqrt(2 pi N)"),
+            (AVERAGE, "uniform-mean moment approaches 1/4"))
 
 
-def test_08_average_case_dichotomy():
-    N = 1 << 12
-    p = 0.75
-    up_ok = all(
-        avg_probabilistic_error(M, N, p, Measure.UNIFORM_FUNCTIONS).value
-        <= wa4_upper_bound(M, N)
-        for M in (4, 8, 16, 32)
-    )
-    down_ok = all(
-        avg_probabilistic_error(M, N, p, Measure.UNIFORM_FUNCTIONS, beta=2.0).value
-        >= wan4_lower_bound(M, N, 2.0)
-        for M in (5, 6, 7, 18)
-    )
-    _report("08 average error: upper bound when 4 | M, lower bound otherwise",
-            up_ok and down_ok,
-            "M in {4,8,16,32} below WA4, M in {5,6,7,18} above WAn4 at N=2^12, p=0.75")
+def test_08_average_case_dichotomy(suite_runs):
+    _accept(suite_runs, "08 average error: upper bound when 4 | M, lower bound otherwise",
+            (AVERAGE, "divisible-by-4 average error obeys its upper bound"),
+            (AVERAGE, "non-divisible average error obeys its lower bound"))
 
 
-def test_09_subset_oracle_equivalence():
-    gap = 0.0
-    for M in range(1, 9):
-        for k in range(17):
-            for p in (0.51, 0.75, EIGHT_OVER_PI_SQ):
-                a = Fraction(k, 16)
-                gap = max(gap, abs(error_at_level(a, M, p)
-                                   - brute_force_error_at_level(a, M, p)))
-    _report("09 greedy level error equals exhaustive subset minimization (M<=8)",
-            gap <= 1e-12, f"max gap {gap:.3e} <= 1e-12")
+def test_09_subset_oracle_equivalence(suite_runs):
+    _accept(suite_runs, "09 greedy level error equals exhaustive subset minimization (M<=10)",
+            (BOUNDS, "greedy level error equals exhaustive subset minimum"))
 
 
-def test_10_property_suite():
-    rng = np.random.default_rng(10)
-
-    drift = 0.0
-    for n, M in ((3, 6), (4, 3)):
-        f = BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
-        state = StateVector.random(QubitLayout(n=n, M=M), rng)
-        for op in (Primitive.QFT, Primitive.WALSH_HADAMARD, Primitive.S0,
-                   Primitive.QFT_INVERSE):
-            apply_primitive(state, op)
-            drift = max(drift, abs(state.norm() - 1.0))
-        apply_grover(state, f)
-        apply_lambda(state, f)
-        drift = max(drift, abs(state.norm() - 1.0))
-    unitarity_ok = drift <= 1e-10
-
-    plane_dev = 0.0
-    for n, k in ((3, 3), (4, 9)):
-        f = BooleanFunction.from_mean(n, k)
-        spec = grover_spectrum(Fraction(k, 1 << n))
-        ones = f.table() == 1
-        psi0 = np.where(~ones, 1 / math.sqrt(1 << n), 0).astype(complex)
-        psi1 = np.where(ones, 1 / math.sqrt(1 << n), 0).astype(complex)
-        for col, basis in enumerate((psi0, psi1)):
-            state = StateVector(basis.copy(), QubitLayout(n=n, M=1))
-            apply_grover(state, f)
-            expected = (spec.subspace_matrix[0, col] * psi0
-                        + spec.subspace_matrix[1, col] * psi1)
-            plane_dev = max(plane_dev, float(np.abs(state.amplitudes - expected).max()))
-    plane_ok = plane_dev <= 1e-12
-
-    recon_dev = 0.0
-    for n, k in ((3, 0), (3, 8), (3, 3), (4, 11)):
-        f = BooleanFunction.from_mean(n, k)
-        theta = sigma_of(Fraction(k, 1 << n), 1).theta
-        plus, minus = grover_eigenvectors(f)
-        uniform = np.full(1 << n, 1 / math.sqrt(1 << n), dtype=complex)
-        recon = (-1j / math.sqrt(2)) * (np.exp(1j * theta) * plus
-                                        - np.exp(-1j * theta) * minus)
-        recon_dev = max(recon_dev, float(np.abs(recon - uniform).max()))
-    recon_ok = recon_dev <= 1e-10
-
-    kern_dev = 0.0
-    for _ in range(1000):
-        M = int(rng.integers(1, 33))
-        w1, w2 = rng.uniform(-4, 4, 2)
-        kern_dev = max(kern_dev, abs(kernel(w1, w2, M) - kernel_direct_sum(w1, w2, M)))
-    kernel_ok = kern_dev <= 1e-12
-
-    norm_gap = sym_gap = 0.0
-    for M in (2, 3, 7, 16, 64):
-        N = 1 << 10
-        sig = (M / math.pi) * np.arcsin(np.sqrt(np.arange(N + 1) / N))
-        probs = outcome_probabilities(sig, M)
-        norm_gap = max(norm_gap, float(np.abs(probs.sum(axis=1) - 1.0).max()))
-        sym_gap = max(sym_gap, float(np.abs(probs[:, 1:] - probs[:, :0:-1]).max()))
-        outputs = output_grid(M)
-        sym_gap = max(sym_gap, float(np.abs(outputs[1:] - outputs[:0:-1]).max()))
-    dist_ok = norm_gap <= 1e-12 and sym_gap <= 1e-12
-
-    _report(
-        "10 property suite: unitarity, invariant plane, decomposition, kernel, symmetry",
-        unitarity_ok and plane_ok and recon_ok and kernel_ok and dist_ok,
-        f"norm drift {drift:.1e}<=1e-10, plane {plane_dev:.1e}<=1e-12, "
-        f"decomposition {recon_dev:.1e}<=1e-10, kernel {kern_dev:.1e}<=1e-12, "
-        f"normalization {norm_gap:.1e} / symmetry {sym_gap:.1e} <= 1e-12",
-    )
+def test_10_property_suite(suite_runs):
+    _accept(suite_runs,
+            "10 property suite: unitarity, invariant plane, decomposition, kernel, symmetry",
+            (UNITARITY, "norm preservation across all operators"),
+            (UNITARITY, "Grover action on the invariant plane matches its 2x2 matrix"),
+            (UNITARITY, "uniform state decomposes over the eigenvectors"),
+            (CALCULUS, "kernel matches the direct complex sum"),
+            (ORACLE, "distributions are normalized"),
+            (ORACLE, "probabilities and outputs are symmetric under j -> M-j"))

@@ -7,7 +7,6 @@ import pytest
 from qsum.boolfn import (
     BooleanFunction,
     Measure,
-    class_weight,
     class_weights,
     first_moment,
     sigma_of,
@@ -99,37 +98,25 @@ class TestSigmaOf:
 
 class TestClassWeight:
     def test_uniform_functions_small(self):
-        assert class_weight(Measure.UNIFORM_FUNCTIONS, 0, 4) == 1 / 16
+        assert class_weights(Measure.UNIFORM_FUNCTIONS, 4)[0] == 1 / 16
 
     def test_uniform_means_is_flat(self):
-        for k in range(5):
-            assert class_weight(Measure.UNIFORM_MEANS, k, 4) == 0.2
+        assert class_weights(Measure.UNIFORM_MEANS, 4).tolist() == [0.2] * 5
 
     def test_log_space_matches_big_integer_oracle(self):
-        # big-integer binomial oracle, correctly rounded through Fraction
-        N = 1024
-        for k in (512, 300, 700, 64, 960):
-            exact = float(Fraction(math.comb(N, k), 2**N))
-            assert class_weight(Measure.UNIFORM_FUNCTIONS, k, N) == pytest.approx(
-                exact, rel=1e-12
-            )
-
-    def test_rejects_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            class_weight(Measure.UNIFORM_FUNCTIONS, 5, 4)
-        with pytest.raises(ValueError):
-            class_weight(Measure.UNIFORM_MEANS, -1, 4)
+        # big-integer binomial oracle, correctly rounded through Fraction; at
+        # N = 300 the points straddle the switch from exact to log-space entries
+        for N, ks in ((1024, (512, 300, 700, 64, 960)),
+                      (300, (0, 1, 63, 64, 150, 237, 299, 300))):
+            w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
+            for k in ks:
+                exact = float(Fraction(math.comb(N, k), 2**N))
+                assert w[k] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("measure", list(Measure))
     @pytest.mark.parametrize("N", [1, 2, 7, 64, 129, 1024, 1 << 12])
     def test_weights_sum_to_one(self, measure, N):
         assert abs(class_weights(measure, N).sum() - 1.0) <= 1e-12
-
-    def test_vector_matches_scalar(self):
-        N = 300
-        w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
-        for k in (0, 1, 63, 64, 150, 237, 299, 300):
-            assert w[k] == class_weight(Measure.UNIFORM_FUNCTIONS, k, N)
 
 
 class TestFirstMoment:

@@ -20,12 +20,11 @@ from qsum.bounds import (
     queries_for_epsilon,
     v_func,
     v_inverse,
-    w_func,
     wa4_upper_bound,
     wan4_lower_bound,
     worst_probabilistic_error,
 )
-from qsum.closedform import distribution
+from qsum.closedform import dirichlet_kernel_sq
 from qsum.suites import brute_force_error_at_level
 
 
@@ -148,6 +147,8 @@ class TestAvgError:
         assert avg_probabilistic_error(6, N, 0.75, Measure.UNIFORM_FUNCTIONS).bound_ref == "WAn4"
         assert avg_probabilistic_error(3, N, 0.75, Measure.UNIFORM_FUNCTIONS).bound_ref == "GlobalCor"
         assert avg_probabilistic_error(8, N, 0.75, Measure.UNIFORM_MEANS).bound_ref == "GlobalCor"
+        # WA4 needs N >= 2
+        assert avg_probabilistic_error(8, 1, 0.75, Measure.UNIFORM_FUNCTIONS).bound_ref == "GlobalCor"
 
     def test_uniform_means_bounded_by_worst(self):
         worst = worst_probabilistic_error(32, 1 << 8, 0.75).value
@@ -206,14 +207,14 @@ class TestHelperFunctions:
     def test_w_at_half(self):
         for M in (1, 2, 5, 16, 64):
             expected = 1.0 / (M**2 * math.sin(math.pi / (2 * M)) ** 2)
-            assert w_func(0.5, M) == pytest.approx(expected, rel=1e-14)
-            assert w_func(0.5, M) >= FOUR_OVER_PI_SQ
+            assert dirichlet_kernel_sq(0.5, M) == pytest.approx(expected, rel=1e-14)
+            assert dirichlet_kernel_sq(0.5, M) >= FOUR_OVER_PI_SQ
 
     def test_limits_at_zero_and_one(self):
         assert g_func(0.0) == 1.0
         assert g_func(1.0) == 1.0
         assert h_func(0.0) == 1.0
-        assert w_func(0.0, 9) == 1.0
+        assert dirichlet_kernel_sq(0.0, 9) == 1.0
 
 
 class TestWA4Bound:

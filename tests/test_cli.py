@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qsum import cli
 from qsum.cli import main
 from qsum.closedform import distribution
+from qsum.suites import SUITE_NAMES
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -116,6 +118,16 @@ class TestError:
         assert fields[7] == "WAn4"
         assert float(fields[5]) >= float(fields[6]) > 0.0
 
+    @pytest.mark.parametrize("M", ["4", "8"])
+    def test_avg_at_one_point_takes_the_global_bound(self, capsys, M):
+        # WA4 needs N >= 2; at N = 1 both means are exact, so the error is 0
+        code, out, _ = run_cli(capsys, "error", "--setting", "avg", "--m", M,
+                               "--n", "0", "--p", "0.7")
+        assert code == 0
+        fields = out.strip().split("\n")[1].split(",")
+        assert fields[0] == M and fields[1] == "1"
+        assert fields[5] == "0" and fields[7] == "GlobalCor"
+
     def test_symbolic_p_values(self, capsys):
         code, out, _ = run_cli(capsys, "error", "--setting", "worst", "--m", "4",
                                "--n", "4", "--p", "4/pi2")
@@ -169,20 +181,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "unitarity")
         assert code == 0
 
-    def test_oracle_equivalence_suite_passes_within_a_minute(self, capsys):
-        import time
+    def test_oracle_equivalence_suite_passes_within_a_minute(self, suite_runs):
+        run = suite_runs["oracle-equivalence"]
+        assert all(r.passed for r in run.results)
+        assert run.seconds <= 60.0
 
-        start = time.monotonic()
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-equivalence")
-        elapsed = time.monotonic() - start
-        assert code == 0
-        assert elapsed <= 60.0
-
-    def test_all_suites_pass(self, capsys):
+    def test_all_suites_pass(self, capsys, monkeypatch, suite_runs):
+        results = [r for name in SUITE_NAMES for r in suite_runs[name].results]
+        asked = []
+        monkeypatch.setattr(cli, "run_suite", lambda name: asked.append(name) or results)
         code, out, _ = run_cli(capsys, "verify", "--suite", "all")
-        assert code == 0
-        assert "FAIL" not in out
-        assert out.strip().split("\n")[-1].endswith("checks passed")
+        assert code == 0 and asked == ["all"]
+        lines = out.strip().split("\n")
+        assert len(lines) == len(results) + 1
+        for line, r in zip(lines, results):
+            assert line.startswith(f"PASS  {r.suite}: {r.name}") and line.endswith(r.detail)
+        assert lines[-1] == f"{len(results)}/{len(results)} checks passed"
 
     def test_unknown_suite_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

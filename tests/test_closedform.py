@@ -10,7 +10,6 @@ from qsum.closedform import (
     ceil_floor_pair,
     dirichlet_kernel_sq,
     distribution,
-    kernel,
     median_amplify,
     outcome_probabilities,
     outcome_probabilities_at,
@@ -19,7 +18,7 @@ from qsum.closedform import (
     sample,
     sigma_is_integral,
 )
-from qsum.simulator import BooleanFunction, run_qs
+from qsum.simulator import BooleanFunction, QubitLayout, StateVector, measure_index, run_qs
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -32,14 +31,14 @@ def kernel_oracle(omega1, omega2, M):
 
 class TestKernel:
     def test_integer_difference_is_one(self):
-        assert kernel(3.75, 0.75, 5) == 1.0
+        assert dirichlet_kernel_sq(5 * (3.75 - 0.75), 5) == 1.0
 
     def test_closed_arithmetic_value(self):
         # sin^2(pi/2) / (4 sin^2(pi/4)) = 1/2
-        assert kernel(0.25, 0.0, 2) == pytest.approx(0.5, abs=1e-15)
+        assert dirichlet_kernel_sq(2 * 0.25, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_direct_sum_at_fixed_point(self):
-        assert kernel(0.13, 0.0, 7) == pytest.approx(
+        assert dirichlet_kernel_sq(7 * 0.13, 7) == pytest.approx(
             kernel_oracle(0.13, 0.0, 7), abs=1e-12
         )
 
@@ -48,7 +47,7 @@ class TestKernel:
         for _ in range(1000):
             M = int(rng.integers(1, 33))
             w1, w2 = rng.uniform(-4, 4, 2)
-            assert kernel(w1, w2, M) == pytest.approx(
+            assert dirichlet_kernel_sq(M * (w1 - w2), M) == pytest.approx(
                 kernel_oracle(w1, w2, M), abs=1e-12
             )
 
@@ -196,12 +195,12 @@ class TestSampling:
     def test_deterministic_point_mass(self):
         dist = distribution(Fraction(0), 4)
         rng = np.random.default_rng(0)
-        assert all(sample(dist, rng) == 0 for _ in range(50))
+        assert all(sample(dist.probs, rng) == 0 for _ in range(50))
 
     def test_two_point_frequencies(self):
         dist = distribution(Fraction(1, 2), 4)
         rng = np.random.default_rng(31415)
-        draws = sample(dist, rng, size=100_000)
+        draws = sample(dist.probs, rng, size=100_000)
         freq = np.mean(draws == 1)
         # 3 sigma of a fair coin over 1e5 draws
         assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(100_000)
@@ -210,15 +209,30 @@ class TestSampling:
     def test_empirical_total_variation(self):
         dist = distribution(Fraction(3, 8), 8)
         rng = np.random.default_rng(8)
-        draws = sample(dist, rng, size=1_000_000)
+        draws = sample(dist.probs, rng, size=1_000_000)
         counts = np.bincount(draws, minlength=8) / 1_000_000
         assert 0.5 * np.abs(counts - dist.probs).sum() <= 0.005
 
     def test_same_seed_same_draws(self):
         dist = distribution(Fraction(3, 8), 8)
-        a = sample(dist, np.random.default_rng(7), size=100)
-        b = sample(dist, np.random.default_rng(7), size=100)
+        a = sample(dist.probs, np.random.default_rng(7), size=100)
+        b = sample(dist.probs, np.random.default_rng(7), size=100)
         assert np.array_equal(a, b)
+
+    def test_draw_past_the_rounded_total_takes_the_argmax(self):
+        # u >= cumsum(probs)[-1] lands past the last outcome; both samplers
+        # must return the heaviest outcome, never an empty one
+        class TopDraw:
+            def random(self, size=None):
+                u = np.nextafter(1.0, 0.0)
+                return u if size is None else np.full(size, u)
+
+        probs = np.array([0.25, 0.5, 0.125, 0.0])
+        assert sample(probs, TopDraw()) == 1
+        assert sample(probs, TopDraw(), size=3).tolist() == [1, 1, 1]
+        state = StateVector(np.sqrt(probs).astype(complex), QubitLayout(n=0, M=4))
+        record = measure_index(state, TopDraw())
+        assert record.outcome == 1 and record.probability > 0.0
 
 
 class TestMedianAmplify:
@@ -230,7 +244,7 @@ class TestMedianAmplify:
         a, M = Fraction(5, 16), 8
         dist = distribution(a, M)
         med = median_amplify(a, M, 1, np.random.default_rng(1234))
-        j = sample(dist, np.random.default_rng(1234), size=1)[0]
+        j = sample(dist.probs, np.random.default_rng(1234), size=1)[0]
         assert med == dist.outputs[j]
 
     def test_zero_mean_is_always_exact(self):

@@ -147,17 +147,18 @@ class TestGrover:
         assert np.abs(state.amplitudes + 1 / math.sqrt(8)).max() <= 1e-12
 
     def test_invariant_plane_action(self):
-        f = BooleanFunction.from_mean(3, 3)
-        spec = grover_spectrum(Fraction(3, 8))
-        ones = f.table() == 1
-        psi0 = np.where(~ones, 1 / math.sqrt(8), 0).astype(complex)
-        psi1 = np.where(ones, 1 / math.sqrt(8), 0).astype(complex)
-        for col, basis in enumerate((psi0, psi1)):
-            state = StateVector(basis.copy(), QubitLayout(n=3, M=1))
-            apply_grover(state, f)
-            expected = (spec.subspace_matrix[0, col] * psi0
-                        + spec.subspace_matrix[1, col] * psi1)
-            assert np.abs(state.amplitudes - expected).max() <= 1e-12
+        for n, k in ((3, 3), (4, 9)):
+            f = BooleanFunction.from_mean(n, k)
+            spec = grover_spectrum(Fraction(k, 1 << n))
+            ones = f.table() == 1
+            psi0 = np.where(~ones, 1 / math.sqrt(1 << n), 0).astype(complex)
+            psi1 = np.where(ones, 1 / math.sqrt(1 << n), 0).astype(complex)
+            for col, basis in enumerate((psi0, psi1)):
+                state = StateVector(basis.copy(), QubitLayout(n=n, M=1))
+                apply_grover(state, f)
+                expected = (spec.subspace_matrix[0, col] * psi0
+                            + spec.subspace_matrix[1, col] * psi1)
+                assert np.abs(state.amplitudes - expected).max() <= 1e-12
 
 
 class TestLambda:
@@ -234,7 +235,7 @@ class TestSpectrum:
                 assert np.linalg.norm(state.amplitudes - lam * vec) <= 1e-10
 
     def test_uniform_state_decomposition(self):
-        for n, k in ((3, 0), (3, 8), (3, 3), (4, 7), (1, 1)):
+        for n, k in ((3, 0), (3, 8), (3, 3), (4, 7), (1, 1), (4, 11)):
             f = BooleanFunction.from_mean(n, k)
             theta = sigma_of(Fraction(k, 1 << n), 1).theta
             plus, minus = grover_eigenvectors(f)
