@@ -6,6 +6,8 @@ j*2**n + y.  The five primitives (inversion about zero, Walsh-Hadamard,
 M-point Fourier transform and its inverse, sign query), the Grover operator
 built from them, and its index-controlled power are all exact unitaries in
 double precision, so marginals agree with the closed form to ~1e-14.
+`run_qs_batch` runs the whole circuit for a stack of value tables at once;
+`run_qs` is a batch of one plus a sampled measurement.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "GroverSpectrum",
     "MeasurementRecord",
     "QSResult",
+    "QSBatch",
     "apply_primitive",
     "apply_standard_query",
     "apply_grover",
@@ -34,7 +37,12 @@ __all__ = [
     "grover_eigenvectors",
     "measure_index",
     "run_qs",
+    "run_qs_batch",
 ]
+
+# The batched core refuses a run above this many amplitudes over all its value
+# tables: 2**24 complex128 amplitudes take 256 MiB.
+_MAX_AMPLITUDES = 1 << 24
 
 
 class Primitive(Enum):
@@ -120,19 +128,30 @@ class StateVector:
 
     def index_marginal(self) -> np.ndarray:
         """Probability of each index-register outcome j in [0, index_dim)."""
-        return (np.abs(self.blocks()) ** 2).sum(axis=1)
+        return _index_marginals(self.blocks())
+
+
+# The kernels below act in place on blocks of shape (..., index_dim, N): the
+# last axis is the data register, the one before it the index register, and
+# any leading axes stack independent runs.  Every element goes through the
+# same IEEE operations in the same order whatever the leading shape, so a
+# stacked run is bit-identical to the runs done one at a time.
+
+def _index_marginals(blocks: np.ndarray) -> np.ndarray:
+    return (np.abs(blocks) ** 2).sum(axis=-1)
 
 
 def _walsh_blocks(blocks: np.ndarray) -> None:
-    # In-place fast Walsh-Hadamard transform along the data axis, 1/sqrt(N)
-    # normalized; its own inverse.
-    rows, n = blocks.shape
+    # Fast Walsh-Hadamard transform along the data axis, 1/sqrt(N)
+    # normalized; its own inverse.  Splitting the last axis keeps a view.
+    *lead, n = blocks.shape
     h = 1
     while h < n:
-        v = blocks.reshape(rows, n // (2 * h), 2, h)
-        top = v[:, :, 0, :].copy()
-        v[:, :, 0, :] += v[:, :, 1, :]
-        v[:, :, 1, :] = top - v[:, :, 1, :]
+        v = blocks.reshape(*lead, n // (2 * h), 2, h)
+        lo, hi = v[..., 0, :], v[..., 1, :]
+        top = lo.copy()
+        lo += hi
+        np.subtract(top, hi, out=hi)
         h *= 2
     blocks *= 1.0 / math.sqrt(n)
 
@@ -147,16 +166,24 @@ def _apply_fourier(blocks: np.ndarray, M: int, inverse: bool) -> None:
     F = _fourier_matrix(M)
     if inverse:
         F = F.conj()
-    blocks[:M] = F @ blocks[:M]
+    blocks[..., :M, :] = F @ blocks[..., :M, :]
 
 
 def _grover_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
-    # Q_f = -(W S0 W) S_f; W is its own inverse.
+    # Q_f = -(W S0 W) S_f; W is its own inverse.  `signs` broadcasts over
+    # the index axis: shape (N,) for one run, (K, 1, N) for K stacked runs.
     blocks *= signs
     _walsh_blocks(blocks)
-    blocks[:, 0] *= -1.0
+    blocks[..., 0] *= -1.0
     _walsh_blocks(blocks)
     blocks *= -1.0
+
+
+def _lambda_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
+    # Block j receives j Grover applications: sweep t = 1..index_dim-1 hits
+    # blocks [t:] once per sweep.
+    for t in range(1, blocks.shape[-2]):
+        _grover_blocks(blocks[..., t:, :], signs)
 
 
 def _query_signs(state: StateVector, f: BooleanFunction | None) -> np.ndarray:
@@ -224,10 +251,7 @@ def apply_lambda(state: StateVector, f: BooleanFunction) -> StateVector:
     per sweep.  Under the query-counting model a run charges M-1 queries,
     since only blocks below M are ever populated by the algorithm.
     """
-    signs = _query_signs(state, f)
-    blocks = state.blocks()
-    for t in range(1, state.layout.index_dim):
-        _grover_blocks(blocks[t:], signs)
+    _lambda_blocks(state.blocks(), _query_signs(state, f))
     return state
 
 
@@ -308,6 +332,50 @@ def measure_index(state: StateVector, rng: np.random.Generator) -> MeasurementRe
 
 
 @dataclass
+class QSBatch:
+    """Final states and index marginals of one summation run per value table."""
+
+    layout: QubitLayout
+    amplitudes: np.ndarray      # (K, index_dim, N): final state of run k
+    probabilities: np.ndarray   # (K, index_dim): index marginal of run k
+    queries: int                # charged by each run
+    qubits: int                 # used by each run
+
+
+def run_qs_batch(n: int, M: int, tables) -> QSBatch:
+    """Run the summation circuit once per row of a (K, 2**n) array of 0/1
+    value tables, all K runs on a leading axis.
+
+    Each run is the circuit of `run_qs`: Fourier (x) Walsh-Hadamard on
+    |0>|0>, the index-controlled Grover power, then the inverse Fourier.  Row
+    k of the result is bit-identical to the run of table k alone.  A batch
+    whose K * index_dim * 2**n amplitudes exceed 2**24 is refused with
+    ValueError before anything is allocated.
+    """
+    layout = QubitLayout(n=n, M=M)
+    tables = np.asarray(tables)
+    if tables.ndim != 2 or tables.shape[1] != layout.N:
+        raise ValueError(f"value tables must have shape (K, {layout.N}), got {tables.shape}")
+    size = tables.shape[0] * layout.dim
+    if size > _MAX_AMPLITUDES:
+        raise ValueError(
+            f"{tables.shape[0]} run(s) at n={n}, M={M} need {size} amplitudes; "
+            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
+        )
+    if ((tables != 0) & (tables != 1)).any():
+        raise ValueError("value tables must hold only 0 and 1")
+    signs = 1.0 - 2.0 * tables.astype(np.float64)
+    amps = np.zeros((tables.shape[0], layout.index_dim, layout.N), dtype=np.complex128)
+    amps[:, 0, 0] = 1.0
+    _apply_fourier(amps, M, inverse=False)
+    _walsh_blocks(amps)
+    _lambda_blocks(amps, signs[:, None, :])
+    _apply_fourier(amps, M, inverse=True)
+    return QSBatch(layout=layout, amplitudes=amps, probabilities=_index_marginals(amps),
+                   queries=M - 1, qubits=layout.qubits)
+
+
+@dataclass
 class QSResult:
     """Full marginal plus (optionally) one sampled outcome of a summation run."""
 
@@ -328,26 +396,21 @@ def run_qs(f: BooleanFunction, M: int, rng_seed: int | None = None) -> QSResult:
     outcome j is sampled and the estimate sin^2(pi j / M) reported.  A run
     charges M-1 queries and uses n + ceil(log2 M) qubits.
     """
-    layout = QubitLayout(n=f.n, M=M)
-    state = StateVector.zero(layout)
-    apply_primitive(state, Primitive.QFT)
-    apply_primitive(state, Primitive.WALSH_HADAMARD)
-    apply_lambda(state, f)
-    apply_primitive(state, Primitive.QFT_INVERSE)
-    probs = state.index_marginal()
+    batch = run_qs_batch(f.n, M, f.table()[None])
     record = None
     output = None
     if rng_seed is not None:
+        state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
         record = measure_index(state, np.random.default_rng(rng_seed))
         if record.outcome < M:
             output = output_value(record.outcome, M)
         else:  # float-dust tail outcome; the estimate formula still applies
             output = math.sin(math.pi * record.outcome / M) ** 2
     return QSResult(
-        layout=layout,
-        probabilities=probs,
+        layout=batch.layout,
+        probabilities=batch.probabilities[0],
         record=record,
         output=output,
-        queries=M - 1,
-        qubits=layout.qubits,
+        queries=batch.queries,
+        qubits=batch.qubits,
     )

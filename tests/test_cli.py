@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qsum import cli
+from qsum import cli, simulator
 from qsum.cli import main
 from qsum.closedform import distribution
 from qsum.suites import SUITE_NAMES
@@ -84,6 +85,21 @@ class TestSimulate:
                                "--f", "xyz", "--seed", "0")
         assert code == 2
         assert "error" in err
+
+    def test_oversized_run_is_refused_before_allocating(self, capsys, monkeypatch):
+        class NoAllocation:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                pytest.fail("the simulator allocated amplitudes for a refused run")
+
+        monkeypatch.setattr(simulator, "np", NoAllocation())
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "1024",
+                                 "--f", "0" * (1 << 18))
+        assert code == 2 and out == ""
+        assert err == ("error: 1 run(s) at n=20, M=1024 need 1073741824 amplitudes; "
+                       "the simulator's limit is 16777216 (256 MiB)\n")
 
 
 class TestError:

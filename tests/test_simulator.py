@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsum import suites
 from qsum.boolfn import BooleanFunction, sigma_of
 from qsum.closedform import outcome_probabilities
 from qsum.simulator import (
@@ -19,6 +21,7 @@ from qsum.simulator import (
     grover_spectrum,
     measure_index,
     run_qs,
+    run_qs_batch,
 )
 
 
@@ -291,6 +294,52 @@ class TestRunQS:
     def test_no_seed_no_record(self):
         result = run_qs(BooleanFunction.from_mean(2, 1), 4)
         assert result.record is None and result.output is None
+
+
+class TestBatchedCore:
+    def test_rows_are_bit_identical_to_single_runs(self):
+        # K = 2 at M = 2 and K = 3 elsewhere equal index-row counts the sweeps
+        # touch, where signs of shape (K, N) instead of (K, 1, N) would pair
+        # tables with index rows instead of runs
+        rng = np.random.default_rng(41)
+        for n in range(7):
+            N = 1 << n
+            for M in range(1, 17):
+                K = 2 if M == 2 else 3
+                ks = rng.choice(N + 1, size=K, replace=K > N + 1)
+                tables = np.zeros((K, N), dtype=np.int8)
+                for row, k in zip(tables, ks):
+                    row[rng.permutation(N)[:k]] = 1
+                batch = run_qs_batch(n, M, tables)
+                expected = []
+                for row in tables:
+                    state = StateVector.zero(QubitLayout(n=n, M=M))
+                    apply_primitive(state, Primitive.QFT)
+                    apply_primitive(state, Primitive.WALSH_HADAMARD)
+                    apply_lambda(state, BooleanFunction(n, tuple(row.tolist())))
+                    apply_primitive(state, Primitive.QFT_INVERSE)
+                    expected.append(state.index_marginal())
+                assert np.array_equal(batch.probabilities.view(np.int64),
+                                      np.stack(expected).view(np.int64)), (n, M, ks)
+
+    def test_rejects_malformed_tables(self):
+        with pytest.raises(ValueError):
+            run_qs_batch(2, 4, np.zeros((3, 5)))
+        with pytest.raises(ValueError):
+            run_qs_batch(2, 4, np.full((3, 4), 2))
+
+    @pytest.mark.parametrize("field", ["queries", "qubits"])
+    def test_accounting_check_compares_reported_counts(self, monkeypatch, field):
+        def misreporting(n, M, tables):
+            batch = run_qs_batch(n, M, tables)
+            return dataclasses.replace(batch, **{field: getattr(batch, field) + 1})
+
+        grid = suites.gate_grid_deviation  # a small grid keeps the suite run short
+        monkeypatch.setattr(suites, "gate_grid_deviation", lambda: grid(n_max=2, m_max=4))
+        monkeypatch.setattr(suites, "run_qs_batch", misreporting)
+        results = {r.name: r for r in suites.run_suite("oracle-equivalence")}
+        assert not results["every run reports M-1 queries and n+ceil(log2 M) qubits"].passed
+        assert results["gate marginal equals closed form on the full grid"].passed
 
 
 class TestMeasurement:
