@@ -98,7 +98,11 @@ class BooleanFunction:
             word = int(body, 16)
         except ValueError:
             raise ValueError(f"malformed hex table {text!r}") from None
-        return cls(n, tuple((word >> (N - 1 - i)) & 1 for i in range(N)))
+        # One binary rendering is linear in N; shifting the whole word once per
+        # point would be quadratic.  The mask keeps the old two's-complement
+        # bits for a signed body such as "-1".
+        bits = format(word & ((1 << N) - 1), f"0{N}b")
+        return cls(n, tuple(map(int, bits)))
 
     def to_hex(self) -> str:
         """Serialize the table (lowercase hex, or raw bits for N < 4)."""

@@ -8,6 +8,15 @@ built from them, and its index-controlled power are all exact unitaries in
 double precision, so marginals agree with the closed form to ~1e-14.
 `run_qs_batch` runs the whole circuit for a stack of value tables at once;
 `run_qs` is a batch of one plus a sampled measurement.
+
+The index-controlled power comes in two forms.  `apply_lambda` acts on any
+state: it sweeps t = 1..index_dim-1 over blocks [t:], index_dim*(index_dim-1)/2
+block-Grover applications.  `run_qs_batch` acts only on the state the
+algorithm prepares, where blocks 0..M-1 all hold the same data vector; it
+chains them instead, block j being block j-1 after one more Grover
+application, so a run makes exactly M-1 applications (M-1 queries).  Both
+leave block j holding its input after exactly j applications of S_f, W, S0,
+W; `apply_lambda` is the differential oracle for the chain.
 """
 
 from __future__ import annotations
@@ -41,8 +50,14 @@ __all__ = [
 ]
 
 # The batched core refuses a run above this many amplitudes over all its value
-# tables: 2**24 complex128 amplitudes take 256 MiB.
+# tables: 2**24 complex128 amplitudes take 256 MiB.  The same limit bounds the
+# M*M entries of the dense Fourier block.
 _MAX_AMPLITUDES = 1 << 24
+# It also refuses a run whose dense Fourier transform needs more than this
+# many complex multiply-adds (K * M**2 * 2**n).  At this limit the slowest
+# accepted `qsum simulate` calls took 6-9 s on a 2-core x86-64 machine
+# (n=12, M=2048: 6.3 s; n=10, M=4096: 6.7 s; n=20, M=16: 8.7 s).
+_MAX_FOURIER_WORK = 1 << 34
 
 
 class Primitive(Enum):
@@ -186,6 +201,19 @@ def _lambda_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
         _grover_blocks(blocks[..., t:, :], signs)
 
 
+def _chain_blocks(blocks: np.ndarray, signs: np.ndarray) -> int:
+    # Index-controlled power on blocks that are all equal on entry: block j
+    # becomes block j-1 after one more Grover application, so it holds the
+    # entry value after exactly j applications.  Returns the number of S_f
+    # applications per run.
+    queries = 0
+    for j in range(1, blocks.shape[-2]):
+        blocks[..., j, :] = blocks[..., j - 1, :]
+        _grover_blocks(blocks[..., j:j + 1, :], signs)
+        queries += 1
+    return queries
+
+
 def _query_signs(state: StateVector, f: BooleanFunction | None) -> np.ndarray:
     if f is None:
         raise ValueError("the query primitive requires a Boolean function")
@@ -248,8 +276,9 @@ def apply_lambda(state: StateVector, f: BooleanFunction) -> StateVector:
     """Index-controlled power: block j receives j Grover applications.
 
     Implemented by sweeping t = 1..index_dim-1 and hitting blocks [t:] once
-    per sweep.  Under the query-counting model a run charges M-1 queries,
-    since only blocks below M are ever populated by the algorithm.
+    per sweep, so it is correct on any state, at index_dim*(index_dim-1)/2
+    block applications.  `run_qs_batch` chains the blocks of the prepared
+    state instead (M-1 applications), and this sweep is its test oracle.
     """
     _lambda_blocks(state.blocks(), _query_signs(state, f))
     return state
@@ -348,31 +377,54 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
 
     Each run is the circuit of `run_qs`: Fourier (x) Walsh-Hadamard on
     |0>|0>, the index-controlled Grover power, then the inverse Fourier.  Row
-    k of the result is bit-identical to the run of table k alone.  A batch
-    whose K * index_dim * 2**n amplitudes exceed 2**24 is refused with
-    ValueError before anything is allocated.
+    k of the result is bit-identical to the run of table k alone.
+
+    Column 0 of the Fourier block is constant, so the preparation leaves the
+    same data vector in every block j < M.  The power therefore chains: for
+    j = 1..M-1, block j-1 is copied into block j, which then gets one Grover
+    application, and block j ends up with exactly j of them.  `queries`
+    counts the S_f applications the chain made, M-1 per run.  Blocks
+    j >= M, which the preparation leaves empty, are left out of the chain
+    and of both Fourier transforms, so they stay exactly zero.
+
+    A batch is refused with ValueError before anything is allocated when its
+    K * index_dim * 2**n amplitudes or the M*M entries of its Fourier block
+    exceed 2**24, or when a Fourier transform needs more than 2**34
+    multiply-adds (K * M**2 * 2**n).
     """
     layout = QubitLayout(n=n, M=M)
     tables = np.asarray(tables)
     if tables.ndim != 2 or tables.shape[1] != layout.N:
         raise ValueError(f"value tables must have shape (K, {layout.N}), got {tables.shape}")
-    size = tables.shape[0] * layout.dim
+    K = tables.shape[0]
+    size = K * layout.dim
     if size > _MAX_AMPLITUDES:
         raise ValueError(
-            f"{tables.shape[0]} run(s) at n={n}, M={M} need {size} amplitudes; "
+            f"{K} run(s) at n={n}, M={M} need {size} amplitudes; "
             f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
+        )
+    if M * M > _MAX_AMPLITUDES:
+        raise ValueError(
+            f"the Fourier block at M={M} has {M * M} entries; "
+            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
+        )
+    work = K * M * M * layout.N
+    if work > _MAX_FOURIER_WORK:
+        raise ValueError(
+            f"{K} run(s) at n={n}, M={M} need {work} multiply-adds per Fourier "
+            f"transform; the simulator's limit is {_MAX_FOURIER_WORK}"
         )
     if ((tables != 0) & (tables != 1)).any():
         raise ValueError("value tables must hold only 0 and 1")
     signs = 1.0 - 2.0 * tables.astype(np.float64)
-    amps = np.zeros((tables.shape[0], layout.index_dim, layout.N), dtype=np.complex128)
+    amps = np.zeros((K, layout.index_dim, layout.N), dtype=np.complex128)
     amps[:, 0, 0] = 1.0
     _apply_fourier(amps, M, inverse=False)
     _walsh_blocks(amps)
-    _lambda_blocks(amps, signs[:, None, :])
+    queries = _chain_blocks(amps[:, :M, :], signs[:, None, :])
     _apply_fourier(amps, M, inverse=True)
     return QSBatch(layout=layout, amplitudes=amps, probabilities=_index_marginals(amps),
-                   queries=M - 1, qubits=layout.qubits)
+                   queries=queries, qubits=layout.qubits)
 
 
 @dataclass

@@ -18,6 +18,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail the test if the simulator allocates amplitudes or a Fourier matrix."""
+    class NoAllocation:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            pytest.fail("the simulator allocated amplitudes for a refused run")
+
+        def outer(self, *args, **kwargs):
+            pytest.fail("the simulator built a Fourier matrix for a refused run")
+
+    monkeypatch.setattr(simulator, "np", NoAllocation())
+
+
 class TestDist:
     def test_zero_mean_exact_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "--m", "4", "--n", "2", "--k", "0")
@@ -86,20 +102,28 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
-    def test_oversized_run_is_refused_before_allocating(self, capsys, monkeypatch):
-        class NoAllocation:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def zeros(self, *args, **kwargs):
-                pytest.fail("the simulator allocated amplitudes for a refused run")
-
-        monkeypatch.setattr(simulator, "np", NoAllocation())
+    def test_oversized_run_is_refused_before_allocating(self, capsys, no_allocation):
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "1024",
                                  "--f", "0" * (1 << 18))
         assert code == 2 and out == ""
         assert err == ("error: 1 run(s) at n=20, M=1024 need 1073741824 amplitudes; "
                        "the simulator's limit is 16777216 (256 MiB)\n")
+
+    @pytest.mark.parametrize("n,M,message", [
+        # few amplitudes, but a 2**26-entry Fourier matrix
+        (0, 8192, "the Fourier block at M=8192 has 67108864 entries; "
+                  "the simulator's limit is 16777216 (256 MiB)"),
+        # exactly 2**24 amplitudes and Fourier entries, but 2**36 multiply-adds
+        (12, 4096, "1 run(s) at n=12, M=4096 need 68719476736 multiply-adds per "
+                   "Fourier transform; the simulator's limit is 17179869184"),
+    ])
+    def test_fourier_cost_is_refused_before_allocating(self, capsys, no_allocation,
+                                                       n, M, message):
+        table = "1" if n == 0 else "0" * ((1 << n) // 4)
+        code, out, err = run_cli(capsys, "simulate", "--n", str(n), "--m", str(M),
+                                 "--f", table, "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestError:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsum import suites
+from qsum import simulator, suites
 from qsum.boolfn import BooleanFunction, sigma_of
 from qsum.closedform import outcome_probabilities
 from qsum.simulator import (
@@ -321,6 +321,57 @@ class TestBatchedCore:
                     expected.append(state.index_marginal())
                 assert np.array_equal(batch.probabilities.view(np.int64),
                                       np.stack(expected).view(np.int64)), (n, M, ks)
+
+    @pytest.mark.parametrize("M", [17, 33, 64, 100, 128])
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_chain_matches_sweep_beyond_the_grid(self, monkeypatch, n, M):
+        # M not a power of two leaves tail blocks j >= M that the chain skips
+        entries = []
+        chain = simulator._chain_blocks
+
+        def recording(blocks, signs):
+            entries.append(blocks.copy())
+            return chain(blocks, signs)
+
+        monkeypatch.setattr(simulator, "_chain_blocks", recording)
+        rng = np.random.default_rng(43 + n * 1000 + M)
+        N = 1 << n
+        tables = rng.integers(0, 2, (3, N))
+        batch = run_qs_batch(n, M, tables)
+        (entry,) = entries
+        assert entry.shape == (3, M, N)
+        assert (entry == entry[:, :1, :]).all()
+        assert not batch.amplitudes[:, M:, :].any()
+        expected = []
+        for row in tables:
+            state = StateVector.zero(QubitLayout(n=n, M=M))
+            apply_primitive(state, Primitive.QFT)
+            apply_primitive(state, Primitive.WALSH_HADAMARD)
+            apply_lambda(state, BooleanFunction(n, tuple(row.tolist())))
+            apply_primitive(state, Primitive.QFT_INVERSE)
+            expected.append(state.index_marginal())
+        assert np.array_equal(batch.probabilities.view(np.int64),
+                              np.stack(expected).view(np.int64))
+
+    @pytest.mark.parametrize("M", [*range(1, 17), 100])
+    def test_chain_makes_m_minus_one_grover_applications(self, monkeypatch, M):
+        calls = []
+        grover = simulator._grover_blocks
+
+        def counting(blocks, signs):
+            calls.append(blocks.shape)
+            grover(blocks, signs)
+
+        monkeypatch.setattr(simulator, "_grover_blocks", counting)
+        batch = run_qs_batch(2, M, np.eye(3, 4, dtype=np.int8))
+        assert len(calls) == M - 1 == batch.queries
+        assert all(shape == (3, 1, 4) for shape in calls)
+
+    def test_fourier_work_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MAX_FOURIER_WORK", 3 * 4 * 4 * 4)
+        assert run_qs_batch(2, 4, np.zeros((3, 4), dtype=np.int8)).queries == 3
+        with pytest.raises(ValueError, match="multiply-adds"):
+            run_qs_batch(2, 4, np.zeros((4, 4), dtype=np.int8))
 
     def test_rejects_malformed_tables(self):
         with pytest.raises(ValueError):
