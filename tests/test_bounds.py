@@ -51,6 +51,14 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             error_at_level(Fraction(1, 2), 4, 1.5)
 
+    @pytest.mark.parametrize("M", range(1, 9))
+    @pytest.mark.parametrize("p", [0.51, 0.75, EIGHT_OVER_PI_SQ])
+    def test_matches_subset_oracle(self, M, p):
+        for k in range(17):
+            a = Fraction(k, 16)
+            assert abs(error_at_level(a, M, p)
+                       - brute_force_error_at_level(a, M, p)) <= 1e-12
+
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
         levels = [0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
