@@ -10,6 +10,7 @@ attainable means ("p2").
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,7 +83,8 @@ class BooleanFunction:
 
         Hex strings carry the most significant nibble first, i.e. the bit for
         point i is bit N-1-i of the encoded integer.  A leading "0x" and
-        uppercase digits are accepted.
+        uppercase digits are accepted; any other character (a sign, an
+        underscore, a space, a second "0x") is rejected.
         """
         N = 1 << n
         if N < 4:
@@ -94,14 +96,12 @@ class BooleanFunction:
             raise ValueError(
                 f"expected {N // 4} hex digits for n={n}, got {len(body)}"
             )
-        try:
-            word = int(body, 16)
-        except ValueError:
-            raise ValueError(f"malformed hex table {text!r}") from None
+        bad = set(body) - set(string.hexdigits)
+        if bad:
+            raise ValueError(f"malformed hex table: {min(bad)!r} is not a hex digit")
         # One binary rendering is linear in N; shifting the whole word once per
-        # point would be quadratic.  The mask keeps the old two's-complement
-        # bits for a signed body such as "-1".
-        bits = format(word & ((1 << N) - 1), f"0{N}b")
+        # point would be quadratic.
+        bits = format(int(body, 16), f"0{N}b")
         return cls(n, tuple(map(int, bits)))
 
     def to_hex(self) -> str:

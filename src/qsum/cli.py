@@ -105,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # outcome and output come from the gate-level run; the reported
     # probability is the exact closed-form value of that outcome
     dist = distribution(f.mean, args.m)
-    exact_prob = float(dist.probs[record.outcome]) if record.outcome < args.m else 0.0
+    exact_prob = float(dist.probs[record.outcome])
     lines = [
         f"outcome: {record.outcome}",
         f"output: {_fmt(result.output)}",

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .closedform import output_value, sample
+from .closedform import output_grid, sample
 
 __all__ = [
     "Primitive",
@@ -444,9 +444,10 @@ def run_qs(f: BooleanFunction, M: int, rng_seed: int | None = None) -> QSResult:
 
     Steps: Fourier (x) Walsh-Hadamard on |0>|0>, the index-controlled Grover
     power, then the inverse Fourier on the index register.  Returns the exact
-    marginal over index outcomes (zero beyond M-1); if a seed is given, one
-    outcome j is sampled and the estimate sin^2(pi j / M) reported.  A run
-    charges M-1 queries and uses n + ceil(log2 M) qubits.
+    marginal over index outcomes (exactly zero beyond M-1, so a sampled
+    outcome is below M); if a seed is given, one outcome j is sampled and its
+    estimate abar(j) = output_grid(M)[j] reported.  A run charges M-1
+    queries and uses n + ceil(log2 M) qubits.
     """
     batch = run_qs_batch(f.n, M, f.table()[None])
     record = None
@@ -454,10 +455,7 @@ def run_qs(f: BooleanFunction, M: int, rng_seed: int | None = None) -> QSResult:
     if rng_seed is not None:
         state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
         record = measure_index(state, np.random.default_rng(rng_seed))
-        if record.outcome < M:
-            output = output_value(record.outcome, M)
-        else:  # float-dust tail outcome; the estimate formula still applies
-            output = math.sin(math.pi * record.outcome / M) ** 2
+        output = float(output_grid(M)[record.outcome])
     return QSResult(
         layout=batch.layout,
         probabilities=batch.probabilities[0],

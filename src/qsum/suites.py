@@ -300,6 +300,19 @@ def _suite_bounds() -> list[CheckResult]:
     suite = "bounds"
     N12 = 1 << 12
 
+    dist_excess = -math.inf
+    for M in range(2, 65):
+        outputs = output_grid(M)
+        for k in range(65):
+            sigma = sigma_of(Fraction(k, 64), M).sigma
+            for j in (math.floor(sigma), math.ceil(sigma)):
+                dist_excess = max(dist_excess, abs(float(outputs[j]) - k / 64)
+                                  - math.pi * abs(j - sigma) / M)
+    _check(out, suite, "bracketing outputs lie within pi |j - sigma| / M of the mean",
+           dist_excess <= 1e-15,
+           f"max (error - pi |j - sigma| / M) = {dist_excess:.3e} at j = floor, ceil "
+           f"of sigma (M = 2..64, N = 64, tol 1e-15)")
+
     worst_excess = -math.inf
     for M in range(2, 65):
         rec = worst_probabilistic_error(M, N12, EIGHT_OVER_PI_SQ)

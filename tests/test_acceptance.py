@@ -82,3 +82,8 @@ def test_10_property_suite(suite_runs):
             (CALCULUS, "kernel matches the direct complex sum"),
             (ORACLE, "distributions are normalized"),
             (ORACLE, "probabilities and outputs are symmetric under j -> M-j"))
+
+
+def test_11_bracketing_output_distance(suite_runs):
+    _accept(suite_runs, "11 outputs at floor/ceil of sigma lie within pi |j - sigma| / M of a",
+            (BOUNDS, "bracketing outputs lie within pi |j - sigma| / M of the mean"))

@@ -67,6 +67,18 @@ class TestBooleanFunction:
         with pytest.raises(ValueError):
             BooleanFunction.from_hex(1, "12")
 
+    @pytest.mark.parametrize("n,text", [
+        (3, "-1"),        # a sign: int() would read it as all ones
+        (3, "+f"),
+        (4, "f_ff"),      # an inner underscore
+        (4, "0x0xff"),    # a doubled prefix
+        (3, " f"),
+        (3, "\u0661\u0662"),  # non-ASCII digits that int() also accepts
+    ])
+    def test_from_hex_rejects_non_hex_bodies(self, n, text):
+        with pytest.raises(ValueError, match="is not a hex digit"):
+            BooleanFunction.from_hex(n, text)
+
 
 class TestSigmaOf:
     def test_zero_mean(self):

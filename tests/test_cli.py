@@ -102,6 +102,25 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    def test_signed_hex_exits_two(self, capsys):
+        # int(..., 16) reads "-1"; the table must not become all ones
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--m", "4", "--f=-1")
+        assert code == 2 and out == ""
+        assert err == "error: malformed hex table: '-' is not a hex digit\n"
+
+    @pytest.mark.parametrize("seed,outcome", [(0, 131), (2, 105)])
+    def test_output_is_the_dist_abar_bytes(self, capsys, seed, outcome):
+        # at M = 236 the reported output must be the abar that dist lists for
+        # the same outcome, to the last printed digit
+        _, out, _ = run_cli(capsys, "simulate", "--m", "236", "--n", "8",
+                            "--f", "f" * 62 + "00", "--seed", str(seed))
+        lines = dict(line.split(": ") for line in out.strip().split("\n"))
+        assert lines["outcome"] == str(outcome)
+        _, dist_out, _ = run_cli(capsys, "dist", "--m", "236", "--n", "8", "--k", "248")
+        row = dist_out.split("\n")[1 + outcome].split(",")
+        assert row[0] == str(outcome)
+        assert lines["output"] == row[2]
+
     def test_oversized_run_is_refused_before_allocating(self, capsys, no_allocation):
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "1024",
                                  "--f", "0" * (1 << 18))

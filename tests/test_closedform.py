@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -7,26 +6,16 @@ import pytest
 
 from qsum.boolfn import sigma_of
 from qsum.closedform import (
-    ceil_floor_pair,
+    SIGMA_INTEGRALITY_TOL,
     dirichlet_kernel_sq,
     distribution,
-    median_amplify,
     outcome_probabilities,
     outcome_probabilities_at,
     output_grid,
-    output_value,
     sample,
-    sigma_is_integral,
 )
 from qsum.simulator import BooleanFunction, QubitLayout, StateVector, measure_index, run_qs
-
-EIGHT_OVER_PI_SQ = 8 / math.pi**2
-
-
-def kernel_oracle(omega1, omega2, M):
-    """Direct complex sum |sum_j e^{-2 pi i (w1-w2) j}|^2 / M^2."""
-    total = sum(cmath.exp(-2j * math.pi * (omega1 - omega2) * j) for j in range(M))
-    return abs(total) ** 2 / M**2
+from qsum.suites import kernel_direct_sum
 
 
 class TestKernel:
@@ -39,7 +28,7 @@ class TestKernel:
 
     def test_matches_direct_sum_at_fixed_point(self):
         assert dirichlet_kernel_sq(7 * 0.13, 7) == pytest.approx(
-            kernel_oracle(0.13, 0.0, 7), abs=1e-12
+            kernel_direct_sum(0.13, 0.0, 7), abs=1e-12
         )
 
     def test_matches_direct_sum_randomly(self):
@@ -48,7 +37,7 @@ class TestKernel:
             M = int(rng.integers(1, 33))
             w1, w2 = rng.uniform(-4, 4, 2)
             assert dirichlet_kernel_sq(M * (w1 - w2), M) == pytest.approx(
-                kernel_oracle(w1, w2, M), abs=1e-12
+                kernel_direct_sum(w1, w2, M), abs=1e-12
             )
 
     def test_range(self):
@@ -107,7 +96,8 @@ class TestDistribution:
         cases = [(Fraction(0), 7), (Fraction(1), 6), (Fraction(1, 2), 12),
                  (Fraction(1, 4), 6)]
         for a, M in cases:
-            assert sigma_is_integral(sigma_of(a, M).sigma)
+            sigma = sigma_of(a, M).sigma
+            assert abs(sigma - round(sigma)) < SIGMA_INTEGRALITY_TOL
             dist = distribution(a, M)
             mass = dist.probs[np.abs(dist.outputs - float(a)) <= 1e-12].sum()
             assert abs(mass - 1.0) <= 1e-12
@@ -115,80 +105,16 @@ class TestDistribution:
 
 class TestOutputValue:
     def test_endpoints(self):
-        assert output_value(0, 5) == 0.0
-        assert output_value(3, 6) == 1.0
-        assert output_value(1, 4) == 0.5
+        assert output_grid(5)[0] == 0.0
+        assert output_grid(6)[3] == 1.0
+        assert output_grid(4)[1] == 0.5
 
     def test_symmetry_grid(self):
         for M in (2, 5, 12, 17):
             grid = output_grid(M)
             for j in range(1, M):
                 assert grid[j] == grid[M - j]
-                assert grid[j] == output_value(j, M)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            output_value(4, 4)
-        with pytest.raises(ValueError):
-            output_value(-1, 4)
-
-
-class TestCeilFloorPair:
-    def test_rejects_integral_sigma(self):
-        with pytest.raises(ValueError):
-            ceil_floor_pair(Fraction(1, 2), 4)
-
-    def test_rejects_m_below_two(self):
-        with pytest.raises(ValueError):
-            ceil_floor_pair(Fraction(1, 3), 1)
-
-    def test_error_bounds_hold_randomly(self):
-        rng = np.random.default_rng(2024)
-        checked = 0
-        while checked < 1000:
-            M = int(rng.integers(2, 65))
-            N = 64
-            k = int(rng.integers(0, N + 1))
-            sv = sigma_of(Fraction(k, N), M)
-            if sigma_is_integral(sv.sigma):
-                continue
-            pair = ceil_floor_pair(Fraction(k, N), M)
-            up = math.ceil(sv.sigma) - sv.sigma
-            down = sv.sigma - math.floor(sv.sigma)
-            assert pair.err_up <= math.pi / M * up + 1e-15
-            assert pair.err_down <= math.pi / M * down + 1e-15
-            assert pair.prob_up + pair.prob_down >= EIGHT_OVER_PI_SQ - 1e-12
-            checked += 1
-
-    def test_probabilities_match_distribution_mass(self):
-        rng = np.random.default_rng(99)
-        checked = 0
-        while checked < 300:
-            M = int(rng.integers(2, 33))
-            k = int(rng.integers(0, 65))
-            a = Fraction(k, 64)
-            sv = sigma_of(a, M)
-            if sigma_is_integral(sv.sigma):
-                continue
-            pair = ceil_floor_pair(a, M)
-            dist = distribution(a, M)
-            up = math.ceil(sv.sigma)
-            down = math.floor(sv.sigma)
-            mass_up = dist.probs[up] + (0 if 2 * up == M else dist.probs[M - up])
-            mass_down = dist.probs[down] + (
-                0 if down == 0 else dist.probs[M - down]
-            )
-            assert pair.prob_up == pytest.approx(mass_up, abs=1e-12)
-            assert pair.prob_down == pytest.approx(mass_down, abs=1e-12)
-            checked += 1
-
-    def test_errors_match_output_distance(self):
-        a, M = Fraction(17, 64), 8
-        sv = sigma_of(a, M)
-        pair = ceil_floor_pair(a, M)
-        up, down = math.ceil(sv.sigma), math.floor(sv.sigma)
-        assert pair.err_up == pytest.approx(abs(output_value(up, M) - float(a)), abs=1e-12)
-        assert pair.err_down == pytest.approx(abs(output_value(down, M) - float(a)), abs=1e-12)
+                assert grid[j] == pytest.approx(math.sin(math.pi * j / M) ** 2, abs=1e-15)
 
 
 class TestSampling:
@@ -234,31 +160,3 @@ class TestSampling:
         record = measure_index(state, TopDraw())
         assert record.outcome == 1 and record.probability > 0.0
 
-
-class TestMedianAmplify:
-    def test_rejects_even_runs(self):
-        with pytest.raises(ValueError):
-            median_amplify(Fraction(1, 2), 8, 4, np.random.default_rng(0))
-
-    def test_single_run_equals_sampled_output(self):
-        a, M = Fraction(5, 16), 8
-        dist = distribution(a, M)
-        med = median_amplify(a, M, 1, np.random.default_rng(1234))
-        j = sample(dist.probs, np.random.default_rng(1234), size=1)[0]
-        assert med == dist.outputs[j]
-
-    def test_zero_mean_is_always_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            assert median_amplify(Fraction(0), 8, 5, rng) == 0.0
-
-    def test_amplified_success_probability(self):
-        # success per run is >= 8/pi^2; 31-fold median pushes it past 0.99
-        rng = np.random.default_rng(4242)
-        hits = 0
-        reps = 10_000
-        bound = 3 * math.pi / (4 * 8)
-        for _ in range(reps):
-            med = median_amplify(Fraction(1, 2), 8, 31, rng)
-            hits += abs(med - 0.5) <= bound
-        assert hits / reps >= 0.99

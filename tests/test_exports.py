@@ -1,0 +1,17 @@
+"""Every name a module exports resolves, so `from qsum import *` cannot fail."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import qsum
+
+MODULES = ["qsum"] + sorted(f"qsum.{m.name}" for m in pkgutil.iter_modules(qsum.__path__))
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

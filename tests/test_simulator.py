@@ -275,8 +275,11 @@ class TestRunQS:
             assert result.qubits == n + result.layout.m
 
     def test_tail_outcomes_have_zero_probability(self):
-        result = run_qs(BooleanFunction.from_mean(4, 7), 5)
-        assert result.probabilities[5:].max() <= 1e-12
+        # exactly zero, so a sampled outcome always indexes output_grid(M)
+        for n, M in ((4, 5), (0, 3), (2, 3), (3, 5), (1, 100), (5, 100)):
+            result = run_qs(BooleanFunction.from_mean(n, (1 << n) // 3), M)
+            assert result.layout.index_dim > M
+            assert np.all(result.probabilities[M:] == 0.0)
 
     def test_m_one_edge(self):
         result = run_qs(BooleanFunction.from_mean(2, 3), 1, rng_seed=5)
