@@ -104,15 +104,6 @@ class BooleanFunction:
         bits = format(int(body, 16), f"0{N}b")
         return cls(n, tuple(map(int, bits)))
 
-    def to_hex(self) -> str:
-        """Serialize the table (lowercase hex, or raw bits for N < 4)."""
-        if self.N < 4:
-            return "".join(str(v) for v in self.values)
-        word = 0
-        for v in self.values:
-            word = (word << 1) | v
-        return format(word, f"0{self.N // 4}x")
-
     def table(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int8)
 

@@ -32,10 +32,10 @@ __all__ = [
     "LEVEL_SLACK",
     "Setting",
     "ErrorRecord",
-    "LOWER_BOUND_REFS",
     "error_at_level",
     "level_errors",
     "worst_probabilistic_error",
+    "worst_probabilistic_errors",
     "avg_probabilistic_error",
     "v_func",
     "v_inverse",
@@ -64,7 +64,7 @@ class Setting(Enum):
     AVG_PROBABILISTIC = "avg"
 
 
-LOWER_BOUND_REFS = frozenset({"WAn4"})
+_LOWER_BOUND_REFS = frozenset({"WAn4"})
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ErrorRecord:
         """Whether value respects the attached bound (None when no bound)."""
         if self.bound is None:
             return None
-        if self.bound_ref in LOWER_BOUND_REFS:
+        if self.bound_ref in _LOWER_BOUND_REFS:
             return self.value >= self.bound
         return self.value <= self.bound * (1.0 + 1e-12) + 1e-300
 
@@ -218,17 +218,8 @@ def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[Erro
     best = np.zeros(len(ps))
     for _, errs in _sweep_all_means(M, N, ps):
         best = np.maximum(best, errs.max(axis=1))
-    records = []
-    for p, value in zip(ps, best):
-        if abs(p - EIGHT_OVER_PI_SQ) <= 1e-15:
-            bound, ref = 0.75 * math.pi / M, "ImprovedCor"
-        else:
-            bound, ref = c_bound(p, M) * math.pi / M, "GlobalCor"
-        records.append(ErrorRecord(
-            M=M, N=N, p=p, setting=Setting.WORST_PROBABILISTIC, measure=None,
-            value=float(value), bound=bound, bound_ref=ref,
-        ))
-    return records
+    return [_record(Setting.WORST_PROBABILISTIC, None, M, N, p, float(value))
+            for p, value in zip(ps, best)]
 
 
 def worst_probabilistic_error(M: int, N: int, p: float) -> ErrorRecord:
@@ -246,17 +237,31 @@ def avg_probabilistic_error(
     parts = []
     for ks, errs in _sweep_all_means(M, N, [p]):
         parts.append(float(np.dot(weights[ks], errs[0])))
-    value = math.fsum(parts)
-    if measure is Measure.UNIFORM_FUNCTIONS and M % 4 == 0 and N >= 2:
+    return _record(Setting.AVG_PROBABILISTIC, measure, M, N, p, math.fsum(parts), beta)
+
+
+def _record(
+    setting: Setting, measure: Measure | None, M: int, N: int, p: float,
+    value: float, beta: float | None = None,
+) -> ErrorRecord:
+    """The error value with the one bound that applies to it.
+
+    - ImprovedCor, (3/4) pi/M: the worst case at p = 8/pi^2;
+    - WA4 (upper): the uniform-function measure, 4 | M and N >= 2;
+    - WAn4 (lower, with beta): the uniform-function measure, 4 not | M, M > 4;
+    - GlobalCor, C(p) pi/M: everything else.
+    """
+    uniform_functions = measure is Measure.UNIFORM_FUNCTIONS
+    if setting is Setting.WORST_PROBABILISTIC and abs(p - EIGHT_OVER_PI_SQ) <= 1e-15:
+        bound, ref = 0.75 * math.pi / M, "ImprovedCor"
+    elif uniform_functions and M % 4 == 0 and N >= 2:
         bound, ref = wa4_upper_bound(M, N), "WA4"
-    elif measure is Measure.UNIFORM_FUNCTIONS and M % 4 != 0 and M > 4:
+    elif uniform_functions and M % 4 != 0 and M > 4:
         bound, ref = wan4_lower_bound(M, N, beta), "WAn4"
     else:
         bound, ref = c_bound(p, M) * math.pi / M, "GlobalCor"
-    return ErrorRecord(
-        M=M, N=N, p=p, setting=Setting.AVG_PROBABILISTIC, measure=measure,
-        value=value, bound=bound, bound_ref=ref,
-    )
+    return ErrorRecord(M=M, N=N, p=p, setting=setting, measure=measure,
+                       value=value, bound=bound, bound_ref=ref)
 
 
 def v_func(delta: float) -> float:

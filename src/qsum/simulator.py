@@ -172,15 +172,17 @@ def _walsh_blocks(blocks: np.ndarray) -> None:
 
 
 def _fourier_matrix(M: int) -> np.ndarray:
-    jk = np.outer(np.arange(M), np.arange(M))
-    return np.exp(2j * math.pi * jk / M) / math.sqrt(M)
+    # exp(2 pi i jk/M)/sqrt(M), each step in place: one M x M complex array
+    F = 2j * math.pi * np.outer(np.arange(M), np.arange(M))
+    F /= M
+    np.exp(F, out=F)
+    F /= math.sqrt(M)
+    return F
 
 
-def _apply_fourier(blocks: np.ndarray, M: int, inverse: bool) -> None:
-    # Block-diagonal F_M on the first M index slices, identity elsewhere.
-    F = _fourier_matrix(M)
-    if inverse:
-        F = F.conj()
+def _apply_fourier(blocks: np.ndarray, F: np.ndarray) -> None:
+    # Block-diagonal F on the first M index slices, identity elsewhere.
+    M = F.shape[0]
     blocks[..., :M, :] = F @ blocks[..., :M, :]
 
 
@@ -240,7 +242,8 @@ def apply_primitive(
                 f"Fourier block size {M} exceeds index register dimension "
                 f"{state.layout.index_dim}"
             )
-        _apply_fourier(blocks, M, inverse=which is Primitive.QFT_INVERSE)
+        F = _fourier_matrix(M)
+        _apply_fourier(blocks, F.conj() if which is Primitive.QFT_INVERSE else F)
     elif which is Primitive.QUERY:
         blocks *= _query_signs(state, f)
     else:  # pragma: no cover - exhaustive enum
@@ -419,10 +422,11 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
     signs = 1.0 - 2.0 * tables.astype(np.float64)
     amps = np.zeros((K, layout.index_dim, layout.N), dtype=np.complex128)
     amps[:, 0, 0] = 1.0
-    _apply_fourier(amps, M, inverse=False)
+    F = _fourier_matrix(M)
+    _apply_fourier(amps, F)
     _walsh_blocks(amps)
     queries = _chain_blocks(amps[:, :M, :], signs[:, None, :])
-    _apply_fourier(amps, M, inverse=True)
+    _apply_fourier(amps, np.conjugate(F, out=F))  # the inverse, in F's memory
     return QSBatch(layout=layout, amplitudes=amps, probabilities=_index_marginals(amps),
                    queries=queries, qubits=layout.qubits)
 

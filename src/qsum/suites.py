@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +24,6 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
     avg_probabilistic_error,
-    c_bound,
     error_at_level,
     g_func,
     h_func,
@@ -31,8 +31,6 @@ from .bounds import (
     queries_for_epsilon,
     v_func,
     v_inverse,
-    wa4_upper_bound,
-    wan4_lower_bound,
     worst_probabilistic_error,
     worst_probabilistic_errors,
 )
@@ -77,6 +75,11 @@ class CheckResult:
 
 def _check(results: list[CheckResult], suite: str, name: str, passed: bool, detail: str) -> None:
     results.append(CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail))
+
+
+def _max_excess(records) -> float:
+    """Largest value - bound over records that carry a bound."""
+    return max(rec.value - rec.bound for rec in records)
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +316,29 @@ def _suite_bounds() -> list[CheckResult]:
            f"max (error - pi |j - sigma| / M) = {dist_excess:.3e} at j = floor, ceil "
            f"of sigma (M = 2..64, N = 64, tol 1e-15)")
 
-    worst_excess = -math.inf
-    for M in range(2, 65):
-        rec = worst_probabilistic_error(M, N12, EIGHT_OVER_PI_SQ)
-        worst_excess = max(worst_excess, rec.value - 0.75 * math.pi / M)
+    levels = [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ]
+    worst = [rec for N in (1 << 2, 1 << 8, N12) for M in range(2, 65)
+             for rec in worst_probabilistic_errors(M, N, levels)]
+    improved = [rec for rec in worst if rec.N == N12 and rec.p == EIGHT_OVER_PI_SQ]
     _check(out, suite, "worst error at p = 8/pi^2 stays below (3/4) pi / M",
-           worst_excess <= 1e-12,
-           f"max (value - bound) = {worst_excess:.3e} over M = 2..64, N = 2^12")
-
-    chain_excess = -math.inf
-    for N in (1 << 2, 1 << 8, 1 << 12):
-        for M in range(2, 65):
-            errs = level_errors(np.arange(N + 1) / N, M,
-                                [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-            for p, row in zip([0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ], errs):
-                chain_excess = max(
-                    chain_excess, float(row.max()) - c_bound(p, M) * math.pi / M
-                )
+           all(rec.bound_ref == "ImprovedCor" and rec.bound_holds for rec in improved),
+           f"max (value - bound) = {_max_excess(improved):.3e} over M = 2..64, N = 2^12")
     _check(out, suite, "worst error respects C(p) pi / M for all p branches",
-           chain_excess <= 1e-12,
-           f"max (value - bound) = {chain_excess:.3e} over M<=64, N in {{2^2,2^8,2^12}}")
+           all(rec.bound_holds for rec in worst),
+           f"max (value - bound) = {_max_excess(worst):.3e} over M<=64, N in {{2^2,2^8,2^12}}")
 
-    recs = worst_probabilistic_errors(64, 1 << 20, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
+    grid = [(M, N) for N in (1, 2, 16, 256) for M in [*range(1, 21), 32, 36, 64]]
+    attached = [rec for M, N in grid for rec in worst_probabilistic_errors(M, N, levels)]
+    attached += [avg_probabilistic_error(M, N, p, measure)
+                 for M, N in grid for p in levels for measure in Measure]
+    refs = sorted(Counter(rec.bound_ref for rec in attached).items())
+    vacuous = sum(rec.bound_ref == "WAn4" and rec.bound <= 0.0 for rec in attached)
+    _check(out, suite, "every attached bound holds at p <= 8/pi^2",
+           all(rec.bound_holds for rec in attached),
+           f"{len(attached)} records, N in {{1,2,16,256}}, M in 1..20,32,36,64: "
+           f"{', '.join(f'{ref} {n}' for ref, n in refs)} ({vacuous} WAn4 non-positive)")
+
+    recs = worst_probabilistic_errors(64, 1 << 20, levels)
     ratios = [rec.value / ((1.0 - v_inverse(rec.p)) * math.pi / 64) for rec in recs]
     _check(out, suite, "worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate",
            min(ratios) >= 0.85 and max(ratios) <= 1.0,
@@ -466,23 +470,15 @@ def _suite_average_case() -> list[CheckResult]:
            0.24 <= m2 <= 0.26 and abs(m2 - 0.25) <= 1.0 / N,
            f"moment {m2:.6f} at N = 2^12")
 
-    ok_up = True
-    details = []
-    for M in (4, 8, 16, 32):
-        rec = avg_probabilistic_error(M, N, 0.75, Measure.UNIFORM_FUNCTIONS)
-        ok_up = ok_up and rec.value <= wa4_upper_bound(M, N)
-        details.append(f"M={M}: {rec.value:.5f} <= {wa4_upper_bound(M, N):.5f}")
-    _check(out, suite, "divisible-by-4 average error obeys its upper bound",
-           ok_up, "; ".join(details))
-
-    ok_dn = True
-    details = []
-    for M in (5, 6, 7, 18):
-        rec = avg_probabilistic_error(M, N, 0.75, Measure.UNIFORM_FUNCTIONS, beta=2.0)
-        ok_dn = ok_dn and rec.value >= wan4_lower_bound(M, N, 2.0)
-        details.append(f"M={M}: {rec.value:.5f} >= {wan4_lower_bound(M, N, 2.0):.5f}")
-    _check(out, suite, "non-divisible average error obeys its lower bound",
-           ok_dn, "; ".join(details))
+    for name, ref, sign, Ms in (
+        ("divisible-by-4 average error obeys its upper bound", "WA4", "<=", (4, 8, 16, 32)),
+        ("non-divisible average error obeys its lower bound", "WAn4", ">=", (5, 6, 7, 18)),
+    ):
+        recs = [avg_probabilistic_error(M, N, 0.75, Measure.UNIFORM_FUNCTIONS, beta=2.0)
+                for M in Ms]
+        _check(out, suite, name,
+               all(rec.bound_ref == ref and rec.bound_holds for rec in recs),
+               "; ".join(f"M={rec.M}: {rec.value:.5f} {sign} {rec.bound:.5f}" for rec in recs))
     return out
 
 

@@ -1,6 +1,9 @@
-"""Every name a module exports resolves, so `from qsum import *` cannot fail."""
+"""Every name a module exports resolves, so `from qsum import *` cannot fail,
+and every name the package re-exports is exported by its own module."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +18,15 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     assert len(set(module.__all__)) == len(module.__all__)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_names_are_in_their_module_all():
+    imports = [node for node in ast.parse(inspect.getsource(qsum)).body
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    missing = [
+        f"qsum.{node.module}.{alias.name}"
+        for node in imports for alias in node.names
+        if alias.name not in importlib.import_module(f"qsum.{node.module}").__all__
+    ]
+    assert missing == []
