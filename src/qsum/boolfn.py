@@ -155,7 +155,9 @@ def _log_weights_stirling(N: int, ks: np.ndarray) -> np.ndarray:
 
 def _weight_uniform_functions(N: int, k: int) -> float:
     if min(k, N - k) < _EXACT_TAIL:
-        return float(Fraction(math.comb(N, k), 1 << N))
+        # int / int rounds the exact ratio once; a Fraction would first take
+        # the gcd of million-bit integers
+        return math.comb(N, k) / (1 << N)
     return float(np.exp(_log_weights_stirling(N, np.array([k], dtype=np.float64))[0]))
 
 

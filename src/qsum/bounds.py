@@ -37,6 +37,7 @@ __all__ = [
     "worst_probabilistic_error",
     "worst_probabilistic_errors",
     "avg_probabilistic_error",
+    "avg_probabilistic_errors",
     "v_func",
     "v_inverse",
     "c_bound",
@@ -96,17 +97,17 @@ def _validate_p(p: float) -> None:
 
 
 def _window_halfwidth(p_max: float, M: int) -> int:
-    """Distinct output values taken on each side of sigma for levels up to p_max.
+    """Distinct output values first taken on each side of sigma for levels up to p_max.
 
     Beyond distance d the kernel's tail carries less than about 1/(pi^2 d)
     per side, so W values per side leave out roughly 2/(pi^2 W) of the mass;
-    up to 8/pi^2 the two values bracketing sigma already carry the level.
-    Level 1 needs every value.
+    up to 8/pi^2 the one value on each side of sigma nearly always carries
+    the level.  Level 1 needs every value.
     """
     if p_max >= 1.0:
         return M
     if p_max <= EIGHT_OVER_PI_SQ:
-        return 2
+        return 1
     return math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
 
 
@@ -122,17 +123,19 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     v_i = sin^2(pi i/M), i = 0..M//2, increase with i, and a lies between
     v_floor(sigma) and v_ceil(sigma).  A window of 2W consecutive values
     i = floor(sigma)-W+1 .. floor(sigma)+W (shifted inward at the ends of the
-    range; W grows with max(ps)) takes both twin outcomes j = i and j = M - i
-    of each value, in ascending j, and runs the same stable sort and
-    accumulation.  A row is accepted when every level is reached at a
-    distance strictly below d_out, the distance of the nearest value outside
-    the window.  Every outcome closer than d_out lies in the window, and
-    both sorts order those outcomes by (distance, j), so the prefix up to the
-    crossing holds the same probabilities (one per-cell formula,
-    `outcome_probabilities_at`) in the same order: the sums, and the result,
-    are bit-identical to the full sort.  Rejected rows, and every
-    row when the window would hold every value (always at p = 1), take the
-    full sort.
+    range) takes both twin outcomes j = i and j = M - i of each value, in
+    ascending j, and runs the same stable sort and accumulation.  A row is
+    accepted when every level is reached at a distance strictly below d_out,
+    the distance of the nearest value outside the window.  Every outcome
+    closer than d_out lies in the window, and both sorts order those outcomes
+    by (distance, j), so the prefix up to the crossing holds the same
+    probabilities (one per-cell formula, `outcome_probabilities_at`) in the
+    same order: the sums, and the result, are bit-identical to the full sort.
+
+    The window starts at W = 1 up to 8/pi^2 and wider above (W grows with
+    max(ps)).  Rows it rejects are retried, alone, at twice the width; rows
+    still rejected once 2W would exceed M//2 (from the start at p = 1) take
+    the full sort.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -141,13 +144,29 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     means = np.atleast_1d(np.asarray(means, dtype=np.float64))
     if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):
         raise ValueError("means must lie in [0, 1]")
-    top = M // 2
     half = _window_halfwidth(max(ps, default=0.0), M)
-    values = output_grid(M)[: top + 1]
+    values = output_grid(M)[: M // 2 + 1]
     # d_out bounds every outside distance only while the values increase
-    if 2 * half > top or np.any(values[1:] < values[:-1]):
+    if np.any(values[1:] < values[:-1]):
         return _full_level_errors(means, M, ps)
+    out = np.empty((len(ps), means.size))
+    pending = np.arange(means.size)
+    while pending.size and 2 * half < values.size:
+        errs, accepted = _window_level_errors(means[pending], values, M, ps, half)
+        out[:, pending[accepted]] = errs[:, accepted]
+        pending = pending[~accepted]
+        half *= 2
+    if pending.size:
+        out[:, pending] = _full_level_errors(means[pending], M, ps)
+    return out
 
+
+def _window_level_errors(
+    means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], half: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level errors from the window of 2*half values around sigma, and the
+    mask of rows whose every level the window decides (see `level_errors`)."""
+    top = values.size - 1
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - 2 * half)
     i = lo[:, None] + np.arange(2 * half)
@@ -173,9 +192,7 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
         idx = np.argmax(hit, axis=1)
         out[k] = dists[rows, idx]
         accepted &= hit[rows, idx] & (out[k] < d_out)
-    if not accepted.all():
-        out[:, ~accepted] = _full_level_errors(means[~accepted], M, ps)
-    return out
+    return out, accepted
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
@@ -215,6 +232,8 @@ def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[Erro
     The outcome sort per mean is shared across levels, so this costs the same
     as a single-level sweep.
     """
+    for p in ps:
+        _validate_p(p)
     best = np.zeros(len(ps))
     for _, errs in _sweep_all_means(M, N, ps):
         best = np.maximum(best, errs.max(axis=1))
@@ -224,20 +243,30 @@ def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[Erro
 
 def worst_probabilistic_error(M: int, N: int, p: float) -> ErrorRecord:
     """Maximum level error over every attainable mean k/N, k = 0..N."""
-    _validate_p(p)
     return worst_probabilistic_errors(M, N, [p])[0]
+
+
+def avg_probabilistic_errors(
+    M: int, N: int, ps: Sequence[float], measure: Measure, beta: float = 2.0
+) -> list[ErrorRecord]:
+    """Average-case records for several levels from one set of class weights
+    and one sweep over the mean grid."""
+    for p in ps:
+        _validate_p(p)
+    weights = class_weights(measure, N)
+    parts: list[list[float]] = [[] for _ in ps]
+    for ks, errs in _sweep_all_means(M, N, ps):
+        for level_parts, level_errs in zip(parts, errs):
+            level_parts.append(float(np.dot(weights[ks], level_errs)))
+    return [_record(Setting.AVG_PROBABILISTIC, measure, M, N, p, math.fsum(level_parts), beta)
+            for p, level_parts in zip(ps, parts)]
 
 
 def avg_probabilistic_error(
     M: int, N: int, p: float, measure: Measure, beta: float = 2.0
 ) -> ErrorRecord:
     """Measure-weighted average of the level error over all means k/N."""
-    _validate_p(p)
-    weights = class_weights(measure, N)
-    parts = []
-    for ks, errs in _sweep_all_means(M, N, [p]):
-        parts.append(float(np.dot(weights[ks], errs[0])))
-    return _record(Setting.AVG_PROBABILISTIC, measure, M, N, p, math.fsum(parts), beta)
+    return avg_probabilistic_errors(M, N, [p], measure, beta)[0]
 
 
 def _record(

@@ -23,7 +23,9 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     ErrorRecord,
     avg_probabilistic_error,
+    avg_probabilistic_errors,
     worst_probabilistic_error,
+    worst_probabilistic_errors,
 )
 from .closedform import distribution
 from .simulator import run_qs
@@ -123,6 +125,14 @@ def _evaluate(setting: str, M: int, N: int, p: float, measure: str, beta: float)
     return avg_probabilistic_error(M, N, p, Measure(measure), beta=beta)
 
 
+def _evaluate_levels(setting: str, M: int, N: int, ps: list[float], measure: str,
+                     beta: float) -> list[ErrorRecord]:
+    """All levels at one (M, N) from one sweep over the mean grid."""
+    if setting == "worst":
+        return worst_probabilistic_errors(M, N, ps)
+    return avg_probabilistic_errors(M, N, ps, Measure(measure), beta=beta)
+
+
 def _cmd_error(args: argparse.Namespace) -> int:
     rec = _evaluate(args.setting, args.m, 1 << args.n, args.p, args.measure, args.beta)
     _emit(_ERROR_HEADER + "\n" + _record_row(rec) + "\n", args.out)
@@ -132,22 +142,22 @@ def _cmd_error(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     if (args.m_values is None) == (args.p_values is None):
         raise ValueError("provide exactly one of --m-values or --p-values")
+    N = 1 << args.n
     if args.m_values is not None:
         if not args.m_values:
             raise ValueError("--m-values must name at least one M")
         if args.p is None:
             raise ValueError("--p is required when sweeping over --m-values")
-        points = [(M, args.p) for M in args.m_values]
+        recs = [_evaluate(args.setting, M, N, args.p, args.measure, args.beta)
+                for M in args.m_values]
     else:
         if not args.p_values:
             raise ValueError("--p-values must name at least one p")
         if args.m is None:
             raise ValueError("--m is required when sweeping over --p-values")
-        points = [(args.m, p) for p in args.p_values]
-    lines = [_ERROR_HEADER]
-    for M, p in points:
-        rec = _evaluate(args.setting, M, 1 << args.n, p, args.measure, args.beta)
-        lines.append(_record_row(rec))
+        recs = _evaluate_levels(args.setting, args.m, N, args.p_values, args.measure,
+                                args.beta)
+    lines = [_ERROR_HEADER, *map(_record_row, recs)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

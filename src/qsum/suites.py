@@ -24,6 +24,7 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
     avg_probabilistic_error,
+    avg_probabilistic_errors,
     error_at_level,
     g_func,
     h_func,
@@ -58,7 +59,7 @@ __all__ = [
     "SUITE_NAMES",
     "run_suite",
     "kernel_direct_sum",
-    "brute_force_error_at_level",
+    "brute_force_errors_at_levels",
     "gate_grid_deviation",
 ]
 
@@ -93,19 +94,24 @@ def kernel_direct_sum(omega1: float, omega2: float, M: int) -> float:
     return abs(total) ** 2 / M**2
 
 
-def brute_force_error_at_level(a, M: int, p: float) -> float:
-    """min over outcome sets A with mass >= p of max_{j in A} |abar(j) - a|.
+def brute_force_errors_at_levels(a, M: int, ps) -> list[float]:
+    """For each p: min over outcome sets A with mass >= p of max_{j in A} |abar(j) - a|.
 
-    Exhaustive over all 2^M - 1 nonempty subsets; only usable for small M.
+    Exhaustive over all 2^M - 1 nonempty subsets, enumerated once for every
+    level; only usable for small M.
     """
     dist = distribution(a, M)
     d = np.abs(dist.outputs - float(a))
-    best = math.inf
+    best = [math.inf] * len(ps)
     for size in range(1, M + 1):
         for subset in combinations(range(M), size):
             idx = list(subset)
-            if dist.probs[idx].sum() >= p - LEVEL_SLACK:
-                best = min(best, float(d[idx].max()))
+            mass = dist.probs[idx].sum()
+            reached = [k for k, p in enumerate(ps) if mass >= p - LEVEL_SLACK]
+            if reached:
+                radius = float(d[idx].max())
+                for k in reached:
+                    best[k] = min(best[k], radius)
     return best
 
 
@@ -329,8 +335,8 @@ def _suite_bounds() -> list[CheckResult]:
 
     grid = [(M, N) for N in (1, 2, 16, 256) for M in [*range(1, 21), 32, 36, 64]]
     attached = [rec for M, N in grid for rec in worst_probabilistic_errors(M, N, levels)]
-    attached += [avg_probabilistic_error(M, N, p, measure)
-                 for M, N in grid for p in levels for measure in Measure]
+    attached += [rec for M, N in grid for measure in Measure
+                 for rec in avg_probabilistic_errors(M, N, levels, measure)]
     refs = sorted(Counter(rec.bound_ref for rec in attached).items())
     vacuous = sum(rec.bound_ref == "WAn4" and rec.bound <= 0.0 for rec in attached)
     _check(out, suite, "every attached bound holds at p <= 8/pi^2",
@@ -345,12 +351,13 @@ def _suite_bounds() -> list[CheckResult]:
            f"ratios {', '.join(f'{r:.6f}' for r in ratios)}")
 
     gap = 0.0
+    subset_levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
     for M in range(1, 11):
         for k in range(17):
             a = Fraction(k, 16)
-            for p in (0.51, 0.75, EIGHT_OVER_PI_SQ):
-                gap = max(gap, abs(error_at_level(a, M, p)
-                                   - brute_force_error_at_level(a, M, p)))
+            brute = brute_force_errors_at_levels(a, M, subset_levels)
+            for p, oracle in zip(subset_levels, brute):
+                gap = max(gap, abs(error_at_level(a, M, p) - oracle))
     _check(out, suite, "greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
 

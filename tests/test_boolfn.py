@@ -126,6 +126,16 @@ class TestClassWeight:
                 exact = float(Fraction(math.comb(N, k), 2**N))
                 assert w[k] == pytest.approx(exact, rel=1e-12)
 
+    def test_exact_edge_is_bit_identical_to_the_fraction_form(self):
+        # the entries within 64 of either end are the correctly rounded
+        # big-integer ratio, bit for bit, up to N = 2^20 where most underflow
+        for N in [*range(1, 301), 1 << 12, 1 << 16, 1 << 20]:
+            w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
+            edge = min(64, (N + 2) // 2)
+            exact = np.array([float(Fraction(math.comb(N, k), 1 << N)) for k in range(edge)])
+            for side in (w[:edge], w[::-1][:edge]):
+                assert np.array_equal(side.view(np.int64), exact.view(np.int64)), N
+
     @pytest.mark.parametrize("measure", list(Measure))
     @pytest.mark.parametrize("N", [1, 2, 7, 64, 129, 1024, 1 << 12])
     def test_weights_sum_to_one(self, measure, N):

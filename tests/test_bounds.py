@@ -13,6 +13,7 @@ from qsum.bounds import (
     ErrorRecord,
     Setting,
     avg_probabilistic_error,
+    avg_probabilistic_errors,
     c_bound,
     error_at_level,
     g_func,
@@ -26,7 +27,7 @@ from qsum.bounds import (
     worst_probabilistic_error,
 )
 from qsum.closedform import dirichlet_kernel_sq
-from qsum.suites import brute_force_error_at_level
+from qsum.suites import brute_force_errors_at_levels
 
 
 class TestErrorAtLevel:
@@ -39,7 +40,7 @@ class TestErrorAtLevel:
     def test_bounded_by_improved_constant(self):
         val = error_at_level(Fraction(17, 64), 8, EIGHT_OVER_PI_SQ)
         assert val <= 3 * math.pi / 32
-        assert val == brute_force_error_at_level(Fraction(17, 64), 8, EIGHT_OVER_PI_SQ)
+        assert [val] == brute_force_errors_at_levels(Fraction(17, 64), 8, [EIGHT_OVER_PI_SQ])
 
     def test_nondecreasing_in_p(self):
         for M, k in ((3, 1), (7, 5), (12, 9), (8, 14)):
@@ -57,8 +58,8 @@ class TestErrorAtLevel:
     def test_matches_subset_oracle(self, M, p):
         for k in range(17):
             a = Fraction(k, 16)
-            assert abs(error_at_level(a, M, p)
-                       - brute_force_error_at_level(a, M, p)) <= 1e-12
+            (oracle,) = brute_force_errors_at_levels(a, M, [p])
+            assert abs(error_at_level(a, M, p) - oracle) <= 1e-12
 
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
@@ -70,22 +71,90 @@ class TestErrorAtLevel:
                 full = bounds._full_level_errors(means, M, ps)
                 assert np.array_equal(window.view(np.int64), full.view(np.int64)), (N, ps)
 
-    def test_window_rejects_some_rows_of_a_chunk(self, monkeypatch):
-        # at p = 0.99 a few means need values beyond the window; they alone
-        # take the full sort
-        rows = []
-        full = bounds._full_level_errors
+    @pytest.fixture
+    def width_log(self, monkeypatch):
+        """Record (W, rows in, rows accepted) per window pass and the rows of
+        each full sort, in call order."""
+        passes, full_rows = [], []
+        window, full = bounds._window_level_errors, bounds._full_level_errors
 
-        def counted(means, M, ps):
-            rows.append(means.size)
+        def counted_window(means, values, M, ps, half):
+            errs, accepted = window(means, values, M, ps, half)
+            passes.append((half, means.size, int(accepted.sum())))
+            return errs, accepted
+
+        def counted_full(means, M, ps):
+            full_rows.append(means.size)
             return full(means, M, ps)
 
-        monkeypatch.setattr(bounds, "_full_level_errors", counted)
+        monkeypatch.setattr(bounds, "_window_level_errors", counted_window)
+        monkeypatch.setattr(bounds, "_full_level_errors", counted_full)
+        return passes, full_rows
+
+    def test_rejected_rows_are_retried_at_twice_the_width(self, width_log):
+        # at p = 0.99 some means need values beyond the first window; they
+        # alone are retried, and the doubled window takes them all
+        passes, full_rows = width_log
         means = np.arange((1 << 12) + 1) / (1 << 12)
-        level_errors(means, 236, [EIGHT_OVER_PI_SQ])
-        assert rows == []
         level_errors(means, 236, [0.99])
-        assert len(rows) == 1 and 0 < rows[0] < means.size
+        (w1, rows1, kept1), (w2, rows2, kept2) = passes
+        assert rows1 == means.size and 0 < kept1 < rows1
+        assert (w2, rows2, kept2) == (2 * w1, rows1 - kept1, rows1 - kept1)
+        assert full_rows == []
+
+    def test_narrowest_window_up_to_eight_over_pi_sq(self, width_log):
+        # one value per side decides most means at 8/pi^2; the rest need two
+        passes, full_rows = width_log
+        means = np.arange((1 << 15) + 1) / (1 << 15)
+        level_errors(means, 16, [EIGHT_OVER_PI_SQ])
+        (w1, rows1, kept1), (w2, rows2, kept2) = passes
+        assert (w1, rows1, w2) == (1, means.size, 2)
+        assert 0 < rows2 == kept2 == rows1 - kept1
+        assert full_rows == []
+
+    def test_full_sort_when_no_window_fits(self, width_log):
+        # M = 3 has two values, too few for a window on each side; level 1
+        # needs every value
+        passes, full_rows = width_log
+        means = np.arange(65) / 64
+        level_errors(means, 3, [0.75])
+        level_errors(means, 16, [0.6, 1.0])
+        assert passes == [] and full_rows == [means.size, means.size]
+
+    def test_randomized_window_full_sort_and_subset_oracle(self):
+        # seeded three-way differential: window against full sort bit for bit
+        # at M <= 256, and against the exhaustive subset minimum at M <= 10,
+        # on random means (some with sigma within 1e-10..1e-3 of an integer)
+        # and level sets on both sides of 8/pi^2
+        rng = np.random.default_rng(20031)
+        Ms = [*range(1, 11), *rng.integers(11, 257, size=20).tolist(), 256]
+        for M in Ms:
+            sigma = rng.integers(0, M // 2 + 1, size=40) + rng.choice(
+                [-1e-3, -1e-7, -1e-10, 0.0, 1e-10, 1e-7, 1e-3], size=40)
+            sigma = np.clip(sigma, 0.0, M / 2)
+            near_integer = np.clip(np.sin(np.pi * sigma / M) ** 2, 0.0, 1.0)
+            means = np.concatenate([rng.random(200), near_integer, [0.0, 0.5, 1.0]])
+            level_sets = [
+                [float(rng.uniform(0.3, EIGHT_OVER_PI_SQ)), EIGHT_OVER_PI_SQ],
+                [float(rng.uniform(0.3, EIGHT_OVER_PI_SQ)),
+                 float(rng.uniform(EIGHT_OVER_PI_SQ, 0.995))],
+                sorted(rng.uniform(0.05, 1.0, size=4).tolist()) + [1.0],
+            ]
+            for ps in level_sets:
+                window = level_errors(means, M, ps)
+                full = bounds._full_level_errors(means, M, ps)
+                assert np.array_equal(window.view(np.int64), full.view(np.int64)), (M, ps)
+                if M <= 10:
+                    for a, errs in zip(means[::16], window[:, ::16].T):
+                        oracle = brute_force_errors_at_levels(float(a), M, ps)
+                        assert np.abs(errs - oracle).max() <= 1e-12, (M, a, ps)
+
+    def test_subset_oracle_answers_every_level_from_one_enumeration(self):
+        levels = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.95]
+        for M in (1, 4, 7):
+            for a in (Fraction(0), Fraction(3, 16), Fraction(1, 2), Fraction(13, 16)):
+                assert brute_force_errors_at_levels(a, M, levels) == [
+                    brute_force_errors_at_levels(a, M, [p])[0] for p in levels]
 
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;
@@ -100,7 +169,7 @@ class TestWorstError:
         # each at distance 1/2, while 0 and 1 are exact
         rec = worst_probabilistic_error(2, 2, 0.6)
         oracle = max(
-            brute_force_error_at_level(Fraction(k, 2), 2, 0.6) for k in range(3)
+            brute_force_errors_at_levels(Fraction(k, 2), 2, [0.6])[0] for k in range(3)
         )
         assert rec.value == oracle == 0.5
 
@@ -127,6 +196,22 @@ class TestAvgError:
                 np.dot(w, level_errors(np.arange(N + 1) / N, M, [p])[0])
             )
             assert rec.value == pytest.approx(direct, rel=1e-13)
+
+    def test_levels_share_one_weight_build_and_one_sweep(self, monkeypatch):
+        # the multi-level driver gives each level's one-level record, bit for
+        # bit, from one set of class weights and one level_errors call per chunk
+        N, M, ps = 1 << 12, 40, [0.6, 0.75, EIGHT_OVER_PI_SQ, 0.9]
+        single = {measure: [avg_probabilistic_error(M, N, p, measure) for p in ps]
+                  for measure in Measure}
+        calls = []
+        for name in ("class_weights", "level_errors"):
+            original = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        for measure in Measure:
+            calls.clear()
+            assert avg_probabilistic_errors(M, N, ps, measure) == single[measure]
+            assert calls == ["class_weights", "level_errors"]
 
     def test_uniform_means_bounded_by_worst(self):
         worst = worst_probabilistic_error(32, 1 << 8, 0.75).value

@@ -215,6 +215,27 @@ class TestCurve:
         values = [float(r.split(",")[5]) for r in rows]
         assert values == sorted(values)  # nondecreasing in p
 
+    @pytest.mark.parametrize("setting,measure", [("worst", "p1"), ("avg", "p1"),
+                                                  ("avg", "p2")])
+    def test_p_sweep_is_one_driver_call_with_the_error_rows(self, capsys, monkeypatch,
+                                                            setting, measure):
+        levels = ["0.51", "4/pi2", "8/pi2", "0.9"]
+        rows = []
+        for p in levels:
+            _, out, _ = run_cli(capsys, "error", "--setting", setting, "--n", "8",
+                                "--m", "12", "--p", p, "--measure", measure)
+            rows.append(out.split("\n")[1])
+        calls = []
+        for name in ("worst_probabilistic_errors", "avg_probabilistic_errors"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _f=original, **kw:
+                                calls.append(1) or _f(*a, **kw))
+        code, out, _ = run_cli(capsys, "curve", "--setting", setting, "--n", "8",
+                               "--m", "12", "--p-values", ",".join(levels),
+                               "--measure", measure)
+        assert code == 0 and calls == [1]
+        assert out.split("\n")[1:-1] == rows
+
     def test_requires_exactly_one_sweep(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--setting", "worst", "--n", "6")
         assert code == 2 and "error" in err
