@@ -110,12 +110,11 @@ class BooleanFunction:
 
 @dataclass(frozen=True)
 class SigmaValue:
-    """The mean a together with its angle theta = arcsin(sqrt(a)) and
-    the rescaled angle sigma = M*theta/pi in [0, M/2]."""
+    """The angle theta = arcsin(sqrt(a)) of a mean a and the rescaled angle
+    sigma = M*theta/pi in [0, M/2]."""
 
     sigma: float
     theta: float
-    a: Fraction | float
 
 
 def sigma_of(a: Fraction | float, M: int) -> SigmaValue:
@@ -129,7 +128,7 @@ def sigma_of(a: Fraction | float, M: int) -> SigmaValue:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mean must lie in [0, 1], got {a}")
     theta = math.asin(math.sqrt(x))
-    return SigmaValue(sigma=M * theta / math.pi, theta=theta, a=a)
+    return SigmaValue(sigma=M * theta / math.pi, theta=theta)
 
 
 def _stirling_tail(x: np.ndarray) -> np.ndarray:

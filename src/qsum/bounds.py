@@ -118,6 +118,7 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     that order, and report the distance at which the running mass first
     reaches p - LEVEL_SLACK.  Equidistant outcomes enter as a group by
     construction, since the crossing distance already admits the whole group.
+    `_crossings` is that one rule, for the window and the full sort alike.
 
     Only outcomes near sigma are evaluated.  The distinct outputs
     v_i = sin^2(pi i/M), i = 0..M//2, increase with i, and a lies between
@@ -146,9 +147,6 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
         raise ValueError("means must lie in [0, 1]")
     half = _window_halfwidth(max(ps, default=0.0), M)
     values = output_grid(M)[: M // 2 + 1]
-    # d_out bounds every outside distance only while the values increase
-    if np.any(values[1:] < values[:-1]):
-        return _full_level_errors(means, M, ps)
     out = np.empty((len(ps), means.size))
     pending = np.arange(means.size)
     while pending.size and 2 * half < values.size:
@@ -159,6 +157,27 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     if pending.size:
         out[:, pending] = _full_level_errors(means[pending], M, ps)
     return out
+
+
+def _crossings(
+    dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one level-crossing rule: cells stably sorted by distance accumulate
+    mass, and the error at p is the distance of the first cell whose running
+    mass reaches p - LEVEL_SLACK.  Returns (errors, reached), each of shape
+    (len(ps), rows); reached is False where no cell reaches the level."""
+    order = np.argsort(dists, axis=1, kind="stable")
+    dists = np.take_along_axis(dists, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+    rows = np.arange(dists.shape[0])
+    errors = np.empty((len(ps), dists.shape[0]))
+    reached = np.empty(errors.shape, dtype=bool)
+    for k, p in enumerate(ps):
+        hit = cum >= p - LEVEL_SLACK
+        idx = np.argmax(hit, axis=1)
+        errors[k] = dists[rows, idx]
+        reached[k] = hit[rows, idx]
+    return errors, reached
 
 
 def _window_level_errors(
@@ -174,42 +193,24 @@ def _window_level_errors(
     near = np.abs(values[i] - means[:, None])
     # i = 0 has no twin outcome and i = M/2 is its own twin
     far = np.where((twin == M) | (2 * twin == M), np.inf, near[:, ::-1])
-    dists = np.concatenate([near, far], axis=1)
     probs = outcome_probabilities_at(sigma, np.concatenate([i, twin], axis=1), M)
-    order = np.argsort(dists, axis=1, kind="stable")
-    dists = np.take_along_axis(dists, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+    errors, reached = _crossings(np.concatenate([near, far], axis=1), probs, ps)
 
     hi = lo + 2 * half
     below = np.where(lo > 0, means - values[np.maximum(lo - 1, 0)], np.inf)
     above = np.where(hi <= top, values[np.minimum(hi, top)] - means, np.inf)
     d_out = np.minimum(below, above)
-    rows = np.arange(means.size)
-    accepted = np.ones(means.size, dtype=bool)
-    out = np.empty((len(ps), means.size))
-    for k, p in enumerate(ps):
-        hit = cum >= p - LEVEL_SLACK
-        idx = np.argmax(hit, axis=1)
-        out[k] = dists[rows, idx]
-        accepted &= hit[rows, idx] & (out[k] < d_out)
-    return out, accepted
+    return errors, np.all(reached & (errors < d_out), axis=0)
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
-    """The level errors of `level_errors` from the full sort of all M outcomes."""
+    """The level errors of `level_errors` from the full sort of all M outcomes;
+    a level no cell reaches takes the farthest distance."""
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     probs = outcome_probabilities(sigma, M)
     dists = np.abs(output_grid(M)[None, :] - means[:, None])
-    order = np.argsort(dists, axis=1, kind="stable")
-    dists = np.take_along_axis(dists, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
-    out = np.empty((len(ps), means.size))
-    for i, p in enumerate(ps):
-        hit = cum >= p - LEVEL_SLACK
-        idx = np.argmax(hit, axis=1)
-        idx[~hit[np.arange(means.size), idx]] = M - 1  # all-False guard
-        out[i] = np.take_along_axis(dists, idx[:, None], axis=1)[:, 0]
-    return out
+    errors, reached = _crossings(dists, probs, ps)
+    return np.where(reached, errors, dists.max(axis=1))
 
 
 def error_at_level(a: Fraction | float, M: int, p: float) -> float:
@@ -365,7 +366,7 @@ def wan4_lower_bound(M: int, N: int, beta: float) -> float:
         raise ValueError(f"M must not be divisible by 4, got {M}")
     if M <= 4:
         raise ValueError(f"M must exceed 4, got {M}")
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
     concentration = 1.0 - 2.0 * math.exp(-N * math.pi**2 / (8.0 * beta * M) ** 2)
     return (math.pi / (4.0 * M)) * (1.0 - 1.0 / M - 1.0 / beta) * concentration

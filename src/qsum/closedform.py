@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import SigmaValue, sigma_of
+from .boolfn import sigma_of
 
 __all__ = [
     "SIGMA_INTEGRALITY_TOL",
@@ -99,9 +99,6 @@ def outcome_probabilities(sigma, M: int) -> np.ndarray:
 class OutcomeDistribution:
     """The M outcome probabilities and outputs for a given mean and M."""
 
-    M: int
-    a: Fraction | float
-    sigma: SigmaValue
     probs: np.ndarray
     outputs: np.ndarray
 
@@ -112,9 +109,8 @@ def distribution(a: Fraction | float, M: int) -> OutcomeDistribution:
     Satisfies sum(probs) = 1 and the j <-> M-j symmetry of both columns;
     when sigma is integral all mass sits on outcomes reporting exactly a.
     """
-    sv = sigma_of(a, M)
-    probs = outcome_probabilities(sv.sigma, M)[0]
-    return OutcomeDistribution(M=M, a=a, sigma=sv, probs=probs, outputs=output_grid(M))
+    probs = outcome_probabilities(sigma_of(a, M).sigma, M)[0]
+    return OutcomeDistribution(probs=probs, outputs=output_grid(M))
 
 
 def sample(probs, rng: np.random.Generator, size: int | None = None):

@@ -156,6 +156,18 @@ class TestErrorAtLevel:
                 assert brute_force_errors_at_levels(a, M, levels) == [
                     brute_force_errors_at_levels(a, M, [p])[0] for p in levels]
 
+    def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
+            self, monkeypatch):
+        # with half the mass no level above 1/2 is reached, so each mean takes
+        # its farthest outcome: abar = 1 from 0.3, abar = 0 from 0.7
+        full_mass = bounds.outcome_probabilities
+        monkeypatch.setattr(bounds, "outcome_probabilities",
+                            lambda sigma, M: 0.5 * full_mass(sigma, M))
+        means = np.array([0.3, 0.7])
+        expected = [[0.7, 0.7]]
+        assert bounds._full_level_errors(means, 8, [0.9]).tolist() == expected
+        assert level_errors(means, 8, [1.0]).tolist() == expected
+
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;
         # any p above 1/2 must pull in the whole tie group
@@ -311,6 +323,8 @@ class TestWAn4Bound:
             wan4_lower_bound(3, 64, 2.0)
         with pytest.raises(ValueError):
             wan4_lower_bound(6, 64, 1.0)
+        with pytest.raises(ValueError):
+            wan4_lower_bound(6, 64, math.nan)
 
 
 class TestQueriesForEpsilon:

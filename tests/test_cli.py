@@ -177,6 +177,12 @@ class TestError:
         assert fields[7] == "WAn4"
         assert float(fields[5]) >= float(fields[6]) > 0.0
 
+    def test_nan_beta_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "error", "--setting", "avg", "--m", "6",
+                                 "--n", "12", "--p", "0.75", "--beta", "nan")
+        assert code == 2 and out == ""
+        assert err == "error: beta must exceed 1, got nan\n"
+
     @pytest.mark.parametrize("M", ["4", "8"])
     def test_avg_at_one_point_takes_the_global_bound(self, capsys, M):
         # WA4 needs N >= 2; at N = 1 both means are exact, so the error is 0
