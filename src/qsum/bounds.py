@@ -55,8 +55,8 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Rows per chunk when sweeping all means k/N, sized to keep the (rows, M)
-# work arrays around tens of megabytes.
+# Cells per chunk when sweeping all means k/N: a chunk of _CHUNK_CELLS // M
+# means keeps the full sort's (M, rows) work arrays around tens of megabytes.
 _CHUNK_CELLS = 1 << 21
 
 
@@ -164,19 +164,27 @@ def _crossings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one level-crossing rule: cells stably sorted by distance accumulate
     mass, and the error at p is the distance of the first cell whose running
-    mass reaches p - LEVEL_SLACK.  Returns (errors, reached), each of shape
-    (len(ps), rows); reached is False where no cell reaches the level."""
-    order = np.argsort(dists, axis=1, kind="stable")
-    dists = np.take_along_axis(dists, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
-    rows = np.arange(dists.shape[0])
-    errors = np.empty((len(ps), dists.shape[0]))
+    mass reaches p - LEVEL_SLACK.
+
+    `dists` and `probs` are cells-major, shape (cells, rows).  The running mass
+    never decreases, so the first such cell is the count of cells below
+    p - LEVEL_SLACK; where no cell reaches the level that count is clipped to
+    the last cell, the farthest distance.  Returns (errors, reached), each of
+    shape (len(ps), rows); reached is False where no cell reaches the level.
+    """
+    order = np.argsort(dists, axis=0, kind="stable")
+    dists = np.take_along_axis(dists, order, axis=0)
+    cum = np.take_along_axis(probs, order, axis=0)
+    for k in range(1, cum.shape[0]):    # the additions of np.cumsum, in its order
+        cum[k] += cum[k - 1]
+    last = cum.shape[0] - 1
+    rows = np.arange(cum.shape[1])
+    errors = np.empty((len(ps), cum.shape[1]))
     reached = np.empty(errors.shape, dtype=bool)
     for k, p in enumerate(ps):
-        hit = cum >= p - LEVEL_SLACK
-        idx = np.argmax(hit, axis=1)
-        errors[k] = dists[rows, idx]
-        reached[k] = hit[rows, idx]
+        idx = np.count_nonzero(cum < p - LEVEL_SLACK, axis=0)
+        np.less_equal(idx, last, out=reached[k])
+        errors[k] = dists[np.minimum(idx, last), rows]
     return errors, reached
 
 
@@ -184,19 +192,31 @@ def _window_level_errors(
     means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], half: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level errors from the window of 2*half values around sigma, and the
-    mask of rows whose every level the window decides (see `level_errors`)."""
+    mask of rows whose every level the window decides (see `level_errors`).
+
+    Cells-major: row c < 2*half of the (4*half, rows) cell arrays holds the
+    value index i = lo + c, row 2*half + c its twin M - (lo + 2*half - 1 - c),
+    so each column lists its outcomes in ascending j.
+    """
+    width = 2 * half
     top = values.size - 1
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
-    lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - 2 * half)
-    i = lo[:, None] + np.arange(2 * half)
-    twin = M - i[:, ::-1]
-    near = np.abs(values[i] - means[:, None])
-    # i = 0 has no twin outcome and i = M/2 is its own twin
-    far = np.where((twin == M) | (2 * twin == M), np.inf, near[:, ::-1])
-    probs = outcome_probabilities_at(sigma, np.concatenate([i, twin], axis=1), M)
-    errors, reached = _crossings(np.concatenate([near, far], axis=1), probs, ps)
+    lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - width)
+    i = np.arange(width)[:, None] + lo
+    j = np.empty((2 * width, means.size))
+    j[:width] = i
+    np.subtract(M, j[width - 1::-1], out=j[width:])
+    dists = np.empty(j.shape)
+    np.subtract(values[i], means, out=dists[:width])
+    np.abs(dists[:width], out=dists[:width])
+    dists[width:] = dists[width - 1::-1]
+    dists[-1, lo == 0] = np.inf                # i = 0 has no twin outcome
+    if M % 2 == 0:
+        dists[width, lo == top + 1 - width] = np.inf   # i = M/2 is its own twin
+    probs = outcome_probabilities_at(sigma, j.T, M).T
+    errors, reached = _crossings(dists, probs, ps)
 
-    hi = lo + 2 * half
+    hi = lo + width
     below = np.where(lo > 0, means - values[np.maximum(lo - 1, 0)], np.inf)
     above = np.where(hi <= top, values[np.minimum(hi, top)] - means, np.inf)
     d_out = np.minimum(below, above)
@@ -207,10 +227,9 @@ def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.nda
     """The level errors of `level_errors` from the full sort of all M outcomes;
     a level no cell reaches takes the farthest distance."""
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
-    probs = outcome_probabilities(sigma, M)
-    dists = np.abs(output_grid(M)[None, :] - means[:, None])
-    errors, reached = _crossings(dists, probs, ps)
-    return np.where(reached, errors, dists.max(axis=1))
+    probs = outcome_probabilities(sigma, M).T
+    dists = np.abs(output_grid(M)[:, None] - means)
+    return _crossings(dists, probs, ps)[0]
 
 
 def error_at_level(a: Fraction | float, M: int, p: float) -> float:

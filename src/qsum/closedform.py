@@ -45,30 +45,63 @@ def dirichlet_kernel_sq(delta, M: int):
 
     Valid for any real d (scalar or array), with the 0/0 limit handled:
     the value is 1 at d = 0 mod M.  Always lies in [0, 1].
+
+    One pass in place over a new output buffer and one scratch buffer; the
+    argument is never written, and the pole series is evaluated only on the
+    cells at the pole.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     d = np.asarray(delta, dtype=np.float64)
-    r = d - M * np.round(d / M)          # reduced residual in [-M/2, M/2]
-    small = np.abs(r) < _POLE_TOL
-    r_safe = np.where(small, 0.5, r)
-    rho = r_safe - np.round(r_safe)      # sin^2(pi r) == sin^2(pi rho) exactly
-    num = np.sin(np.pi * rho) ** 2
-    den = (M * np.sin(np.pi * r_safe / M)) ** 2
-    series = 1.0 - (np.pi**2 / 3.0) * (1.0 - 1.0 / (M * M)) * r * r
-    out = np.where(small, series, num / den)
+    out = np.empty_like(d)               # reduced residual r in [-M/2, M/2]
+    np.divide(d, M, out=out)
+    np.round(out, out=out)
+    np.multiply(M, out, out=out)
+    np.subtract(d, out, out=out)
+    # the rest runs on 1-D views in memory order, where masks index fast
+    r = out.ravel(order="K")
+    num = np.empty_like(r)
+    small = np.abs(r, out=num) < _POLE_TOL
+    pole_r = None
+    if small.any():
+        pole_r = r[small]
+        r[small] = 0.5
+    # sin^2(pi r) == sin^2(pi rho) exactly, rho = r - round(r)
+    np.round(r, out=num)
+    np.subtract(r, num, out=num)
+    np.multiply(np.pi, num, out=num)
+    np.sin(num, out=num)
+    np.square(num, out=num)
+    # (M sin(pi r / M))^2, then num / den, in r's buffer
+    np.multiply(np.pi, r, out=r)
+    np.divide(r, M, out=r)
+    np.sin(r, out=r)
+    np.multiply(M, r, out=r)
+    np.square(r, out=r)
+    np.divide(num, r, out=r)
+    if pole_r is not None:
+        r[small] = 1.0 - (np.pi**2 / 3.0) * (1.0 - 1.0 / (M * M)) * pole_r * pole_r
     return float(out) if out.ndim == 0 else out
 
 
 def output_grid(M: int) -> np.ndarray:
     """Estimates abar(j) = sin^2(pi j / M) of all M outcomes, with the
-    analytically exact points 0, 1/2, 1 exact; the one definition of abar."""
-    j = np.arange(M)
-    i = np.minimum(j, M - j)
-    out = np.sin(np.pi * i / M) ** 2
-    out[4 * i == M] = 0.5
-    out[2 * i == M] = 1.0
-    out[i == 0] = 0.0
+    analytically exact points 0, 1/2, 1 exact; the one definition of abar.
+
+    Computed in place on one float buffer, from i = min(j, M - j); the exact
+    points j = 0, M/2 and M/4, 3M/4 are set by index.
+    """
+    out = np.arange(M, dtype=np.float64)
+    np.subtract(M, out[M // 2 + 1:], out=out[M // 2 + 1:])
+    np.multiply(np.pi, out, out=out)
+    np.divide(out, M, out=out)
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    out[:1] = 0.0
+    if M > 0 and M % 2 == 0:
+        out[M // 2] = 1.0
+    if M > 0 and M % 4 == 0:
+        out[[M // 4, 3 * M // 4]] = 0.5
     return out
 
 
@@ -87,7 +120,12 @@ def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
     """
     s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))[:, None]
     j = np.asarray(j, dtype=np.float64)
-    return 0.5 * (dirichlet_kernel_sq(j - s, M) + dirichlet_kernel_sq(j + s, M))
+    cells = np.empty((2, *np.broadcast_shapes(j.shape, s.shape)))
+    np.subtract(j, s, out=cells[0])
+    np.add(j, s, out=cells[1])
+    kernel = dirichlet_kernel_sq(cells, M)
+    probs = np.add(kernel[0], kernel[1], out=kernel[0])
+    return np.multiply(0.5, probs, out=probs)
 
 
 def outcome_probabilities(sigma, M: int) -> np.ndarray:

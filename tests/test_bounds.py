@@ -168,6 +168,17 @@ class TestErrorAtLevel:
         assert bounds._full_level_errors(means, 8, [0.9]).tolist() == expected
         assert level_errors(means, 8, [1.0]).tolist() == expected
 
+    def test_crossings_on_cells_major_arrays(self):
+        # (cells, rows) arrays of two means: the first has a distance tie at
+        # 0.1 whose two cells carry mass 0.5; the second holds mass 0.4 in
+        # all, so levels above it are unreached and take its farthest
+        # distance, 0.6
+        dists = np.array([[0.3, 0.2], [0.1, 0.2], [0.1, 0.4], [0.5, 0.6]])
+        probs = np.array([[0.4, 0.1], [0.2, 0.1], [0.3, 0.1], [0.1, 0.1]])
+        errors, reached = bounds._crossings(dists, probs, [0.15, 0.5, 0.95])
+        assert errors.tolist() == [[0.1, 0.2], [0.1, 0.6], [0.5, 0.6]]
+        assert reached.tolist() == [[True, True], [True, False], [True, False]]
+
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;
         # any p above 1/2 must pull in the whole tie group

@@ -51,6 +51,55 @@ class TestKernel:
         for eps in (1e-10, 5e-10, 2e-9, 1e-8):
             assert dirichlet_kernel_sq(eps, 8) == pytest.approx(1.0, abs=1e-15)
 
+    def test_never_writes_into_its_argument(self):
+        # the kernel works in place on its own buffers only
+        delta = np.array([[0.0, 3.0, 0.25], [7 - 1e-10, -2.5, 1e-12]])
+        for arg in (delta, delta.T, delta[:, ::2]):
+            before = arg.copy()
+            dirichlet_kernel_sq(arg, 7)
+            assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+
+    def test_scalar_and_zero_d_input_give_a_float(self):
+        for delta in (0.3, 4, np.float64(0.3), np.array(0.3), np.array(7.0)):
+            value = dirichlet_kernel_sq(delta, 7)
+            assert type(value) is float
+        assert dirichlet_kernel_sq(np.array(7.0), 7) == 1.0
+
+    @staticmethod
+    def _pole_cells(M: int, rng) -> np.ndarray:
+        """Deltas at the pole (d = 0 mod M, and within 1e-9 of it), at the
+        j -+ sigma of integral sigma, and at random points."""
+        sigma = rng.integers(0, M // 2 + 1, 8).astype(float)
+        j = np.arange(M, dtype=float)[:, None]
+        eps = np.array([1e-12, -5e-10, 9e-10, -2e-9, 1e-7])
+        return np.concatenate([
+            M * np.arange(-3, 4.0), M * np.arange(-3, 4.0)[:, None] + eps,
+            j - sigma, j + sigma, rng.uniform(-3 * M, 3 * M, 40)], axis=None)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 37])
+    def test_array_cells_equal_scalar_calls_bit_for_bit(self, M):
+        rng = np.random.default_rng(M)
+        delta = self._pole_cells(M, rng)
+        scalar = np.array([dirichlet_kernel_sq(float(d), M) for d in delta])
+        assert np.array_equal(dirichlet_kernel_sq(delta, M).view(np.int64),
+                              scalar.view(np.int64))
+
+    @pytest.mark.parametrize("M", [1, 2, 16])
+    def test_stacked_shape_equals_scalar_calls_bit_for_bit(self, M):
+        # outcome_probabilities_at asks for j - s and j + s as one (2, rows, K)
+        # array; every layout of it gives each cell its scalar value
+        rng = np.random.default_rng(100 + M)
+        s = np.concatenate([np.arange(M // 2 + 1.0), rng.uniform(0, M / 2, 5)])[:, None]
+        j = rng.integers(0, M, (s.size, 6)).astype(float)
+        cells = np.stack([j - s, j + s])
+        expected = np.array([dirichlet_kernel_sq(float(d), M) for d in cells.ravel()])
+        expected = expected.reshape(cells.shape)
+        transposed = np.ascontiguousarray(cells.transpose(0, 2, 1)).transpose(0, 2, 1)
+        for arg, want in ((cells, expected), (transposed, expected),
+                          (cells[:, ::2], expected[:, ::2])):
+            assert np.array_equal(dirichlet_kernel_sq(arg, M).view(np.int64),
+                                  want.view(np.int64))
+
 
 class TestDistribution:
     def test_zero_mean_is_deterministic(self):
@@ -115,6 +164,18 @@ class TestOutputValue:
             for j in range(1, M):
                 assert grid[j] == grid[M - j]
                 assert grid[j] == pytest.approx(math.sin(math.pi * j / M) ** 2, abs=1e-15)
+
+    def test_in_place_grid_equals_the_masked_formula_bit_for_bit(self):
+        # the grid is built in place with its exact points set by index; the
+        # whole-array formula with masks is the reference
+        for M in [*range(0, 1025), 1 << 16, (1 << 16) + 2, (1 << 16) + 3]:
+            j = np.arange(M)
+            i = np.minimum(j, M - j)
+            want = np.sin(np.pi * i / M) ** 2
+            want[4 * i == M] = 0.5
+            want[2 * i == M] = 1.0
+            want[i == 0] = 0.0
+            assert np.array_equal(output_grid(M).view(np.int64), want.view(np.int64)), M
 
     @pytest.mark.parametrize("Ms", [range(1, 4097), [1 << 16], [1 << 20], [1 << 24]],
                              ids=["1..4096", "2^16", "2^20", "2^24"])
