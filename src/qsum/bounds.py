@@ -194,9 +194,9 @@ def _window_level_errors(
     """Level errors from the window of 2*half values around sigma, and the
     mask of rows whose every level the window decides (see `level_errors`).
 
-    Cells-major: row c < 2*half of the (4*half, rows) cell arrays holds the
-    value index i = lo + c, row 2*half + c its twin M - (lo + 2*half - 1 - c),
-    so each column lists its outcomes in ascending j.
+    Cells-major: cell c < 2*half of the (4*half, rows) arrays is the value
+    index i = lo + c and cell 2*half + c its twin M - (lo + 2*half - 1 - c),
+    so each column, one mean, lists its outcomes in ascending j.
     """
     width = 2 * half
     top = values.size - 1
