@@ -55,8 +55,21 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Cells per chunk when sweeping all means k/N: a chunk of _CHUNK_CELLS // M
-# means keeps the full sort's (M, rows) work arrays around tens of megabytes.
+# Cells (outcomes times means) per block of rows in a level-error pass, the
+# window's and the full sort's: a block's work arrays, a few per cell, then
+# stay in a core's L2 cache.  Rows are independent, so blocks change no bit.
+_BLOCK_CELLS = 1 << 14
+
+# The running mass is np.cumsum along the cells.  Over at least this many rows
+# it is one in-place row add per cell, whose call overhead (about 1 us) the
+# rows amortize; over fewer, as in the full sort at large M, np.cumsum itself,
+# which runs each column in one call (about 4 ns per cell).  Same additions,
+# same order, same bits.
+_ROW_ADDS_MIN_ROWS = 256
+
+# Cells per chunk when sweeping all means k/N: a chunk is _CHUNK_CELLS // M
+# means.  Chunks partition the average case's weighted sum into one np.dot per
+# chunk, so they fix its bits; _BLOCK_CELLS, not this, sizes the work arrays.
 _CHUNK_CELLS = 1 << 21
 
 
@@ -137,6 +150,11 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     max(ps)).  Rows it rejects are retried, alone, at twice the width; rows
     still rejected once 2W would exceed M//2 (from the start at p = 1) take
     the full sort.
+
+    Each pass, one per width and the full sort, walks its rows in blocks of
+    at most _BLOCK_CELLS cells (4W cells per mean in the window, M in the
+    full sort), so its work arrays stay in cache however many means it is
+    given.  No cell or sum reads another row, so the blocks change no bit.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -171,34 +189,65 @@ def _crossings(
     p - LEVEL_SLACK; where no cell reaches the level that count is clipped to
     the last cell, the farthest distance.  Returns (errors, reached), each of
     shape (len(ps), rows); reached is False where no cell reaches the level.
+
+    Sorted cells are read by flat index into the (cells, rows) arrays, sorted
+    position times rows plus the column, and all levels are compared in one
+    pass.
     """
+    cells, rows = dists.shape
+    columns = np.arange(rows)
     order = np.argsort(dists, axis=0, kind="stable")
-    dists = np.take_along_axis(dists, order, axis=0)
-    cum = np.take_along_axis(probs, order, axis=0)
-    for k in range(1, cum.shape[0]):    # the additions of np.cumsum, in its order
-        cum[k] += cum[k - 1]
-    last = cum.shape[0] - 1
-    rows = np.arange(cum.shape[1])
-    errors = np.empty((len(ps), cum.shape[1]))
-    reached = np.empty(errors.shape, dtype=bool)
-    for k, p in enumerate(ps):
-        idx = np.count_nonzero(cum < p - LEVEL_SLACK, axis=0)
-        np.less_equal(idx, last, out=reached[k])
-        errors[k] = dists[np.minimum(idx, last), rows]
-    return errors, reached
+    order *= rows
+    order += columns
+    cum = np.take(probs, order)
+    if rows >= _ROW_ADDS_MIN_ROWS:
+        for k in range(1, cells):    # the additions of np.cumsum, in its order
+            cum[k] += cum[k - 1]
+    else:
+        np.cumsum(cum, axis=0, out=cum)
+    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1, 1) - LEVEL_SLACK
+    idx = np.count_nonzero(cum < thresholds, axis=1)
+    reached = idx < cells
+    np.minimum(idx, cells - 1, out=idx)
+    idx *= rows
+    idx += columns
+    return np.take(dists, np.take(order, idx)), reached
+
+
+def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
+    """Consecutive slices covering range(rows), each of at most _BLOCK_CELLS
+    cells and at least one row."""
+    step = max(1, _BLOCK_CELLS // cells_per_row)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _window_level_errors(
     means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], half: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level errors from the window of 2*half values around sigma, and the
-    mask of rows whose every level the window decides (see `level_errors`).
+    mask of rows whose every level the window decides (see `level_errors`);
+    one pass over all rows, block by block."""
+    # the values between -inf and inf: a window's outer neighbours, or an
+    # infinity where it reaches an end, are edges[lo] and edges[lo + 2*half + 1]
+    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    errors = np.empty((len(ps), means.size))
+    accepted = np.empty(means.size, dtype=bool)
+    for rows in _row_blocks(means.size, 4 * half):
+        errors[:, rows], accepted[rows] = _window_block(means[rows], edges, M, ps, half)
+    return errors, accepted
+
+
+def _window_block(
+    means: np.ndarray, edges: np.ndarray, M: int, ps: Sequence[float], half: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_window_level_errors` on one block of rows.
 
     Cells-major: cell c < 2*half of the (4*half, rows) arrays is the value
     index i = lo + c and cell 2*half + c its twin M - (lo + 2*half - 1 - c),
     so each column, one mean, lists its outcomes in ascending j.
     """
     width = 2 * half
+    values = edges[1:-1]
     top = values.size - 1
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - width)
@@ -215,21 +264,21 @@ def _window_level_errors(
         dists[width, lo == top + 1 - width] = np.inf   # i = M/2 is its own twin
     probs = outcome_probabilities_at(sigma, j.T, M).T
     errors, reached = _crossings(dists, probs, ps)
-
-    hi = lo + width
-    below = np.where(lo > 0, means - values[np.maximum(lo - 1, 0)], np.inf)
-    above = np.where(hi <= top, values[np.minimum(hi, top)] - means, np.inf)
-    d_out = np.minimum(below, above)
+    d_out = np.minimum(means - edges[lo], edges[lo + width + 1] - means)
     return errors, np.all(reached & (errors < d_out), axis=0)
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
-    """The level errors of `level_errors` from the full sort of all M outcomes;
-    a level no cell reaches takes the farthest distance."""
-    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
-    probs = outcome_probabilities(sigma, M).T
-    dists = np.abs(output_grid(M)[:, None] - means)
-    return _crossings(dists, probs, ps)[0]
+    """The level errors of `level_errors` from the full sort of all M outcomes,
+    block by block; a level no cell reaches takes the farthest distance."""
+    grid = output_grid(M)[:, None]
+    errors = np.empty((len(ps), means.size))
+    for rows in _row_blocks(means.size, M):
+        block = means[rows]
+        sigma = (M / math.pi) * np.arcsin(np.sqrt(block))
+        probs = outcome_probabilities(sigma, M).T
+        errors[:, rows] = _crossings(np.abs(grid - block), probs, ps)[0]
+    return errors
 
 
 def error_at_level(a: Fraction | float, M: int, p: float) -> float:

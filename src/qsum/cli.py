@@ -88,8 +88,32 @@ def _record_row(rec: ErrorRecord) -> str:
 
 _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 
+# Sizes above which a command is refused before any work, with exit code 2.
+# An error sweep evaluates every mean k/N, k = 0..N, and the average case
+# first stores an 8-byte class weight per mean: at N = 2^24 a one-level sweep
+# takes about 10 s, and the average case peaks at about 1.2 GB while it builds
+# its weights.  A law has one row, and a sweep one output, per outcome j < M.
+_MAX_SWEEP_N_LOG2 = 24
+_MAX_OUTCOMES = 1 << 20
+
+
+def _refuse_outcomes(M: int) -> None:
+    if M > _MAX_OUTCOMES:
+        raise ValueError(f"M={M} is above the limit of {_MAX_OUTCOMES} outcomes")
+
+
+def _refuse_sweeps(setting: str, n: int, Ms: list[int]) -> None:
+    """Refuse sweeps over N+1 = 2^n + 1 means at each M above the limits."""
+    for M in Ms:
+        _refuse_outcomes(M)
+    if n > _MAX_SWEEP_N_LOG2:
+        weights = f" and 8(2^{n}+1) bytes of class weights" if setting == "avg" else ""
+        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
+                         f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
+
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    _refuse_outcomes(args.m)
     N = 1 << args.n
     if not 0 <= args.k <= N:
         raise ValueError(f"k must lie in [0, {N}], got {args.k}")
@@ -102,7 +126,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    f = BooleanFunction.from_hex(args.n, args.f)
+    table = sys.stdin.read().strip() if args.f == "-" else args.f
+    f = BooleanFunction.from_hex(args.n, table)
     result = run_qs(f, args.m, rng_seed=args.seed)
     record = result.record  # always present: a seed is always supplied
     # outcome and output come from the gate-level run; the reported
@@ -135,6 +160,7 @@ def _evaluate_levels(setting: str, M: int, N: int, ps: list[float], measure: str
 
 
 def _cmd_error(args: argparse.Namespace) -> int:
+    _refuse_sweeps(args.setting, args.n, [args.m])
     rec = _evaluate(args.setting, args.m, 1 << args.n, args.p, args.measure, args.beta)
     _emit(_ERROR_HEADER + "\n" + _record_row(rec) + "\n", args.out)
     return 0
@@ -143,21 +169,22 @@ def _cmd_error(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     if (args.m_values is None) == (args.p_values is None):
         raise ValueError("provide exactly one of --m-values or --p-values")
-    N = 1 << args.n
     if args.m_values is not None:
         if not args.m_values:
             raise ValueError("--m-values must name at least one M")
         if args.p is None:
             raise ValueError("--p is required when sweeping over --m-values")
-        recs = [_evaluate(args.setting, M, N, args.p, args.measure, args.beta)
+        _refuse_sweeps(args.setting, args.n, args.m_values)
+        recs = [_evaluate(args.setting, M, 1 << args.n, args.p, args.measure, args.beta)
                 for M in args.m_values]
     else:
         if not args.p_values:
             raise ValueError("--p-values must name at least one p")
         if args.m is None:
             raise ValueError("--m is required when sweeping over --p-values")
-        recs = _evaluate_levels(args.setting, args.m, N, args.p_values, args.measure,
-                                args.beta)
+        _refuse_sweeps(args.setting, args.n, [args.m])
+        recs = _evaluate_levels(args.setting, args.m, 1 << args.n, args.p_values,
+                                args.measure, args.beta)
     lines = [_ERROR_HEADER, *map(_record_row, recs)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -195,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--n", type=_parse_qubits, required=True)
     p_sim.add_argument("--f", required=True,
-                       help="value table: hex (N >= 4) or bits (N < 4), point 0 first")
+                       help="value table: hex (N >= 4) or bits (N < 4), point 0 "
+                            "first; - reads it from stdin")
     p_sim.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)

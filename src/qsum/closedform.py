@@ -116,11 +116,16 @@ def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
     `j` broadcasts against a column of the sigma values: a 1-D array asks
     every sigma for the same outcomes, a (len(sigma), K) array gives each
     sigma its own.  Each cell is computed on its own, so a cell's value does
-    not depend on which other outcomes are asked for.
+    not depend on which other outcomes are asked for, nor on the layout: a
+    transposed, cells-major j (F-ordered) gives an F-ordered result.
     """
     s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))[:, None]
     j = np.asarray(j, dtype=np.float64)
-    cells = np.empty((2, *np.broadcast_shapes(j.shape, s.shape)))
+    rows, K = np.broadcast_shapes(j.shape, s.shape)
+    if j.flags.f_contiguous and not j.flags.c_contiguous:
+        cells = np.empty((2, K, rows)).transpose(0, 2, 1)
+    else:
+        cells = np.empty((2, rows, K))
     np.subtract(j, s, out=cells[0])
     np.add(j, s, out=cells[1])
     kernel = dirichlet_kernel_sq(cells, M)

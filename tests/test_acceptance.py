@@ -87,3 +87,10 @@ def test_10_property_suite(suite_runs):
 def test_11_bracketing_output_distance(suite_runs):
     _accept(suite_runs, "11 outputs at floor/ceil of sigma lie within pi |j - sigma| / M of a",
             (BOUNDS, "bracketing outputs lie within pi |j - sigma| / M of the mean"))
+
+
+def test_12_every_attached_bound_holds_with_positive_lower_bounds(suite_runs):
+    # the check fails when no WAn4 record has a positive bound, since a
+    # non-positive lower bound holds for any value
+    _accept(suite_runs, "12 every attached bound holds at p <= 8/pi^2, WAn4 non-vacuously",
+            (BOUNDS, "every attached bound holds at p <= 8/pi^2"))

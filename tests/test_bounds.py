@@ -71,6 +71,25 @@ class TestErrorAtLevel:
                 full = bounds._full_level_errors(means, M, ps)
                 assert np.array_equal(window.view(np.int64), full.view(np.int64)), (N, ps)
 
+    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("M", [1, 3, 16, 100])
+    def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
+        # mean counts on both sides of one block of the first pass, and across
+        # several; the reference is the full sort of every mean in one block.
+        # Level 1, and M <= 3 at every level, take the full sort block by block
+        rng = np.random.default_rng(budget + M)
+        for p in (0.51, EIGHT_OVER_PI_SQ, 0.99, 1.0):
+            half = bounds._window_halfwidth(p, M)
+            cells = 4 * half if 2 * half < M // 2 + 1 else M
+            block = max(1, budget // cells)
+            for count in (block - 1, block, block + 1, 3 * block + 7):
+                means = np.concatenate([[0.0, 0.5, 1.0], rng.random(count)])[:count]
+                monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
+                want = bounds._full_level_errors(means, M, [p]).view(np.int64)
+                monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
+                got = level_errors(means, M, [p]).view(np.int64)
+                assert np.array_equal(got, want), (p, count)
+
     @pytest.fixture
     def width_log(self, monkeypatch):
         """Record (W, rows in, rows accepted) per window pass and the rows of
@@ -178,6 +197,20 @@ class TestErrorAtLevel:
         errors, reached = bounds._crossings(dists, probs, [0.15, 0.5, 0.95])
         assert errors.tolist() == [[0.1, 0.2], [0.1, 0.6], [0.5, 0.6]]
         assert reached.tolist() == [[True, True], [True, False], [True, False]]
+
+    def test_crossings_accumulate_alike_over_many_and_few_rows(self):
+        # over _ROW_ADDS_MIN_ROWS rows or more the running mass is row adds,
+        # over fewer np.cumsum; columns split into narrow blocks keep every bit
+        rng = np.random.default_rng(11)
+        rows = bounds._ROW_ADDS_MIN_ROWS + 44
+        dists = rng.integers(0, 6, (12, rows)) / 5.0     # many distance ties
+        probs = rng.dirichlet(np.ones(12), rows).T
+        ps = [0.3, 0.75, EIGHT_OVER_PI_SQ, 1.0]
+        errors, reached = bounds._crossings(dists, probs, ps)
+        for cols in (slice(0, 100), slice(100, 200), slice(200, rows)):
+            part_errors, part_reached = bounds._crossings(dists[:, cols], probs[:, cols], ps)
+            assert np.array_equal(part_errors.view(np.int64), errors[:, cols].view(np.int64))
+            assert np.array_equal(part_reached, reached[:, cols])
 
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;

@@ -1,10 +1,11 @@
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qsum import cli, simulator
+from qsum import boolfn, bounds, cli, closedform, simulator
 from qsum.cli import main
 from qsum.closedform import distribution
 from qsum.suites import SUITE_NAMES
@@ -34,6 +35,24 @@ def no_allocation(monkeypatch):
     monkeypatch.setattr(simulator, "np", NoAllocation())
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if a command starts a sweep or a law, or if the closed
+    form, the bounds or the class weights touch numpy at all."""
+    class NoNumpy:
+        def __getattr__(self, name):
+            pytest.fail(f"np.{name} was used by a refused command")
+
+    def no_call(*args, **kwargs):
+        pytest.fail("a refused command started its computation")
+
+    for module in (boolfn, bounds, closedform):
+        monkeypatch.setattr(module, "np", NoNumpy())
+    for name in ("distribution", "worst_probabilistic_error", "worst_probabilistic_errors",
+                 "avg_probabilistic_error", "avg_probabilistic_errors"):
+        monkeypatch.setattr(cli, name, no_call)
+
+
 class TestDist:
     def test_zero_mean_exact_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "--m", "4", "--n", "2", "--k", "0")
@@ -60,6 +79,11 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", "--m", "4", "--n", "2", "--k", "5")
         assert code == 2
         assert "error" in err
+
+    def test_oversized_law_is_refused_before_any_work(self, capsys, no_sweep):
+        code, out, err = run_cli(capsys, "dist", "--m", "1000000000", "--n", "1", "--k", "1")
+        assert code == 2 and out == ""
+        assert err == "error: M=1000000000 is above the limit of 1048576 outcomes\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dist.csv"
@@ -95,6 +119,26 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, "simulate", "--m", "8", "--n", "4",
                              "--f", "beef", "--seed", "42")
         assert out1 == out2
+
+    def test_table_from_stdin_equals_inline(self, capsys, monkeypatch):
+        table = "9e" * 32
+        _, inline, _ = run_cli(capsys, "simulate", "--m", "16", "--n", "8",
+                               "--f", table, "--seed", "5")
+        monkeypatch.setattr("sys.stdin", io.StringIO(table + "\n"))
+        code, piped, _ = run_cli(capsys, "simulate", "--m", "16", "--n", "8",
+                                 "--f", "-", "--seed", "5")
+        assert code == 0 and piped == inline
+
+    def test_table_too_long_for_a_command_line_reads_from_stdin(self, capsys, monkeypatch):
+        # n = 20 takes a 262144-digit table; mean 1/2 at M = 4 has sigma = 1,
+        # so the output is exactly 1/2
+        monkeypatch.setattr("sys.stdin", io.StringIO("f" * (1 << 17) + "0" * (1 << 17)))
+        code, out, _ = run_cli(capsys, "simulate", "--m", "4", "--n", "20",
+                               "--f", "-", "--seed", "3")
+        assert code == 0
+        lines = dict(line.split(": ") for line in out.strip().split("\n"))
+        assert lines["output"] == "0.5" and lines["probability"] == "0.5"
+        assert lines["queries"] == "3" and lines["qubits"] == "22"
 
     def test_malformed_hex_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--m", "4", "--n", "3",
@@ -192,6 +236,38 @@ class TestError:
         fields = out.strip().split("\n")[1].split(",")
         assert fields[0] == M and fields[1] == "1"
         assert fields[5] == "0" and fields[7] == "GlobalCor"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["error", "--setting", "worst", "--m", "8", "--n", "40", "--p", "0.75"],
+         "a sweep at n=40 needs N+1 = 2^40+1 means; the limit is 2^24+1 means (n <= 24)"),
+        (["error", "--setting", "avg", "--m", "8", "--n", "29", "--p", "0.75"],
+         "a sweep at n=29 needs N+1 = 2^29+1 means and 8(2^29+1) bytes of class weights; "
+         "the limit is 2^24+1 means (n <= 24)"),
+        (["error", "--setting", "worst", "--m", "2000000", "--n", "4", "--p", "0.75"],
+         "M=2000000 is above the limit of 1048576 outcomes"),
+        # the M = 4 sweep is refused too, since the last M cannot run
+        (["curve", "--setting", "avg", "--n", "12", "--p", "0.75", "--m-values", "4,2000000"],
+         "M=2000000 is above the limit of 1048576 outcomes"),
+        (["curve", "--setting", "worst", "--n", "25", "--m", "8", "--p-values", "0.6,0.75"],
+         "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
+    ])
+    def test_oversized_sweep_is_refused_before_any_work(self, capsys, no_sweep, argv,
+                                                        message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("setting", ["worst", "avg"])
+    def test_largest_sweep_is_accepted(self, capsys, monkeypatch, setting):
+        # N = 2^24 and M = 2^20 are within the limits; the sweep itself is
+        # replaced, since it takes seconds
+        asked = []
+        for name in ("worst_probabilistic_error", "avg_probabilistic_error"):
+            monkeypatch.setattr(cli, name, lambda M, N, p, *a, **kw: asked.append((M, N))
+                                or bounds._record(bounds.Setting(setting), None, M, N, p, 0.0))
+        code, _, _ = run_cli(capsys, "error", "--setting", setting, "--m", str(1 << 20),
+                             "--n", "24", "--p", "0.75")
+        assert code == 0 and asked == [(1 << 20, 1 << 24)]
 
     def test_symbolic_p_values(self, capsys):
         code, out, _ = run_cli(capsys, "error", "--setting", "worst", "--m", "4",

@@ -139,6 +139,10 @@ class TestDistribution:
         cells = outcome_probabilities_at(sigma, j, M)
         assert np.array_equal(cells.view(np.int64),
                               np.take_along_axis(full, j, axis=1).view(np.int64))
+        # a cells-major (F-ordered) j gives the same cells, F-ordered
+        transposed = outcome_probabilities_at(sigma, np.asfortranarray(j), M)
+        assert transposed.flags.f_contiguous and not transposed.flags.c_contiguous
+        assert np.array_equal(transposed.view(np.int64), cells.view(np.int64))
 
     def test_integral_sigma_means_exact_output(self):
         # masses land entirely on outcomes reporting the mean itself
