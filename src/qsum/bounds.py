@@ -124,6 +124,14 @@ def _window_halfwidth(p_max: float, M: int) -> int:
     return math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
 
 
+def _first_pass_cells(M: int, p_max: float) -> int:
+    """Outcome cells per mean the first pass of `level_errors` may evaluate
+    for levels up to p_max: 4W for a window of W values per side (the pair
+    pass at W = 1), M when the full sort runs from the start."""
+    half = _window_halfwidth(p_max, M)
+    return 4 * half if 2 * half < M // 2 + 1 else M
+
+
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     """Level errors for many means and levels at once; shape (len(ps), len(means)).
 
@@ -131,7 +139,8 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     that order, and report the distance at which the running mass first
     reaches p - LEVEL_SLACK.  Equidistant outcomes enter as a group by
     construction, since the crossing distance already admits the whole group.
-    `_crossings` is that one rule, for the window and the full sort alike.
+    `_crossings` is that one rule, for the windows and the full sort alike;
+    the pair pass below applies it to four outcomes whose order it knows.
 
     Only outcomes near sigma are evaluated.  The distinct outputs
     v_i = sin^2(pi i/M), i = 0..M//2, increase with i, and a lies between
@@ -146,15 +155,31 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     probabilities (one per-cell formula, `outcome_probabilities_at`) in the
     same order: the sums, and the result, are bit-identical to the full sort.
 
-    The window starts at W = 1 up to 8/pi^2 and wider above (W grows with
-    max(ps)).  Rows it rejects are retried, alone, at twice the width; rows
-    still rejected once 2W would exceed M//2 (from the start at p = 1) take
-    the full sort.
+    Up to 8/pi^2 the first pass is the window at W = 1, the two values
+    bracketing sigma, v_lo and v_lo+1 (lo = floor(sigma), clipped to
+    0..M//2-1), taken without a sort.  When their distances differ, one
+    comparison gives the (distance, j) order of their outcomes: the nearer
+    value's twins j = i, then j = M - i, then the farther value's.  The
+    running mass adds the near pair, and the far pair only in rows where the
+    near pair falls short of the highest level, so the law is evaluated on
+    the far value only there.  A missing twin (i = 0, or i = M/2 at even M)
+    adds +0.0; the window puts it last, at an infinite distance that no
+    accepted row reaches.  Each level's error is then the near or the far
+    distance, and a row is accepted as in the window.  Rows whose two
+    distances tie, where the (distance, j) order interleaves the values, go
+    on with the rejected rows to the window at W = 2.
 
-    Each pass, one per width and the full sort, walks its rows in blocks of
-    at most _BLOCK_CELLS cells (4W cells per mean in the window, M in the
-    full sort), so its work arrays stay in cache however many means it is
-    given.  No cell or sum reads another row, so the blocks change no bit.
+    Above 8/pi^2 the window starts wider (W grows with max(ps)).  Rows a
+    window rejects are retried, alone, at twice the width; rows still
+    rejected once 2W would exceed M//2 (from the start at p = 1) take the
+    full sort.  The pair pass writes every row of the result, and each later
+    pass overwrites only the rows it was given.
+
+    Each pass, the pair pass, one per width and the full sort, walks its rows
+    in blocks of at most _BLOCK_CELLS cells (4W cells per mean in a window,
+    4 in the pair pass, M in the full sort), so its work arrays stay in cache
+    however many means it is given.  No cell or sum reads another row, so the
+    blocks change no bit.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -167,6 +192,9 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     values = output_grid(M)[: M // 2 + 1]
     out = np.empty((len(ps), means.size))
     pending = np.arange(means.size)
+    if half == 1 and 2 * half < values.size:
+        pending = _pair_level_errors(means, values, M, ps, out)
+        half = 2
     while pending.size and 2 * half < values.size:
         errs, accepted = _window_level_errors(means[pending], values, M, ps, half)
         out[:, pending[accepted]] = errs[:, accepted]
@@ -219,6 +247,65 @@ def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
     cells and at least one row."""
     step = max(1, _BLOCK_CELLS // cells_per_row)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _pair_level_errors(
+    means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], out: np.ndarray
+) -> np.ndarray:
+    """Level errors from the two values bracketing sigma, written into `out`
+    (see `level_errors`); returns the rows this pass leaves undecided, whose
+    columns of `out` hold no result yet.  One pass over all rows, block by
+    block."""
+    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
+    accepted = np.empty(means.size, dtype=bool)
+    for rows in _row_blocks(means.size, 4):
+        accepted[rows] = _pair_block(means[rows], edges, M, thresholds, out[:, rows])
+    return np.flatnonzero(~accepted)
+
+
+def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
+    """Probabilities of outcomes j = i and j = M - i, shape (2, len(i)); a
+    missing twin (i = 0, or i = M/2 at even M) has mass +0.0."""
+    j = np.empty((2, i.size))
+    j[0] = i
+    np.subtract(M, i, out=j[1])
+    probs = outcome_probabilities_at(sigma, j.T, M).T
+    probs[1, (i == 0) | (2 * i == M)] = 0.0
+    return probs
+
+
+def _pair_block(
+    means: np.ndarray, edges: np.ndarray, M: int, thresholds: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """`_pair_level_errors` on one block of rows; returns the accepted mask.
+
+    The running mass adds the near value's twins, then, in the rows where it
+    falls short of the highest level, the far value's: the (distance, j)
+    order of the window at W = 1 wherever the two distances differ.
+    """
+    values = edges[1:-1]
+    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
+    lo = np.clip(np.floor(sigma).astype(np.int64), 0, values.size - 2)
+    d_lo = np.abs(values[lo] - means)
+    d_hi = np.abs(values[lo + 1] - means)
+    near_is_lo = d_lo < d_hi
+    d_near = np.minimum(d_lo, d_hi)
+    d_far = np.maximum(d_lo, d_hi)
+    near = _twin_probs(sigma, lo + 1 - near_is_lo, M)
+    mass = np.add(near[0], near[1], out=near[0])
+    np.copyto(out, d_far)
+    np.copyto(out, d_near, where=mass >= thresholds)
+    highest = thresholds.max(initial=-np.inf)
+    short = mass < highest
+    rows = np.flatnonzero(short)
+    far = _twin_probs(sigma[rows], lo[rows] + near_is_lo[rows], M)
+    total = mass[rows] + far[0]
+    total += far[1]
+    mass[rows] = total
+    d_out = np.minimum(means - edges[lo], edges[lo + 3] - means)
+    widest = np.where(short, d_far, d_near)
+    return (mass >= highest) & (widest < d_out) & (d_lo != d_hi)
 
 
 def _window_level_errors(

@@ -23,6 +23,7 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     ErrorRecord,
+    _first_pass_cells,
     avg_probabilistic_error,
     avg_probabilistic_errors,
     worst_probabilistic_error,
@@ -91,9 +92,13 @@ _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 # Sizes above which a command is refused before any work, with exit code 2.
 # An error sweep evaluates every mean k/N, k = 0..N, and the average case
 # first stores an 8-byte class weight per mean: at N = 2^24 a one-level sweep
-# takes about 10 s, and the average case peaks at about 1.2 GB while it builds
-# its weights.  A law has one row, and a sweep one output, per outcome j < M.
+# takes several seconds, and the average case peaks at about 1.2 GB while it
+# builds its weights.  A law has one row, and a sweep one output, per outcome
+# j < M.  A sweep's cost is its outcome cells, N+1 means times the cells of
+# the first level-error pass: 4 per mean up to 8/pi^2 (N = 2^24 is then 2^26
+# cells), more above, and M in the full sort, about 0.1 us each at p = 1.
 _MAX_SWEEP_N_LOG2 = 24
+_MAX_SWEEP_CELLS_LOG2 = 28
 _MAX_OUTCOMES = 1 << 20
 
 
@@ -102,14 +107,22 @@ def _refuse_outcomes(M: int) -> None:
         raise ValueError(f"M={M} is above the limit of {_MAX_OUTCOMES} outcomes")
 
 
-def _refuse_sweeps(setting: str, n: int, Ms: list[int]) -> None:
-    """Refuse sweeps over N+1 = 2^n + 1 means at each M above the limits."""
+def _refuse_sweeps(setting: str, n: int, Ms: list[int], ps: list[float]) -> None:
+    """Refuse sweeps over N+1 = 2^n + 1 means at each M, at levels ps, above
+    the limits."""
     for M in Ms:
         _refuse_outcomes(M)
     if n > _MAX_SWEEP_N_LOG2:
         weights = f" and 8(2^{n}+1) bytes of class weights" if setting == "avg" else ""
         raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
                          f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
+    p_max = max(ps)
+    for M in Ms:
+        cells = _first_pass_cells(M, p_max)
+        if ((1 << n) + 1) * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
+            raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs (2^{n}+1) x "
+                             f"{cells} outcome cells; the limit is "
+                             f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
@@ -160,7 +173,7 @@ def _evaluate_levels(setting: str, M: int, N: int, ps: list[float], measure: str
 
 
 def _cmd_error(args: argparse.Namespace) -> int:
-    _refuse_sweeps(args.setting, args.n, [args.m])
+    _refuse_sweeps(args.setting, args.n, [args.m], [args.p])
     rec = _evaluate(args.setting, args.m, 1 << args.n, args.p, args.measure, args.beta)
     _emit(_ERROR_HEADER + "\n" + _record_row(rec) + "\n", args.out)
     return 0
@@ -174,7 +187,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             raise ValueError("--m-values must name at least one M")
         if args.p is None:
             raise ValueError("--p is required when sweeping over --m-values")
-        _refuse_sweeps(args.setting, args.n, args.m_values)
+        _refuse_sweeps(args.setting, args.n, args.m_values, [args.p])
         recs = [_evaluate(args.setting, M, 1 << args.n, args.p, args.measure, args.beta)
                 for M in args.m_values]
     else:
@@ -182,7 +195,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             raise ValueError("--p-values must name at least one p")
         if args.m is None:
             raise ValueError("--m is required when sweeping over --p-values")
-        _refuse_sweeps(args.setting, args.n, [args.m])
+        _refuse_sweeps(args.setting, args.n, [args.m], args.p_values)
         recs = _evaluate_levels(args.setting, args.m, 1 << args.n, args.p_values,
                                 args.measure, args.beta)
     lines = [_ERROR_HEADER, *map(_record_row, recs)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsum import bounds
+from qsum import bounds, closedform
 from qsum.boolfn import Measure
 from qsum.bounds import (
     EIGHT_OVER_PI_SQ,
@@ -26,8 +26,11 @@ from qsum.bounds import (
     wan4_lower_bound,
     worst_probabilistic_error,
 )
-from qsum.closedform import dirichlet_kernel_sq
+from qsum.closedform import dirichlet_kernel_sq, output_grid
 from qsum.suites import brute_force_errors_at_levels
+
+# levels at or below 8/pi^2, where level_errors starts with the pair pass
+PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
 
 
 class TestErrorAtLevel:
@@ -79,9 +82,7 @@ class TestErrorAtLevel:
         # Level 1, and M <= 3 at every level, take the full sort block by block
         rng = np.random.default_rng(budget + M)
         for p in (0.51, EIGHT_OVER_PI_SQ, 0.99, 1.0):
-            half = bounds._window_halfwidth(p, M)
-            cells = 4 * half if 2 * half < M // 2 + 1 else M
-            block = max(1, budget // cells)
+            block = max(1, budget // bounds._first_pass_cells(M, p))
             for count in (block - 1, block, block + 1, 3 * block + 7):
                 means = np.concatenate([[0.0, 0.5, 1.0], rng.random(count)])[:count]
                 monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
@@ -90,12 +91,77 @@ class TestErrorAtLevel:
                 got = level_errors(means, M, [p]).view(np.int64)
                 assert np.array_equal(got, want), (p, count)
 
+    @staticmethod
+    def _pair_edge_means(M):
+        """Means at the pair pass's edges: a in {0, 1/2, 1}; means between the
+        two lowest and the two highest values, where a twin is missing (i = 0,
+        and i = M/2 at even M) on the near or the far side; midpoints of
+        adjacent values, where the two distances nearly or exactly tie; and
+        random means."""
+        v = output_grid(M)[: M // 2 + 1]
+        ends = np.concatenate([np.linspace(0.0, v[2], 13), np.linspace(v[-3], 1.0, 13)])
+        mids = 0.5 * (v[:-1] + v[1:])
+        return np.concatenate([[0.0, 0.5, 1.0], ends, mids,
+                               np.random.default_rng(M).random(30)])
+
+    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
+    def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
+        # the reference is the full sort of every mean in one block
+        means = self._pair_edge_means(M)
+        for ps in [[p] for p in PAIR_LEVELS] + [PAIR_LEVELS]:
+            monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
+            want = bounds._full_level_errors(means, M, ps).view(np.int64)
+            monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
+            got = level_errors(means, M, ps).view(np.int64)
+            assert np.array_equal(got, want), ps
+
+    @pytest.mark.parametrize("M", [10, 22, 38])
+    def test_pair_pass_defers_distance_ties(self, width_log, M):
+        # at a = 1/2, M = 2 mod 4, sigma = M/4 lies halfway between two values
+        # whose distances from 1/2 tie exactly at these M; the full sort then
+        # interleaves their outcomes by j, so the pair pass leaves the row to
+        # the window at W = 2
+        passes, full_rows = width_log
+        v = output_grid(M)[: M // 2 + 1]
+        lo = (M - 2) // 4
+        assert 0.5 - v[lo] == v[lo + 1] - 0.5
+        means = self._pair_edge_means(M)
+        got = level_errors(means, M, PAIR_LEVELS)
+        (pair, rows1, kept1), (w2, rows2, _) = passes
+        assert (pair, rows1, w2, rows2) == ("pair", means.size, 2, rows1 - kept1)
+        assert full_rows == []
+        out = np.empty((len(PAIR_LEVELS), means.size))
+        assert 1 in bounds._pair_level_errors(means, v, M, PAIR_LEVELS, out)  # a = 1/2
+        want = bounds._full_level_errors(means, M, PAIR_LEVELS)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, monkeypatch):
+        # the pair pass takes the near value's two outcomes (4 kernel cells)
+        # of every mean and the far value's only where the near pair falls
+        # short of the highest level: 6.03 cells per mean here, where the
+        # W = 1 window took 8.03 and the full sort 128
+        cells = []
+        kernel = closedform.dirichlet_kernel_sq
+        monkeypatch.setattr(closedform, "dirichlet_kernel_sq",
+                            lambda d, M: cells.append(np.size(d)) or kernel(d, M))
+        N = 1 << 15
+        level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
+        assert sum(cells) == 197620
+
     @pytest.fixture
     def width_log(self, monkeypatch):
-        """Record (W, rows in, rows accepted) per window pass and the rows of
-        each full sort, in call order."""
+        """Record ("pair", rows in, rows accepted) per pair pass, (W, rows in,
+        rows accepted) per window pass and the rows of each full sort, in call
+        order."""
         passes, full_rows = [], []
+        pair = bounds._pair_level_errors
         window, full = bounds._window_level_errors, bounds._full_level_errors
+
+        def counted_pair(means, values, M, ps, out):
+            pending = pair(means, values, M, ps, out)
+            passes.append(("pair", means.size, means.size - pending.size))
+            return pending
 
         def counted_window(means, values, M, ps, half):
             errs, accepted = window(means, values, M, ps, half)
@@ -106,6 +172,7 @@ class TestErrorAtLevel:
             full_rows.append(means.size)
             return full(means, M, ps)
 
+        monkeypatch.setattr(bounds, "_pair_level_errors", counted_pair)
         monkeypatch.setattr(bounds, "_window_level_errors", counted_window)
         monkeypatch.setattr(bounds, "_full_level_errors", counted_full)
         return passes, full_rows
@@ -122,12 +189,14 @@ class TestErrorAtLevel:
         assert full_rows == []
 
     def test_narrowest_window_up_to_eight_over_pi_sq(self, width_log):
-        # one value per side decides most means at 8/pi^2; the rest need two
+        # the pair pass, one value per side, runs over every mean at 8/pi^2
+        # and decides most; the window at W = 2 takes exactly the rest, and
+        # decides them all
         passes, full_rows = width_log
         means = np.arange((1 << 15) + 1) / (1 << 15)
         level_errors(means, 16, [EIGHT_OVER_PI_SQ])
-        (w1, rows1, kept1), (w2, rows2, kept2) = passes
-        assert (w1, rows1, w2) == (1, means.size, 2)
+        (pair, rows1, kept1), (w2, rows2, kept2) = passes
+        assert (pair, rows1, w2) == ("pair", means.size, 2)
         assert 0 < rows2 == kept2 == rows1 - kept1
         assert full_rows == []
 

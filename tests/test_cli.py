@@ -250,6 +250,22 @@ class TestError:
          "M=2000000 is above the limit of 1048576 outcomes"),
         (["curve", "--setting", "worst", "--n", "25", "--m", "8", "--p-values", "0.6,0.75"],
          "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
+        # within the mean limit, but the full sort of 4096 outcomes per mean
+        # would take about 2 h
+        (["error", "--setting", "worst", "--m", "4096", "--n", "24", "--p", "1"],
+         "a sweep at n=24, M=4096 and p=1 needs (2^24+1) x 4096 outcome cells; "
+         "the limit is 2^28 cells"),
+        # the highest level sets the first pass's cells for every level: at
+        # 0.99 and M = 64 the window would outgrow the 33 values, so M cells
+        (["curve", "--setting", "avg", "--n", "24", "--m", "64", "--p-values", "0.6,0.99"],
+         "a sweep at n=24, M=64 and p=0.99 needs (2^24+1) x 64 outcome cells; "
+         "the limit is 2^28 cells"),
+        # each M of an M sweep is one sweep: at 0.9 (W = 4 values per side)
+        # M = 8 takes the full sort, 8 cells per mean, within the limit, and
+        # M = 64 a window of 16 cells per mean, above it
+        (["curve", "--setting", "worst", "--n", "24", "--p", "0.9", "--m-values", "8,64"],
+         "a sweep at n=24, M=64 and p=0.9 needs (2^24+1) x 16 outcome cells; "
+         "the limit is 2^28 cells"),
     ])
     def test_oversized_sweep_is_refused_before_any_work(self, capsys, no_sweep, argv,
                                                         message):
@@ -268,6 +284,20 @@ class TestError:
         code, _, _ = run_cli(capsys, "error", "--setting", setting, "--m", str(1 << 20),
                              "--n", "24", "--p", "0.75")
         assert code == 0 and asked == [(1 << 20, 1 << 24)]
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 64, 1 << 20])
+    @pytest.mark.parametrize("p", ["0.51", "0.75", "8/pi2"])
+    def test_sweeps_up_to_eight_over_pi_sq_fit_the_cell_limit(self, capsys, monkeypatch,
+                                                                M, p):
+        # N = 2^24 at every M <= 2^20: the first pass takes at most 4 cells
+        # per mean up to 8/pi^2; the sweep itself is replaced
+        asked = []
+        monkeypatch.setattr(cli, "worst_probabilistic_errors", lambda M, N, ps: asked.append(
+            (M, N)) or [bounds._record(bounds.Setting.WORST_PROBABILISTIC, None, M, N, p, 0.0)
+                        for p in ps])
+        code, _, err = run_cli(capsys, "curve", "--setting", "worst", "--m", str(M),
+                               "--n", "24", "--p-values", f"0.3,{p}")
+        assert (code, err, asked) == (0, "", [(M, 1 << 24)])
 
     def test_symbolic_p_values(self, capsys):
         code, out, _ = run_cli(capsys, "error", "--setting", "worst", "--m", "4",
