@@ -30,6 +30,11 @@ __all__ = [
 # are cheap; above it the log-space Stirling form is accurate to ~1e-15.
 _EXACT_TAIL = 64
 
+# Means per slice of the Stirling middle of `class_weights`.  Its temporaries,
+# about nine per mean, then stay a few MB however large N is; every operation
+# is elementwise, so the slices change no bit.
+_WEIGHT_SLICE = 1 << 16
+
 
 class Measure(Enum):
     """Probability measure on the set of Boolean functions with domain size N."""
@@ -170,9 +175,10 @@ def class_weights(measure: Measure, N: int) -> np.ndarray:
     edge = min(_EXACT_TAIL, (N + 2) // 2)
     for k in range(edge):
         w[k] = w[N - k] = _weight_uniform_functions(N, k)
-    if N + 1 > 2 * edge:
-        mid = np.arange(edge, N + 1 - edge, dtype=np.float64)
-        w[edge : N + 1 - edge] = np.exp(_log_weights_stirling(N, mid))
+    for lo in range(edge, N + 1 - edge, _WEIGHT_SLICE):
+        hi = min(lo + _WEIGHT_SLICE, N + 1 - edge)
+        mid = np.arange(lo, hi, dtype=np.float64)
+        np.exp(_log_weights_stirling(N, mid), out=w[lo:hi])
     return w
 
 

@@ -55,17 +55,11 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Cells (outcomes times means) per block of rows in a level-error pass, the
-# window's and the full sort's: a block's work arrays, a few per cell, then
-# stay in a core's L2 cache.  Rows are independent, so blocks change no bit.
+# Outcome cells per block of rows in a level-error pass: 4 per mean in the pair
+# pass, 2 (one value's twin outcomes) in each step of the walk, M in the full
+# sort.  A block's work arrays, a few per cell, then stay in a core's L2
+# cache.  Rows are independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
-
-# The running mass is np.cumsum along the cells.  Over at least this many rows
-# it is one in-place row add per cell, whose call overhead (about 1 us) the
-# rows amortize; over fewer, as in the full sort at large M, np.cumsum itself,
-# which runs each column in one call (about 4 ns per cell).  Same additions,
-# same order, same bits.
-_ROW_ADDS_MIN_ROWS = 256
 
 # Cells per chunk when sweeping all means k/N: a chunk is _CHUNK_CELLS // M
 # means.  Chunks partition the average case's weighted sum into one np.dot per
@@ -109,77 +103,60 @@ def _validate_p(p: float) -> None:
         raise ValueError(f"probability level must lie in (0, 1], got {p}")
 
 
-def _window_halfwidth(p_max: float, M: int) -> int:
-    """Distinct output values first taken on each side of sigma for levels up to p_max.
+def _outcome_cells_per_mean(M: int, p_max: float) -> int:
+    """Estimated outcome cells per mean that `level_errors` evaluates for
+    levels up to p_max, the cost by which oversized sweeps are refused.
 
     Beyond distance d the kernel's tail carries less than about 1/(pi^2 d)
-    per side, so W values per side leave out roughly 2/(pi^2 W) of the mass;
+    per side, so W values per side leave out roughly 2/(pi^2 W) of the mass:
     up to 8/pi^2 the one value on each side of sigma nearly always carries
-    the level.  Level 1 needs every value.
+    the level, and above it W grows as 1/(1 - p_max).  That is 4W cells (two
+    outcomes per value), or all M outcomes once 2W values would exceed the
+    M//2+1 values, and always at p_max = 1.
     """
     if p_max >= 1.0:
         return M
-    if p_max <= EIGHT_OVER_PI_SQ:
-        return 1
-    return math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
-
-
-def _first_pass_cells(M: int, p_max: float) -> int:
-    """Outcome cells per mean the first pass of `level_errors` may evaluate
-    for levels up to p_max: 4W for a window of W values per side (the pair
-    pass at W = 1), M when the full sort runs from the start."""
-    half = _window_halfwidth(p_max, M)
+    half = 1
+    if p_max > EIGHT_OVER_PI_SQ:
+        half = math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
     return 4 * half if 2 * half < M // 2 + 1 else M
 
 
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     """Level errors for many means and levels at once; shape (len(ps), len(means)).
 
-    For each mean: sort outcomes by |abar(j) - a|, accumulate probability in
-    that order, and report the distance at which the running mass first
-    reaches p - LEVEL_SLACK.  Equidistant outcomes enter as a group by
-    construction, since the crossing distance already admits the whole group.
-    `_crossings` is that one rule, for the windows and the full sort alike;
-    the pair pass below applies it to four outcomes whose order it knows.
+    For each mean: order outcomes by (|abar(j) - a|, j), accumulate
+    probability in that order, and report the distance at which the running
+    mass first reaches p - LEVEL_SLACK, or the farthest distance where no
+    outcome reaches it.  Equidistant outcomes enter as a group, since the
+    crossing distance already admits the whole group.  `_full_level_errors`
+    does exactly this by a stable sort of all M outcomes; it is the tests'
+    oracle, and the two passes below give its bits.
 
-    Only outcomes near sigma are evaluated.  The distinct outputs
-    v_i = sin^2(pi i/M), i = 0..M//2, increase with i, and a lies between
-    v_floor(sigma) and v_ceil(sigma).  A window of 2W consecutive values
-    i = floor(sigma)-W+1 .. floor(sigma)+W (shifted inward at the ends of the
-    range) takes both twin outcomes j = i and j = M - i of each value, in
-    ascending j, and runs the same stable sort and accumulation.  A row is
-    accepted when every level is reached at a distance strictly below d_out,
-    the distance of the nearest value outside the window.  Every outcome
-    closer than d_out lies in the window, and both sorts order those outcomes
-    by (distance, j), so the prefix up to the crossing holds the same
+    The distinct outputs v_i = sin^2(pi i/M), i = 0..M//2, increase with i,
+    and value v_i is reported by the twin outcomes j = i and j = M - i (a
+    missing twin, at i = 0 or i = M/2 for even M, adds +0.0).  So the
+    (distance, j) order merges the values below a, walked downward, with the
+    values above a, walked upward: each step takes the nearer value's twins
+    j = i, then j = M - i, and on an exact tie of the two distances the four
+    outcomes i_lo, i_hi, M - i_hi, M - i_lo.  The running mass adds the same
     probabilities (one per-cell formula, `outcome_probabilities_at`) in the
-    same order: the sums, and the result, are bit-identical to the full sort.
+    same order as the full sort's cumulative sum, so the sums, and the
+    errors, are bit-identical.
 
-    Up to 8/pi^2 the first pass is the window at W = 1, the two values
-    bracketing sigma, v_lo and v_lo+1 (lo = floor(sigma), clipped to
-    0..M//2-1), taken without a sort.  When their distances differ, one
-    comparison gives the (distance, j) order of their outcomes: the nearer
-    value's twins j = i, then j = M - i, then the farther value's.  The
-    running mass adds the near pair, and the far pair only in rows where the
-    near pair falls short of the highest level, so the law is evaluated on
-    the far value only there.  A missing twin (i = 0, or i = M/2 at even M)
-    adds +0.0; the window puts it last, at an infinite distance that no
-    accepted row reaches.  Each level's error is then the near or the far
-    distance, and a row is accepted as in the window.  Rows whose two
-    distances tie, where the (distance, j) order interleaves the values, go
-    on with the rejected rows to the window at W = 2.
+    Up to 8/pi^2, and at M >= 4, the pair pass runs first over every row: the
+    two values bracketing sigma, v_lo and v_lo+1 (lo = floor(sigma), clipped
+    to 0..M//2-1), in the order one comparison of their distances gives, the
+    far value's law evaluated only in rows where the near value falls short
+    of the highest level.  A row is decided when every level is reached at a
+    distance strictly below d_out, the distance of the nearest value outside
+    the pair, and the two distances differ.  The walk, `_walk_level_errors`,
+    takes the rows the pair pass leaves, and every row above 8/pi^2 or at
+    M < 4; a row leaves it once its mass reaches the highest level or its
+    values run out.
 
-    Above 8/pi^2 the window starts wider (W grows with max(ps)).  Rows a
-    window rejects are retried, alone, at twice the width; rows still
-    rejected once 2W would exceed M//2 (from the start at p = 1) take the
-    full sort.  The pair pass writes every row of the result, and each later
-    pass overwrites only the rows it was given.
-
-    Each pass, the pair pass, one per width and the full sort, walks its rows
-    in blocks of at most _BLOCK_CELLS cells (4W cells per mean in a window,
-    4 in the pair pass, M in the full sort), so its work arrays stay in cache
-    however many means it is given.  No cell or sum reads another row, so the
-    blocks change no bit.
+    Both passes go over their rows in blocks of at most _BLOCK_CELLS cells,
+    so their work arrays stay in cache however many means they are given.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -188,58 +165,40 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     means = np.atleast_1d(np.asarray(means, dtype=np.float64))
     if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):
         raise ValueError("means must lie in [0, 1]")
-    half = _window_halfwidth(max(ps, default=0.0), M)
     values = output_grid(M)[: M // 2 + 1]
     out = np.empty((len(ps), means.size))
-    pending = np.arange(means.size)
-    if half == 1 and 2 * half < values.size:
-        pending = _pair_level_errors(means, values, M, ps, out)
-        half = 2
-    while pending.size and 2 * half < values.size:
-        errs, accepted = _window_level_errors(means[pending], values, M, ps, half)
-        out[:, pending[accepted]] = errs[:, accepted]
-        pending = pending[~accepted]
-        half *= 2
-    if pending.size:
-        out[:, pending] = _full_level_errors(means[pending], M, ps)
+    if max(ps, default=0.0) <= EIGHT_OVER_PI_SQ and M >= 4:
+        rows = _pair_level_errors(means, values, M, ps, out)
+    else:
+        rows = np.arange(means.size)
+    _walk_level_errors(means, rows, values, M, ps, out)
     return out
 
 
-def _crossings(
-    dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one level-crossing rule: cells stably sorted by distance accumulate
-    mass, and the error at p is the distance of the first cell whose running
-    mass reaches p - LEVEL_SLACK.
+def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """The full sort's crossing rule: cells stably sorted by distance
+    accumulate mass, and the error at p is the distance of the first cell
+    whose running mass reaches p - LEVEL_SLACK.
 
     `dists` and `probs` are cells-major, shape (cells, rows).  The running mass
     never decreases, so the first such cell is the count of cells below
     p - LEVEL_SLACK; where no cell reaches the level that count is clipped to
-    the last cell, the farthest distance.  Returns (errors, reached), each of
-    shape (len(ps), rows); reached is False where no cell reaches the level.
-
-    Sorted cells are read by flat index into the (cells, rows) arrays, sorted
-    position times rows plus the column, and all levels are compared in one
-    pass.
+    the last cell, the farthest distance.  Returns the errors, shape
+    (len(ps), rows).  Sorted cells are read by flat index into the (cells,
+    rows) arrays, sorted position times rows plus the column.
     """
     cells, rows = dists.shape
     columns = np.arange(rows)
     order = np.argsort(dists, axis=0, kind="stable")
     order *= rows
     order += columns
-    cum = np.take(probs, order)
-    if rows >= _ROW_ADDS_MIN_ROWS:
-        for k in range(1, cells):    # the additions of np.cumsum, in its order
-            cum[k] += cum[k - 1]
-    else:
-        np.cumsum(cum, axis=0, out=cum)
+    cum = np.cumsum(np.take(probs, order), axis=0)
     thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1, 1) - LEVEL_SLACK
     idx = np.count_nonzero(cum < thresholds, axis=1)
-    reached = idx < cells
     np.minimum(idx, cells - 1, out=idx)
     idx *= rows
     idx += columns
-    return np.take(dists, np.take(order, idx)), reached
+    return np.take(dists, np.take(order, idx))
 
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
@@ -282,7 +241,7 @@ def _pair_block(
 
     The running mass adds the near value's twins, then, in the rows where it
     falls short of the highest level, the far value's: the (distance, j)
-    order of the window at W = 1 wherever the two distances differ.
+    order wherever the two distances differ.
     """
     values = edges[1:-1]
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
@@ -308,63 +267,74 @@ def _pair_block(
     return (mass >= highest) & (widest < d_out) & (d_lo != d_hi)
 
 
-def _window_level_errors(
-    means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], half: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level errors from the window of 2*half values around sigma, and the
-    mask of rows whose every level the window decides (see `level_errors`);
-    one pass over all rows, block by block."""
-    # the values between -inf and inf: a window's outer neighbours, or an
-    # infinity where it reaches an end, are edges[lo] and edges[lo + 2*half + 1]
+def _walk_level_errors(
+    means: np.ndarray, rows: np.ndarray, values: np.ndarray, M: int,
+    ps: Sequence[float], out: np.ndarray,
+) -> None:
+    """Level errors of means[rows] by the outward walk of `level_errors`,
+    written into columns `rows` of `out`; block by block."""
     edges = np.concatenate([[-np.inf], values, [np.inf]])
-    errors = np.empty((len(ps), means.size))
-    accepted = np.empty(means.size, dtype=bool)
-    for rows in _row_blocks(means.size, 4 * half):
-        errors[:, rows], accepted[rows] = _window_block(means[rows], edges, M, ps, half)
-    return errors, accepted
+    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
+    for block in _row_blocks(rows.size, 2):
+        _walk_block(means[rows[block]], rows[block], edges, M, thresholds, out)
 
 
-def _window_block(
-    means: np.ndarray, edges: np.ndarray, M: int, ps: Sequence[float], half: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_window_level_errors` on one block of rows.
+def _walk_block(
+    means: np.ndarray, cols: np.ndarray, edges: np.ndarray, M: int,
+    thresholds: np.ndarray, out: np.ndarray,
+) -> None:
+    """`_walk_level_errors` on one block of rows, whose columns of `out` are
+    `cols`.
 
-    Cells-major: cell c < 2*half of the (4*half, rows) arrays is the value
-    index i = lo + c and cell 2*half + c its twin M - (lo + 2*half - 1 - c),
-    so each column, one mean, lists its outcomes in ascending j.
+    edges[lo] is the nearest value at or below a not yet taken and edges[hi]
+    the nearest above it; the edges -inf and inf stand for a side whose
+    values have run out.  Each step sets the error of every level the mass
+    has not reached yet to the step's distance, so a level keeps the distance
+    of the step that reaches it, or the last step's.
     """
-    width = 2 * half
-    values = edges[1:-1]
-    top = values.size - 1
     sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
-    lo = np.clip(np.floor(sigma).astype(np.int64) - (half - 1), 0, top + 1 - width)
-    i = np.arange(width)[:, None] + lo
-    j = np.empty((2 * width, means.size))
-    j[:width] = i
-    np.subtract(M, j[width - 1::-1], out=j[width:])
-    dists = np.empty(j.shape)
-    np.subtract(values[i], means, out=dists[:width])
-    np.abs(dists[:width], out=dists[:width])
-    dists[width:] = dists[width - 1::-1]
-    dists[-1, lo == 0] = np.inf                # i = 0 has no twin outcome
-    if M % 2 == 0:
-        dists[width, lo == top + 1 - width] = np.inf   # i = M/2 is its own twin
-    probs = outcome_probabilities_at(sigma, j.T, M).T
-    errors, reached = _crossings(dists, probs, ps)
-    d_out = np.minimum(means - edges[lo], edges[lo + width + 1] - means)
-    return errors, np.all(reached & (errors < d_out), axis=0)
+    hi = np.searchsorted(edges, means, side="right")
+    lo = hi - 1
+    d_lo = means - edges[lo]
+    d_hi = edges[hi] - means
+    dist = np.minimum(d_lo, d_hi)
+    errors = np.tile(dist, (thresholds.shape[0], 1))
+    mass = np.zeros(means.size)
+    highest = thresholds.max(initial=-np.inf)
+    while cols.size:
+        np.copyto(errors, dist, where=mass < thresholds)
+        take_lo = d_lo <= d_hi
+        near = _twin_probs(sigma, np.where(take_lo, lo, hi) - 1, M)
+        mass += near[0]
+        tie = np.flatnonzero(d_lo == d_hi)
+        if tie.size:
+            far = _twin_probs(sigma[tie], hi[tie] - 1, M)
+            mass[tie] += far[0]
+            mass[tie] += far[1]
+        mass += near[1]
+        lo -= take_lo
+        hi += d_hi <= d_lo
+        d_lo = means - edges[lo]
+        d_hi = edges[hi] - means
+        dist = np.minimum(d_lo, d_hi)
+        stay = (mass < highest) & (dist < np.inf)
+        if not stay.all():
+            out[:, cols[~stay]] = errors[:, ~stay]
+            means, cols, sigma, lo, hi, d_lo, d_hi, dist, mass = (
+                x[stay] for x in (means, cols, sigma, lo, hi, d_lo, d_hi, dist, mass))
+            errors = errors[:, stay]
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
     """The level errors of `level_errors` from the full sort of all M outcomes,
-    block by block; a level no cell reaches takes the farthest distance."""
+    block by block; the tests' oracle for the pair pass and the walk."""
     grid = output_grid(M)[:, None]
     errors = np.empty((len(ps), means.size))
     for rows in _row_blocks(means.size, M):
         block = means[rows]
         sigma = (M / math.pi) * np.arcsin(np.sqrt(block))
         probs = outcome_probabilities(sigma, M).T
-        errors[:, rows] = _crossings(np.abs(grid - block), probs, ps)[0]
+        errors[:, rows] = _crossings(np.abs(grid - block), probs, ps)
     return errors
 
 

@@ -23,7 +23,7 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     ErrorRecord,
-    _first_pass_cells,
+    _outcome_cells_per_mean,
     avg_probabilistic_error,
     avg_probabilistic_errors,
     worst_probabilistic_error,
@@ -92,11 +92,11 @@ _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 # Sizes above which a command is refused before any work, with exit code 2.
 # An error sweep evaluates every mean k/N, k = 0..N, and the average case
 # first stores an 8-byte class weight per mean: at N = 2^24 a one-level sweep
-# takes several seconds, and the average case peaks at about 1.2 GB while it
-# builds its weights.  A law has one row, and a sweep one output, per outcome
-# j < M.  A sweep's cost is its outcome cells, N+1 means times the cells of
-# the first level-error pass: 4 per mean up to 8/pi^2 (N = 2^24 is then 2^26
-# cells), more above, and M in the full sort, about 0.1 us each at p = 1.
+# takes several seconds, and the average case holds 128 MiB of weights (about
+# 170 MB peak).  A law has one row, and a sweep one output, per outcome j < M.
+# A sweep's cost is its outcome cells, N+1 means times the estimated cells per
+# mean at its highest level: 4 up to 8/pi^2 (N = 2^24 is then 2^26 cells),
+# more above, and all M at p = 1.
 _MAX_SWEEP_N_LOG2 = 24
 _MAX_SWEEP_CELLS_LOG2 = 28
 _MAX_OUTCOMES = 1 << 20
@@ -118,7 +118,7 @@ def _refuse_sweeps(setting: str, n: int, Ms: list[int], ps: list[float]) -> None
                          f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
     p_max = max(ps)
     for M in Ms:
-        cells = _first_pass_cells(M, p_max)
+        cells = _outcome_cells_per_mean(M, p_max)
         if ((1 << n) + 1) * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
             raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs (2^{n}+1) x "
                              f"{cells} outcome cells; the limit is "

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qsum import boolfn
 from qsum.boolfn import (
     BooleanFunction,
     Measure,
@@ -135,6 +136,15 @@ class TestClassWeight:
             exact = np.array([float(Fraction(math.comb(N, k), 1 << N)) for k in range(edge)])
             for side in (w[:edge], w[::-1][:edge]):
                 assert np.array_equal(side.view(np.int64), exact.view(np.int64)), N
+
+    @pytest.mark.parametrize("N", [1 << 12, (1 << 16) + 3])
+    def test_slices_change_no_bit(self, monkeypatch, N):
+        # the Stirling middle in slices of 7 means, and in one slice
+        weights = []
+        for size in (7, 1 << 62):
+            monkeypatch.setattr(boolfn, "_WEIGHT_SLICE", size)
+            weights.append(class_weights(Measure.UNIFORM_FUNCTIONS, N).view(np.int64))
+        assert np.array_equal(*weights)
 
     @pytest.mark.parametrize("measure", list(Measure))
     @pytest.mark.parametrize("N", [1, 2, 7, 64, 129, 1024, 1 << 12])

@@ -31,6 +31,8 @@ from qsum.suites import brute_force_errors_at_levels
 
 # levels at or below 8/pi^2, where level_errors starts with the pair pass
 PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
+# levels above it, where the walk takes every row
+WALK_LEVELS = [0.9, 0.99, 1.0]
 
 
 class TestErrorAtLevel:
@@ -66,7 +68,7 @@ class TestErrorAtLevel:
 
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
-        levels = [0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
+        levels = [1e-13, 0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
         for N in (1, 2, 1 << 12):
             means = np.concatenate([[0.0, 0.5, 1.0], np.arange(N + 1) / N])
             for ps in [[p] for p in levels] + [levels]:
@@ -78,18 +80,22 @@ class TestErrorAtLevel:
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts on both sides of one block of the first pass, and across
-        # several; the reference is the full sort of every mean in one block.
-        # Level 1, and M <= 3 at every level, take the full sort block by block
+        # several, all prefixes of one draw; the reference is the full sort of
+        # every mean in one block.  The pair pass takes 4 cells per mean, the
+        # walk 2 per step; above 8/pi^2, and at M <= 3 at every level, the
+        # walk takes every mean
         rng = np.random.default_rng(budget + M)
-        for p in (0.51, EIGHT_OVER_PI_SQ, 0.99, 1.0):
-            block = max(1, budget // bounds._first_pass_cells(M, p))
-            for count in (block - 1, block, block + 1, 3 * block + 7):
-                means = np.concatenate([[0.0, 0.5, 1.0], rng.random(count)])[:count]
-                monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
-                want = bounds._full_level_errors(means, M, [p]).view(np.int64)
-                monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
-                got = level_errors(means, M, [p]).view(np.int64)
-                assert np.array_equal(got, want), (p, count)
+        for p in (0.51, EIGHT_OVER_PI_SQ, *WALK_LEVELS):
+            pair_pass = p <= EIGHT_OVER_PI_SQ and M >= 4
+            block = max(1, budget // (4 if pair_pass else 2))
+            counts = (block - 1, block, block + 1, 3 * block + 7)
+            means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
+            monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
+            want = bounds._full_level_errors(means, M, [p]).view(np.int64)
+            monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
+            for count in counts:
+                got = level_errors(means[:count], M, [p]).view(np.int64)
+                assert np.array_equal(got, want[:, :count]), (p, count)
 
     @staticmethod
     def _pair_edge_means(M):
@@ -107,9 +113,11 @@ class TestErrorAtLevel:
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
     def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
-        # the reference is the full sort of every mean in one block
+        # the reference is the full sort of every mean in one block; the walk
+        # levels run the same means through the walk alone
         means = self._pair_edge_means(M)
-        for ps in [[p] for p in PAIR_LEVELS] + [PAIR_LEVELS]:
+        levels = PAIR_LEVELS + WALK_LEVELS
+        for ps in [[p] for p in levels] + [PAIR_LEVELS, levels]:
             monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
             want = bounds._full_level_errors(means, M, ps).view(np.int64)
             monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
@@ -117,103 +125,98 @@ class TestErrorAtLevel:
             assert np.array_equal(got, want), ps
 
     @pytest.mark.parametrize("M", [10, 22, 38])
-    def test_pair_pass_defers_distance_ties(self, width_log, M):
+    def test_pair_pass_defers_distance_ties(self, pass_log, M):
         # at a = 1/2, M = 2 mod 4, sigma = M/4 lies halfway between two values
         # whose distances from 1/2 tie exactly at these M; the full sort then
         # interleaves their outcomes by j, so the pair pass leaves the row to
-        # the window at W = 2
-        passes, full_rows = width_log
+        # the walk, which adds the four outcomes in that order
+        passes, full = pass_log
         v = output_grid(M)[: M // 2 + 1]
         lo = (M - 2) // 4
         assert 0.5 - v[lo] == v[lo + 1] - 0.5
         means = self._pair_edge_means(M)
         got = level_errors(means, M, PAIR_LEVELS)
-        (pair, rows1, kept1), (w2, rows2, _) = passes
-        assert (pair, rows1, w2, rows2) == ("pair", means.size, 2, rows1 - kept1)
-        assert full_rows == []
+        (pair, rows, left), walk = passes
+        assert (pair, rows, walk) == ("pair", means.size, ("walk", left))
         out = np.empty((len(PAIR_LEVELS), means.size))
         assert 1 in bounds._pair_level_errors(means, v, M, PAIR_LEVELS, out)  # a = 1/2
-        want = bounds._full_level_errors(means, M, PAIR_LEVELS)
+        want = full(means, M, PAIR_LEVELS)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, monkeypatch):
-        # the pair pass takes the near value's two outcomes (4 kernel cells)
-        # of every mean and the far value's only where the near pair falls
-        # short of the highest level: 6.03 cells per mean here, where the
-        # W = 1 window took 8.03 and the full sort 128
+    @pytest.fixture
+    def kernel_cells(self, monkeypatch):
+        """The sizes of every squared-kernel evaluation, in call order."""
         cells = []
         kernel = closedform.dirichlet_kernel_sq
         monkeypatch.setattr(closedform, "dirichlet_kernel_sq",
                             lambda d, M: cells.append(np.size(d)) or kernel(d, M))
+        return cells
+
+    def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
+        # the pair pass takes the near value's two outcomes (4 kernel cells)
+        # of every mean and the far value's only where the near pair falls
+        # short of the highest level, and the walk takes the few rows it
+        # leaves: 6.02 cells per mean here, where the full sort takes 128
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(cells) == 197620
+        assert sum(kernel_cells) == 197316
+
+    def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
+        # the walk takes one value's two outcomes (4 kernel cells) per step
+        # and stops each mean at the highest level: 76.7 cells per mean here,
+        # where the full sort takes 472
+        N = 1 << 12
+        level_errors(np.arange(N + 1) / N, 236, [0.99])
+        assert sum(kernel_cells) == 314060
 
     @pytest.fixture
-    def width_log(self, monkeypatch):
-        """Record ("pair", rows in, rows accepted) per pair pass, (W, rows in,
-        rows accepted) per window pass and the rows of each full sort, in call
-        order."""
-        passes, full_rows = [], []
-        pair = bounds._pair_level_errors
-        window, full = bounds._window_level_errors, bounds._full_level_errors
+    def pass_log(self, monkeypatch):
+        """Record ("pair", rows in, rows left) per pair pass and ("walk",
+        rows) per walk, in call order, and make the full sort fail when
+        level_errors runs it; returns the log and the unpatched full sort."""
+        passes = []
+        pair, walk = bounds._pair_level_errors, bounds._walk_level_errors
+        full = bounds._full_level_errors
 
         def counted_pair(means, values, M, ps, out):
-            pending = pair(means, values, M, ps, out)
-            passes.append(("pair", means.size, means.size - pending.size))
-            return pending
+            left = pair(means, values, M, ps, out)
+            passes.append(("pair", means.size, left.size))
+            return left
 
-        def counted_window(means, values, M, ps, half):
-            errs, accepted = window(means, values, M, ps, half)
-            passes.append((half, means.size, int(accepted.sum())))
-            return errs, accepted
+        def counted_walk(means, rows, values, M, ps, out):
+            passes.append(("walk", rows.size))
+            walk(means, rows, values, M, ps, out)
 
-        def counted_full(means, M, ps):
-            full_rows.append(means.size)
-            return full(means, M, ps)
+        def no_full_sort(means, M, ps):
+            raise AssertionError("level_errors ran the full sort")
 
         monkeypatch.setattr(bounds, "_pair_level_errors", counted_pair)
-        monkeypatch.setattr(bounds, "_window_level_errors", counted_window)
-        monkeypatch.setattr(bounds, "_full_level_errors", counted_full)
-        return passes, full_rows
+        monkeypatch.setattr(bounds, "_walk_level_errors", counted_walk)
+        monkeypatch.setattr(bounds, "_full_level_errors", no_full_sort)
+        return passes, full
 
-    def test_rejected_rows_are_retried_at_twice_the_width(self, width_log):
-        # at p = 0.99 some means need values beyond the first window; they
-        # alone are retried, and the doubled window takes them all
-        passes, full_rows = width_log
-        means = np.arange((1 << 12) + 1) / (1 << 12)
-        level_errors(means, 236, [0.99])
-        (w1, rows1, kept1), (w2, rows2, kept2) = passes
-        assert rows1 == means.size and 0 < kept1 < rows1
-        assert (w2, rows2, kept2) == (2 * w1, rows1 - kept1, rows1 - kept1)
-        assert full_rows == []
-
-    def test_narrowest_window_up_to_eight_over_pi_sq(self, width_log):
-        # the pair pass, one value per side, runs over every mean at 8/pi^2
-        # and decides most; the window at W = 2 takes exactly the rest, and
-        # decides them all
-        passes, full_rows = width_log
+    def test_walk_takes_what_the_pair_pass_leaves_and_no_full_sort_runs(self, pass_log):
+        # at 8/pi^2 the pair pass runs over every mean and decides most, and
+        # the walk takes exactly the rest; above 8/pi^2, and at M <= 3 at
+        # every level, the walk takes every mean; the full sort never runs
+        passes, _ = pass_log
         means = np.arange((1 << 15) + 1) / (1 << 15)
         level_errors(means, 16, [EIGHT_OVER_PI_SQ])
-        (pair, rows1, kept1), (w2, rows2, kept2) = passes
-        assert (pair, rows1, w2) == ("pair", means.size, 2)
-        assert 0 < rows2 == kept2 == rows1 - kept1
-        assert full_rows == []
-
-    def test_full_sort_when_no_window_fits(self, width_log):
-        # M = 3 has two values, too few for a window on each side; level 1
-        # needs every value
-        passes, full_rows = width_log
-        means = np.arange(65) / 64
-        level_errors(means, 3, [0.75])
-        level_errors(means, 16, [0.6, 1.0])
-        assert passes == [] and full_rows == [means.size, means.size]
+        (pair, rows, left), walk = passes
+        assert (pair, rows) == ("pair", means.size) and 0 < left < rows
+        assert walk == ("walk", left)
+        means = means[::64]
+        for M, ps in ((236, [0.9]), (236, [0.6, 0.99]), (16, [1.0]), (4096, [1.0]),
+                      (3, [0.75]), (2, [0.51]), (1, [EIGHT_OVER_PI_SQ])):
+            passes.clear()
+            level_errors(means, M, ps)
+            assert passes == [("walk", means.size)], (M, ps)
 
     def test_randomized_window_full_sort_and_subset_oracle(self):
-        # seeded three-way differential: window against full sort bit for bit
-        # at M <= 256, and against the exhaustive subset minimum at M <= 10,
-        # on random means (some with sigma within 1e-10..1e-3 of an integer)
-        # and level sets on both sides of 8/pi^2
+        # seeded three-way differential: level_errors against the full sort
+        # bit for bit at M <= 256, and against the exhaustive subset minimum
+        # at M <= 10, on random means (some with sigma within 1e-10..1e-3 of
+        # an integer) and level sets on both sides of 8/pi^2
         rng = np.random.default_rng(20031)
         Ms = [*range(1, 11), *rng.integers(11, 257, size=20).tolist(), 256]
         for M in Ms:
@@ -229,11 +232,11 @@ class TestErrorAtLevel:
                 sorted(rng.uniform(0.05, 1.0, size=4).tolist()) + [1.0],
             ]
             for ps in level_sets:
-                window = level_errors(means, M, ps)
+                got = level_errors(means, M, ps)
                 full = bounds._full_level_errors(means, M, ps)
-                assert np.array_equal(window.view(np.int64), full.view(np.int64)), (M, ps)
+                assert np.array_equal(got.view(np.int64), full.view(np.int64)), (M, ps)
                 if M <= 10:
-                    for a, errs in zip(means[::16], window[:, ::16].T):
+                    for a, errs in zip(means[::16], got[:, ::16].T):
                         oracle = brute_force_errors_at_levels(float(a), M, ps)
                         assert np.abs(errs - oracle).max() <= 1e-12, (M, a, ps)
 
@@ -247,14 +250,36 @@ class TestErrorAtLevel:
     def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
             self, monkeypatch):
         # with half the mass no level above 1/2 is reached, so each mean takes
-        # its farthest outcome: abar = 1 from 0.3, abar = 0 from 0.7
-        full_mass = bounds.outcome_probabilities
+        # its farthest outcome: abar = 1 from 0.3, abar = 0 from 0.7; the
+        # walk takes it once its values run out
+        full_mass, mass_at = bounds.outcome_probabilities, bounds.outcome_probabilities_at
         monkeypatch.setattr(bounds, "outcome_probabilities",
                             lambda sigma, M: 0.5 * full_mass(sigma, M))
+        monkeypatch.setattr(bounds, "outcome_probabilities_at",
+                            lambda sigma, j, M: 0.5 * mass_at(sigma, j, M))
         means = np.array([0.3, 0.7])
         expected = [[0.7, 0.7]]
         assert bounds._full_level_errors(means, 8, [0.9]).tolist() == expected
-        assert level_errors(means, 8, [1.0]).tolist() == expected
+        for p in (0.6, 0.9, 1.0):
+            assert level_errors(means, 8, [p]).tolist() == expected
+
+    def test_mass_exactly_at_a_level_is_reached_there(self, monkeypatch):
+        # mass 1/8 on each outcome of M = 8 makes every running mass exact,
+        # and p = k/8 + LEVEL_SLACK puts the threshold on one of them: the
+        # level takes the distance at which the mass reaches it, not the next
+        def uniform(sigma, j, M):
+            return np.full(np.broadcast_shapes(np.shape(j), (np.size(sigma), 1)), 1.0 / M)
+
+        monkeypatch.setattr(bounds, "outcome_probabilities_at", uniform)
+        monkeypatch.setattr(bounds, "outcome_probabilities",
+                            lambda sigma, M: uniform(sigma, np.arange(M), M))
+        means = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(8).random(40)])
+        exact = [k / 8 + bounds.LEVEL_SLACK for k in (4, 5, 6)]
+        assert [p - bounds.LEVEL_SLACK for p in exact] == [0.5, 0.625, 0.75]
+        for ps in (exact, exact + [1.0]):
+            want = bounds._full_level_errors(means, 8, ps)
+            got = level_errors(means, 8, ps)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), ps
 
     def test_crossings_on_cells_major_arrays(self):
         # (cells, rows) arrays of two means: the first has a distance tie at
@@ -263,23 +288,8 @@ class TestErrorAtLevel:
         # distance, 0.6
         dists = np.array([[0.3, 0.2], [0.1, 0.2], [0.1, 0.4], [0.5, 0.6]])
         probs = np.array([[0.4, 0.1], [0.2, 0.1], [0.3, 0.1], [0.1, 0.1]])
-        errors, reached = bounds._crossings(dists, probs, [0.15, 0.5, 0.95])
+        errors = bounds._crossings(dists, probs, [0.15, 0.5, 0.95])
         assert errors.tolist() == [[0.1, 0.2], [0.1, 0.6], [0.5, 0.6]]
-        assert reached.tolist() == [[True, True], [True, False], [True, False]]
-
-    def test_crossings_accumulate_alike_over_many_and_few_rows(self):
-        # over _ROW_ADDS_MIN_ROWS rows or more the running mass is row adds,
-        # over fewer np.cumsum; columns split into narrow blocks keep every bit
-        rng = np.random.default_rng(11)
-        rows = bounds._ROW_ADDS_MIN_ROWS + 44
-        dists = rng.integers(0, 6, (12, rows)) / 5.0     # many distance ties
-        probs = rng.dirichlet(np.ones(12), rows).T
-        ps = [0.3, 0.75, EIGHT_OVER_PI_SQ, 1.0]
-        errors, reached = bounds._crossings(dists, probs, ps)
-        for cols in (slice(0, 100), slice(100, 200), slice(200, rows)):
-            part_errors, part_reached = bounds._crossings(dists[:, cols], probs[:, cols], ps)
-            assert np.array_equal(part_errors.view(np.int64), errors[:, cols].view(np.int64))
-            assert np.array_equal(part_reached, reached[:, cols])
 
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;

@@ -250,19 +250,20 @@ class TestError:
          "M=2000000 is above the limit of 1048576 outcomes"),
         (["curve", "--setting", "worst", "--n", "25", "--m", "8", "--p-values", "0.6,0.75"],
          "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
-        # within the mean limit, but the full sort of 4096 outcomes per mean
-        # would take about 2 h
+        # within the mean limit, but all 4096 outcomes of every mean, which
+        # level 1 needs, would take hours
         (["error", "--setting", "worst", "--m", "4096", "--n", "24", "--p", "1"],
          "a sweep at n=24, M=4096 and p=1 needs (2^24+1) x 4096 outcome cells; "
          "the limit is 2^28 cells"),
-        # the highest level sets the first pass's cells for every level: at
-        # 0.99 and M = 64 the window would outgrow the 33 values, so M cells
+        # the highest level sets the cells per mean for every level: at 0.99
+        # and M = 64, 4W cells for W values per side would outgrow the 33
+        # values, so all M cells
         (["curve", "--setting", "avg", "--n", "24", "--m", "64", "--p-values", "0.6,0.99"],
          "a sweep at n=24, M=64 and p=0.99 needs (2^24+1) x 64 outcome cells; "
          "the limit is 2^28 cells"),
         # each M of an M sweep is one sweep: at 0.9 (W = 4 values per side)
-        # M = 8 takes the full sort, 8 cells per mean, within the limit, and
-        # M = 64 a window of 16 cells per mean, above it
+        # M = 8 has only 5 values, so all 8 cells per mean, within the limit,
+        # and M = 64 16 cells per mean, above it
         (["curve", "--setting", "worst", "--n", "24", "--p", "0.9", "--m-values", "8,64"],
          "a sweep at n=24, M=64 and p=0.9 needs (2^24+1) x 16 outcome cells; "
          "the limit is 2^28 cells"),
@@ -289,8 +290,8 @@ class TestError:
     @pytest.mark.parametrize("p", ["0.51", "0.75", "8/pi2"])
     def test_sweeps_up_to_eight_over_pi_sq_fit_the_cell_limit(self, capsys, monkeypatch,
                                                                 M, p):
-        # N = 2^24 at every M <= 2^20: the first pass takes at most 4 cells
-        # per mean up to 8/pi^2; the sweep itself is replaced
+        # N = 2^24 at every M <= 2^20: the estimate is at most 4 cells per
+        # mean up to 8/pi^2; the sweep itself is replaced
         asked = []
         monkeypatch.setattr(cli, "worst_probabilistic_errors", lambda M, N, ps: asked.append(
             (M, N)) or [bounds._record(bounds.Setting.WORST_PROBABILISTIC, None, M, N, p, 0.0)
