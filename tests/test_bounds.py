@@ -195,22 +195,38 @@ class TestErrorAtLevel:
         monkeypatch.setattr(bounds, "_full_level_errors", no_full_sort)
         return passes, full
 
-    def test_walk_takes_what_the_pair_pass_leaves_and_no_full_sort_runs(self, pass_log):
-        # at 8/pi^2 the pair pass runs over every mean and decides most, and
-        # the walk takes exactly the rest; above 8/pi^2, and at M <= 3 at
-        # every level, the walk takes every mean; the full sort never runs
+    def test_narrowest_window_up_to_eight_over_pi_sq(self, pass_log):
+        # the pair pass, one value per side, runs over every mean at 8/pi^2
+        # and decides most; the walk takes exactly the rest, and the full
+        # sort never runs
         passes, _ = pass_log
         means = np.arange((1 << 15) + 1) / (1 << 15)
         level_errors(means, 16, [EIGHT_OVER_PI_SQ])
         (pair, rows, left), walk = passes
         assert (pair, rows) == ("pair", means.size) and 0 < left < rows
         assert walk == ("walk", left)
-        means = means[::64]
-        for M, ps in ((236, [0.9]), (236, [0.6, 0.99]), (16, [1.0]), (4096, [1.0]),
-                      (3, [0.75]), (2, [0.51]), (1, [EIGHT_OVER_PI_SQ])):
+
+    def test_full_sort_when_no_window_fits(self, pass_log):
+        # M <= 3 has too few values for a pair on each side, and level 1
+        # needs every value: no pair pass fits, so the walk takes every mean
+        # where the full sort would, and the full sort never runs
+        passes, _ = pass_log
+        means = np.arange(513) / 512
+        for M, ps in ((3, [0.75]), (2, [0.51]), (1, [EIGHT_OVER_PI_SQ]),
+                      (16, [0.6, 1.0]), (4096, [1.0])):
             passes.clear()
             level_errors(means, M, ps)
             assert passes == [("walk", means.size)], (M, ps)
+
+    def test_walk_takes_every_mean_above_eight_over_pi_sq(self, pass_log):
+        # above 8/pi^2 the pair pass decides nothing, so the walk takes every
+        # mean and the full sort never runs
+        passes, _ = pass_log
+        means = np.arange(513) / 512
+        for ps in ([0.9], [0.6, 0.99]):
+            passes.clear()
+            level_errors(means, 236, ps)
+            assert passes == [("walk", means.size)], ps
 
     def test_randomized_window_full_sort_and_subset_oracle(self):
         # seeded three-way differential: level_errors against the full sort
