@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "LEVEL_SLACK",
     "Setting",
     "ErrorRecord",
-    "error_at_level",
     "level_errors",
     "worst_probabilistic_error",
     "worst_probabilistic_errors",
@@ -56,9 +54,9 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 LEVEL_SLACK = 1e-12
 
 # Outcome cells per block of rows in a level-error pass: 4 per mean in the pair
-# pass, 2 (one value's twin outcomes) in each step of the walk, M in the full
-# sort.  A block's work arrays, a few per cell, then stay in a core's L2
-# cache.  Rows are independent, so blocks change no bit.
+# pass, 2 (one value's twin outcomes) in each step of the walk.  A block's
+# work arrays, a few per cell, then stay in a core's L2 cache.  Rows are
+# independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
 
 # Cells per chunk when sweeping all means k/N: a chunk is _CHUNK_CELLS // M
@@ -148,14 +146,15 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     two values bracketing sigma, v_lo and v_lo+1 (lo = floor(sigma), clipped
     to 0..M//2-1), in the order one comparison of their distances gives, the
     far value's law evaluated only in rows where the near value falls short
-    of the highest level.  A row is decided when every level is reached at a
-    distance strictly below d_out, the distance of the nearest value outside
-    the pair, and the two distances differ.  The walk, `_walk_level_errors`,
-    takes the rows the pair pass leaves, and every row above 8/pi^2 or at
-    M < 4; a row leaves it once its mass reaches the highest level or its
-    values run out.
+    of the highest level (`_pair_block`).  A row is decided when every level
+    is reached at a distance strictly below d_out, the distance of the
+    nearest value outside the pair, and the two distances differ.  The walk
+    (`_walk_block`) takes the rows the pair pass leaves, and every row above
+    8/pi^2 or at M < 4; a row leaves it once its mass reaches the highest
+    level or its values run out.
 
-    Both passes go over their rows in blocks of at most _BLOCK_CELLS cells,
+    Both passes read one set of value edges, level thresholds and sigma
+    values, and go over their rows in blocks of at most _BLOCK_CELLS cells,
     so their work arrays stay in cache however many means they are given.
     """
     if M < 1:
@@ -166,12 +165,25 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):
         raise ValueError("means must lie in [0, 1]")
     values = output_grid(M)[: M // 2 + 1]
+    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
+    # sigma lives through both passes; built in place, it adds no temporary
+    # of the means' size to the call's peak heap
+    sigma = np.sqrt(means)
+    np.arcsin(sigma, out=sigma)
+    sigma *= M / math.pi
     out = np.empty((len(ps), means.size))
     if max(ps, default=0.0) <= EIGHT_OVER_PI_SQ and M >= 4:
-        rows = _pair_level_errors(means, values, M, ps, out)
+        accepted = np.empty(means.size, dtype=bool)
+        for block in _row_blocks(means.size, 4):
+            accepted[block] = _pair_block(
+                means[block], sigma[block], edges, M, thresholds, out[:, block])
+        rows = np.flatnonzero(~accepted)
     else:
         rows = np.arange(means.size)
-    _walk_level_errors(means, rows, values, M, ps, out)
+    for block in _row_blocks(rows.size, 2):
+        cols = rows[block]
+        _walk_block(means[cols], sigma[cols], cols, edges, M, thresholds, out)
     return out
 
 
@@ -180,25 +192,19 @@ def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.
     accumulate mass, and the error at p is the distance of the first cell
     whose running mass reaches p - LEVEL_SLACK.
 
-    `dists` and `probs` are cells-major, shape (cells, rows).  The running mass
-    never decreases, so the first such cell is the count of cells below
+    `dists` and `probs` have shape (rows, cells).  The running mass never
+    decreases, so the first such cell is the count of cells below
     p - LEVEL_SLACK; where no cell reaches the level that count is clipped to
     the last cell, the farthest distance.  Returns the errors, shape
-    (len(ps), rows).  Sorted cells are read by flat index into the (cells,
-    rows) arrays, sorted position times rows plus the column.
+    (len(ps), rows).
     """
-    cells, rows = dists.shape
-    columns = np.arange(rows)
-    order = np.argsort(dists, axis=0, kind="stable")
-    order *= rows
-    order += columns
-    cum = np.cumsum(np.take(probs, order), axis=0)
+    order = np.argsort(dists, axis=1, kind="stable")
+    sorted_dists = np.take_along_axis(dists, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
     thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1, 1) - LEVEL_SLACK
-    idx = np.count_nonzero(cum < thresholds, axis=1)
-    np.minimum(idx, cells - 1, out=idx)
-    idx *= rows
-    idx += columns
-    return np.take(dists, np.take(order, idx))
+    idx = np.count_nonzero(cum < thresholds, axis=2)
+    np.minimum(idx, dists.shape[1] - 1, out=idx)
+    return np.take_along_axis(sorted_dists, idx.T, axis=1).T
 
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
@@ -208,43 +214,30 @@ def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _pair_level_errors(
-    means: np.ndarray, values: np.ndarray, M: int, ps: Sequence[float], out: np.ndarray
-) -> np.ndarray:
-    """Level errors from the two values bracketing sigma, written into `out`
-    (see `level_errors`); returns the rows this pass leaves undecided, whose
-    columns of `out` hold no result yet.  One pass over all rows, block by
-    block."""
-    edges = np.concatenate([[-np.inf], values, [np.inf]])
-    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
-    accepted = np.empty(means.size, dtype=bool)
-    for rows in _row_blocks(means.size, 4):
-        accepted[rows] = _pair_block(means[rows], edges, M, thresholds, out[:, rows])
-    return np.flatnonzero(~accepted)
-
-
 def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
     """Probabilities of outcomes j = i and j = M - i, shape (2, len(i)); a
     missing twin (i = 0, or i = M/2 at even M) has mass +0.0."""
     j = np.empty((2, i.size))
     j[0] = i
     np.subtract(M, i, out=j[1])
-    probs = outcome_probabilities_at(sigma, j.T, M).T
+    probs = outcome_probabilities_at(sigma, j, M)
     probs[1, (i == 0) | (2 * i == M)] = 0.0
     return probs
 
 
 def _pair_block(
-    means: np.ndarray, edges: np.ndarray, M: int, thresholds: np.ndarray, out: np.ndarray
+    means: np.ndarray, sigma: np.ndarray, edges: np.ndarray, M: int,
+    thresholds: np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
-    """`_pair_level_errors` on one block of rows; returns the accepted mask.
+    """The pair pass of `level_errors` on one block of rows, written into
+    `out`; returns the mask of the rows it decides, whose columns of `out`
+    then hold their errors.
 
     The running mass adds the near value's twins, then, in the rows where it
     falls short of the highest level, the far value's: the (distance, j)
     order wherever the two distances differ.
     """
     values = edges[1:-1]
-    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     lo = np.clip(np.floor(sigma).astype(np.int64), 0, values.size - 2)
     d_lo = np.abs(values[lo] - means)
     d_hi = np.abs(values[lo + 1] - means)
@@ -267,24 +260,12 @@ def _pair_block(
     return (mass >= highest) & (widest < d_out) & (d_lo != d_hi)
 
 
-def _walk_level_errors(
-    means: np.ndarray, rows: np.ndarray, values: np.ndarray, M: int,
-    ps: Sequence[float], out: np.ndarray,
-) -> None:
-    """Level errors of means[rows] by the outward walk of `level_errors`,
-    written into columns `rows` of `out`; block by block."""
-    edges = np.concatenate([[-np.inf], values, [np.inf]])
-    thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
-    for block in _row_blocks(rows.size, 2):
-        _walk_block(means[rows[block]], rows[block], edges, M, thresholds, out)
-
-
 def _walk_block(
-    means: np.ndarray, cols: np.ndarray, edges: np.ndarray, M: int,
-    thresholds: np.ndarray, out: np.ndarray,
+    means: np.ndarray, sigma: np.ndarray, cols: np.ndarray, edges: np.ndarray,
+    M: int, thresholds: np.ndarray, out: np.ndarray,
 ) -> None:
-    """`_walk_level_errors` on one block of rows, whose columns of `out` are
-    `cols`.
+    """The outward walk of `level_errors` on one block of rows, whose columns
+    of `out` are `cols`.
 
     edges[lo] is the nearest value at or below a not yet taken and edges[hi]
     the nearest above it; the edges -inf and inf stand for a side whose
@@ -292,7 +273,6 @@ def _walk_block(
     has not reached yet to the step's distance, so a level keeps the distance
     of the step that reaches it, or the last step's.
     """
-    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     hi = np.searchsorted(edges, means, side="right")
     lo = hi - 1
     d_lo = means - edges[lo]
@@ -326,21 +306,11 @@ def _walk_block(
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
-    """The level errors of `level_errors` from the full sort of all M outcomes,
-    block by block; the tests' oracle for the pair pass and the walk."""
-    grid = output_grid(M)[:, None]
-    errors = np.empty((len(ps), means.size))
-    for rows in _row_blocks(means.size, M):
-        block = means[rows]
-        sigma = (M / math.pi) * np.arcsin(np.sqrt(block))
-        probs = outcome_probabilities(sigma, M).T
-        errors[:, rows] = _crossings(np.abs(grid - block), probs, ps)
-    return errors
-
-
-def error_at_level(a: Fraction | float, M: int, p: float) -> float:
-    """Smallest alpha with total outcome mass >= p inside |abar(j) - a| <= alpha."""
-    return float(level_errors([float(a)], M, [p])[0, 0])
+    """The level errors of `level_errors` from one stable sort of all M
+    outcomes per mean; the tests' oracle for the pair pass and the walk."""
+    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
+    dists = np.abs(output_grid(M) - means[:, None])
+    return _crossings(dists, outcome_probabilities(sigma, M), ps)
 
 
 def _sweep_all_means(M: int, N: int, ps: Sequence[float]):
@@ -348,15 +318,16 @@ def _sweep_all_means(M: int, N: int, ps: Sequence[float]):
     chunk = max(1024, _CHUNK_CELLS // max(M, 1))
     for lo in range(0, N + 1, chunk):
         hi = min(lo + chunk, N + 1)
-        ks = np.arange(lo, hi, dtype=np.float64)
-        yield slice(lo, hi), level_errors(ks / N, M, ps)
+        means = np.arange(lo, hi, dtype=np.float64)
+        means /= N  # in place: a chunk holds one array of means besides sigma
+        yield slice(lo, hi), level_errors(means, M, ps)
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
     """Worst-case records for several levels in one sweep over the mean grid.
 
-    The outcome sort per mean is shared across levels, so this costs the same
-    as a single-level sweep.
+    One `level_errors` call per chunk of means answers every level, so the
+    sweep costs about what its highest level costs alone.
     """
     for p in ps:
         _validate_p(p)

@@ -111,21 +111,16 @@ def _snap(sigma: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
-    """Probabilities of outcomes j for one or many sigma values.
-
-    `j` broadcasts against a column of the sigma values: a 1-D array asks
-    every sigma for the same outcomes, a (len(sigma), K) array gives each
-    sigma its own.  Each cell is computed on its own, so a cell's value does
-    not depend on which other outcomes are asked for, nor on the layout: a
-    transposed, cells-major j (F-ordered) gives an F-ordered result.
+    """Probabilities of outcomes j at sigma, where sigma and j broadcast
+    against each other: a column of sigma values against a row of outcomes
+    asks every sigma for the same outcomes, a (2, K) j against a row of K
+    sigma values gives each sigma two of its own; one sigma and one outcome
+    give shape (1,).  Each cell is computed on its own, so a cell's value does
+    not depend on which other outcomes are asked for.
     """
-    s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))[:, None]
+    s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))
     j = np.asarray(j, dtype=np.float64)
-    rows, K = np.broadcast_shapes(j.shape, s.shape)
-    if j.flags.f_contiguous and not j.flags.c_contiguous:
-        cells = np.empty((2, K, rows)).transpose(0, 2, 1)
-    else:
-        cells = np.empty((2, rows, K))
+    cells = np.empty((2, *np.broadcast_shapes(j.shape, s.shape)))
     np.subtract(j, s, out=cells[0])
     np.add(j, s, out=cells[1])
     kernel = dirichlet_kernel_sq(cells, M)
@@ -135,7 +130,7 @@ def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
 
 def outcome_probabilities(sigma, M: int) -> np.ndarray:
     """Outcome laws for one or many sigma values; shape (len(sigma), M)."""
-    return outcome_probabilities_at(sigma, np.arange(M), M)
+    return outcome_probabilities_at(np.reshape(sigma, (-1, 1)), np.arange(M), M)
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .bounds import (
     LEVEL_SLACK,
     avg_probabilistic_error,
     avg_probabilistic_errors,
-    error_at_level,
     g_func,
     h_func,
     level_errors,
@@ -360,11 +359,10 @@ def _suite_bounds() -> list[CheckResult]:
     gap = 0.0
     subset_levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
     for M in range(1, 11):
+        greedy = level_errors(np.arange(17) / 16, M, subset_levels)
         for k in range(17):
-            a = Fraction(k, 16)
-            brute = brute_force_errors_at_levels(a, M, subset_levels)
-            for p, oracle in zip(subset_levels, brute):
-                gap = max(gap, abs(error_at_level(a, M, p) - oracle))
+            brute = brute_force_errors_at_levels(Fraction(k, 16), M, subset_levels)
+            gap = max(gap, float(np.abs(greedy[:, k] - brute).max()))
     _check(out, suite, "greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
 

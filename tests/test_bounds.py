@@ -15,7 +15,6 @@ from qsum.bounds import (
     avg_probabilistic_error,
     avg_probabilistic_errors,
     c_bound,
-    error_at_level,
     g_func,
     h_func,
     level_errors,
@@ -37,13 +36,13 @@ WALK_LEVELS = [0.9, 0.99, 1.0]
 
 class TestErrorAtLevel:
     def test_point_mass_gives_zero(self):
-        assert error_at_level(Fraction(0), 8, 0.8) == 0.0
+        assert level_errors([Fraction(0)], 8, [0.8])[0, 0] == 0.0
 
     def test_exact_case_gives_zero(self):
-        assert error_at_level(Fraction(1, 2), 4, 0.75) == 0.0
+        assert level_errors([Fraction(1, 2)], 4, [0.75])[0, 0] == 0.0
 
     def test_bounded_by_improved_constant(self):
-        val = error_at_level(Fraction(17, 64), 8, EIGHT_OVER_PI_SQ)
+        val = level_errors([Fraction(17, 64)], 8, [EIGHT_OVER_PI_SQ])[0, 0]
         assert val <= 3 * math.pi / 32
         assert [val] == brute_force_errors_at_levels(Fraction(17, 64), 8, [EIGHT_OVER_PI_SQ])
 
@@ -54,9 +53,9 @@ class TestErrorAtLevel:
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            error_at_level(Fraction(1, 2), 4, 0.0)
+            level_errors([Fraction(1, 2)], 4, [0.0])
         with pytest.raises(ValueError):
-            error_at_level(Fraction(1, 2), 4, 1.5)
+            level_errors([Fraction(1, 2)], 4, [1.5])
 
     @pytest.mark.parametrize("M", range(1, 9))
     @pytest.mark.parametrize("p", [0.51, 0.75, EIGHT_OVER_PI_SQ])
@@ -64,7 +63,7 @@ class TestErrorAtLevel:
         for k in range(17):
             a = Fraction(k, 16)
             (oracle,) = brute_force_errors_at_levels(a, M, [p])
-            assert abs(error_at_level(a, M, p) - oracle) <= 1e-12
+            assert abs(level_errors([a], M, [p])[0, 0] - oracle) <= 1e-12
 
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
@@ -81,18 +80,17 @@ class TestErrorAtLevel:
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts on both sides of one block of the first pass, and across
         # several, all prefixes of one draw; the reference is the full sort of
-        # every mean in one block.  The pair pass takes 4 cells per mean, the
-        # walk 2 per step; above 8/pi^2, and at M <= 3 at every level, the
-        # walk takes every mean
+        # every mean.  The pair pass takes 4 cells per mean, the walk 2 per
+        # step; above 8/pi^2, and at M <= 3 at every level, the walk takes
+        # every mean
         rng = np.random.default_rng(budget + M)
+        monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         for p in (0.51, EIGHT_OVER_PI_SQ, *WALK_LEVELS):
             pair_pass = p <= EIGHT_OVER_PI_SQ and M >= 4
             block = max(1, budget // (4 if pair_pass else 2))
             counts = (block - 1, block, block + 1, 3 * block + 7)
             means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
-            monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
             want = bounds._full_level_errors(means, M, [p]).view(np.int64)
-            monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
             for count in counts:
                 got = level_errors(means[:count], M, [p]).view(np.int64)
                 assert np.array_equal(got, want[:, :count]), (p, count)
@@ -113,14 +111,13 @@ class TestErrorAtLevel:
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
     def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
-        # the reference is the full sort of every mean in one block; the walk
-        # levels run the same means through the walk alone
+        # the reference is the full sort of every mean; the walk levels run
+        # the same means through the walk alone
         means = self._pair_edge_means(M)
         levels = PAIR_LEVELS + WALK_LEVELS
+        monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         for ps in [[p] for p in levels] + [PAIR_LEVELS, levels]:
-            monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1 << 62)
             want = bounds._full_level_errors(means, M, ps).view(np.int64)
-            monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
             got = level_errors(means, M, ps).view(np.int64)
             assert np.array_equal(got, want), ps
 
@@ -138,8 +135,12 @@ class TestErrorAtLevel:
         got = level_errors(means, M, PAIR_LEVELS)
         (pair, rows, left), walk = passes
         assert (pair, rows, walk) == ("pair", means.size, ("walk", left))
+        sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
+        edges = np.concatenate([[-np.inf], v, [np.inf]])
+        thresholds = np.reshape(PAIR_LEVELS, (-1, 1)) - bounds.LEVEL_SLACK
         out = np.empty((len(PAIR_LEVELS), means.size))
-        assert 1 in bounds._pair_level_errors(means, v, M, PAIR_LEVELS, out)  # a = 1/2
+        accepted = bounds._pair_block(means, sigma, edges, M, thresholds, out)
+        assert not accepted[1]  # a = 1/2
         want = full(means, M, PAIR_LEVELS)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -172,26 +173,32 @@ class TestErrorAtLevel:
     @pytest.fixture
     def pass_log(self, monkeypatch):
         """Record ("pair", rows in, rows left) per pair pass and ("walk",
-        rows) per walk, in call order, and make the full sort fail when
-        level_errors runs it; returns the log and the unpatched full sort."""
+        rows) per walk, in call order, summed over each pass's blocks, and
+        make the full sort fail when level_errors runs it; returns the log
+        and the unpatched full sort."""
         passes = []
-        pair, walk = bounds._pair_level_errors, bounds._walk_level_errors
+        pair, walk = bounds._pair_block, bounds._walk_block
         full = bounds._full_level_errors
 
-        def counted_pair(means, values, M, ps, out):
-            left = pair(means, values, M, ps, out)
-            passes.append(("pair", means.size, left.size))
-            return left
+        def log(name, *rows):
+            if passes and passes[-1][0] == name:
+                rows = tuple(map(sum, zip(passes.pop()[1:], rows)))
+            passes.append((name, *rows))
 
-        def counted_walk(means, rows, values, M, ps, out):
-            passes.append(("walk", rows.size))
-            walk(means, rows, values, M, ps, out)
+        def counted_pair(means, *args):
+            accepted = pair(means, *args)
+            log("pair", means.size, means.size - np.count_nonzero(accepted))
+            return accepted
+
+        def counted_walk(means, *args):
+            log("walk", means.size)
+            walk(means, *args)
 
         def no_full_sort(means, M, ps):
             raise AssertionError("level_errors ran the full sort")
 
-        monkeypatch.setattr(bounds, "_pair_level_errors", counted_pair)
-        monkeypatch.setattr(bounds, "_walk_level_errors", counted_walk)
+        monkeypatch.setattr(bounds, "_pair_block", counted_pair)
+        monkeypatch.setattr(bounds, "_walk_block", counted_walk)
         monkeypatch.setattr(bounds, "_full_level_errors", no_full_sort)
         return passes, full
 
@@ -284,11 +291,12 @@ class TestErrorAtLevel:
         # and p = k/8 + LEVEL_SLACK puts the threshold on one of them: the
         # level takes the distance at which the mass reaches it, not the next
         def uniform(sigma, j, M):
-            return np.full(np.broadcast_shapes(np.shape(j), (np.size(sigma), 1)), 1.0 / M)
+            return np.full(np.broadcast_shapes(np.shape(j), np.shape(sigma)), 1.0 / M)
 
         monkeypatch.setattr(bounds, "outcome_probabilities_at", uniform)
         monkeypatch.setattr(bounds, "outcome_probabilities",
-                            lambda sigma, M: uniform(sigma, np.arange(M), M))
+                            lambda sigma, M: uniform(np.reshape(sigma, (-1, 1)),
+                                                     np.arange(M), M))
         means = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(8).random(40)])
         exact = [k / 8 + bounds.LEVEL_SLACK for k in (4, 5, 6)]
         assert [p - bounds.LEVEL_SLACK for p in exact] == [0.5, 0.625, 0.75]
@@ -298,20 +306,36 @@ class TestErrorAtLevel:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), ps
 
     def test_crossings_on_cells_major_arrays(self):
-        # (cells, rows) arrays of two means: the first has a distance tie at
+        # (rows, cells) arrays of two means: the first has a distance tie at
         # 0.1 whose two cells carry mass 0.5; the second holds mass 0.4 in
         # all, so levels above it are unreached and take its farthest
         # distance, 0.6
-        dists = np.array([[0.3, 0.2], [0.1, 0.2], [0.1, 0.4], [0.5, 0.6]])
-        probs = np.array([[0.4, 0.1], [0.2, 0.1], [0.3, 0.1], [0.1, 0.1]])
+        dists = np.array([[0.3, 0.1, 0.1, 0.5], [0.2, 0.2, 0.4, 0.6]])
+        probs = np.array([[0.4, 0.2, 0.3, 0.1], [0.1, 0.1, 0.1, 0.1]])
         errors = bounds._crossings(dists, probs, [0.15, 0.5, 0.95])
         assert errors.tolist() == [[0.1, 0.2], [0.1, 0.6], [0.5, 0.6]]
+
+    @pytest.mark.parametrize("M", [1, 7, 64])
+    def test_full_sort_does_not_use_the_passes_blocks(self, monkeypatch, M):
+        # the oracle sorts every mean at once: blocking it shares with the
+        # passes it checks would let a blocking fault hide in both
+        rng = np.random.default_rng(M)
+        means = np.concatenate([[0.0, 0.5, 1.0], np.arange(1025) / 1024, rng.random(100)])
+        ps = PAIR_LEVELS + WALK_LEVELS
+        want = bounds._full_level_errors(means, M, ps)
+
+        def no_blocks(rows, cells_per_row):
+            raise AssertionError("the full sort asked for row blocks")
+
+        monkeypatch.setattr(bounds, "_row_blocks", no_blocks)
+        got = bounds._full_level_errors(means, M, ps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_tie_grouping(self):
         # at a = 1/2, M = 2 both outcomes sit at distance 1/2 with mass 1/2;
         # any p above 1/2 must pull in the whole tie group
-        assert error_at_level(Fraction(1, 2), 2, 0.6) == 0.5
-        assert error_at_level(Fraction(1, 2), 2, 0.5) == 0.5
+        assert level_errors([Fraction(1, 2)], 2, [0.6])[0, 0] == 0.5
+        assert level_errors([Fraction(1, 2)], 2, [0.5])[0, 0] == 0.5
 
 
 class TestWorstError:
@@ -333,7 +357,7 @@ class TestAvgError:
     def test_degenerate_single_mean(self):
         # N=1 concentrates the uniform-mean measure on k in {0, 1} only
         rec = avg_probabilistic_error(4, 1, 0.75, Measure.UNIFORM_MEANS)
-        expected = 0.5 * (error_at_level(0, 4, 0.75) + error_at_level(1, 4, 0.75))
+        expected = 0.5 * level_errors([0, 1], 4, [0.75]).sum()
         assert rec.value == pytest.approx(expected, abs=1e-15)
 
     def test_weighted_sum_matches_direct(self):

@@ -136,13 +136,17 @@ class TestDistribution:
         sigma = np.concatenate([[0.0, 3.0, M / 2], rng.uniform(0.0, M / 2, 200)])
         full = outcome_probabilities(sigma, M)
         j = rng.integers(0, M, (sigma.size, 9))
-        cells = outcome_probabilities_at(sigma, j, M)
+        cells = outcome_probabilities_at(sigma[:, None], j, M)
         assert np.array_equal(cells.view(np.int64),
                               np.take_along_axis(full, j, axis=1).view(np.int64))
-        # a cells-major (F-ordered) j gives the same cells, F-ordered
-        transposed = outcome_probabilities_at(sigma, np.asfortranarray(j), M)
-        assert transposed.flags.f_contiguous and not transposed.flags.c_contiguous
-        assert np.array_equal(transposed.view(np.int64), cells.view(np.int64))
+        # a (2, len(sigma)) j against a row of sigma gives each sigma two
+        # outcomes of its own, as the level errors ask for a value's twins
+        twins = outcome_probabilities_at(sigma, j[:, :2].T, M)
+        assert np.array_equal(twins.view(np.int64),
+                              np.take_along_axis(full, j[:, :2], axis=1).T.view(np.int64))
+        # one sigma and one outcome give one cell
+        one = outcome_probabilities_at(sigma[3], j[3, 0], M)
+        assert one.shape == (1,) and one[0] == full[3, j[3, 0]]
 
     def test_integral_sigma_means_exact_output(self):
         # masses land entirely on outcomes reporting the mean itself
