@@ -1,106 +1,17 @@
 """Quantum summation (amplitude estimation): exact gate-level simulation,
 the closed-form outcome law, and exhaustive verification of its worst- and
-average-case probabilistic error bounds."""
+average-case probabilistic error bounds.
 
-from .boolfn import (
-    BooleanFunction,
-    Measure,
-    SigmaValue,
-    class_weights,
-    first_moment,
-    sigma_of,
-)
-from .bounds import (
-    EIGHT_OVER_PI_SQ,
-    FOUR_OVER_PI_SQ,
-    ErrorRecord,
-    Setting,
-    avg_probabilistic_error,
-    avg_probabilistic_errors,
-    c_bound,
-    g_func,
-    h_func,
-    level_errors,
-    queries_for_epsilon,
-    v_func,
-    v_inverse,
-    wa4_upper_bound,
-    wan4_lower_bound,
-    worst_probabilistic_error,
-    worst_probabilistic_errors,
-)
-from .closedform import (
-    OutcomeDistribution,
-    dirichlet_kernel_sq,
-    distribution,
-    output_grid,
-    sample,
-)
-from .simulator import (
-    GroverSpectrum,
-    MeasurementRecord,
-    Primitive,
-    QSBatch,
-    QSResult,
-    QubitLayout,
-    StateVector,
-    apply_grover,
-    apply_lambda,
-    apply_primitive,
-    apply_standard_query,
-    grover_eigenvectors,
-    grover_spectrum,
-    measure_index,
-    run_qs,
-    run_qs_batch,
-)
+Each public name is declared once, in its module's `__all__`; the package
+re-exports those lists."""
+
+from . import boolfn, bounds, closedform, simulator
+from .boolfn import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .closedform import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BooleanFunction",
-    "Measure",
-    "SigmaValue",
-    "class_weights",
-    "first_moment",
-    "sigma_of",
-    "EIGHT_OVER_PI_SQ",
-    "FOUR_OVER_PI_SQ",
-    "ErrorRecord",
-    "Setting",
-    "avg_probabilistic_error",
-    "avg_probabilistic_errors",
-    "c_bound",
-    "g_func",
-    "h_func",
-    "level_errors",
-    "queries_for_epsilon",
-    "v_func",
-    "v_inverse",
-    "wa4_upper_bound",
-    "wan4_lower_bound",
-    "worst_probabilistic_error",
-    "worst_probabilistic_errors",
-    "OutcomeDistribution",
-    "dirichlet_kernel_sq",
-    "distribution",
-    "output_grid",
-    "sample",
-    "GroverSpectrum",
-    "MeasurementRecord",
-    "Primitive",
-    "QSBatch",
-    "QSResult",
-    "QubitLayout",
-    "StateVector",
-    "apply_grover",
-    "apply_lambda",
-    "apply_primitive",
-    "apply_standard_query",
-    "grover_eigenvectors",
-    "grover_spectrum",
-    "measure_index",
-    "run_qs",
-    "run_qs_batch",
-    "__version__",
-]
+__all__ = [*boolfn.__all__, *bounds.__all__, *closedform.__all__, *simulator.__all__,
+           "__version__"]

@@ -23,6 +23,7 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     ErrorRecord,
+    Setting,
     _outcome_cells_per_mean,
     avg_probabilistic_error,
     avg_probabilistic_errors,
@@ -242,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     def add_error_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--setting", choices=["worst", "avg"], required=True)
+        p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
         p.add_argument("--n", type=_parse_qubits, required=True)
-        p.add_argument("--measure", choices=["p1", "p2"], default="p1",
+        p.add_argument("--measure", choices=[m.value for m in Measure], default="p1",
                        help="measure for the avg setting (default p1)")
         p.add_argument("--beta", type=float, default=2.0,
                        help="beta parameter of the non-divisible lower bound")
@@ -284,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
-    avg_probabilistic_error,
     avg_probabilistic_errors,
     g_func,
     h_func,
@@ -31,7 +30,6 @@ from .bounds import (
     queries_for_epsilon,
     v_func,
     v_inverse,
-    worst_probabilistic_error,
     worst_probabilistic_errors,
 )
 from .closedform import (
@@ -61,9 +59,6 @@ __all__ = [
     "brute_force_errors_at_levels",
     "gate_grid_deviation",
 ]
-
-SUITE_NAMES = ("unitarity", "oracle-equivalence", "bounds", "calculus", "average-case")
-
 
 @dataclass
 class CheckResult:
@@ -380,7 +375,7 @@ def _suite_bounds() -> list[CheckResult]:
 
     eps, p = 0.01, EIGHT_OVER_PI_SQ
     M = queries_for_epsilon(eps, p)
-    rec = worst_probabilistic_error(M, 1 << 20, p)
+    (rec,) = worst_probabilistic_errors(M, 1 << 20, [p])
     _check(out, suite, "the query prescription achieves the target accuracy",
            M == 236 and rec.value <= eps,
            f"M = {M}, worst error {rec.value:.6f} <= {eps} at N = 2^20")
@@ -486,7 +481,7 @@ def _suite_average_case() -> list[CheckResult]:
         ("divisible-by-4 average error obeys its upper bound", "WA4", "<=", (4, 8, 16, 32)),
         ("non-divisible average error obeys its lower bound", "WAn4", ">=", (5, 6, 7, 18)),
     ):
-        recs = [avg_probabilistic_error(M, N, 0.75, Measure.UNIFORM_FUNCTIONS, beta=2.0)
+        recs = [avg_probabilistic_errors(M, N, [0.75], Measure.UNIFORM_FUNCTIONS, beta=2.0)[0]
                 for M in Ms]
         _check(out, suite, name,
                all(rec.bound_ref == ref and rec.bound_holds for rec in recs),
@@ -494,6 +489,7 @@ def _suite_average_case() -> list[CheckResult]:
     return out
 
 
+# The suites in `run_suite("all")` order; SUITE_NAMES lists their names.
 _SUITES = {
     "unitarity": _suite_unitarity,
     "oracle-equivalence": _suite_oracle_equivalence,
@@ -501,6 +497,7 @@ _SUITES = {
     "calculus": _suite_calculus,
     "average-case": _suite_average_case,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:

@@ -263,6 +263,19 @@ class TestErrorAtLevel:
                         oracle = brute_force_errors_at_levels(float(a), M, ps)
                         assert np.abs(errs - oracle).max() <= 1e-12, (M, a, ps)
 
+    @pytest.mark.parametrize("M", [1024, 4096])
+    def test_walk_is_bit_identical_to_full_sort_at_large_m(self, M):
+        # 64 seeded means, a in {0, 1/2, 1} among them.  The walk takes every
+        # row at 0.99 (about 20 values per side), at 1.0 (all M//2+1 values)
+        # and on a set spanning 8/pi^2; up to 8/pi^2 it takes the rows the
+        # pair pass leaves
+        rng = np.random.default_rng(M)
+        means = np.concatenate([[0.0, 0.5, 1.0], rng.random(61)])
+        for ps in ([0.99], [1.0], [0.75, EIGHT_OVER_PI_SQ, 0.9], PAIR_LEVELS):
+            got = level_errors(means, M, ps)
+            full = bounds._full_level_errors(means, M, ps)
+            assert np.array_equal(got.view(np.int64), full.view(np.int64)), ps
+
     def test_subset_oracle_answers_every_level_from_one_enumeration(self):
         levels = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.95]
         for M in (1, 4, 7):

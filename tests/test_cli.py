@@ -410,3 +410,18 @@ def test_negative_n_exits_two_with_a_plain_message(capsys, argv):
     err = capsys.readouterr().err
     assert "argument --n: must be >= 0, got -1" in err
     assert "shift" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--m", "4", "--n", "2", "--k", "1"],
+    ["error", "--setting", "worst", "--m", "4", "--n", "2", "--p", "0.75"],
+    ["verify", "--suite", "calculus"],
+])
+@pytest.mark.parametrize("target", ["directory", "missing directory"])
+def test_unwritable_out_exits_two_with_a_plain_message(capsys, monkeypatch, tmp_path,
+                                                       suite_runs, argv, target):
+    monkeypatch.setattr(cli, "run_suite", lambda name: suite_runs[name].results)
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(out_path) in err
