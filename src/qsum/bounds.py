@@ -83,14 +83,12 @@ class ErrorRecord:
     setting: Setting
     measure: Measure | None
     value: float
-    bound: float | None
-    bound_ref: str | None
+    bound: float
+    bound_ref: str
 
     @property
-    def bound_holds(self) -> bool | None:
-        """Whether value respects the attached bound (None when no bound)."""
-        if self.bound is None:
-            return None
+    def bound_holds(self) -> bool:
+        """Whether value respects the attached bound, on the bound's side."""
         if self.bound_ref in _LOWER_BOUND_REFS:
             return self.value >= self.bound
         return self.value <= self.bound * (1.0 + 1e-12) + 1e-300

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -78,13 +79,23 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_out(out_path: str | None) -> None:
+    """Refuse, before any work, an --out that is a directory or lies in a
+    missing one; the file itself is written only at the end, by `_emit`."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        raise ValueError(f"--out {out_path} is a directory")
+    directory = os.path.dirname(out_path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {out_path}: no directory {directory}")
+
+
 def _record_row(rec: ErrorRecord) -> str:
     measure = rec.measure.value if rec.measure is not None else ""
-    bound = _fmt(rec.bound) if rec.bound is not None else ""
-    ref = rec.bound_ref or ""
     return (
         f"{rec.M},{rec.N},{_fmt(rec.p)},{rec.setting.value},{measure},"
-        f"{_fmt(rec.value)},{bound},{ref}"
+        f"{_fmt(rec.value)},{_fmt(rec.bound)},{rec.bound_ref}"
     )
 
 
@@ -143,13 +154,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     table = sys.stdin.read().strip() if args.f == "-" else args.f
     f = BooleanFunction.from_hex(args.n, table)
     result = run_qs(f, args.m, rng_seed=args.seed)
-    record = result.record  # always present: a seed is always supplied
+    outcome = result.record.outcome
     # outcome and output come from the gate-level run; the reported
     # probability is the exact closed-form value of that outcome
-    dist = distribution(f.mean, args.m)
-    exact_prob = float(dist.probs[record.outcome])
+    exact_prob = float(distribution(f.mean, args.m).probs[outcome])
     lines = [
-        f"outcome: {record.outcome}",
+        f"outcome: {outcome}",
         f"output: {_fmt(result.output)}",
         f"probability: {_fmt(exact_prob)}",
         f"queries: {result.queries}",
@@ -284,6 +294,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _refuse_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,9 +138,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.layout)
-
     def index_marginal(self) -> np.ndarray:
         """Probability of each index-register outcome j in [0, index_dim)."""
         return _index_marginals(self.blocks())
@@ -340,27 +337,21 @@ def grover_eigenvectors(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class MeasurementRecord:
-    """Outcome of measuring the index register, with the collapsed state."""
+    """Outcome j of measuring the index register, and its marginal probability."""
 
     outcome: int
     probability: float
-    collapsed: StateVector
 
 
 def measure_index(state: StateVector, rng: np.random.Generator) -> MeasurementRecord:
     """Measure the index register by inverse-CDF sampling of its marginal.
 
-    Zero-probability outcomes are never produced.  The input state is left
-    untouched; the collapsed state is returned in the record.
+    Zero-probability outcomes are never produced, and the state is left
+    untouched: the algorithm reads only the outcome, never the state after it.
     """
     probs = state.index_marginal()
     idx = sample(probs, rng)
-    collapsed = state.copy()
-    blocks = collapsed.blocks()
-    keep = blocks[idx] / math.sqrt(probs[idx])
-    blocks[:] = 0.0
-    blocks[idx] = keep
-    return MeasurementRecord(outcome=idx, probability=float(probs[idx]), collapsed=collapsed)
+    return MeasurementRecord(outcome=idx, probability=float(probs[idx]))
 
 
 @dataclass
@@ -433,38 +424,29 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
 
 @dataclass
 class QSResult:
-    """Full marginal plus (optionally) one sampled outcome of a summation run."""
+    """Full marginal and one sampled outcome of a summation run."""
 
     layout: QubitLayout
     probabilities: np.ndarray
-    record: MeasurementRecord | None
-    output: float | None
+    record: MeasurementRecord
+    output: float
     queries: int
     qubits: int
 
 
-def run_qs(f: BooleanFunction, M: int, rng_seed: int | None = None) -> QSResult:
+def run_qs(f: BooleanFunction, M: int, rng_seed: int = 0) -> QSResult:
     """Run the summation circuit for f with parameter M >= 1.
 
     Steps: Fourier (x) Walsh-Hadamard on |0>|0>, the index-controlled Grover
     power, then the inverse Fourier on the index register.  Returns the exact
-    marginal over index outcomes (exactly zero beyond M-1, so a sampled
-    outcome is below M); if a seed is given, one outcome j is sampled and its
-    estimate abar(j) = output_grid(M)[j] reported.  A run charges M-1
-    queries and uses n + ceil(log2 M) qubits.
+    marginal over index outcomes (exactly zero beyond M-1, so the sampled
+    outcome is below M), and one outcome j measured with a generator seeded
+    by rng_seed, with its estimate abar(j) = output_grid(M)[j].  A run charges
+    M-1 queries and uses n + ceil(log2 M) qubits.
     """
     batch = run_qs_batch(f.n, M, f.table()[None])
-    record = None
-    output = None
-    if rng_seed is not None:
-        state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
-        record = measure_index(state, np.random.default_rng(rng_seed))
-        output = float(output_grid(M)[record.outcome])
-    return QSResult(
-        layout=batch.layout,
-        probabilities=batch.probabilities[0],
-        record=record,
-        output=output,
-        queries=batch.queries,
-        qubits=batch.qubits,
-    )
+    state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
+    record = measure_index(state, np.random.default_rng(rng_seed))
+    return QSResult(layout=batch.layout, probabilities=batch.probabilities[0], record=record,
+                    output=float(output_grid(M)[record.outcome]), queries=batch.queries,
+                    qubits=batch.qubits)

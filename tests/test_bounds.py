@@ -10,7 +10,6 @@ from qsum.boolfn import Measure
 from qsum.bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
-    ErrorRecord,
     Setting,
     avg_probabilistic_error,
     avg_probabilistic_errors,
@@ -67,13 +66,15 @@ class TestErrorAtLevel:
 
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
+        # one full sort per N answers every level set: its rows are counted
+        # level by level, so they do not depend on the other levels asked for
         levels = [1e-13, 0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
         for N in (1, 2, 1 << 12):
             means = np.concatenate([[0.0, 0.5, 1.0], np.arange(N + 1) / N])
-            for ps in [[p] for p in levels] + [levels]:
-                window = level_errors(means, M, ps)
-                full = bounds._full_level_errors(means, M, ps)
-                assert np.array_equal(window.view(np.int64), full.view(np.int64)), (N, ps)
+            full = bounds._full_level_errors(means, M, levels).view(np.int64)
+            for rows in [[i] for i in range(len(levels))] + [list(range(len(levels)))]:
+                window = level_errors(means, M, [levels[i] for i in rows])
+                assert np.array_equal(window.view(np.int64), full[rows]), (N, rows)
 
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
@@ -254,14 +255,21 @@ class TestErrorAtLevel:
                  float(rng.uniform(EIGHT_OVER_PI_SQ, 0.995))],
                 sorted(rng.uniform(0.05, 1.0, size=4).tolist()) + [1.0],
             ]
+            # one full sort and one subset enumeration per mean answer the
+            # union of the three level sets, each level counted on its own
+            union = [p for ps in level_sets for p in ps]
+            full = bounds._full_level_errors(means, M, union).view(np.int64)
+            oracles = ([brute_force_errors_at_levels(float(a), M, union) for a in means[::16]]
+                       if M <= 10 else None)
+            start = 0
             for ps in level_sets:
+                rows = slice(start, start + len(ps))
+                start = rows.stop
                 got = level_errors(means, M, ps)
-                full = bounds._full_level_errors(means, M, ps)
-                assert np.array_equal(got.view(np.int64), full.view(np.int64)), (M, ps)
-                if M <= 10:
-                    for a, errs in zip(means[::16], got[:, ::16].T):
-                        oracle = brute_force_errors_at_levels(float(a), M, ps)
-                        assert np.abs(errs - oracle).max() <= 1e-12, (M, a, ps)
+                assert np.array_equal(got.view(np.int64), full[rows]), (M, ps)
+                if oracles is not None:
+                    for a, errs, oracle in zip(means[::16], got[:, ::16].T, oracles):
+                        assert np.abs(errs - oracle[rows]).max() <= 1e-12, (M, a, ps)
 
     @pytest.mark.parametrize("M", [1024, 4096])
     def test_walk_is_bit_identical_to_full_sort_at_large_m(self, M):
@@ -548,8 +556,3 @@ class TestErrorRecord:
         # bound_holds faces the bound's direction: past it on the wrong side fails
         assert replace(rec, value=rec.bound + 0.1).bound_holds is lower
         assert replace(rec, value=rec.bound - 0.1).bound_holds is not lower
-
-    def test_no_bound_means_none(self):
-        rec = ErrorRecord(M=2, N=2, p=0.6, setting=Setting.WORST_PROBABILISTIC,
-                          measure=None, value=0.5, bound=None, bound_ref=None)
-        assert rec.bound_holds is None

@@ -416,12 +416,29 @@ def test_negative_n_exits_two_with_a_plain_message(capsys, argv):
     ["dist", "--m", "4", "--n", "2", "--k", "1"],
     ["error", "--setting", "worst", "--m", "4", "--n", "2", "--p", "0.75"],
     ["verify", "--suite", "calculus"],
+    ["verify", "--suite", "bounds"],
+    ["error", "--setting", "worst", "--m", "236", "--n", "21", "--p", "0.99"],
 ])
 @pytest.mark.parametrize("target", ["directory", "missing directory"])
 def test_unwritable_out_exits_two_with_a_plain_message(capsys, monkeypatch, tmp_path,
-                                                       suite_runs, argv, target):
-    monkeypatch.setattr(cli, "run_suite", lambda name: suite_runs[name].results)
+                                                       no_sweep, argv, target):
+    # refused before any work: no suite, law or sweep starts
+    def no_suite(name):
+        pytest.fail("a refused command ran its suite")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
     out_path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(out_path) in err
+
+
+def test_failed_command_leaves_an_existing_out_file(capsys, no_sweep, tmp_path):
+    # the check of --out passes, the sweep is refused, and the file is
+    # written only at the end, so it keeps its bytes
+    out_path = tmp_path / "x.csv"
+    out_path.write_text("kept\n")
+    code, _, err = run_cli(capsys, "error", "--setting", "worst", "--m", "8", "--n", "40",
+                           "--p", "0.75", "--out", str(out_path))
+    assert code == 2 and err.startswith("error: ")
+    assert out_path.read_text() == "kept\n"
