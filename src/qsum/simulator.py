@@ -13,10 +13,11 @@ The index-controlled power comes in two forms.  `apply_lambda` acts on any
 state: it sweeps t = 1..index_dim-1 over blocks [t:], index_dim*(index_dim-1)/2
 block-Grover applications.  `run_qs_batch` acts only on the state the
 algorithm prepares, where blocks 0..M-1 all hold the same data vector; it
-chains them instead, block j being block j-1 after one more Grover
-application, so a run makes exactly M-1 applications (M-1 queries).  Both
-leave block j holding its input after exactly j applications of S_f, W, S0,
-W; `apply_lambda` is the differential oracle for the chain.
+chains them instead on one (N, K) work buffer, block j being block j-1
+after one more Grover application, so a run makes exactly M-1 applications
+(M-1 queries).  Both leave block j holding its input after exactly j
+applications of S_f, W, S0, W; `apply_lambda` is the differential oracle
+for the chain.
 """
 
 from __future__ import annotations
@@ -143,24 +144,28 @@ class StateVector:
         return _index_marginals(self.blocks())
 
 
-# The kernels below act in place on blocks of shape (..., index_dim, N): the
-# last axis is the data register, the one before it the index register, and
-# any leading axes stack independent runs.  Every element goes through the
-# same IEEE operations in the same order whatever the leading shape, so a
-# stacked run is bit-identical to the runs done one at a time.
+# The Walsh and Grover kernels act in place on arrays of shape (..., N, T):
+# axis -2 is the data register and the trailing axis stacks T vectors that
+# share it, so the butterflies' inner loops run over rows of T.  A state's
+# (index_dim, N) blocks pass as blocks[..., None]; the batched chain keeps
+# its K runs in one (N, K) work buffer.  The Fourier and marginal kernels act
+# on blocks of shape (..., index_dim, N), any leading axes stacking runs.
+# Every element goes through the same IEEE operations in the same order
+# whatever the shape, so a stacked run is bit-identical to the runs done one
+# at a time.
 
 def _index_marginals(blocks: np.ndarray) -> np.ndarray:
     return (np.abs(blocks) ** 2).sum(axis=-1)
 
 
 def _walsh_blocks(blocks: np.ndarray) -> None:
-    # Fast Walsh-Hadamard transform along the data axis, 1/sqrt(N)
-    # normalized; its own inverse.  Splitting the last axis keeps a view.
-    *lead, n = blocks.shape
+    # Fast Walsh-Hadamard transform along the data axis -2, 1/sqrt(N)
+    # normalized; its own inverse.  Splitting that axis keeps a view.
+    *lead, n, t = blocks.shape
     h = 1
     while h < n:
-        v = blocks.reshape(*lead, n // (2 * h), 2, h)
-        lo, hi = v[..., 0, :], v[..., 1, :]
+        v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
+        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
         top = lo.copy()
         lo += hi
         np.subtract(top, hi, out=hi)
@@ -185,32 +190,38 @@ def _apply_fourier(blocks: np.ndarray, F: np.ndarray) -> None:
 
 def _grover_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
     # Q_f = -(W S0 W) S_f; W is its own inverse.  `signs` broadcasts over
-    # the index axis: shape (N,) for one run, (K, 1, N) for K stacked runs.
+    # the trailing axis: shape (N, 1) for one run, (N, K) for K stacked runs.
     blocks *= signs
     _walsh_blocks(blocks)
-    blocks[..., 0] *= -1.0
+    blocks[..., 0, :] *= -1.0
     _walsh_blocks(blocks)
     blocks *= -1.0
 
 
 def _lambda_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
-    # Block j receives j Grover applications: sweep t = 1..index_dim-1 hits
-    # blocks [t:] once per sweep.
-    for t in range(1, blocks.shape[-2]):
-        _grover_blocks(blocks[..., t:, :], signs)
+    # Block j of (index_dim, N) blocks receives j Grover applications: sweep
+    # t = 1..index_dim-1 hits blocks [t:] once per sweep.
+    for t in range(1, blocks.shape[0]):
+        _grover_blocks(blocks[t:, :, None], signs[:, None])
 
 
 def _chain_blocks(blocks: np.ndarray, signs: np.ndarray) -> int:
-    # Index-controlled power on blocks that are all equal on entry: block j
-    # becomes block j-1 after one more Grover application, so it holds the
+    # Walsh preparation and index-controlled power on (K, M, N) blocks whose
+    # M blocks per run are equal on entry.  Block 0 of the K runs is copied
+    # into one C-contiguous (N, K) work buffer (a copy: at K = 1 the
+    # transpose is already contiguous, and a view would write into block 0).
+    # The Walsh transform runs there once, then one Grover application per
+    # further block with `signs` of shape (N, K); after each step the buffer
+    # is written out as the next block, so block j holds the transformed
     # entry value after exactly j applications.  Returns the number of S_f
     # applications per run.
-    queries = 0
-    for j in range(1, blocks.shape[-2]):
-        blocks[..., j, :] = blocks[..., j - 1, :]
-        _grover_blocks(blocks[..., j:j + 1, :], signs)
-        queries += 1
-    return queries
+    work = blocks[:, 0, :].T.copy()
+    _walsh_blocks(work)
+    blocks[:, 0, :] = work.T
+    for j in range(1, blocks.shape[1]):
+        _grover_blocks(work, signs)
+        blocks[:, j, :] = work.T
+    return blocks.shape[1] - 1
 
 
 def _query_signs(state: StateVector, f: BooleanFunction | None) -> np.ndarray:
@@ -231,7 +242,7 @@ def apply_primitive(
     if which is Primitive.S0:
         blocks[:, 0] *= -1.0
     elif which is Primitive.WALSH_HADAMARD:
-        _walsh_blocks(blocks)
+        _walsh_blocks(blocks[..., None])
     elif which in (Primitive.QFT, Primitive.QFT_INVERSE):
         M = state.layout.M
         if M > state.layout.index_dim:
@@ -268,7 +279,7 @@ def apply_standard_query(state: StateVector, f: BooleanFunction) -> StateVector:
 
 def apply_grover(state: StateVector, f: BooleanFunction) -> StateVector:
     """Apply the Grover operator to every index block in place."""
-    _grover_blocks(state.blocks(), _query_signs(state, f))
+    _grover_blocks(state.blocks()[..., None], _query_signs(state, f)[:, None])
     return state
 
 
@@ -373,13 +384,15 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
     |0>|0>, the index-controlled Grover power, then the inverse Fourier.  Row
     k of the result is bit-identical to the run of table k alone.
 
-    Column 0 of the Fourier block is constant, so the preparation leaves the
-    same data vector in every block j < M.  The power therefore chains: for
-    j = 1..M-1, block j-1 is copied into block j, which then gets one Grover
-    application, and block j ends up with exactly j of them.  `queries`
-    counts the S_f applications the chain made, M-1 per run.  Blocks
-    j >= M, which the preparation leaves empty, are left out of the chain
-    and of both Fourier transforms, so they stay exactly zero.
+    Column 0 of the Fourier block is constant, so the Fourier preparation
+    leaves the same data vector in every block j < M.  Block 0 of the K runs
+    is copied into one (N, K) work buffer, where the preparation's Walsh
+    transform runs once; the power then chains on that buffer: for
+    j = 1..M-1 it gets one more Grover application and is written out as
+    block j, which ends up with exactly j of them.  `queries` counts the S_f
+    applications the chain made, M-1 per run.  Blocks j >= M, which the
+    preparation leaves empty, are left out of the Walsh transform, the chain
+    and both Fourier transforms, so they stay exactly zero.
 
     A batch is refused with ValueError before anything is allocated when its
     K * index_dim * 2**n amplitudes or the M*M entries of its Fourier block
@@ -410,13 +423,12 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
         )
     if ((tables != 0) & (tables != 1)).any():
         raise ValueError("value tables must hold only 0 and 1")
-    signs = 1.0 - 2.0 * tables.astype(np.float64)
+    signs = 1.0 - 2.0 * tables.T.astype(np.float64, order="C")
     amps = np.zeros((K, layout.index_dim, layout.N), dtype=np.complex128)
     amps[:, 0, 0] = 1.0
     F = _fourier_matrix(M)
     _apply_fourier(amps, F)
-    _walsh_blocks(amps)
-    queries = _chain_blocks(amps[:, :M, :], signs[:, None, :])
+    queries = _chain_blocks(amps[:, :M, :], signs)
     _apply_fourier(amps, np.conjugate(F, out=F))  # the inverse, in F's memory
     return QSBatch(layout=layout, amplitudes=amps, probabilities=_index_marginals(amps),
                    queries=queries, qubits=layout.qubits)

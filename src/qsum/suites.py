@@ -284,14 +284,13 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
            sym_gap <= 1e-12, f"max asymmetry {sym_gap:.3e} (tol 1e-12)")
 
     min_mass = 1.0
+    N = 64
     for M in range(2, 17):
-        N = 64
-        for k in range(N + 1):
-            sv = sigma_of(Fraction(k, N), M)
-            dist = distribution(Fraction(k, N), M)
-            lo, hi = math.floor(sv.sigma), math.ceil(sv.sigma)
+        sigmas = [sigma_of(Fraction(k, N), M).sigma for k in range(N + 1)]
+        for sigma, probs in zip(sigmas, outcome_probabilities(sigmas, M)):
+            lo, hi = math.floor(sigma), math.ceil(sigma)
             picks = {lo % M, hi % M, (M - lo) % M, (M - hi) % M}
-            min_mass = min(min_mass, float(dist.probs[list(picks)].sum()))
+            min_mass = min(min_mass, float(probs[list(picks)].sum()))
     _check(out, suite, "the four outcomes bracketing sigma carry mass >= 8/pi^2",
            min_mass >= EIGHT_OVER_PI_SQ - 1e-12,
            f"min mass {min_mass:.6f} >= {EIGHT_OVER_PI_SQ:.6f}")
@@ -436,13 +435,14 @@ def _suite_calculus() -> list[CheckResult]:
            wmin >= FOUR_OVER_PI_SQ, f"min over M<=64 is {wmin:.6f} >= {FOUR_OVER_PI_SQ:.6f}")
 
     rng = np.random.default_rng(77)
+    triples = [(int(rng.integers(1, 33)), float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
+               for _ in range(1000)]
     gap = 0.0
-    for _ in range(1000):
-        M = int(rng.integers(1, 33))
-        w1 = float(rng.uniform(-3, 3))
-        w2 = float(rng.uniform(-3, 3))
-        gap = max(gap, abs(dirichlet_kernel_sq(M * (w1 - w2), M)
-                           - kernel_direct_sum(w1, w2, M)))
+    for M in sorted({M for M, _, _ in triples}):
+        pairs = [(w1, w2) for m, w1, w2 in triples if m == M]
+        kernel = dirichlet_kernel_sq([M * (w1 - w2) for w1, w2 in pairs], M)
+        direct = [kernel_direct_sum(w1, w2, M) for w1, w2 in pairs]
+        gap = max(gap, float(np.abs(kernel - direct).max()))
     _check(out, suite, "kernel matches the direct complex sum", gap <= 1e-12,
            f"max deviation {gap:.3e} on 1000 random frequency pairs (tol 1e-12)")
     return out

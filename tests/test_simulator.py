@@ -372,7 +372,29 @@ class TestBatchedCore:
         monkeypatch.setattr(simulator, "_grover_blocks", counting)
         batch = run_qs_batch(2, M, np.eye(3, 4, dtype=np.int8))
         assert len(calls) == M - 1 == batch.queries
-        assert all(shape == (3, 1, 4) for shape in calls)
+        # every application acts on the one (N, K) work buffer
+        assert all(shape == (4, 3) for shape in calls)
+
+    @pytest.mark.parametrize("M", [1, 5, 16])
+    @pytest.mark.parametrize("n", [0, 3, 10])
+    def test_single_table_is_bit_identical_to_the_sweep(self, n, M):
+        # at K = 1 the (N, 1) transpose of block 0 is contiguous, so a work
+        # buffer taken as a view instead of a copy would write into block 0
+        rng = np.random.default_rng(47 + n * 100 + M)
+        table = rng.integers(0, 2, 1 << n)
+        batch = run_qs_batch(n, M, table[None])
+        state = StateVector.zero(QubitLayout(n=n, M=M))
+        apply_primitive(state, Primitive.QFT)
+        apply_primitive(state, Primitive.WALSH_HADAMARD)
+        apply_lambda(state, BooleanFunction(n, tuple(table.tolist())))
+        apply_primitive(state, Primitive.QFT_INVERSE)
+        # the sweep turns the empty tail blocks j >= M into -0.0, the chain
+        # leaves them +0.0; blocks j < M agree bit for bit
+        assert np.array_equal(batch.amplitudes[0, :M].view(np.int64),
+                              state.blocks()[:M].view(np.int64))
+        assert not batch.amplitudes[0, M:].any() and not state.blocks()[M:].any()
+        assert np.array_equal(batch.probabilities[0].view(np.int64),
+                              state.index_marginal().view(np.int64))
 
     def test_fourier_work_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(simulator, "_MAX_FOURIER_WORK", 3 * 4 * 4 * 4)
