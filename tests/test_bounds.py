@@ -56,6 +56,14 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [1.5])
 
+    @pytest.mark.parametrize("M", range(1, 9))
+    @pytest.mark.parametrize("p", [0.51, 0.75, EIGHT_OVER_PI_SQ])
+    def test_matches_subset_oracle(self, M, p):
+        for k in range(17):
+            a = Fraction(k, 16)
+            (oracle,) = brute_force_errors_at_levels(a, M, [p])
+            assert abs(level_errors([a], M, [p])[0, 0] - oracle) <= 1e-12
+
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
         # one full sort per N answers every level set: its rows are counted
