@@ -1,10 +1,10 @@
 """Boolean functions on {0..N-1}, their means, and measures on the function space.
 
-The domain size is always a power of two, N = 2**n.  Means are kept as exact
-rationals k/N so that integrality decisions downstream never suffer from
-float noise.  Two probability measures on the set of Boolean functions are
-supported: uniform over the 2**N functions ("p1") and uniform over the N+1
-attainable means ("p2").
+The domain size is always a power of two, N = 2**n with n <= 24, so a mean
+k/N is a float and exact in binary64; the closed form decides integrality on
+the float sigma, not on the mean.  Two probability measures on the set of
+Boolean functions are supported: uniform over the 2**N functions ("p1") and
+uniform over the N+1 attainable means ("p2").
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import string
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +21,7 @@ __all__ = [
     "Measure",
     "SigmaValue",
     "sigma_of",
+    "sigmas_of",
     "class_weights",
     "first_moment",
 ]
@@ -66,9 +66,9 @@ class BooleanFunction:
         return 1 << self.n
 
     @property
-    def mean(self) -> Fraction:
-        """Arithmetic mean of the table, as the exact rational popcount/N."""
-        return Fraction(sum(self.values), self.N)
+    def mean(self) -> float:
+        """Arithmetic mean of the table, popcount/N, exact as a float."""
+        return sum(self.values) / self.N
 
     @classmethod
     def from_mean(cls, n: int, k: int) -> "BooleanFunction":
@@ -122,10 +122,13 @@ class SigmaValue:
     theta: float
 
 
-def sigma_of(a: Fraction | float, M: int) -> SigmaValue:
+def sigma_of(a: float, M: int) -> SigmaValue:
     """Map a mean a in [0,1] to its sigma value for parameter M >= 1.
 
-    sigma is strictly increasing in a, with sigma(0) = 0 and sigma(1) = M/2.
+    sigma is strictly increasing in a, with sigma(0) = 0 and sigma(1) = M/2;
+    a may be anything float() accepts.  M*theta/pi rounds differently from
+    the M/pi scaling of `sigmas_of`, and math.asin from np.arcsin, so the two
+    are kept apart: merging them would change the laws `distribution` gives.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -134,6 +137,16 @@ def sigma_of(a: Fraction | float, M: int) -> SigmaValue:
         raise ValueError(f"mean must lie in [0, 1], got {a}")
     theta = math.asin(math.sqrt(x))
     return SigmaValue(sigma=M * theta / math.pi, theta=theta)
+
+
+def sigmas_of(means: np.ndarray, M: int) -> np.ndarray:
+    """`sigma_of` for an array of means, (M/pi) arcsin(sqrt(a)), which may
+    differ from it in the last bit (see there).  sqrt allocates the one new
+    array of the means' size, and arcsin and the scaling run in place."""
+    sigma = np.sqrt(means)
+    np.arcsin(sigma, out=sigma)
+    sigma *= M / math.pi
+    return sigma
 
 
 def _stirling_tail(x: np.ndarray) -> np.ndarray:
@@ -159,8 +172,7 @@ def _log_weights_stirling(N: int, ks: np.ndarray) -> np.ndarray:
 
 def _weight_uniform_functions(N: int, k: int) -> float:
     if min(k, N - k) < _EXACT_TAIL:
-        # int / int rounds the exact ratio once; a Fraction would first take
-        # the gcd of million-bit integers
+        # int / int rounds the exact ratio once, with no gcd of huge integers
         return math.comb(N, k) / (1 << N)
     return float(np.exp(_log_weights_stirling(N, np.array([k], dtype=np.float64))[0]))
 

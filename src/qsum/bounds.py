@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import Measure, class_weights
+from .boolfn import Measure, class_weights, sigmas_of
 from .closedform import (
     outcome_probabilities,
     outcome_probabilities_at,
@@ -103,12 +103,12 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
     """Estimated outcome cells per mean that `level_errors` evaluates for
     levels up to p_max, the cost by which oversized sweeps are refused.
 
-    Beyond distance d the kernel's tail carries less than about 1/(pi^2 d)
-    per side, so W values per side leave out roughly 2/(pi^2 W) of the mass:
-    up to 8/pi^2 the one value on each side of sigma nearly always carries
-    the level, and above it W grows as 1/(1 - p_max).  That is 4W cells (two
-    outcomes per value), or all M outcomes once 2W values would exceed the
-    M//2+1 values, and always at p_max = 1.
+    Up to 8/pi^2 the pair pass decides nearly every mean from the two values
+    bracketing sigma, 4 cells.  Above it the walk adds one value's two twin
+    outcomes per step; the kernel's tail beyond distance d carries less than
+    about 1/(pi^2 d) per side, so it stops after about h values per side,
+    h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
+    outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
     """
     if p_max >= 1.0:
         return M
@@ -165,11 +165,8 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     values = output_grid(M)[: M // 2 + 1]
     edges = np.concatenate([[-np.inf], values, [np.inf]])
     thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
-    # sigma lives through both passes; built in place, it adds no temporary
-    # of the means' size to the call's peak heap
-    sigma = np.sqrt(means)
-    np.arcsin(sigma, out=sigma)
-    sigma *= M / math.pi
+    # sigmas_of adds no temporary of the means' size to the call's peak heap
+    sigma = sigmas_of(means, M)
     out = np.empty((len(ps), means.size))
     if max(ps, default=0.0) <= EIGHT_OVER_PI_SQ and M >= 4:
         accepted = np.empty(means.size, dtype=bool)
@@ -306,9 +303,8 @@ def _walk_block(
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
     """The level errors of `level_errors` from one stable sort of all M
     outcomes per mean; the tests' oracle for the pair pass and the walk."""
-    sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
     dists = np.abs(output_grid(M) - means[:, None])
-    return _crossings(dists, outcome_probabilities(sigma, M), ps)
+    return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M), ps)
 
 
 def _sweep_all_means(M: int, N: int, ps: Sequence[float]):

@@ -17,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from .boolfn import BooleanFunction, Measure
 from .bounds import (
@@ -142,7 +141,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     N = 1 << args.n
     if not 0 <= args.k <= N:
         raise ValueError(f"k must lie in [0, {N}], got {args.k}")
-    dist = distribution(Fraction(args.k, N), args.m)
+    dist = distribution(args.k / N, args.m)
     lines = ["j,prob,abar"]
     for j in range(args.m):
         lines.append(f"{j},{_fmt(float(dist.probs[j]))},{_fmt(float(dist.outputs[j]))}")

@@ -12,7 +12,6 @@ d = 0 mod M.  The reported estimate for outcome j is abar(j) = sin^2(pi j/M).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -141,7 +140,7 @@ class OutcomeDistribution:
     outputs: np.ndarray
 
 
-def distribution(a: Fraction | float, M: int) -> OutcomeDistribution:
+def distribution(a: float, M: int) -> OutcomeDistribution:
     """Closed-form outcome distribution for mean a and parameter M >= 1.
 
     Satisfies sum(probs) = 1 and the j <-> M-j symmetry of both columns;

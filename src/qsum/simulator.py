@@ -244,13 +244,7 @@ def apply_primitive(
     elif which is Primitive.WALSH_HADAMARD:
         _walsh_blocks(blocks[..., None])
     elif which in (Primitive.QFT, Primitive.QFT_INVERSE):
-        M = state.layout.M
-        if M > state.layout.index_dim:
-            raise ValueError(
-                f"Fourier block size {M} exceeds index register dimension "
-                f"{state.layout.index_dim}"
-            )
-        F = _fourier_matrix(M)
+        F = _fourier_matrix(state.layout.M)
         _apply_fourier(blocks, F.conj() if which is Primitive.QFT_INVERSE else F)
     elif which is Primitive.QUERY:
         blocks *= _query_signs(state, f)
@@ -306,7 +300,7 @@ class GroverSpectrum:
     subspace_matrix: np.ndarray
 
 
-def grover_spectrum(a) -> GroverSpectrum:
+def grover_spectrum(a: float) -> GroverSpectrum:
     """Spectrum of the Grover operator for mean a; at a in {0, 1} the two
     eigenvalues degenerate to (-1)^a."""
     x = float(a)
@@ -354,15 +348,19 @@ class MeasurementRecord:
     probability: float
 
 
+def _sample_record(probs: np.ndarray, rng: np.random.Generator) -> MeasurementRecord:
+    """One outcome drawn from an index marginal, with its probability."""
+    idx = sample(probs, rng)
+    return MeasurementRecord(outcome=idx, probability=float(probs[idx]))
+
+
 def measure_index(state: StateVector, rng: np.random.Generator) -> MeasurementRecord:
     """Measure the index register by inverse-CDF sampling of its marginal.
 
     Zero-probability outcomes are never produced, and the state is left
     untouched: the algorithm reads only the outcome, never the state after it.
     """
-    probs = state.index_marginal()
-    idx = sample(probs, rng)
-    return MeasurementRecord(outcome=idx, probability=float(probs[idx]))
+    return _sample_record(state.index_marginal(), rng)
 
 
 @dataclass
@@ -452,13 +450,12 @@ def run_qs(f: BooleanFunction, M: int, rng_seed: int = 0) -> QSResult:
     Steps: Fourier (x) Walsh-Hadamard on |0>|0>, the index-controlled Grover
     power, then the inverse Fourier on the index register.  Returns the exact
     marginal over index outcomes (exactly zero beyond M-1, so the sampled
-    outcome is below M), and one outcome j measured with a generator seeded
-    by rng_seed, with its estimate abar(j) = output_grid(M)[j].  A run charges
-    M-1 queries and uses n + ceil(log2 M) qubits.
+    outcome is below M), and one outcome j sampled from it with a generator
+    seeded by rng_seed, with its estimate abar(j) = output_grid(M)[j].  A
+    run charges M-1 queries and uses n + ceil(log2 M) qubits.
     """
     batch = run_qs_batch(f.n, M, f.table()[None])
-    state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
-    record = measure_index(state, np.random.default_rng(rng_seed))
+    record = _sample_record(batch.probabilities[0], np.random.default_rng(rng_seed))
     return QSResult(layout=batch.layout, probabilities=batch.probabilities[0], record=record,
                     output=float(output_grid(M)[record.outcome]), queries=batch.queries,
                     qubits=batch.qubits)

@@ -13,12 +13,11 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Measure, class_weights, first_moment, sigma_of
+from .boolfn import BooleanFunction, Measure, class_weights, first_moment, sigma_of, sigmas_of
 from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
@@ -125,8 +124,7 @@ def gate_grid_deviation(n_max: int = 6, m_max: int = 16) -> tuple[float, float, 
         tables = np.stack([BooleanFunction.from_mean(n, k).table() for k in range(N + 1)])
         for M in range(1, m_max + 1):
             batch = run_qs_batch(n, M, tables)
-            sigmas = [sigma_of(Fraction(k, N), M).sigma for k in range(N + 1)]
-            probs = outcome_probabilities(sigmas, M)
+            probs = outcome_probabilities([sigma_of(k / N, M).sigma for k in range(N + 1)], M)
             max_dev = max(max_dev, float(np.abs(batch.probabilities[:, :M] - probs).max()))
             if batch.probabilities.shape[1] > M:
                 max_tail = max(max_tail, float(batch.probabilities[:, M:].max()))
@@ -202,7 +200,7 @@ def _suite_unitarity() -> list[CheckResult]:
     dev = 0.0
     for n, k in ((3, 3), (3, 1), (4, 7), (5, 16)):
         f = BooleanFunction.from_mean(n, k)
-        spec = grover_spectrum(Fraction(k, 1 << n))
+        spec = grover_spectrum(k / (1 << n))
         ones = f.table() == 1
         psi0 = np.where(~ones, 1.0 / math.sqrt(1 << n), 0.0).astype(complex)
         psi1 = np.where(ones, 1.0 / math.sqrt(1 << n), 0.0).astype(complex)
@@ -218,7 +216,7 @@ def _suite_unitarity() -> list[CheckResult]:
     dev = 0.0
     for n, k in ((3, 1), (3, 5), (4, 9), (6, 31)):
         f = BooleanFunction.from_mean(n, k)
-        spec = grover_spectrum(Fraction(k, 1 << n))
+        spec = grover_spectrum(k / (1 << n))
         plus, minus = grover_eigenvectors(f)
         for vec, lam in ((plus, spec.lambda_plus), (minus, spec.lambda_minus)):
             state = StateVector(vec.copy(), QubitLayout(n=n, M=1))
@@ -230,7 +228,7 @@ def _suite_unitarity() -> list[CheckResult]:
     dev = 0.0
     for n, k in ((3, 0), (3, 8), (3, 3), (4, 7), (2, 2)):
         f = BooleanFunction.from_mean(n, k)
-        theta = sigma_of(Fraction(k, 1 << n), 1).theta
+        theta = sigma_of(k / (1 << n), 1).theta
         plus, minus = grover_eigenvectors(f)
         uniform = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
         recon = (-1j / math.sqrt(2.0)) * (
@@ -256,12 +254,11 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
            accounting_ok, "exact match required")
 
     worst_gap = 0.0
-    cases = [(Fraction(0, 2), M, 1) for M in range(1, 17)]
-    cases += [(Fraction(1, 1), M, 1) for M in range(2, 17, 2)]
-    cases += [(Fraction(1, 2), M, 1) for M in range(4, 65, 4)]
-    for a, M, _ in cases:
+    cases = [(0.0, M) for M in range(1, 17)] + [(1.0, M) for M in range(2, 17, 2)]
+    cases += [(0.5, M) for M in range(4, 65, 4)]
+    for a, M in cases:
         dist = distribution(a, M)
-        mass = dist.probs[np.abs(dist.outputs - float(a)) <= 1e-12].sum()
+        mass = dist.probs[np.abs(dist.outputs - a) <= 1e-12].sum()
         worst_gap = max(worst_gap, abs(mass - 1.0))
     _check(out, suite, "integral sigma puts all mass on the exact output",
            worst_gap <= 1e-12,
@@ -269,10 +266,9 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
 
     norm_gap = 0.0
     sym_gap = 0.0
+    means = np.arange((1 << 10) + 1) / (1 << 10)
     for M in range(1, 65):
-        N = 1 << 10
-        sig = (M / math.pi) * np.arcsin(np.sqrt(np.arange(N + 1) / N))
-        probs = outcome_probabilities(sig, M)
+        probs = outcome_probabilities(sigmas_of(means, M), M)
         norm_gap = max(norm_gap, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         if M > 1:
             sym_gap = max(sym_gap, float(np.abs(probs[:, 1:] - probs[:, :0:-1]).max()))
@@ -286,7 +282,7 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
     min_mass = 1.0
     N = 64
     for M in range(2, 17):
-        sigmas = [sigma_of(Fraction(k, N), M).sigma for k in range(N + 1)]
+        sigmas = [sigma_of(k / N, M).sigma for k in range(N + 1)]
         for sigma, probs in zip(sigmas, outcome_probabilities(sigmas, M)):
             lo, hi = math.floor(sigma), math.ceil(sigma)
             picks = {lo % M, hi % M, (M - lo) % M, (M - hi) % M}
@@ -306,7 +302,7 @@ def _suite_bounds() -> list[CheckResult]:
     for M in range(2, 65):
         outputs = output_grid(M)
         for k in range(65):
-            sigma = sigma_of(Fraction(k, 64), M).sigma
+            sigma = sigma_of(k / 64, M).sigma
             for j in (math.floor(sigma), math.ceil(sigma)):
                 dist_excess = max(dist_excess, abs(float(outputs[j]) - k / 64)
                                   - math.pi * abs(j - sigma) / M)
@@ -355,7 +351,7 @@ def _suite_bounds() -> list[CheckResult]:
     for M in range(1, 11):
         greedy = level_errors(np.arange(17) / 16, M, subset_levels)
         for k in range(17):
-            brute = brute_force_errors_at_levels(Fraction(k, 16), M, subset_levels)
+            brute = brute_force_errors_at_levels(k / 16, M, subset_levels)
             gap = max(gap, float(np.abs(greedy[:, k] - brute).max()))
     _check(out, suite, "greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
@@ -364,9 +360,9 @@ def _suite_bounds() -> list[CheckResult]:
     for N in (2, 4, 8):
         M = int(1.5 * math.pi * N) + 1
         for k in range(N + 1):
-            a = Fraction(k, N)
+            a = k / N
             dist = distribution(a, M)
-            hits = np.round(dist.outputs * N) / N == float(a)
+            hits = np.round(dist.outputs * N) / N == a
             if dist.probs[hits].sum() < EIGHT_OVER_PI_SQ - 1e-12:
                 rounding_ok = False
     _check(out, suite, "for M > (3 pi / 2) N rounding recovers the mean w.p. >= 8/pi^2",

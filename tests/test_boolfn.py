@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,14 @@ class TestBooleanFunction:
     def test_mean_is_exact_popcount_fraction(self):
         f = BooleanFunction(3, (1, 0, 1, 1, 0, 0, 0, 0))
         assert f.mean == Fraction(3, 8)
+
+    def test_mean_is_a_float_equal_to_popcount_over_n(self):
+        # every denominator is a power of two, so popcount/N is exact
+        for n, table in ((0, (1,)), (3, (1, 0, 1, 1, 0, 0, 0, 0)),
+                         (6, tuple(np.random.default_rng(6).integers(0, 2, 64).tolist()))):
+            mean = BooleanFunction(n, table).mean
+            assert type(mean) is float
+            assert mean == Fraction(sum(table), 1 << n)
 
     def test_from_mean_builds_canonical_table(self):
         f = BooleanFunction.from_mean(3, 5)
@@ -108,6 +117,28 @@ class TestSigmaOf:
             sigma_of(-0.1, 4)
         with pytest.raises(ValueError):
             sigma_of(0.5, 0)
+
+
+class TestSigmasOf:
+    @pytest.mark.parametrize("M", [1, 16, 64, 236, 1024])
+    def test_equals_the_formula_bit_for_bit(self, M):
+        means = np.arange(4097) / 4096
+        before = means.copy()
+        got = boolfn.sigmas_of(means, M)
+        want = (M / math.pi) * np.arcsin(np.sqrt(before))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(means.view(np.int64), before.view(np.int64))
+        assert not np.shares_memory(got, means)
+
+    def test_allocates_one_array_of_the_means_size(self):
+        means = np.arange(1 << 16) / (1 << 16)
+        tracemalloc.start()
+        try:
+            sigma = boolfn.sigmas_of(means, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sigma.nbytes <= peak < sigma.nbytes + (1 << 14)
 
 
 class TestClassWeight:

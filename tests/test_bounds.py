@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsum import bounds, closedform
-from qsum.boolfn import Measure
+from qsum.boolfn import Measure, sigmas_of
 from qsum.bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
@@ -136,7 +136,7 @@ class TestErrorAtLevel:
         got = level_errors(means, M, PAIR_LEVELS)
         (pair, rows, left), walk = passes
         assert (pair, rows, walk) == ("pair", means.size, ("walk", left))
-        sigma = (M / math.pi) * np.arcsin(np.sqrt(means))
+        sigma = sigmas_of(means, M)
         edges = np.concatenate([[-np.inf], v, [np.inf]])
         thresholds = np.reshape(PAIR_LEVELS, (-1, 1)) - bounds.LEVEL_SLACK
         out = np.empty((len(PAIR_LEVELS), means.size))

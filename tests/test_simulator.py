@@ -288,6 +288,24 @@ class TestRunQS:
         assert result.output == 0.0
         assert result.queries == 0
 
+    def test_samples_the_batch_marginal_once(self, monkeypatch):
+        # the run draws from the marginal run_qs_batch returned, as
+        # measure_index would from the final state, without recomputing it
+        f = BooleanFunction.from_mean(5, 11)
+        batch = run_qs_batch(5, 12, f.table()[None])
+        state = StateVector(batch.amplitudes[0].reshape(-1), batch.layout)
+        want = measure_index(state, np.random.default_rng(9))
+        calls = []
+        marginals = simulator._index_marginals
+        monkeypatch.setattr(simulator, "_index_marginals",
+                            lambda blocks: calls.append(blocks.shape) or marginals(blocks))
+        monkeypatch.setattr(StateVector, "index_marginal", lambda self: pytest.fail(
+            "run_qs recomputed the index marginal from the state"))
+        result = run_qs(f, 12, rng_seed=9)
+        assert calls == [(1, 16, 32)]
+        assert result.record == want
+        assert result.probabilities.tolist() == batch.probabilities[0].tolist()
+
     def test_seed_reproducibility(self):
         a = run_qs(BooleanFunction.from_mean(4, 7), 8, rng_seed=42)
         b = run_qs(BooleanFunction.from_mean(4, 7), 8, rng_seed=42)
