@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,15 +53,19 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Outcome cells per block of rows in a level-error pass: 4 per mean in the pair
-# pass, 2 (one value's twin outcomes) in each step of the walk.  A block's
-# work arrays, a few per cell, then stay in a core's L2 cache.  Rows are
-# independent, so blocks change no bit.
+# Outcome cells per block of rows in a level-error pass, about: 4 per mean in
+# the pair pass, 2 (one value's twin outcomes) in each step of the walk.  The
+# rows are cut into even blocks (`_even_slices`), so a block holds between
+# 3/4 and 3/2 of this and its work arrays, a few per cell, stay in a core's
+# L2 cache.  Rows are independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
 
-# Cells per chunk when sweeping all means k/N: a chunk is _CHUNK_CELLS // M
-# means.  Chunks partition the average case's weighted sum into one np.dot per
-# chunk, so they fix its bits; _BLOCK_CELLS, not this, sizes the work arrays.
+# Cells per chunk when sweeping all means k/N: a chunk is about
+# _CHUNK_CELLS // M means.  The worst case cuts the N+1 means into even
+# chunks, since its maximum does not depend on them.  The average case keeps
+# chunks of exactly that many means and a remainder: they partition its
+# weighted sum into one np.dot per chunk, so they fix its bits.  _BLOCK_CELLS,
+# not this, sizes the work arrays.
 _CHUNK_CELLS = 1 << 21
 
 
@@ -152,8 +156,9 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     level or its values run out.
 
     Both passes read one set of value edges, level thresholds and sigma
-    values, and go over their rows in blocks of at most _BLOCK_CELLS cells,
-    so their work arrays stay in cache however many means they are given.
+    values, and go over their rows in even blocks of about _BLOCK_CELLS
+    cells, so their work arrays stay in cache however many means they are
+    given.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -202,11 +207,25 @@ def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.
     return np.take_along_axis(sorted_dists, idx.T, axis=1).T
 
 
+def _even_slices(count: int, step: int) -> list[slice]:
+    """Consecutive slices covering range(count) in order: round(count/step)
+    of them, and one if that rounds to none, whose sizes differ by at most
+    one.  Each holds 3/4 to 3/2 of step items, to within rounding, or all
+    count of them when there are fewer: no slice is a short remainder."""
+    parts = max(round(count / step), min(count, 1))
+    return [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+
+
+def _fixed_slices(count: int, step: int) -> list[slice]:
+    """Consecutive slices covering range(count) in order, each of step items
+    but the last, which holds the remainder."""
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
-    """Consecutive slices covering range(rows), each of at most _BLOCK_CELLS
-    cells and at least one row."""
-    step = max(1, _BLOCK_CELLS // cells_per_row)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+    """Even blocks of rows covering range(rows), of about _BLOCK_CELLS cells
+    and at least one row each."""
+    return _even_slices(rows, max(1, _BLOCK_CELLS // cells_per_row))
 
 
 def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
@@ -307,26 +326,29 @@ def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.nda
     return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M), ps)
 
 
-def _sweep_all_means(M: int, N: int, ps: Sequence[float]):
-    """Yield (k-slice, level-error block) over the full mean grid k/N."""
-    chunk = max(1024, _CHUNK_CELLS // max(M, 1))
-    for lo in range(0, N + 1, chunk):
-        hi = min(lo + chunk, N + 1)
-        means = np.arange(lo, hi, dtype=np.float64)
+def _sweep_all_means(
+    M: int, N: int, ps: Sequence[float], split: Callable[[int, int], list[slice]],
+):
+    """Yield (k-slice, level-error block) over the full mean grid k/N, in the
+    chunks split(N + 1, chunk) gives for chunk = _CHUNK_CELLS // M means (at
+    least 1024): `_even_slices` or `_fixed_slices`."""
+    for ks in split(N + 1, max(1024, _CHUNK_CELLS // max(M, 1))):
+        means = np.arange(ks.start, ks.stop, dtype=np.float64)
         means /= N  # in place: a chunk holds one array of means besides sigma
-        yield slice(lo, hi), level_errors(means, M, ps)
+        yield ks, level_errors(means, M, ps)
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
     """Worst-case records for several levels in one sweep over the mean grid.
 
     One `level_errors` call per chunk of means answers every level, so the
-    sweep costs about what its highest level costs alone.
+    sweep costs about what its highest level costs alone.  The maximum does
+    not depend on the chunks, so they are even: no sweep ends in a short one.
     """
     for p in ps:
         _validate_p(p)
     best = np.zeros(len(ps))
-    for _, errs in _sweep_all_means(M, N, ps):
+    for _, errs in _sweep_all_means(M, N, ps, _even_slices):
         best = np.maximum(best, errs.max(axis=1))
     return [_record(Setting.WORST_PROBABILISTIC, None, M, N, p, float(value))
             for p, value in zip(ps, best)]
@@ -346,7 +368,7 @@ def avg_probabilistic_errors(
         _validate_p(p)
     weights = class_weights(measure, N)
     parts: list[list[float]] = [[] for _ in ps]
-    for ks, errs in _sweep_all_means(M, N, ps):
+    for ks, errs in _sweep_all_means(M, N, ps, _fixed_slices):
         for level_parts, level_errs in zip(parts, errs):
             level_parts.append(float(np.dot(weights[ks], level_errs)))
     return [_record(Setting.AVG_PROBABILISTIC, measure, M, N, p, math.fsum(level_parts), beta)

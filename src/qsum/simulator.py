@@ -59,6 +59,11 @@ _MAX_AMPLITUDES = 1 << 24
 # accepted `qsum simulate` calls took 6-9 s on a 2-core x86-64 machine
 # (n=12, M=2048: 6.3 s; n=10, M=4096: 6.7 s; n=20, M=16: 8.7 s).
 _MAX_FOURIER_WORK = 1 << 34
+# Data columns per slice of the Fourier product.  BLAS may block a narrower
+# product differently, so the width matters to the bits: slices of 256
+# columns give the whole product's bits on every shape the tests pin, and
+# slices of 1 or 7 columns do not.  At N <= 256 a slice is the whole product.
+_FOURIER_COLUMNS = 256
 
 
 class Primitive(Enum):
@@ -183,9 +188,14 @@ def _fourier_matrix(M: int) -> np.ndarray:
 
 
 def _apply_fourier(blocks: np.ndarray, F: np.ndarray) -> None:
-    # Block-diagonal F on the first M index slices, identity elsewhere.
+    # Block-diagonal F on the first M index slices, identity elsewhere.  The
+    # product is a new array, so it is taken _FOURIER_COLUMNS data columns at
+    # a time: the temporary is M * _FOURIER_COLUMNS amplitudes per run, not
+    # the state's size.
     M = F.shape[0]
-    blocks[..., :M, :] = F @ blocks[..., :M, :]
+    for lo in range(0, blocks.shape[-1], _FOURIER_COLUMNS):
+        cols = blocks[..., :M, lo:lo + _FOURIER_COLUMNS]
+        cols[...] = F @ cols
 
 
 def _grover_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:

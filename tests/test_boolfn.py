@@ -177,6 +177,17 @@ class TestClassWeight:
             weights.append(class_weights(Measure.UNIFORM_FUNCTIONS, N).view(np.int64))
         assert np.array_equal(*weights)
 
+    def test_slices_keep_the_peak_near_the_weight_array(self):
+        # at N = 2^20 the 8 MiB weight array plus one slice's temporaries,
+        # about nine arrays of _WEIGHT_SLICE means
+        tracemalloc.start()
+        try:
+            weights = class_weights(Measure.UNIFORM_FUNCTIONS, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights.nbytes <= peak <= 10 << 20
+
     @pytest.mark.parametrize("measure", list(Measure))
     @pytest.mark.parametrize("N", [1, 2, 7, 64, 129, 1024, 1 << 12])
     def test_weights_sum_to_one(self, measure, N):

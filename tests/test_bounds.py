@@ -33,6 +33,16 @@ PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
 WALK_LEVELS = [0.9, 0.99, 1.0]
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The mean counts of the level_errors calls a sweep makes, in order."""
+    sizes = []
+    original = bounds.level_errors
+    monkeypatch.setattr(bounds, "level_errors",
+                        lambda means, *a: sizes.append(len(means)) or original(means, *a))
+    return sizes
+
+
 class TestErrorAtLevel:
     def test_point_mass_gives_zero(self):
         assert level_errors([Fraction(0)], 8, [0.8])[0, 0] == 0.0
@@ -57,7 +67,7 @@ class TestErrorAtLevel:
             level_errors([Fraction(1, 2)], 4, [1.5])
 
     @pytest.mark.parametrize("M", range(1, 9))
-    @pytest.mark.parametrize("p", [0.51, 0.75, EIGHT_OVER_PI_SQ])
+    @pytest.mark.parametrize("p", [0.75, EIGHT_OVER_PI_SQ])
     def test_matches_subset_oracle(self, M, p):
         for k in range(17):
             a = Fraction(k, 16)
@@ -95,6 +105,17 @@ class TestErrorAtLevel:
             for count in counts:
                 got = level_errors(means[:count], M, [p]).view(np.int64)
                 assert np.array_equal(got, want[:, :count]), (p, count)
+
+    def test_row_blocks_are_even(self):
+        # 4097 means of the pair pass make one block, not 4096 + 1
+        assert bounds._row_blocks(4097, 4) == [slice(0, 4097)]
+        for cells_per_row in (1, 2, 3, 4, 1 << 15):
+            step = max(1, bounds._BLOCK_CELLS // cells_per_row)
+            for rows in (0, 1, step - 1, step, step + 1, 3 * step // 2, 5 * step + 7):
+                blocks = bounds._row_blocks(rows, cells_per_row)
+                assert [k for b in blocks for k in range(rows)[b]] == list(range(rows))
+                sizes = {len(range(rows)[b]) for b in blocks}
+                assert not sizes or (min(sizes) >= 1 and max(sizes) - min(sizes) <= 1)
 
     @staticmethod
     def _pair_edge_means(M):
@@ -373,6 +394,15 @@ class TestWorstError:
         rec = worst_probabilistic_error(4, 4, 0.75)
         assert rec.value <= 3 * math.pi / 16
 
+    def test_sweep_is_one_even_chunk(self, chunk_sizes):
+        # at M = 64 a chunk is about 2^15 means, so the 2^15 + 1 means are
+        # one chunk, not 2^15 and 1; the maximum, pinned here, does not
+        # depend on the chunks
+        records = bounds.worst_probabilistic_errors(64, 1 << 15, [0.51, 0.75, EIGHT_OVER_PI_SQ])
+        assert chunk_sizes == [(1 << 15) + 1]
+        assert [r.value.hex() for r in records] == [
+            "0x1.c400000000000p-6", "0x1.1c80000000000p-5", "0x1.2d40000000000p-5"]
+
 
 class TestAvgError:
     def test_degenerate_single_mean(self):
@@ -408,6 +438,13 @@ class TestAvgError:
             calls.clear()
             assert avg_probabilistic_errors(M, N, ps, measure) == single[measure]
             assert calls == ["class_weights", "level_errors"]
+
+    def test_chunks_fix_the_weighted_sum(self, chunk_sizes):
+        # the 2^14 + 1 means at M = 128 are chunks of 2^14 means and 1, one
+        # np.dot each; the values are those of that partition
+        records = avg_probabilistic_errors(128, 1 << 14, [0.75, 0.99], Measure.UNIFORM_FUNCTIONS)
+        assert chunk_sizes == [1 << 14, 1]
+        assert [r.value.hex() for r in records] == ["0x1.d6ead8b895656p-9", "0x1.63e13fbcfba5fp-4"]
 
     def test_uniform_means_bounded_by_worst(self):
         worst = worst_probabilistic_error(32, 1 << 8, 0.75).value

@@ -414,6 +414,33 @@ class TestBatchedCore:
         assert np.array_equal(batch.probabilities[0].view(np.int64),
                               state.index_marginal().view(np.int64))
 
+    @staticmethod
+    def _assert_sliced_fourier_is_the_whole_product(n, M, K):
+        # BLAS may block a narrower product differently, so the slice width
+        # of _apply_fourier is pinned against the whole matmul
+        layout = QubitLayout(n=n, M=M)
+        rng = np.random.default_rng(n * 10000 + M)
+        blocks = rng.normal(size=(K, layout.index_dim, layout.N)).astype(np.complex128)
+        blocks.imag = rng.normal(size=blocks.shape)
+        F = simulator._fourier_matrix(M)
+        for G in (F, F.conj()):
+            want = G @ blocks[:, :M]
+            tail = blocks[:, M:].copy()
+            simulator._apply_fourier(blocks, G)
+            assert np.array_equal(blocks[:, :M].view(np.int64), want.view(np.int64)), (n, M)
+            assert np.array_equal(blocks[:, M:].view(np.int64), tail.view(np.int64)), (n, M)
+
+    def test_sliced_fourier_is_the_whole_product_on_the_gate_grid(self):
+        # the oracle-equivalence batches: every k at n <= 6, M <= 16
+        for n in range(7):
+            for M in range(1, 17):
+                self._assert_sliced_fourier_is_the_whole_product(n, M, (1 << n) + 1)
+
+    @pytest.mark.parametrize("n,M", [(12, 512), (20, 4), (6, 2048)])
+    def test_sliced_fourier_is_the_whole_product_at_large_runs(self, n, M):
+        # states spanning 16 and 4096 slices, and a 2048 x 2048 Fourier block
+        self._assert_sliced_fourier_is_the_whole_product(n, M, 1)
+
     def test_fourier_work_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(simulator, "_MAX_FOURIER_WORK", 3 * 4 * 4 * 4)
         assert run_qs_batch(2, 4, np.zeros((3, 4), dtype=np.int8)).queries == 3
