@@ -37,6 +37,15 @@ _EXACT_TAIL = 64
 _WEIGHT_SLICE = 1 << 14
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(digits: str) -> tuple[int, ...]:
+    """The values of a string of '0'/'1' digits, translated in C: at N = 2**20
+    about ten times faster than int() per digit."""
+    return tuple(digits.encode().translate(_BIT_VALUES))
+
+
 class Measure(Enum):
     """Probability measure on the set of Boolean functions with domain size N."""
 
@@ -59,7 +68,7 @@ class BooleanFunction:
                 f"value table must have length 2**{self.n} = {1 << self.n}, "
                 f"got {len(self.values)}"
             )
-        if any(v not in (0, 1) for v in self.values):
+        if not set(self.values) <= {0, 1}:
             raise ValueError("value table entries must be 0 or 1")
 
     @property
@@ -96,7 +105,7 @@ class BooleanFunction:
         if N < 4:
             if len(text) != N or any(c not in "01" for c in text):
                 raise ValueError(f"expected {N} binary digits, got {text!r}")
-            return cls(n, tuple(int(c) for c in text))
+            return cls(n, _bits(text))
         body = text[2:] if text[:2].lower() == "0x" else text
         if len(body) != N // 4:
             raise ValueError(
@@ -107,8 +116,7 @@ class BooleanFunction:
             raise ValueError(f"malformed hex table: {min(bad)!r} is not a hex digit")
         # One binary rendering is linear in N; shifting the whole word once per
         # point would be quadratic.
-        bits = format(int(body, 16), f"0{N}b")
-        return cls(n, tuple(map(int, bits)))
+        return cls(n, _bits(format(int(body, 16), f"0{N}b")))
 
     def table(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int8)

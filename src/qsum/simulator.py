@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, sigma_of
 from .closedform import output_grid, sample
 
 __all__ = [
@@ -313,10 +313,8 @@ class GroverSpectrum:
 def grover_spectrum(a: float) -> GroverSpectrum:
     """Spectrum of the Grover operator for mean a; at a in {0, 1} the two
     eigenvalues degenerate to (-1)^a."""
+    theta = sigma_of(a, 1).theta
     x = float(a)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"mean must lie in [0, 1], got {a}")
-    theta = math.asin(math.sqrt(x))
     re = 1.0 - 2.0 * x
     im = 2.0 * math.sqrt(x * (1.0 - x))
     matrix = np.array([[1.0 - 2.0 * x, -2.0 * x], [2.0 * (1.0 - x), 1.0 - 2.0 * x]])

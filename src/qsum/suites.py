@@ -3,8 +3,10 @@ property, runnable from the command line and reused by the test suite.
 
 Each check compares an implementation path against either an independent
 oracle (brute-force subset search, direct complex sums, big-integer
-binomials, sequential operator application) or an analytic inequality, and
-reports a pass/fail with the observed extremal quantity.
+binomials, sequential operator application) or an analytic inequality.  A
+suite is a generator that yields each check as (name, passed, detail), the
+detail giving the observed extremal quantity; `run_suite` is the one place
+that turns them into `CheckResult`s.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,8 +70,8 @@ class CheckResult:
     detail: str
 
 
-def _check(results: list[CheckResult], suite: str, name: str, passed: bool, detail: str) -> None:
-    results.append(CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail))
+# What a suite yields per check: (name, passed, detail); passed may be np.bool_.
+Checks = Iterator[tuple[str, bool, str]]
 
 
 def _max_excess(records) -> float:
@@ -137,10 +140,8 @@ def gate_grid_deviation(n_max: int = 6, m_max: int = 16) -> tuple[float, float, 
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_unitarity() -> list[CheckResult]:
+def _suite_unitarity() -> Checks:
     rng = np.random.default_rng(20240901)
-    out: list[CheckResult] = []
-    suite = "unitarity"
 
     drift = 0.0
     for n, M in ((3, 6), (4, 5), (2, 8), (5, 1)):
@@ -157,7 +158,7 @@ def _suite_unitarity() -> list[CheckResult]:
         drift = max(drift, abs(state.norm() - 1.0))
         apply_lambda(state, f)
         drift = max(drift, abs(state.norm() - 1.0))
-    _check(out, suite, "norm preservation across all operators", drift <= 1e-10,
+    yield ("norm preservation across all operators", drift <= 1e-10,
            f"max |norm-1| = {drift:.3e} (tol 1e-10)")
 
     layout = QubitLayout(n=4, M=1)
@@ -168,7 +169,7 @@ def _suite_unitarity() -> list[CheckResult]:
         apply_primitive(state, Primitive.WALSH_HADAMARD)
         apply_primitive(state, Primitive.WALSH_HADAMARD)
         dev = max(dev, float(np.abs(state.amplitudes - ref).max()))
-    _check(out, suite, "Walsh-Hadamard is an involution", dev <= 1e-12,
+    yield ("Walsh-Hadamard is an involution", dev <= 1e-12,
            f"max deviation {dev:.3e} (tol 1e-12)")
 
     layout = QubitLayout(n=2, M=6)
@@ -179,7 +180,7 @@ def _suite_unitarity() -> list[CheckResult]:
         apply_primitive(state, Primitive.QFT)
         apply_primitive(state, Primitive.QFT_INVERSE)
         dev = max(dev, float(np.abs(state.amplitudes - ref).max()))
-    _check(out, suite, "Fourier block times its inverse is identity", dev <= 1e-12,
+    yield ("Fourier block times its inverse is identity", dev <= 1e-12,
            f"max deviation {dev:.3e} (tol 1e-12, M=6 on 3 index qubits)")
 
     dev = 0.0
@@ -194,7 +195,7 @@ def _suite_unitarity() -> list[CheckResult]:
         apply_standard_query(state, f)
         expected = np.kron(data * (1.0 - 2.0 * f.table()), ancilla)
         dev = max(dev, float(np.abs(state.amplitudes - expected).max()))
-    _check(out, suite, "XOR query with prepared ancilla equals sign query", dev <= 1e-12,
+    yield ("XOR query with prepared ancilla equals sign query", dev <= 1e-12,
            f"max deviation {dev:.3e} (tol 1e-12)")
 
     dev = 0.0
@@ -210,7 +211,7 @@ def _suite_unitarity() -> list[CheckResult]:
             expected = (spec.subspace_matrix[0, col] * psi0
                         + spec.subspace_matrix[1, col] * psi1)
             dev = max(dev, float(np.abs(state.amplitudes - expected).max()))
-    _check(out, suite, "Grover action on the invariant plane matches its 2x2 matrix",
+    yield ("Grover action on the invariant plane matches its 2x2 matrix",
            dev <= 1e-12, f"max deviation {dev:.3e} (tol 1e-12)")
 
     dev = 0.0
@@ -222,7 +223,7 @@ def _suite_unitarity() -> list[CheckResult]:
             state = StateVector(vec.copy(), QubitLayout(n=n, M=1))
             apply_grover(state, f)
             dev = max(dev, float(np.linalg.norm(state.amplitudes - lam * vec)))
-    _check(out, suite, "eigenvector relation Q psi = lambda psi", dev <= 1e-10,
+    yield ("eigenvector relation Q psi = lambda psi", dev <= 1e-10,
            f"max residual norm {dev:.3e} (tol 1e-10)")
 
     dev = 0.0
@@ -235,22 +236,17 @@ def _suite_unitarity() -> list[CheckResult]:
             cmath.exp(1j * theta) * plus - cmath.exp(-1j * theta) * minus
         )
         dev = max(dev, float(np.abs(recon - uniform).max()))
-    _check(out, suite, "uniform state decomposes over the eigenvectors", dev <= 1e-10,
+    yield ("uniform state decomposes over the eigenvectors", dev <= 1e-10,
            f"max deviation {dev:.3e} (tol 1e-10, includes means 0 and 1)")
-    return out
 
 
-def _suite_oracle_equivalence() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    suite = "oracle-equivalence"
-
+def _suite_oracle_equivalence() -> Checks:
     max_dev, max_tail, accounting_ok = gate_grid_deviation()
-    _check(out, suite, "gate marginal equals closed form on the full grid",
-           max_dev <= 1e-9,
+    yield ("gate marginal equals closed form on the full grid", max_dev <= 1e-9,
            f"max deviation {max_dev:.3e} (tol 1e-9, n<=6, M<=16, all k)")
-    _check(out, suite, "outcomes beyond M-1 carry no mass", max_tail <= 1e-12,
+    yield ("outcomes beyond M-1 carry no mass", max_tail <= 1e-12,
            f"max tail probability {max_tail:.3e} (tol 1e-12)")
-    _check(out, suite, "every run reports M-1 queries and n+ceil(log2 M) qubits",
+    yield ("every run reports M-1 queries and n+ceil(log2 M) qubits",
            accounting_ok, "exact match required")
 
     worst_gap = 0.0
@@ -260,8 +256,7 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
         dist = distribution(a, M)
         mass = dist.probs[np.abs(dist.outputs - a) <= 1e-12].sum()
         worst_gap = max(worst_gap, abs(mass - 1.0))
-    _check(out, suite, "integral sigma puts all mass on the exact output",
-           worst_gap <= 1e-12,
+    yield ("integral sigma puts all mass on the exact output", worst_gap <= 1e-12,
            f"max |mass-1| = {worst_gap:.3e} (a in {{0, 1, 1/2}} families, tol 1e-12)")
 
     norm_gap = 0.0
@@ -274,9 +269,9 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
             sym_gap = max(sym_gap, float(np.abs(probs[:, 1:] - probs[:, :0:-1]).max()))
             outputs = output_grid(M)
             sym_gap = max(sym_gap, float(np.abs(outputs[1:] - outputs[:0:-1]).max()))
-    _check(out, suite, "distributions are normalized", norm_gap <= 1e-12,
+    yield ("distributions are normalized", norm_gap <= 1e-12,
            f"max |sum-1| = {norm_gap:.3e} (N=2^10, M<=64, tol 1e-12)")
-    _check(out, suite, "probabilities and outputs are symmetric under j -> M-j",
+    yield ("probabilities and outputs are symmetric under j -> M-j",
            sym_gap <= 1e-12, f"max asymmetry {sym_gap:.3e} (tol 1e-12)")
 
     min_mass = 1.0
@@ -287,15 +282,12 @@ def _suite_oracle_equivalence() -> list[CheckResult]:
             lo, hi = math.floor(sigma), math.ceil(sigma)
             picks = {lo % M, hi % M, (M - lo) % M, (M - hi) % M}
             min_mass = min(min_mass, float(probs[list(picks)].sum()))
-    _check(out, suite, "the four outcomes bracketing sigma carry mass >= 8/pi^2",
+    yield ("the four outcomes bracketing sigma carry mass >= 8/pi^2",
            min_mass >= EIGHT_OVER_PI_SQ - 1e-12,
            f"min mass {min_mass:.6f} >= {EIGHT_OVER_PI_SQ:.6f}")
-    return out
 
 
-def _suite_bounds() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    suite = "bounds"
+def _suite_bounds() -> Checks:
     N12 = 1 << 12
 
     dist_excess = -math.inf
@@ -306,7 +298,7 @@ def _suite_bounds() -> list[CheckResult]:
             for j in (math.floor(sigma), math.ceil(sigma)):
                 dist_excess = max(dist_excess, abs(float(outputs[j]) - k / 64)
                                   - math.pi * abs(j - sigma) / M)
-    _check(out, suite, "bracketing outputs lie within pi |j - sigma| / M of the mean",
+    yield ("bracketing outputs lie within pi |j - sigma| / M of the mean",
            dist_excess <= 1e-15,
            f"max (error - pi |j - sigma| / M) = {dist_excess:.3e} at j = floor, ceil "
            f"of sigma (M = 2..64, N = 64, tol 1e-15)")
@@ -315,10 +307,10 @@ def _suite_bounds() -> list[CheckResult]:
     worst = [rec for N in (1 << 2, 1 << 8, N12) for M in range(2, 65)
              for rec in worst_probabilistic_errors(M, N, levels)]
     improved = [rec for rec in worst if rec.N == N12 and rec.p == EIGHT_OVER_PI_SQ]
-    _check(out, suite, "worst error at p = 8/pi^2 stays below (3/4) pi / M",
+    yield ("worst error at p = 8/pi^2 stays below (3/4) pi / M",
            all(rec.bound_ref == "ImprovedCor" and rec.bound_holds for rec in improved),
            f"max (value - bound) = {_max_excess(improved):.3e} over M = 2..64, N = 2^12")
-    _check(out, suite, "worst error respects C(p) pi / M for all p branches",
+    yield ("worst error respects C(p) pi / M for all p branches",
            all(rec.bound_holds for rec in worst),
            f"max (value - bound) = {_max_excess(worst):.3e} over M<=64, N in {{2^2,2^8,2^12}}")
 
@@ -333,7 +325,7 @@ def _suite_bounds() -> list[CheckResult]:
                                                      Measure.UNIFORM_FUNCTIONS)]
     refs = sorted(Counter(rec.bound_ref for rec in attached).items())
     wan4 = [rec.bound > 0.0 for rec in attached if rec.bound_ref == "WAn4"]
-    _check(out, suite, "every attached bound holds at p <= 8/pi^2",
+    yield ("every attached bound holds at p <= 8/pi^2",
            all(rec.bound_holds for rec in attached) and any(wan4),
            f"{len(attached)} records, N in {{1,2,16,256}}, M in 1..20,32,36,64, and "
            f"N = 2^13 under p1 at M in 5..19 with 4 not | M: "
@@ -342,7 +334,7 @@ def _suite_bounds() -> list[CheckResult]:
 
     recs = worst_probabilistic_errors(64, 1 << 20, levels)
     ratios = [rec.value / ((1.0 - v_inverse(rec.p)) * math.pi / 64) for rec in recs]
-    _check(out, suite, "worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate",
+    yield ("worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate",
            min(ratios) >= 0.85 and max(ratios) <= 1.0,
            f"ratios {', '.join(f'{r:.6f}' for r in ratios)}")
 
@@ -353,7 +345,7 @@ def _suite_bounds() -> list[CheckResult]:
         for k in range(17):
             brute = brute_force_errors_at_levels(k / 16, M, subset_levels)
             gap = max(gap, float(np.abs(greedy[:, k] - brute).max()))
-    _check(out, suite, "greedy level error equals exhaustive subset minimum",
+    yield ("greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
 
     rounding_ok = True
@@ -365,13 +357,13 @@ def _suite_bounds() -> list[CheckResult]:
             hits = np.round(dist.outputs * N) / N == a
             if dist.probs[hits].sum() < EIGHT_OVER_PI_SQ - 1e-12:
                 rounding_ok = False
-    _check(out, suite, "for M > (3 pi / 2) N rounding recovers the mean w.p. >= 8/pi^2",
+    yield ("for M > (3 pi / 2) N rounding recovers the mean w.p. >= 8/pi^2",
            rounding_ok, "exhaustive over N in {2, 4, 8}")
 
     eps, p = 0.01, EIGHT_OVER_PI_SQ
     M = queries_for_epsilon(eps, p)
     (rec,) = worst_probabilistic_errors(M, 1 << 20, [p])
-    _check(out, suite, "the query prescription achieves the target accuracy",
+    yield ("the query prescription achieves the target accuracy",
            M == 236 and rec.value <= eps,
            f"M = {M}, worst error {rec.value:.6f} <= {eps} at N = 2^20")
 
@@ -382,52 +374,47 @@ def _suite_bounds() -> list[CheckResult]:
             errs = level_errors([k / 16], M, list(grid))[:, 0]
             if np.any(np.diff(errs) < -1e-15):
                 mono_ok = False
-    _check(out, suite, "level error is nondecreasing in p", mono_ok,
+    yield ("level error is nondecreasing in p", mono_ok,
            "checked on a 20-point p grid for several (a, M)")
-    return out
 
 
-def _suite_calculus() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    suite = "calculus"
-
+def _suite_calculus() -> Checks:
     a1 = abs(v_inverse(EIGHT_OVER_PI_SQ) - 0.25)
     a2 = abs(v_inverse(FOUR_OVER_PI_SQ) - 0.5)
-    _check(out, suite, "v inverse hits both interval endpoints",
-           a1 <= 1e-10 and a2 <= 1e-10,
+    yield ("v inverse hits both interval endpoints", a1 <= 1e-10 and a2 <= 1e-10,
            f"|v^-1(8/pi^2)-1/4| = {a1:.2e}, |v^-1(4/pi^2)-1/2| = {a2:.2e} (tol 1e-10)")
 
     c1 = (1.0 - v_inverse(0.75)) * math.pi
     c2 = (1.0 - v_inverse(0.501)) * math.pi
-    _check(out, suite, "sharp constants at the common probability levels",
+    yield ("sharp constants at the common probability levels",
            abs(c1 - 2.23) <= 0.01 and abs(c2 - 1.75) <= 0.01,
            f"(1-v^-1(0.75)) pi = {c1:.4f} ~ 2.23, (1-v^-1(0.501)) pi = {c2:.4f} ~ 1.75")
 
     grid = np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 1000)
     resid = max(abs(math.pi**2 / 16 * p + 0.25 - (1.0 - v_inverse(p))) for p in grid)
-    _check(out, suite, "linear approximation of 1 - v^-1(p) within 0.0085",
+    yield ("linear approximation of 1 - v^-1(p) within 0.0085",
            resid <= 0.0085, f"max residual {resid:.6f} on a 1000-point grid")
 
     deltas = np.linspace(0.25, 0.5, 2001)
     vvals = [v_func(d) for d in deltas]
-    _check(out, suite, "v is decreasing on [1/4, 1/2]",
+    yield ("v is decreasing on [1/4, 1/2]",
            all(b < a for a, b in zip(vvals, vvals[1:])), "2001-point grid")
 
     gg = np.array([g_func(d) for d in np.linspace(0.0, 1.0, 10001)])
     at_half = abs(gg[5000] - EIGHT_OVER_PI_SQ)
     off = np.delete(gg, 5000)
-    _check(out, suite, "g has minimum 8/pi^2 exactly at 1/2",
+    yield ("g has minimum 8/pi^2 exactly at 1/2",
            gg.min() >= EIGHT_OVER_PI_SQ - 1e-12 and at_half <= 1e-12
            and off.min() > EIGHT_OVER_PI_SQ + 1e-12,
            f"g(1/2) - 8/pi^2 = {at_half:.2e}, off-center margin {off.min() - EIGHT_OVER_PI_SQ:.2e}")
 
     hh = [h_func(d) for d in np.concatenate([np.linspace(0, 0.25, 500),
                                              np.linspace(0.75, 1.0, 500)])]
-    _check(out, suite, "h stays above 8/pi^2 on the outer quarters",
+    yield ("h stays above 8/pi^2 on the outer quarters",
            min(hh) >= EIGHT_OVER_PI_SQ - 1e-12, f"min h = {min(hh):.6f}")
 
     wmin = min(dirichlet_kernel_sq(0.5, M) for M in range(1, 65))
-    _check(out, suite, "w(1/2, M) is at least 4/pi^2 for every M",
+    yield ("w(1/2, M) is at least 4/pi^2 for every M",
            wmin >= FOUR_OVER_PI_SQ, f"min over M<=64 is {wmin:.6f} >= {FOUR_OVER_PI_SQ:.6f}")
 
     rng = np.random.default_rng(77)
@@ -439,20 +426,16 @@ def _suite_calculus() -> list[CheckResult]:
         kernel = dirichlet_kernel_sq([M * (w1 - w2) for w1, w2 in pairs], M)
         direct = [kernel_direct_sum(w1, w2, M) for w1, w2 in pairs]
         gap = max(gap, float(np.abs(kernel - direct).max()))
-    _check(out, suite, "kernel matches the direct complex sum", gap <= 1e-12,
+    yield ("kernel matches the direct complex sum", gap <= 1e-12,
            f"max deviation {gap:.3e} on 1000 random frequency pairs (tol 1e-12)")
-    return out
 
 
-def _suite_average_case() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    suite = "average-case"
-
+def _suite_average_case() -> Checks:
     worst_gap = 0.0
     for N in (4, 64, 1 << 12, 1 << 20):
         for measure in (Measure.UNIFORM_FUNCTIONS, Measure.UNIFORM_MEANS):
             worst_gap = max(worst_gap, abs(float(class_weights(measure, N).sum()) - 1.0))
-    _check(out, suite, "class weights sum to one for both measures up to N = 2^20",
+    yield ("class weights sum to one for both measures up to N = 2^20",
            worst_gap <= 1e-12, f"max |sum-1| = {worst_gap:.3e} (tol 1e-12)")
 
     gap = 0.0
@@ -461,15 +444,15 @@ def _suite_average_case() -> list[CheckResult]:
         direct = float(np.dot(class_weights(Measure.UNIFORM_FUNCTIONS, N),
                               np.abs(0.5 - ks / N)))
         gap = max(gap, abs(first_moment(Measure.UNIFORM_FUNCTIONS, N) - direct))
-    _check(out, suite, "closed-form first moment equals the direct sum for N <= 24",
+    yield ("closed-form first moment equals the direct sum for N <= 24",
            gap <= 1e-14, f"max deviation {gap:.3e} (tol 1e-14)")
 
     N = 1 << 12
     ratio = first_moment(Measure.UNIFORM_FUNCTIONS, N) * math.sqrt(2.0 * math.pi * N)
     m2 = first_moment(Measure.UNIFORM_MEANS, N)
-    _check(out, suite, "uniform-function moment decays like 1/sqrt(2 pi N)",
+    yield ("uniform-function moment decays like 1/sqrt(2 pi N)",
            0.99 <= ratio <= 1.01, f"ratio {ratio:.6f} at N = 2^12")
-    _check(out, suite, "uniform-mean moment approaches 1/4",
+    yield ("uniform-mean moment approaches 1/4",
            0.24 <= m2 <= 0.26 and abs(m2 - 0.25) <= 1.0 / N,
            f"moment {m2:.6f} at N = 2^12")
 
@@ -479,10 +462,8 @@ def _suite_average_case() -> list[CheckResult]:
     ):
         recs = [avg_probabilistic_errors(M, N, [0.75], Measure.UNIFORM_FUNCTIONS, beta=2.0)[0]
                 for M in Ms]
-        _check(out, suite, name,
-               all(rec.bound_ref == ref and rec.bound_holds for rec in recs),
+        yield (name, all(rec.bound_ref == ref and rec.bound_holds for rec in recs),
                "; ".join(f"M={rec.M}: {rec.value:.5f} {sign} {rec.bound:.5f}" for rec in recs))
-    return out
 
 
 # The suites in `run_suite("all")` order; SUITE_NAMES lists their names.
@@ -498,11 +479,8 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str) -> list[CheckResult]:
     """Run a named suite (or 'all'); raises ValueError on an unknown name."""
-    if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            results.extend(_SUITES[suite]())
-        return results
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return _SUITES[name]()
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {(*_SUITES, 'all')}")
+    return [CheckResult(suite, check, bool(passed), detail)
+            for suite in (_SUITES if name == "all" else (name,))
+            for check, passed, detail in _SUITES[suite]()]

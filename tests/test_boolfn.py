@@ -70,6 +70,19 @@ class TestBooleanFunction:
         assert BooleanFunction.from_hex(1, "01").values == (0, 1)
         assert BooleanFunction.from_hex(0, "1").values == (1,)
 
+    def test_from_hex_matches_a_digit_by_digit_parse(self):
+        # the byte translation gives the tuple of plain ints that int() per
+        # binary digit gives; table() is a fresh writable int8 copy
+        rng = np.random.default_rng(12)
+        text = "".join(rng.choice(list("0123456789abcdefABCDEF"), 1 << 10))
+        f = BooleanFunction.from_hex(12, text)
+        assert f.values == tuple(int(c) for c in format(int(text, 16), "04096b"))
+        assert {type(v) for v in f.values} == {int}
+        table = f.table()
+        assert table.dtype == np.int8 and table.flags.writeable
+        table[:] = 1 - table
+        assert np.array_equal(f.table(), f.values)
+
     def test_from_hex_rejects_malformed(self):
         with pytest.raises(ValueError):
             BooleanFunction.from_hex(3, "zz")

@@ -66,8 +66,10 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [1.5])
 
+    # p = 0.51 and 0.75 at these means are in the bounds suite's check
+    # "greedy level error equals exhaustive subset minimum"
     @pytest.mark.parametrize("M", range(1, 9))
-    @pytest.mark.parametrize("p", [0.75, EIGHT_OVER_PI_SQ])
+    @pytest.mark.parametrize("p", [EIGHT_OVER_PI_SQ])
     def test_matches_subset_oracle(self, M, p):
         for k in range(17):
             a = Fraction(k, 16)
@@ -89,20 +91,23 @@ class TestErrorAtLevel:
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
-        # mean counts on both sides of one block of the first pass, and across
-        # several, all prefixes of one draw; the reference is the full sort of
-        # every mean.  The pair pass takes 4 cells per mean, the walk 2 per
-        # step; above 8/pi^2, and at M <= 3 at every level, the walk takes
-        # every mean
+        # mean counts that fill at most one block of the first pass, and that
+        # split into two even blocks (3 block // 2 + 1 rounds to two) and
+        # into several, all prefixes of one draw; the reference is the full
+        # sort of every mean.  The pair pass takes 4 cells per mean, the walk
+        # 2 per step; above 8/pi^2, and at M <= 3 at every level, the walk
+        # takes every mean
         rng = np.random.default_rng(budget + M)
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         for p in (0.51, EIGHT_OVER_PI_SQ, *WALK_LEVELS):
-            pair_pass = p <= EIGHT_OVER_PI_SQ and M >= 4
-            block = max(1, budget // (4 if pair_pass else 2))
-            counts = (block - 1, block, block + 1, 3 * block + 7)
+            cells = 4 if p <= EIGHT_OVER_PI_SQ and M >= 4 else 2
+            block = max(1, budget // cells)
+            counts = (block - 1, block, 3 * block // 2 + 1, 3 * block + 7)
             means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
             want = bounds._full_level_errors(means, M, [p]).view(np.int64)
             for count in counts:
+                if count > block:
+                    assert len(bounds._row_blocks(count, cells)) >= 2, (p, count)
                 got = level_errors(means[:count], M, [p]).view(np.int64)
                 assert np.array_equal(got, want[:, :count]), (p, count)
 
