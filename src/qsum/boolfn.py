@@ -192,14 +192,23 @@ def class_weights(measure: Measure, N: int) -> np.ndarray:
         raise ValueError(f"N must be >= 1, got {N}")
     if measure is Measure.UNIFORM_MEANS:
         return np.full(N + 1, 1.0 / (N + 1))
-    w = np.empty(N + 1)
+    w = np.zeros(N + 1)
     edge = min(_EXACT_TAIL, (N + 2) // 2)
     for k in range(edge):
         w[k] = w[N - k] = _weight_uniform_functions(N, k)
-    for lo in range(edge, N + 1 - edge, _WEIGHT_SLICE):
-        hi = min(lo + _WEIGHT_SLICE, N + 1 - edge)
-        mid = np.arange(lo, hi, dtype=np.float64)
-        np.exp(_log_weights_stirling(N, mid), out=w[lo:hi])
+    # The log weight falls as |k - N/2| grows, so the slices of the Stirling
+    # middle grow outward from N/2, and a side stops at its first all-zero
+    # slice (about 19 sqrt(N) from N/2): the weights beyond it are zero too.
+    top, centre = N + 1 - edge, (N + 1) // 2
+    upward = [slice(lo, min(lo + _WEIGHT_SLICE, top)) for lo in range(centre, top, _WEIGHT_SLICE)]
+    downward = [slice(max(hi - _WEIGHT_SLICE, edge), hi)
+                for hi in range(centre, edge, -_WEIGHT_SLICE)]
+    for side in (upward, downward):
+        for part in side:
+            mid = np.arange(part.start, part.stop, dtype=np.float64)
+            np.exp(_log_weights_stirling(N, mid), out=w[part])
+            if not w[part].any():
+                break
     return w
 
 

@@ -2,11 +2,12 @@
 
 The level error of a mean a at probability p is the smallest radius alpha
 such that outcomes within alpha of a carry mass at least p.  Maximizing over
-all means k/N gives the worst-case functional; weighting by a measure on the
-function space gives the average-case one.  The v / C(p) calculus expresses
-the sharp worst-case constants, and the divisible-by-4 upper bound and
-non-divisible lower bound govern the average case under the uniform-function
-measure.
+all means k/N gives the worst-case functional, which up to 8/pi^2 is read
+off a screened subset of the means with the full sweep's bits; weighting by
+a measure on the function space gives the average-case one.  The v / C(p)
+calculus expresses the sharp worst-case constants, and the divisible-by-4
+upper bound and non-divisible lower bound govern the average case under the
+uniform-function measure.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ _BLOCK_CELLS = 1 << 14
 # weighted sum into one np.dot per chunk, so they fix its bits.  _BLOCK_CELLS,
 # not this, sizes the work arrays.
 _CHUNK_CELLS = 1 << 21
+
+# The screened worst case (`_screened_worst_errors`) runs at M up to
+# _SCREEN_MAX_M, from N = _SCREEN_MIN_N means, and where its coarse step is at
+# least _SCREEN_MIN_STEP.  Below those its candidates are not much fewer than
+# the N+1 means, or its two extra calls cost what they save: on a 2-core
+# x86-64 machine it took 0.9-2.5x the dense sweep's time at N <= 2**12 or
+# step 2, and 0.1-0.9x from N = 2**13 at step 4 and up.
+_SCREEN_MAX_M = 4096
+_SCREEN_MIN_N = 1 << 13
+_SCREEN_MIN_STEP = 4
 
 
 class Setting(Enum):
@@ -339,19 +350,101 @@ def _sweep_all_means(
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
-    """Worst-case records for several levels in one sweep over the mean grid.
+    """Worst-case records for several levels from one screened sweep.
 
-    One `level_errors` call per chunk of means answers every level, so the
-    sweep costs about what its highest level costs alone.  The maximum does
-    not depend on the chunks, so they are even: no sweep ends in a short one.
+    Where `level_errors` starts with its pair pass (every level at most
+    8/pi^2, 4 <= M <= 4096) and the means are many enough to save
+    (`_screen_step`), `_screened_worst_errors` evaluates candidate means and
+    then only the gaps between them where the deciding value can change:
+    about sqrt(N L M) means for L levels, not N+1.  Elsewhere the dense sweep
+    over all N+1 means, `_full_worst_errors`, runs; it is also the screen's
+    oracle.  Both give the same bits, and each `level_errors` call answers
+    every level, so a sweep costs about what its highest level costs alone.
     """
     for p in ps:
         _validate_p(p)
+    step = _screen_step(M, N, ps)
+    if step == 1:
+        best = _full_worst_errors(M, N, ps)
+    else:
+        best = _screened_worst_errors(M, N, ps, step)
+    return [_record(Setting.WORST_PROBABILISTIC, None, M, N, p, float(value))
+            for p, value in zip(ps, best)]
+
+
+def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
+    """The largest level error over all N+1 means k/N, per level: the dense
+    sweep.  The maximum does not depend on the chunks, so they are even: no
+    sweep ends in a short one."""
     best = np.zeros(len(ps))
     for _, errs in _sweep_all_means(M, N, ps, _even_slices):
         best = np.maximum(best, errs.max(axis=1))
-    return [_record(Setting.WORST_PROBABILISTIC, None, M, N, p, float(value))
-            for p, value in zip(ps, best)]
+    return best
+
+
+def _screen_step(M: int, N: int, ps: Sequence[float]) -> int:
+    """The coarse grid step of the screened sweep, about sqrt(N / (L M)) for L
+    levels, which balances the coarse grid's N/step means against the gaps of
+    about step means filled at each of the O(L M) side flips; 1 where the
+    sweep stays dense: a level above 8/pi^2, M outside 4..4096, or too few
+    means to save."""
+    if (not 4 <= M <= _SCREEN_MAX_M or N < _SCREEN_MIN_N
+            or max(ps, default=1.0) > EIGHT_OVER_PI_SQ):
+        return 1
+    step = math.isqrt(N // (len(ps) * M))
+    return step if step >= _SCREEN_MIN_STEP else 1
+
+
+def _screened_worst_errors(M: int, N: int, ps: Sequence[float], step: int) -> np.ndarray:
+    """`_full_worst_errors` from the candidate means and the gaps between them
+    that must be filled; every level at most 8/pi^2 and M >= 4, so that each
+    row's error lies within the pair of values bracketing sigma.
+
+    A piece is a run of means with one lo = floor(sigma) and one near value
+    (the nearer of v_lo and v_lo+1).  In a piece both distances d_near and
+    d_far move monotonically with the mean, and at level p a row's error is
+    d_near where the near value's twin mass reaches p - LEVEL_SLACK and at
+    most d_far elsewhere, with equality wherever the pair decides the row.
+    The near mass falls away from the near value, so the side flips at most
+    once per piece and level, and the maximum over a piece lies at its ends
+    or next to a flip.  A gap between candidates holds no error above its
+    ends' when both ends lie in one piece, are decided by the pair (error
+    d_near or d_far at every level, d_lo != d_hi) and sit on the same side
+    at every level; every other gap is filled.  The candidates are the grid
+    neighbours of every value, of every midpoint (where the near value
+    changes) and of every kink (v_i-1 + v_i+2)/2 of the distance to the
+    nearest value outside the pair, and a coarse grid of the given step, so
+    the gaps at piece ends hold a few means each.  `level_errors` gives each
+    mean the same bits whatever else it is called with, so the maximum is
+    the dense sweep's bit for bit.
+    """
+    values = output_grid(M)[: M // 2 + 1]
+    marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
+                            (values[:-3] + values[3:]) / 2])
+    neighbours = np.floor(marks * N)[:, None] + np.arange(-1, 3)
+    ks = np.sort(np.concatenate([np.clip(neighbours, 0, N).astype(np.int64).ravel(),
+                                 np.arange(0, N, step), [N]]))
+    ks = ks[np.diff(ks, prepend=-1) > 0]
+    means = ks / N
+    errs = level_errors(means, M, ps)
+    floor = np.floor(sigmas_of(means, M))
+    lo = np.clip(floor.astype(np.int64), 0, values.size - 2)
+    d_lo = np.abs(values[lo] - means)
+    d_hi = np.abs(values[lo + 1] - means)
+    near_side = errs == np.minimum(d_lo, d_hi)
+    decided = (d_lo != d_hi) & (near_side | (errs == np.maximum(d_lo, d_hi))).all(axis=0)
+    piece = 2 * floor + (d_lo >= d_hi)
+    keep = decided[:-1] & decided[1:] & (piece[:-1] == piece[1:])
+    keep &= (near_side[:, :-1] == near_side[:, 1:]).all(axis=0)
+    widths = np.diff(ks)
+    gaps = np.flatnonzero(~keep & (widths > 1))
+    best = errs.max(axis=1)
+    if gaps.size:
+        starts, sizes = ks[gaps] + 1, widths[gaps] - 1
+        offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        fill = level_errors((np.arange(offsets.size) + offsets) / N, M, ps)
+        best = np.maximum(best, fill.max(axis=1))
+    return best
 
 
 def worst_probabilistic_error(M: int, N: int, p: float) -> ErrorRecord:

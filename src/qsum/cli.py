@@ -101,13 +101,17 @@ def _record_row(rec: ErrorRecord) -> str:
 _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 
 # Sizes above which a command is refused before any work, with exit code 2.
-# An error sweep evaluates every mean k/N, k = 0..N, and the average case
-# first stores an 8-byte class weight per mean: at N = 2^24 a one-level sweep
-# takes several seconds, and the average case holds 128 MiB of weights (about
-# 170 MB peak).  A law has one row, and a sweep one output, per outcome j < M.
-# A sweep's cost is its outcome cells, N+1 means times the estimated cells per
-# mean at its highest level: 4 up to 8/pi^2 (N = 2^24 is then 2^26 cells),
-# more above, and all M at p = 1.
+# An average sweep evaluates every mean k/N, k = 0..N, and first stores an
+# 8-byte class weight per mean: at N = 2^24 it holds 128 MiB of weights
+# (about 170 MB peak), and a one-level sweep takes several seconds.  So does
+# a worst-case sweep above 8/pi^2 or outside 4 <= M <= 4096, which stays
+# dense; up to 8/pi^2 the worst case screens the means instead
+# (`bounds.worst_probabilistic_errors`), about 0.03 s at M = 64, N = 2^24.
+# The limits below are those of the dense sweep for every sweep.  A law has
+# one row, and a sweep one output, per outcome j < M.  A sweep's cost is its
+# outcome cells, N+1 means times the estimated cells per mean at its highest
+# level: 4 up to 8/pi^2 (N = 2^24 is then 2^26 cells), more above, and all M
+# at p = 1.
 _MAX_SWEEP_N_LOG2 = 24
 _MAX_SWEEP_CELLS_LOG2 = 28
 _MAX_OUTCOMES = 1 << 20

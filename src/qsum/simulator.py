@@ -64,6 +64,10 @@ _MAX_FOURIER_WORK = 1 << 34
 # columns give the whole product's bits on every shape the tests pin, and
 # slices of 1 or 7 columns do not.  At N <= 256 a slice is the whole product.
 _FOURIER_COLUMNS = 256
+# Amplitudes per group of index rows whose squared magnitudes the marginal
+# sums at once: its temporaries stay near 1 MiB, or one row where a row is
+# longer, not half the state.
+_MARGINAL_AMPS = 1 << 16
 
 
 class Primitive(Enum):
@@ -160,7 +164,14 @@ class StateVector:
 # at a time.
 
 def _index_marginals(blocks: np.ndarray) -> np.ndarray:
-    return (np.abs(blocks) ** 2).sum(axis=-1)
+    # A few index rows at a time (_MARGINAL_AMPS); a row's sum over its data
+    # columns is the same whichever rows share its group.
+    rows = blocks.reshape(-1, blocks.shape[-1])
+    out = np.empty(rows.shape[0])
+    step = max(1, _MARGINAL_AMPS // rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        out[lo:lo + step] = (np.abs(rows[lo:lo + step]) ** 2).sum(axis=-1)
+    return out.reshape(blocks.shape[:-1])
 
 
 def _walsh_blocks(blocks: np.ndarray) -> None:

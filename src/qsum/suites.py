@@ -25,6 +25,9 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
+    _full_worst_errors,
+    _screen_step,
+    _screened_worst_errors,
     avg_probabilistic_errors,
     g_func,
     h_func,
@@ -304,8 +307,9 @@ def _suite_bounds() -> Checks:
            f"of sigma (M = 2..64, N = 64, tol 1e-15)")
 
     levels = [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ]
-    worst = [rec for N in (1 << 2, 1 << 8, N12) for M in range(2, 65)
-             for rec in worst_probabilistic_errors(M, N, levels)]
+    swept = {(M, N, tuple(levels)): worst_probabilistic_errors(M, N, levels)
+             for N in (1 << 2, 1 << 8, N12) for M in range(2, 65)}
+    worst = [rec for recs in swept.values() for rec in recs]
     improved = [rec for rec in worst if rec.N == N12 and rec.p == EIGHT_OVER_PI_SQ]
     yield ("worst error at p = 8/pi^2 stays below (3/4) pi / M",
            all(rec.bound_ref == "ImprovedCor" and rec.bound_holds for rec in improved),
@@ -332,7 +336,7 @@ def _suite_bounds() -> Checks:
            f"{', '.join(f'{ref} {n}' for ref, n in refs)} "
            f"({sum(wan4)} WAn4 positive, {wan4.count(False)} non-positive)")
 
-    recs = worst_probabilistic_errors(64, 1 << 20, levels)
+    recs = swept[64, 1 << 20, tuple(levels)] = worst_probabilistic_errors(64, 1 << 20, levels)
     ratios = [rec.value / ((1.0 - v_inverse(rec.p)) * math.pi / 64) for rec in recs]
     yield ("worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate",
            min(ratios) >= 0.85 and max(ratios) <= 1.0,
@@ -362,10 +366,25 @@ def _suite_bounds() -> Checks:
 
     eps, p = 0.01, EIGHT_OVER_PI_SQ
     M = queries_for_epsilon(eps, p)
-    (rec,) = worst_probabilistic_errors(M, 1 << 20, [p])
+    (rec,) = swept[M, 1 << 20, (p,)] = worst_probabilistic_errors(M, 1 << 20, [p])
     yield ("the query prescription achieves the target accuracy",
            M == 236 and rec.value <= eps,
            f"M = {M}, worst error {rec.value:.6f} <= {eps} at N = 2^20")
+
+    # a sweep that stayed dense at M >= 4 is screened here at step 4 as well
+    differ = screened = forced = 0
+    for (M, N, ps), recs in swept.items():
+        full = list(map(float.hex, _full_worst_errors(M, N, ps)))
+        differ += [rec.value.hex() for rec in recs] != full
+        if _screen_step(M, N, ps) > 1:
+            screened += 1
+        elif M >= 4:
+            differ += list(map(float.hex, _screened_worst_errors(M, N, ps, 4))) != full
+            forced += 1
+    yield ("screened worst case equals the full sweep", differ == 0,
+           f"{differ} differ in float.hex among {len(swept)} sweeps ({screened} screened) and "
+           f"{forced} step-4 screens of the dense ones (M = 2..64 at N in {{2^2,2^8,2^12}}, "
+           f"M = 64 and 236 at N = 2^20)")
 
     mono_ok = True
     grid = np.linspace(0.05, 1.0, 20)

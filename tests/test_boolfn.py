@@ -190,6 +190,20 @@ class TestClassWeight:
             weights.append(class_weights(Measure.UNIFORM_FUNCTIONS, N).view(np.int64))
         assert np.array_equal(*weights)
 
+    def test_support_only_build_equals_the_whole_range_build(self):
+        # the slices stop at the first all-zero one on each side of N/2; the
+        # weights are those of the exact tail plus one Stirling call over the
+        # whole middle, bit for bit, zeros included
+        for N in [*(1 << n for n in range(21)), 3, 127, 129, 255, (1 << 16) + 3]:
+            edge = min(64, (N + 2) // 2)
+            whole = np.empty(N + 1)
+            for k in range(edge):
+                whole[k] = whole[N - k] = boolfn._weight_uniform_functions(N, k)
+            middle = np.arange(edge, N + 1 - edge, dtype=np.float64)
+            whole[edge:N + 1 - edge] = np.exp(boolfn._log_weights_stirling(N, middle))
+            w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
+            assert np.array_equal(w.view(np.int64), whole.view(np.int64)), N
+
     def test_slices_keep_the_peak_near_the_weight_array(self):
         # at N = 2^20 the 8 MiB weight array plus one slice's temporaries,
         # about nine arrays of _WEIGHT_SLICE means

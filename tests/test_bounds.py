@@ -399,14 +399,47 @@ class TestWorstError:
         rec = worst_probabilistic_error(4, 4, 0.75)
         assert rec.value <= 3 * math.pi / 16
 
-    def test_sweep_is_one_even_chunk(self, chunk_sizes):
-        # at M = 64 a chunk is about 2^15 means, so the 2^15 + 1 means are
-        # one chunk, not 2^15 and 1; the maximum, pinned here, does not
-        # depend on the chunks
+    def test_sweep_screens_the_mean_grid(self, chunk_sizes):
+        # at M = 64 the 2^15 + 1 means are screened: the candidates and the
+        # gaps to fill, two level_errors calls, are under a quarter of them;
+        # the maximum, pinned here, is the dense sweep's
         records = bounds.worst_probabilistic_errors(64, 1 << 15, [0.51, 0.75, EIGHT_OVER_PI_SQ])
-        assert chunk_sizes == [(1 << 15) + 1]
+        assert len(chunk_sizes) == 2
+        assert sum(chunk_sizes) < ((1 << 15) + 1) / 4
         assert [r.value.hex() for r in records] == [
             "0x1.c400000000000p-6", "0x1.1c80000000000p-5", "0x1.2d40000000000p-5"]
+
+    def test_screen_equals_the_full_sweep(self):
+        # seeded (M, N, levels, step) draws, at the public step and at forced
+        # ones from 2 up, so that small N screens too; float.hex equality
+        rng = np.random.default_rng(2026)
+        Ms = [4, 5, 6, 7, 8, 9, 12, 16, 17, 31, 33, 100, 236, 512, 1000, 1024, 2048, 4096]
+        screened = 0
+        for _ in range(200):
+            M, n = int(rng.choice(Ms)), int(rng.integers(0, 17))
+            N = 1 << n
+            ps = sorted({*rng.uniform(0.3, EIGHT_OVER_PI_SQ, int(rng.integers(0, 4))).tolist(),
+                         float(rng.choice([EIGHT_OVER_PI_SQ, rng.uniform(0.3, EIGHT_OVER_PI_SQ)]))})
+            full = [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
+            public = [r.value.hex() for r in bounds.worst_probabilistic_errors(M, N, ps)]
+            forced = bounds._screened_worst_errors(M, N, ps, int(rng.integers(2, 65)))
+            assert public == full == [x.hex() for x in forced], (M, N, ps)
+            screened += bounds._screen_step(M, N, ps) > 1
+        assert screened >= 20
+
+    @pytest.mark.parametrize("M, ps", [(64, [0.75, 0.9]), (3, [0.75]), (4097, [0.75])])
+    def test_dense_sweep_outside_the_screen(self, monkeypatch, M, ps):
+        # a level above 8/pi^2, M < 4 or M > 4096 takes the dense sweep, at an
+        # N where M = 64 at level 0.75 alone is screened
+        N = 1 << 20
+        assert bounds._screen_step(64, N, [0.75]) > 1
+        calls = []
+        monkeypatch.setattr(bounds, "_full_worst_errors",
+                            lambda *a: calls.append(a) or np.zeros(len(ps)))
+        monkeypatch.setattr(bounds, "_screened_worst_errors", lambda *a: pytest.fail(
+            "the screen ran outside its regime"))
+        bounds.worst_probabilistic_errors(M, N, ps)
+        assert calls == [(M, N, ps)]
 
 
 class TestAvgError:

@@ -486,3 +486,16 @@ class TestMeasurement:
             record = measure_index(state, np.random.default_rng(seed))
             assert record.outcome == 2
             assert record.probability == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("group", [1, 3, 1 << 16])
+    def test_marginal_groups_change_no_bit(self, monkeypatch, group):
+        # index rows summed a few at a time, one at a time, or wider than a
+        # row: the bits of the whole-state expression, on stacks of runs too
+        monkeypatch.setattr(simulator, "_MARGINAL_AMPS", group)
+        rng = np.random.default_rng(31)
+        for shape in ((1, 1), (4, 1), (8, 2), (3, 16, 32), (2, 4, 1 << 14), (2, 1 << 17)):
+            blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = simulator._index_marginals(blocks)
+            want = (np.abs(blocks) ** 2).sum(axis=-1)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), shape
