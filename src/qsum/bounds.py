@@ -21,6 +21,7 @@ import numpy as np
 
 from .boolfn import Measure, class_weights, sigmas_of
 from .closedform import (
+    dirichlet_kernel_sq,
     outcome_probabilities,
     outcome_probabilities_at,
     output_grid,
@@ -70,14 +71,20 @@ _BLOCK_CELLS = 1 << 14
 _CHUNK_CELLS = 1 << 21
 
 # The screened worst case (`_screened_worst_errors`) runs at M up to
-# _SCREEN_MAX_M, from N = _SCREEN_MIN_N means, and where its coarse step is at
-# least _SCREEN_MIN_STEP.  Below those its candidates are not much fewer than
-# the N+1 means, or its two extra calls cost what they save: on a 2-core
-# x86-64 machine it took 0.9-2.5x the dense sweep's time at N <= 2**12 or
-# step 2, and 0.1-0.9x from N = 2**13 at step 4 and up.
+# _SCREEN_MAX_M, the range its oracle tests cover, where its estimated means
+# (`_screen_means`) and _SCREEN_FIXED_MEANS are fewer than the dense sweep's
+# N+1.  _SCREEN_FIXED_MEANS is the screen's fixed cost, the numpy passes of
+# its plan and search, counted in means of the dense sweep.  Measured on a
+# 2-core x86-64 machine, the screen was not clearly faster than the dense
+# sweep at N = 2^12 with one level (M = 5..64), which stays dense; it took
+# 0.89 of the dense time at N = 2^13 with four levels (M = 232..240) and
+# 1.3-1.4x at N = 2^14 with four levels at M = 1024, which stays dense.
 _SCREEN_MAX_M = 4096
-_SCREEN_MIN_N = 1 << 13
-_SCREEN_MIN_STEP = 4
+_SCREEN_FIXED_MEANS = 1 << 12
+
+# Rounds of the screen's flip search that may take a Newton step; later
+# rounds bisect, so a search ends within this many plus log2 N rounds.
+_NEWTON_ROUNDS = 8
 
 
 class Setting(Enum):
@@ -250,6 +257,18 @@ def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
     return probs
 
 
+def _pair_values(
+    means: np.ndarray, sigma: np.ndarray, values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair of values bracketing sigma: lo = floor(sigma) clipped to
+    0..M//2-1, the distances d_lo and d_hi to v_lo and v_lo+1, and whether
+    v_lo is the near value."""
+    lo = np.clip(np.floor(sigma).astype(np.int64), 0, values.size - 2)
+    d_lo = np.abs(values[lo] - means)
+    d_hi = np.abs(values[lo + 1] - means)
+    return lo, d_lo, d_hi, d_lo < d_hi
+
+
 def _pair_block(
     means: np.ndarray, sigma: np.ndarray, edges: np.ndarray, M: int,
     thresholds: np.ndarray, out: np.ndarray,
@@ -262,11 +281,7 @@ def _pair_block(
     falls short of the highest level, the far value's: the (distance, j)
     order wherever the two distances differ.
     """
-    values = edges[1:-1]
-    lo = np.clip(np.floor(sigma).astype(np.int64), 0, values.size - 2)
-    d_lo = np.abs(values[lo] - means)
-    d_hi = np.abs(values[lo + 1] - means)
-    near_is_lo = d_lo < d_hi
+    lo, d_lo, d_hi, near_is_lo = _pair_values(means, sigma, edges[1:-1])
     d_near = np.minimum(d_lo, d_hi)
     d_far = np.maximum(d_lo, d_hi)
     near = _twin_probs(sigma, lo + 1 - near_is_lo, M)
@@ -353,21 +368,22 @@ def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[Erro
     """Worst-case records for several levels from one screened sweep.
 
     Where `level_errors` starts with its pair pass (every level at most
-    8/pi^2, 4 <= M <= 4096) and the means are many enough to save
-    (`_screen_step`), `_screened_worst_errors` evaluates candidate means and
-    then only the gaps between them where the deciding value can change:
-    about sqrt(N L M) means for L levels, not N+1.  Elsewhere the dense sweep
-    over all N+1 means, `_full_worst_errors`, runs; it is also the screen's
-    oracle.  Both give the same bits, and each `level_errors` call answers
-    every level, so a sweep costs about what its highest level costs alone.
+    8/pi^2, 4 <= M <= _SCREEN_MAX_M) and the screen's estimated means and
+    fixed cost are fewer than the N+1 means (`_screens`),
+    `_screened_worst_errors` evaluates candidate means and the two rows
+    around every side flip it finds: O(L M) means for L levels, whatever N,
+    found with a few probes of the near value's and the first two values'
+    masses per flip.  Elsewhere the dense sweep over all N+1 means,
+    `_full_worst_errors`, runs; it is also the screen's oracle.  Both give
+    the same bits, and each `level_errors` call answers every level, so a
+    sweep costs about what its highest level costs alone.
     """
     for p in ps:
         _validate_p(p)
-    step = _screen_step(M, N, ps)
-    if step == 1:
-        best = _full_worst_errors(M, N, ps)
+    if _screens(M, N, ps):
+        best = _screened_worst_errors(M, N, ps)
     else:
-        best = _screened_worst_errors(M, N, ps, step)
+        best = _full_worst_errors(M, N, ps)
     return [_record(Setting.WORST_PROBABILISTIC, None, M, N, p, float(value))
             for p, value in zip(ps, best)]
 
@@ -382,68 +398,280 @@ def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     return best
 
 
-def _screen_step(M: int, N: int, ps: Sequence[float]) -> int:
-    """The coarse grid step of the screened sweep, about sqrt(N / (L M)) for L
-    levels, which balances the coarse grid's N/step means against the gaps of
-    about step means filled at each of the O(L M) side flips; 1 where the
-    sweep stays dense: a level above 8/pi^2, M outside 4..4096, or too few
-    means to save."""
-    if (not 4 <= M <= _SCREEN_MAX_M or N < _SCREEN_MIN_N
-            or max(ps, default=1.0) > EIGHT_OVER_PI_SQ):
-        return 1
-    step = math.isqrt(N // (len(ps) * M))
-    return step if step >= _SCREEN_MIN_STEP else 1
+def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
+    """Whether the worst case is screened: every level at most 8/pi^2 and
+    4 <= M <= _SCREEN_MAX_M, where `level_errors` starts with its pair pass,
+    and fewer means to screen, with the screen's fixed cost, than the dense
+    sweep's N+1."""
+    if not 4 <= M <= _SCREEN_MAX_M or max(ps, default=1.0) > EIGHT_OVER_PI_SQ:
+        return False
+    return _SCREEN_FIXED_MEANS + _screen_means(M, len(ps)) < N + 1
 
 
-def _screened_worst_errors(M: int, N: int, ps: Sequence[float], step: int) -> np.ndarray:
-    """`_full_worst_errors` from the candidate means and the gaps between them
-    that must be filled; every level at most 8/pi^2 and M >= 4, so that each
-    row's error lies within the pair of values bracketing sigma.
+def _screen_means(M: int, levels: int) -> int:
+    """The screen's cost in means of the dense sweep, whatever N: 12
+    candidates per value, and in each of its two pieces and at each level
+    two rows around a flip and two probes that find them (`_screen_plan`),
+    over the about half of the values it keeps (`_screened_range`), each
+    costing about 1.5 of the dense sweep's means on a 2-core x86-64 machine:
+    3/4 of (12 + 8 levels) per value."""
+    return (9 + 6 * levels) * (M // 2 + 1)
 
-    A piece is a run of means with one lo = floor(sigma) and one near value
-    (the nearer of v_lo and v_lo+1).  In a piece both distances d_near and
-    d_far move monotonically with the mean, and at level p a row's error is
-    d_near where the near value's twin mass reaches p - LEVEL_SLACK and at
-    most d_far elsewhere, with equality wherever the pair decides the row.
-    The near mass falls away from the near value, so the side flips at most
-    once per piece and level, and the maximum over a piece lies at its ends
-    or next to a flip.  A gap between candidates holds no error above its
-    ends' when both ends lie in one piece, are decided by the pair (error
-    d_near or d_far at every level, d_lo != d_hi) and sit on the same side
-    at every level; every other gap is filled.  The candidates are the grid
-    neighbours of every value, of every midpoint (where the near value
-    changes) and of every kink (v_i-1 + v_i+2)/2 of the distance to the
-    nearest value outside the pair, and a coarse grid of the given step, so
-    the gaps at piece ends hold a few means each.  `level_errors` gives each
-    mean the same bits whatever else it is called with, so the maximum is
-    the dense sweep's bit for bit.
+
+def _nearest_values(
+    means: np.ndarray, sigma: np.ndarray, edges: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's piece, 2 floor(sigma) plus whether v_lo+1 is the near
+    value; the indices of its three nearest values in the order
+    `level_errors` takes them, shape (3, rows): the near value, then the far
+    one of the pair or, where it is nearer, the value beyond the near one (an
+    index outside 0..M//2 where that runs out); and where it is."""
+    lo, d_lo, d_hi, near_is_lo = _pair_values(means, sigma, edges[1:-1])
+    near = lo + 1 - near_is_lo
+    far = lo + near_is_lo
+    beyond = 2 * near - far
+    swap = np.where(near_is_lo, means - edges[lo], edges[lo + 3] - means) < np.maximum(d_lo, d_hi)
+    order = np.stack([near, np.where(swap, beyond, far), np.where(swap, far, beyond)])
+    return 2 * np.floor(sigma) + (d_lo >= d_hi), order, swap
+
+
+def _lead_masses(
+    sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The running mass of `level_errors` after the near value's twins, and
+    at `rows` after the second value's as well, summed in its order; one
+    `_twin_probs` call."""
+    n = sigma.size
+    probs = _twin_probs(np.concatenate([sigma, sigma[rows]]),
+                        np.concatenate([near, second[rows]]), M)
+    first = np.add(probs[0, :n], probs[1, :n])
+    both = first[rows] + probs[0, n:]
+    both += probs[1, n:]
+    return first, both
+
+
+def _screen_plan(
+    M: int, N: int, ps: Sequence[float], roots: np.ndarray, floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The means the screen evaluates, as sorted k, with each one's piece and
+    three nearest values (`_nearest_values`), within the range where an
+    error may pass `floor` (`_screened_range`); `roots` holds each level's
+    `_kernel_roots`.
+
+    The candidates are the grid neighbours floor(x N)-1..+2 of every value,
+    of the midpoints of values one apart (where the near value changes) and
+    two apart (where the far value and the value beyond the near one swap),
+    and of the range's ends.  So between two candidates the three nearest
+    values keep their order, and a level reports the first, second or third
+    as the running mass after the first, or the first two, reaches it.  In
+    every gap between candidates of one piece whose ends differ in either
+    mass's side of a level, a search over all such (gap, level, mass) at
+    once finds the two rows around the flip from that mass alone
+    (`_lead_masses`); they join the candidates with the gap's piece and
+    values.  The search keeps a bracket [left, right] around the flip and
+    probes the rows g, g+1 at a guess (`_flip_guesses`), then at the Newton
+    step from those two, or at the midpoint once the step leaves the bracket
+    or _NEWTON_ROUNDS have passed, until right = left + 1.
     """
     values = output_grid(M)[: M // 2 + 1]
+    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
     marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
-                            (values[:-3] + values[3:]) / 2])
+                            (values[:-2] + values[2:]) / 2])
+    low, high = _screened_range(values, floor)
+    marks = np.append(marks[(marks >= low) & (marks <= high)], high)
     neighbours = np.floor(marks * N)[:, None] + np.arange(-1, 3)
-    ks = np.sort(np.concatenate([np.clip(neighbours, 0, N).astype(np.int64).ravel(),
-                                 np.arange(0, N, step), [N]]))
+    ks = np.sort(np.clip(neighbours, 0, N).astype(np.int64).ravel())
     ks = ks[np.diff(ks, prepend=-1) > 0]
     means = ks / N
+    sigma = sigmas_of(means, M)
+    piece, order, swap = _nearest_values(means, sigma, edges)
+    # the mass of the first two values falls below a level only where the
+    # second is the value beyond the near one (no seeded draw found it
+    # elsewhere; a flip missed would be filled); 2 stands for a mass above
+    # every level
+    beyond = np.flatnonzero(swap)
+    masses = np.full((2, ks.size), 2.0)
+    masses[0], masses[1, beyond] = _lead_masses(sigma, order[0], order[1], M, beyond)
+
+    # excess[stage, level, row]: the mass after the nearest value (stage 0)
+    # or two (stage 1) less the level's threshold, >= 0 where it reaches it
+    excess = masses[:, None, :] - thresholds[:, None]
+    above = excess >= 0
+    one_piece = (piece[:-1] == piece[1:]) & (np.diff(ks) > 1)
+    stage, level, gap = np.nonzero((above[..., :-1] != above[..., 1:]) & one_piece)
+    left, right = ks[gap], ks[gap + 1]
+    near, second = order[0, gap], order[1, gap]
+    f_left, f_right = excess[stage, level, gap], excess[stage, level, gap + 1]
+    guess = _flip_guesses(M, N, sigma[gap], sigma[gap + 1], stage, near, second,
+                          thresholds[level], roots[level], f_left / (f_left - f_right))
+
+    pairs = gap.size
+    near2, second2 = np.concatenate([near, near]), np.concatenate([second, second])
+    threshold2 = np.tile(thresholds[level], 2)
+    pair_mass2 = np.tile(stage == 1, 2)
+    left_side = f_left >= 0
+    todo = np.flatnonzero(right - left > 1)
+    rounds = 0
+    while todo.size:
+        lo_k, hi_k = left[todo], right[todo]
+        g0 = np.clip(np.floor(guess[todo]), lo_k + 1, hi_k - 1).astype(np.int64)
+        g1 = np.minimum(g0 + 1, hi_k - 1)
+        two = np.concatenate([todo, todo + pairs])
+        pair_rows = np.flatnonzero(pair_mass2[two])
+        mass, both = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M),
+                                  near2[two], second2[two], M, pair_rows)
+        mass[pair_rows] = both
+        mass -= threshold2[two]
+        f0, f1 = mass[:todo.size], mass[todo.size:]
+        at0 = (f0 >= 0) != left_side[todo]
+        at1 = (f1 >= 0) != left_side[todo]
+        right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
+        left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
+        rounds += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = g0 - f0 / (f1 - f0)
+        inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
+        guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
+        todo = todo[hi_k - lo_k > 1]
+
+    # the flip rows join the candidates with their gap's piece and values; a
+    # row that is both keeps the candidate's, the first in a stable sort
+    ks = np.concatenate([ks, left, right])
+    first = np.argsort(ks, kind="stable")
+    first = first[np.diff(ks[first], prepend=-1) > 0]
+    piece = np.concatenate([piece, piece[gap], piece[gap]])[first]
+    order = np.concatenate([order, order[:, gap], order[:, gap]], axis=1)[:, first]
+    return ks[first], piece, order
+
+
+def _screened_range(values: np.ndarray, floor: float) -> tuple[float, float]:
+    """The means [low, high] the screen looks at: those outside lie between
+    two values closer than `floor`, so no error there passes it.
+
+    Up to 8/pi^2 the twins of the two values bracketing sigma carry mass at
+    least v(d) + v(1 - d) >= 8/pi^2 (the kernel is at least v), so a row's
+    error is at most the farther one's distance, at most the gap between the
+    two values.  The gaps widen towards a = 1/2, so those at least `floor`
+    wide, less a margin for rounding, are one run: [low, high] runs from its
+    first value to its last (to 1 where it reaches the top value of odd M,
+    above which an error is at most 1 less the value below it)."""
+    gaps = np.append(np.diff(values), 1.0 - values[-2] if values[-1] < 1.0 else 0.0)
+    wide = np.flatnonzero(gaps * (1.0 + 1e-9) >= floor)
+    first, last = wide[0], wide[-1]
+    return values[first], (1.0 if last + 1 >= values.size else values[last + 1])
+
+
+def _kernel_roots(thresholds: np.ndarray, M: int) -> np.ndarray:
+    """Per threshold, the delta in [0, 1] where the squared Dirichlet kernel
+    of M falls to it, interpolated in a table of 257 points; 1 where the
+    kernel stays above it."""
+    grid = np.linspace(0.0, 1.0, 257)
+    kernel = dirichlet_kernel_sq(grid, M)
+    return np.interp(thresholds, kernel[::-1], grid[::-1])
+
+
+def _flip_guesses(
+    M: int, N: int, sigma_left: np.ndarray, sigma_right: np.ndarray, stage: np.ndarray,
+    near: np.ndarray, second: np.ndarray, thresholds: np.ndarray, delta: np.ndarray,
+    fraction: np.ndarray,
+) -> np.ndarray:
+    """Where each search of `_screen_plan` starts, as a real k: its mass, the
+    near value's or the first two values' (stage 0 or 1), modelled as the sum
+    of K(sigma - i) + K(sigma + i) over those values i (K the squared
+    Dirichlet kernel, the second term dropped at a lone twin), falls to the
+    threshold.  Two Newton steps in sigma, kept between the gap's ends, start
+    from sigma = i +- delta, K(delta) = threshold (`_kernel_roots`), for the
+    near mass and from the false position (`fraction` of the way) for the two
+    values'."""
+    ahead = np.sign(sigma_left + sigma_right - 2 * near)
+    sig = np.where(stage == 0, near + ahead * delta,
+                   sigma_left + (sigma_right - sigma_left) * fraction)
+    low, high = np.minimum(sigma_left, sigma_right), np.maximum(sigma_left, sigma_right)
+    # the terms K(sigma + offset) of each search's mass, at sigma and at
+    # sigma + step, summed per search by bincount
+    values = np.stack([near, near, second, second])
+    lone = (values == 0) | (2 * values == M)
+    term, owner = np.nonzero(np.stack([np.ones(near.size, dtype=bool), ~lone[1],
+                                       stage == 1, (stage == 1) & ~lone[3]]))
+    offset = np.array([-1.0, 1.0, -1.0, 1.0])[term] * values[term, owner]
+    step = 1e-6
+    offsets = np.concatenate([offset, offset + step])
+    owners = np.concatenate([owner, owner])
+    slots = np.concatenate([owner, owner + near.size])
+    for _ in range(2):
+        kernel = dirichlet_kernel_sq(sig[owners] + offsets, M)
+        mass = np.bincount(slots, kernel, minlength=2 * near.size).reshape(2, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sig = np.clip(sig - (mass[0] - thresholds) * step / (mass[1] - mass[0]), low, high)
+        sig = np.where(np.isnan(sig), (low + high) / 2, sig)
+    return np.sin(np.pi / M * sig) ** 2 * N
+
+
+def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
+    """`_full_worst_errors` from the means `_screen_plan` picks and the gaps
+    between them that must be filled; every level at most 8/pi^2 and M >= 4,
+    so that each row's error is the distance of one of the values nearest it.
+
+    A piece is a run of means with one floor(sigma) and one near value (the
+    nearer of v_lo and v_lo+1).  In a gap between candidates the distance of
+    each value moves monotonically with the mean, and at level p a row
+    reports the near value where the near value's twin mass reaches
+    p - LEVEL_SLACK, the second nearest where the mass of the two does, and
+    the third elsewhere.  Both masses fall away from the near value, so each
+    flips at most once per gap and level, and once the flips' neighbours are
+    rows too, a gap whose two ends lie in one piece and report the same value
+    at every level reports it throughout: its errors lie between its ends'.
+    Every other gap is filled.  `level_errors` gives each mean the same bits
+    whatever else it is called with, so the maximum is the dense sweep's bit
+    for bit.
+
+    The screen skips the means where no error passes a floor
+    (`_screened_range`).  Every error is at least the nearest value's
+    distance, so every level's maximum is at least w/2 - 1/N, w the widest
+    gap between values, at the grid row next to its midpoint: that floor is
+    sure.  The maxima are expected near (1 - delta) w, K(delta) the lowest
+    level, where the far side of that level's flip starts in the widest gap,
+    so the screen first skips below 0.98 of that, less 1/N, and keeps the
+    result only if every level's maximum reaches it; else it screens again
+    from the sure floor.
+    """
+    thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
+    roots = _kernel_roots(thresholds, M)
+    widest = np.diff(output_grid(M)[: M // 2 + 1]).max()
+    sure = widest / 2 - 1 / N
+    expected = max(sure, 0.98 * (1.0 - roots.max(initial=0.0)) * widest - 1 / N)
+    best = _screen_pass(M, N, ps, roots, expected)
+    if best.min(initial=np.inf) < expected:
+        best = _screen_pass(M, N, ps, roots, sure)
+    return best
+
+
+def _screen_pass(
+    M: int, N: int, ps: Sequence[float], roots: np.ndarray, floor: float,
+) -> np.ndarray:
+    """The screen's maximum per level over its means and filled gaps, where
+    no error outside its range passes `floor`."""
+    ks, piece, order = _screen_plan(M, N, ps, roots, floor)
+    means = ks / N
     errs = level_errors(means, M, ps)
-    floor = np.floor(sigmas_of(means, M))
-    lo = np.clip(floor.astype(np.int64), 0, values.size - 2)
-    d_lo = np.abs(values[lo] - means)
-    d_hi = np.abs(values[lo + 1] - means)
-    near_side = errs == np.minimum(d_lo, d_hi)
-    decided = (d_lo != d_hi) & (near_side | (errs == np.maximum(d_lo, d_hi))).all(axis=0)
-    piece = 2 * floor + (d_lo >= d_hi)
-    keep = decided[:-1] & decided[1:] & (piece[:-1] == piece[1:])
-    keep &= (near_side[:, :-1] == near_side[:, 1:]).all(axis=0)
+    values = output_grid(M)[: M // 2 + 1]
+    reported = np.full(errs.shape, -1)
+    for i in order[::-1]:
+        inside = (i >= 0) & (i < values.size)
+        dist = np.abs(values[np.where(inside, i, 0)] - means)
+        np.copyto(reported, i, where=inside & (errs == dist))
+    keep = (piece[:-1] == piece[1:]) & (reported[:, :-1] == reported[:, 1:]).all(axis=0)
+    keep &= (reported[:, :-1] >= 0).all(axis=0)
     widths = np.diff(ks)
     gaps = np.flatnonzero(~keep & (widths > 1))
     best = errs.max(axis=1)
     if gaps.size:
         starts, sizes = ks[gaps] + 1, widths[gaps] - 1
         offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        fill = level_errors((np.arange(offsets.size) + offsets) / N, M, ps)
-        best = np.maximum(best, fill.max(axis=1))
+        rows = np.arange(offsets.size) + offsets
+        for part in _even_slices(rows.size, max(1024, _CHUNK_CELLS // M)):
+            best = np.maximum(best, level_errors(rows[part] / N, M, ps).max(axis=1))
     return best
 
 

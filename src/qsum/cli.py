@@ -25,6 +25,8 @@ from .bounds import (
     ErrorRecord,
     Setting,
     _outcome_cells_per_mean,
+    _screen_means,
+    _screens,
     avg_probabilistic_error,
     avg_probabilistic_errors,
     worst_probabilistic_error,
@@ -105,14 +107,17 @@ _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 # 8-byte class weight per mean: at N = 2^24 it holds 128 MiB of weights
 # (about 170 MB peak), and a one-level sweep takes several seconds.  So does
 # a worst-case sweep above 8/pi^2 or outside 4 <= M <= 4096, which stays
-# dense; up to 8/pi^2 the worst case screens the means instead
-# (`bounds.worst_probabilistic_errors`), about 0.03 s at M = 64, N = 2^24.
-# The limits below are those of the dense sweep for every sweep.  A law has
-# one row, and a sweep one output, per outcome j < M.  A sweep's cost is its
-# outcome cells, N+1 means times the estimated cells per mean at its highest
-# level: 4 up to 8/pi^2 (N = 2^24 is then 2^26 cells), more above, and all M
-# at p = 1.
+# dense.  A sweep's cost is its outcome cells, N+1 means times the estimated
+# cells per mean at its highest level: 4 up to 8/pi^2 (N = 2^24 is then 2^26
+# cells), more above, and all M at p = 1.  Up to 8/pi^2 at 4 <= M <= 4096
+# the worst case screens the means instead (`bounds._screens`): it evaluates
+# and probes a few means per value and level whatever N
+# (`bounds._screen_means`), a few ms at M = 64 and N = 2^30, so its
+# grid may reach N = 2^_MAX_SCREEN_N_LOG2, the largest grid the bounds
+# suite's nested-grid check covers; its cells are counted from its own
+# means.  A law has one row, and a sweep one output, per outcome j < M.
 _MAX_SWEEP_N_LOG2 = 24
+_MAX_SCREEN_N_LOG2 = 30
 _MAX_SWEEP_CELLS_LOG2 = 28
 _MAX_OUTCOMES = 1 << 20
 
@@ -124,18 +129,26 @@ def _refuse_outcomes(M: int) -> None:
 
 def _refuse_sweeps(setting: str, n: int, Ms: list[int], ps: list[float]) -> None:
     """Refuse sweeps over N+1 = 2^n + 1 means at each M, at levels ps, above
-    the limits."""
+    the limits: a screened worst case's (`bounds._screens`) at its M, the
+    dense sweep's at every other."""
     for M in Ms:
         _refuse_outcomes(M)
-    if n > _MAX_SWEEP_N_LOG2:
+    screened = [setting == "worst" and _screens(M, 1 << n, ps) for M in Ms]
+    if n > _MAX_SCREEN_N_LOG2 and any(screened):
+        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means; the limit is "
+                         f"2^{_MAX_SCREEN_N_LOG2}+1 means for a screened worst case "
+                         f"(n <= {_MAX_SCREEN_N_LOG2})")
+    if n > _MAX_SWEEP_N_LOG2 and not all(screened):
         weights = f" and 8(2^{n}+1) bytes of class weights" if setting == "avg" else ""
         raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
                          f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
     p_max = max(ps)
-    for M in Ms:
+    for M, screen in zip(Ms, screened):
         cells = _outcome_cells_per_mean(M, p_max)
-        if ((1 << n) + 1) * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
-            raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs (2^{n}+1) x "
+        means = _screen_means(M, len(ps)) if screen else (1 << n) + 1
+        if means * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
+            count = f"{means} screened" if screen else f"(2^{n}+1)"
+            raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs {count} x "
                              f"{cells} outcome cells; the limit is "
                              f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
 

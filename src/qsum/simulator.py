@@ -65,8 +65,9 @@ _MAX_FOURIER_WORK = 1 << 34
 # slices of 1 or 7 columns do not.  At N <= 256 a slice is the whole product.
 _FOURIER_COLUMNS = 256
 # Amplitudes per group of index rows whose squared magnitudes the marginal
-# sums at once: its temporaries stay near 1 MiB, or one row where a row is
-# longer, not half the state.
+# sums at once, and per slab of a Walsh-Hadamard stage's butterflies: their
+# temporaries stay near 1 MiB, or one row where a row is longer, not half
+# the state.
 _MARGINAL_AMPS = 1 << 16
 
 
@@ -176,17 +177,35 @@ def _index_marginals(blocks: np.ndarray) -> np.ndarray:
 
 def _walsh_blocks(blocks: np.ndarray) -> None:
     # Fast Walsh-Hadamard transform along the data axis -2, 1/sqrt(N)
-    # normalized; its own inverse.  Splitting that axis keeps a view.
+    # normalized; its own inverse.  Splitting that axis keeps a view.  Stage
+    # h pairs each run of h data rows with the next.  A buffer of more than
+    # _MARGINAL_AMPS amplitudes takes a stage's butterflies over slabs of
+    # `pairs` pairs and `rows` of their rows, about that many amplitudes, so
+    # the copies they make stay that small; every amplitude takes the same
+    # operations in the same order whatever the slab.
     *lead, n, t = blocks.shape
+    across = math.prod(lead) * t
     h = 1
     while h < n:
         v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
-        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
-        top = lo.copy()
-        lo += hi
-        np.subtract(top, hi, out=hi)
+        if across * n <= _MARGINAL_AMPS:
+            _butterflies(v)
+        else:
+            rows = min(h, max(1, _MARGINAL_AMPS // across))
+            pairs = max(1, _MARGINAL_AMPS // (across * rows))
+            for p in range(0, n // (2 * h), pairs):
+                for r in range(0, h, rows):
+                    _butterflies(v[..., p:p + pairs, :, r:r + rows, :])
         h *= 2
     blocks *= 1.0 / math.sqrt(n)
+
+
+def _butterflies(v: np.ndarray) -> None:
+    # (lo, hi) -> (lo + hi, lo - hi) in place over axis -3 of v
+    lo, hi = v[..., 0, :, :], v[..., 1, :, :]
+    top = lo.copy()
+    lo += hi
+    np.subtract(top, hi, out=hi)
 
 
 def _fourier_matrix(M: int) -> np.ndarray:

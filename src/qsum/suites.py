@@ -26,9 +26,10 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
     _full_worst_errors,
-    _screen_step,
     _screened_worst_errors,
+    _screens,
     avg_probabilistic_errors,
+    c_bound,
     g_func,
     h_func,
     level_errors,
@@ -371,20 +372,33 @@ def _suite_bounds() -> Checks:
            M == 236 and rec.value <= eps,
            f"M = {M}, worst error {rec.value:.6f} <= {eps} at N = 2^20")
 
-    # a sweep that stayed dense at M >= 4 is screened here at step 4 as well
+    # a sweep that stays dense at M >= 4 is screened here as well
     differ = screened = forced = 0
     for (M, N, ps), recs in swept.items():
         full = list(map(float.hex, _full_worst_errors(M, N, ps)))
         differ += [rec.value.hex() for rec in recs] != full
-        if _screen_step(M, N, ps) > 1:
+        if _screens(M, N, ps):
             screened += 1
         elif M >= 4:
-            differ += list(map(float.hex, _screened_worst_errors(M, N, ps, 4))) != full
+            differ += list(map(float.hex, _screened_worst_errors(M, N, ps))) != full
             forced += 1
     yield ("screened worst case equals the full sweep", differ == 0,
            f"{differ} differ in float.hex among {len(swept)} sweeps ({screened} screened) and "
-           f"{forced} step-4 screens of the dense ones (M = 2..64 at N in {{2^2,2^8,2^12}}, "
+           f"{forced} forced screens of the dense ones (M = 2..64 at N in {{2^2,2^8,2^12}}, "
            f"M = 64 and 236 at N = 2^20)")
+
+    # every mean k/2^n is the mean 2k/2^(n+1), with the same bits, so the
+    # worst case cannot fall from one grid to the next unless a screen
+    # missed a mean
+    nested = (0.51, 0.75, EIGHT_OVER_PI_SQ)
+    rows = np.array([[rec.value for rec in worst_probabilistic_errors(64, 1 << n, nested)]
+                     for n in range(12, 31)])
+    falls = int(np.count_nonzero(np.diff(rows, axis=0) < 0.0))
+    ratio = float((rows / [c_bound(p, 64) * math.pi / 64 for p in nested]).max())
+    yield ("screened worst case is nondecreasing along nested grids",
+           falls == 0 and ratio <= 1.0,
+           f"{falls} falls from N = 2^n to 2^(n+1), n = 12..29, at M = 64 and p in "
+           f"{{0.51, 0.75, 8/pi^2}}; largest ratio to C(p) pi / M {ratio:.6f} (<= 1)")
 
     mono_ok = True
     grid = np.linspace(0.05, 1.0, 20)

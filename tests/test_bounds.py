@@ -66,16 +66,6 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [1.5])
 
-    # p = 0.51 and 0.75 at these means are in the bounds suite's check
-    # "greedy level error equals exhaustive subset minimum"
-    @pytest.mark.parametrize("M", range(1, 9))
-    @pytest.mark.parametrize("p", [EIGHT_OVER_PI_SQ])
-    def test_matches_subset_oracle(self, M, p):
-        for k in range(17):
-            a = Fraction(k, 16)
-            (oracle,) = brute_force_errors_at_levels(a, M, [p])
-            assert abs(level_errors([a], M, [p])[0, 0] - oracle) <= 1e-12
-
     @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
     def test_window_is_bit_identical_to_full_sort(self, M):
         # one full sort per N answers every level set: its rows are counted
@@ -400,39 +390,77 @@ class TestWorstError:
         assert rec.value <= 3 * math.pi / 16
 
     def test_sweep_screens_the_mean_grid(self, chunk_sizes):
-        # at M = 64 the 2^15 + 1 means are screened: the candidates and the
-        # gaps to fill, two level_errors calls, are under a quarter of them;
-        # the maximum, pinned here, is the dense sweep's
-        records = bounds.worst_probabilistic_errors(64, 1 << 15, [0.51, 0.75, EIGHT_OVER_PI_SQ])
-        assert len(chunk_sizes) == 2
-        assert sum(chunk_sizes) < ((1 << 15) + 1) / 4
+        # at M = 64 the screen makes one level_errors call, on its candidates
+        # and the rows around each side flip: a few hundred means at N = 2^15
+        # and as few at 2^24; the maximum, pinned at 2^15, is the dense sweep's
+        levels = [0.51, 0.75, EIGHT_OVER_PI_SQ]
+        records = bounds.worst_probabilistic_errors(64, 1 << 15, levels)
+        assert len(chunk_sizes) == 1
+        assert chunk_sizes[0] < ((1 << 15) + 1) / 32
         assert [r.value.hex() for r in records] == [
             "0x1.c400000000000p-6", "0x1.1c80000000000p-5", "0x1.2d40000000000p-5"]
+        chunk_sizes.clear()
+        bounds.worst_probabilistic_errors(64, 1 << 24, levels)
+        assert len(chunk_sizes) == 1
+        assert chunk_sizes[0] < 10_000
 
     def test_screen_equals_the_full_sweep(self):
-        # seeded (M, N, levels, step) draws, at the public step and at forced
-        # ones from 2 up, so that small N screens too; float.hex equality
+        # seeded (M, N, levels) draws, through the public driver and with the
+        # screen forced, so that small N screens too; float.hex equality.  The
+        # second set sits where the pair pass leaves the most rows undecided,
+        # between the near value's flip and the midpoint of values two apart
         rng = np.random.default_rng(2026)
         Ms = [4, 5, 6, 7, 8, 9, 12, 16, 17, 31, 33, 100, 236, 512, 1000, 1024, 2048, 4096]
+        draws = [(int(rng.choice(Ms)), 1 << int(rng.integers(0, 17))) for _ in range(200)]
+        draws += [(int(rng.integers(4, 33)), 1 << int(rng.integers(13, 17))) for _ in range(40)]
         screened = 0
-        for _ in range(200):
-            M, n = int(rng.choice(Ms)), int(rng.integers(0, 17))
-            N = 1 << n
+        for M, N in draws:
             ps = sorted({*rng.uniform(0.3, EIGHT_OVER_PI_SQ, int(rng.integers(0, 4))).tolist(),
                          float(rng.choice([EIGHT_OVER_PI_SQ, rng.uniform(0.3, EIGHT_OVER_PI_SQ)]))})
             full = [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
             public = [r.value.hex() for r in bounds.worst_probabilistic_errors(M, N, ps)]
-            forced = bounds._screened_worst_errors(M, N, ps, int(rng.integers(2, 65)))
+            forced = bounds._screened_worst_errors(M, N, ps)
             assert public == full == [x.hex() for x in forced], (M, N, ps)
-            screened += bounds._screen_step(M, N, ps) > 1
-        assert screened >= 20
+            screened += bounds._screens(M, N, ps)
+        assert screened >= 60
+
+    def test_gaps_left_without_their_flips_are_filled(self, monkeypatch, chunk_sizes):
+        # masses that reach every level hide every side flip from the search,
+        # so the gaps whose ends report different values are filled mean by
+        # mean, and the maximum is still the dense sweep's
+        monkeypatch.setattr(bounds, "_lead_masses", lambda sigma, near, second, M, rows: (
+            np.full(sigma.size, 2.0), np.full(rows.size, 2.0)))
+        for M, N, ps in ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (64, 1 << 12, [0.75]),
+                         (5, 1 << 10, [0.51])):
+            chunk_sizes.clear()
+            screened = [x.hex() for x in bounds._screened_worst_errors(M, N, ps)]
+            assert len(chunk_sizes) > 1
+            assert screened == [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
+
+    def test_a_floor_the_maxima_miss_is_screened_again(self, monkeypatch):
+        # kernel roots of 0 make the expected floor 0.98 of the widest gap
+        # between values, above every level's maximum, so the screen runs a
+        # second pass from the sure floor, half that gap less 1/N, and still
+        # gives the dense sweep's bits
+        floors = []
+        screen_pass = bounds._screen_pass
+        monkeypatch.setattr(bounds, "_screen_pass", lambda M, N, ps, roots, floor: (
+            floors.append(floor) or screen_pass(M, N, ps, roots, floor)))
+        monkeypatch.setattr(bounds, "_kernel_roots", lambda thresholds, M: np.zeros(
+            len(thresholds)))
+        for M, N, ps in ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (65, 1 << 14, [0.51, 0.75])):
+            floors.clear()
+            screened = [x.hex() for x in bounds._screened_worst_errors(M, N, ps)]
+            widest = np.diff(output_grid(M)[: M // 2 + 1]).max()
+            assert floors == [0.98 * widest - 1 / N, widest / 2 - 1 / N]
+            assert screened == [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
 
     @pytest.mark.parametrize("M, ps", [(64, [0.75, 0.9]), (3, [0.75]), (4097, [0.75])])
     def test_dense_sweep_outside_the_screen(self, monkeypatch, M, ps):
         # a level above 8/pi^2, M < 4 or M > 4096 takes the dense sweep, at an
         # N where M = 64 at level 0.75 alone is screened
         N = 1 << 20
-        assert bounds._screen_step(64, N, [0.75]) > 1
+        assert bounds._screens(64, N, [0.75])
         calls = []
         monkeypatch.setattr(bounds, "_full_worst_errors",
                             lambda *a: calls.append(a) or np.zeros(len(ps)))

@@ -239,7 +239,8 @@ class TestError:
 
     @pytest.mark.parametrize("argv,message", [
         (["error", "--setting", "worst", "--m", "8", "--n", "40", "--p", "0.75"],
-         "a sweep at n=40 needs N+1 = 2^40+1 means; the limit is 2^24+1 means (n <= 24)"),
+         "a sweep at n=40 needs N+1 = 2^40+1 means; the limit is 2^30+1 means for a "
+         "screened worst case (n <= 30)"),
         (["error", "--setting", "avg", "--m", "8", "--n", "29", "--p", "0.75"],
          "a sweep at n=29 needs N+1 = 2^29+1 means and 8(2^29+1) bytes of class weights; "
          "the limit is 2^24+1 means (n <= 24)"),
@@ -248,8 +249,10 @@ class TestError:
         # the M = 4 sweep is refused too, since the last M cannot run
         (["curve", "--setting", "avg", "--n", "12", "--p", "0.75", "--m-values", "4,2000000"],
          "M=2000000 is above the limit of 1048576 outcomes"),
-        (["curve", "--setting", "worst", "--n", "25", "--m", "8", "--p-values", "0.6,0.75"],
-         "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
+        # a worst-case curve at n = 25 is screened, and accepted, below
+        (["curve", "--setting", "avg", "--n", "25", "--m", "8", "--p-values", "0.6,0.75"],
+         "a sweep at n=25 needs N+1 = 2^25+1 means and 8(2^25+1) bytes of class weights; "
+         "the limit is 2^24+1 means (n <= 24)"),
         # within the mean limit, but all 4096 outcomes of every mean, which
         # level 1 needs, would take hours
         (["error", "--setting", "worst", "--m", "4096", "--n", "24", "--p", "1"],
@@ -267,6 +270,12 @@ class TestError:
         (["curve", "--setting", "worst", "--n", "24", "--p", "0.9", "--m-values", "8,64"],
          "a sweep at n=24, M=64 and p=0.9 needs (2^24+1) x 16 outcome cells; "
          "the limit is 2^28 cells"),
+        # a screened worst case reaches n = 30; M = 3 of an M sweep stays dense
+        (["error", "--setting", "worst", "--m", "64", "--n", "31", "--p", "0.75"],
+         "a sweep at n=31 needs N+1 = 2^31+1 means; the limit is 2^30+1 means for a "
+         "screened worst case (n <= 30)"),
+        (["curve", "--setting", "worst", "--n", "25", "--p", "0.75", "--m-values", "64,3"],
+         "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
     ])
     def test_oversized_sweep_is_refused_before_any_work(self, capsys, no_sweep, argv,
                                                         message):
@@ -285,6 +294,15 @@ class TestError:
         code, _, _ = run_cli(capsys, "error", "--setting", setting, "--m", str(1 << 20),
                              "--n", "24", "--p", "0.75")
         assert code == 0 and asked == [(1 << 20, 1 << 24)]
+
+    def test_screened_sweep_reaches_two_to_the_thirty(self, capsys):
+        # up to 8/pi^2 at 4 <= M <= 4096 the worst case is screened, so n may
+        # pass the dense limit of 24; the value is the library's
+        code, out, err = run_cli(capsys, "curve", "--setting", "worst", "--m", "64",
+                                 "--n", "30", "--p-values", "0.6,0.75")
+        values = [float(line.split(",")[5]) for line in out.strip().split("\n")[1:]]
+        records = bounds.worst_probabilistic_errors(64, 1 << 30, [0.6, 0.75])
+        assert (code, err) == (0, "") and values == [r.value for r in records]
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 64, 1 << 20])
     @pytest.mark.parametrize("p", ["0.51", "0.75", "8/pi2"])

@@ -55,6 +55,20 @@ class TestPrimitives:
         apply_primitive(state, Primitive.WALSH_HADAMARD)
         assert np.abs(state.amplitudes - ref).max() <= 1e-12
 
+    @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12])
+    def test_walsh_slabs_change_no_bit(self, monkeypatch, slab):
+        # butterflies over slabs of pairs, of rows of one pair, or of single
+        # amplitudes give the bits of one slab per stage, on stacks of runs
+        rng = np.random.default_rng(37)
+        for shape in ((1, 1), (8, 1), (64, 3), (4, 256, 1), (1 << 12, 2), (3, 1 << 10, 4)):
+            blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            whole = blocks.copy()
+            monkeypatch.setattr(simulator, "_MARGINAL_AMPS", 1 << 30)
+            simulator._walsh_blocks(whole)
+            monkeypatch.setattr(simulator, "_MARGINAL_AMPS", slab)
+            simulator._walsh_blocks(blocks)
+            assert np.array_equal(blocks.view(np.int64), whole.view(np.int64)), shape
+
     def test_s0_flips_only_data_zero(self):
         layout = QubitLayout(n=3, M=2)
         state = StateVector.zero(layout)
