@@ -75,10 +75,10 @@ _CHUNK_CELLS = 1 << 21
 # (`_screen_means`) and _SCREEN_FIXED_MEANS are fewer than the dense sweep's
 # N+1.  _SCREEN_FIXED_MEANS is the screen's fixed cost, the numpy passes of
 # its plan and search, counted in means of the dense sweep.  Measured on a
-# 2-core x86-64 machine, the screen was not clearly faster than the dense
-# sweep at N = 2^12 with one level (M = 5..64), which stays dense; it took
-# 0.89 of the dense time at N = 2^13 with four levels (M = 232..240) and
-# 1.3-1.4x at N = 2^14 with four levels at M = 1024, which stays dense.
+# 2-core x86-64 machine at N = 2^12..2^17, M = 5..4096 and one or four
+# levels, the screen took 1.05-2.8x the dense sweep's time at N = 2^12,
+# which stays dense, 0.03-0.95x wherever it screens, and 0.70-1.8x where it
+# stays dense above 2^12.
 _SCREEN_MAX_M = 4096
 _SCREEN_FIXED_MEANS = 1 << 12
 
@@ -409,12 +409,13 @@ def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
 
 
 def _screen_means(M: int, levels: int) -> int:
-    """The screen's cost in means of the dense sweep, whatever N: 12
-    candidates per value, and in each of its two pieces and at each level
-    two rows around a flip and two probes that find them (`_screen_plan`),
-    over the about half of the values it keeps (`_screened_range`), each
-    costing about 1.5 of the dense sweep's means on a 2-core x86-64 machine:
-    3/4 of (12 + 8 levels) per value."""
+    """The screen's cost in means of the dense sweep, whatever N: 9 + 6
+    levels per value.  Over the about 2/3 of the values it keeps
+    (`_screened_range`) it evaluates 12 candidates per value and the two
+    rows around each of up to two flips per value and level, found in two to
+    four rounds of probes (`_screen_plan`); the factors are fitted to the
+    timings quoted at _SCREEN_FIXED_MEANS.  A fill of more means than this
+    raises (`_screened_worst_errors`)."""
     return (9 + 6 * levels) * (M // 2 + 1)
 
 
@@ -451,12 +452,11 @@ def _lead_masses(
 
 
 def _screen_plan(
-    M: int, N: int, ps: Sequence[float], roots: np.ndarray, floor: float,
+    M: int, N: int, ps: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The means the screen evaluates, as sorted k, with each one's piece and
     three nearest values (`_nearest_values`), within the range where an
-    error may pass `floor` (`_screened_range`); `roots` holds each level's
-    `_kernel_roots`.
+    error may reach every level's maximum (`_screened_range`).
 
     The candidates are the grid neighbours floor(x N)-1..+2 of every value,
     of the midpoints of values one apart (where the near value changes) and
@@ -469,16 +469,19 @@ def _screen_plan(
     once finds the two rows around the flip from that mass alone
     (`_lead_masses`); they join the candidates with the gap's piece and
     values.  The search keeps a bracket [left, right] around the flip and
-    probes the rows g, g+1 at a guess (`_flip_guesses`), then at the Newton
-    step from those two, or at the midpoint once the step leaves the bracket
-    or _NEWTON_ROUNDS have passed, until right = left + 1.
+    probes the rows g, g+1 at a guess, then at the Newton step from those
+    two, or at the midpoint once the step leaves the bracket or
+    _NEWTON_ROUNDS have passed, until right = left + 1.  Plain bisection
+    would take about log2(N/M) rounds; from its first guess, where the near
+    value's kernel alone or the false position puts the flip, the search
+    takes two to four.
     """
     values = output_grid(M)[: M // 2 + 1]
     edges = np.concatenate([[-np.inf], values, [np.inf]])
     thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
     marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
                             (values[:-2] + values[2:]) / 2])
-    low, high = _screened_range(values, floor)
+    low, high = _screened_range(values, N)
     marks = np.append(marks[(marks >= low) & (marks <= high)], high)
     neighbours = np.floor(marks * N)[:, None] + np.arange(-1, 3)
     ks = np.sort(np.clip(neighbours, 0, N).astype(np.int64).ravel())
@@ -503,29 +506,29 @@ def _screen_plan(
     left, right = ks[gap], ks[gap + 1]
     near, second = order[0, gap], order[1, gap]
     f_left, f_right = excess[stage, level, gap], excess[stage, level, gap + 1]
-    guess = _flip_guesses(M, N, sigma[gap], sigma[gap + 1], stage, near, second,
-                          thresholds[level], roots[level], f_left / (f_left - f_right))
-
-    pairs = gap.size
-    near2, second2 = np.concatenate([near, near]), np.concatenate([second, second])
-    threshold2 = np.tile(thresholds[level], 2)
-    pair_mass2 = np.tile(stage == 1, 2)
-    left_side = f_left >= 0
-    todo = np.flatnonzero(right - left > 1)
+    left_above = f_left >= 0
+    # the near value's mass is about the kernel K(sigma - near) of its
+    # nearer twin, which falls to the threshold at |sigma - near| = delta
+    # (`_kernel_roots`); the two values' search starts at the false position
+    delta = _kernel_roots(thresholds, M)[level]
+    ahead = np.sign(sigma[gap] + sigma[gap + 1] - 2 * near)
+    guess = np.where(stage == 0, np.sin(np.pi / M * (near + ahead * delta)) ** 2 * N,
+                     left + (right - left) * (f_left / (f_left - f_right)))
+    todo = np.arange(gap.size)
     rounds = 0
     while todo.size:
         lo_k, hi_k = left[todo], right[todo]
         g0 = np.clip(np.floor(guess[todo]), lo_k + 1, hi_k - 1).astype(np.int64)
         g1 = np.minimum(g0 + 1, hi_k - 1)
-        two = np.concatenate([todo, todo + pairs])
-        pair_rows = np.flatnonzero(pair_mass2[two])
+        owner = np.tile(todo, 2)
+        pair_rows = np.flatnonzero(stage[owner])
         mass, both = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M),
-                                  near2[two], second2[two], M, pair_rows)
+                                  near[owner], second[owner], M, pair_rows)
         mass[pair_rows] = both
-        mass -= threshold2[two]
+        mass -= thresholds[level[owner]]
         f0, f1 = mass[:todo.size], mass[todo.size:]
-        at0 = (f0 >= 0) != left_side[todo]
-        at1 = (f1 >= 0) != left_side[todo]
+        at0 = (f0 >= 0) != left_above[todo]
+        at1 = (f1 >= 0) != left_above[todo]
         right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
         left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
         rounds += 1
@@ -545,19 +548,23 @@ def _screen_plan(
     return ks[first], piece, order
 
 
-def _screened_range(values: np.ndarray, floor: float) -> tuple[float, float]:
+def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
     """The means [low, high] the screen looks at: those outside lie between
-    two values closer than `floor`, so no error there passes it.
+    two values closer than w/2 - 1/N, w the widest gap between values, so no
+    error there reaches every level's maximum.
 
-    Up to 8/pi^2 the twins of the two values bracketing sigma carry mass at
-    least v(d) + v(1 - d) >= 8/pi^2 (the kernel is at least v), so a row's
-    error is at most the farther one's distance, at most the gap between the
-    two values.  The gaps widen towards a = 1/2, so those at least `floor`
-    wide, less a margin for rounding, are one run: [low, high] runs from its
-    first value to its last (to 1 where it reaches the top value of odd M,
-    above which an error is at most 1 less the value below it)."""
+    Every error is at least the nearest value's distance, so every level's
+    maximum is at least w/2 - 1/N, at the grid row next to the widest gap's
+    midpoint.  Up to 8/pi^2 the twins of the two values bracketing sigma
+    carry mass at least v(d) + v(1 - d) >= 8/pi^2 (the kernel is at least
+    v), so a row's error is at most the farther one's distance, at most the
+    gap between the two values.  The gaps widen towards a = 1/2, so those at
+    least w/2 - 1/N wide, less a margin for rounding, are one run: [low,
+    high] runs from its first value to its last (to 1 where it reaches the
+    top value of odd M, above which an error is at most 1 less the value
+    below it)."""
     gaps = np.append(np.diff(values), 1.0 - values[-2] if values[-1] < 1.0 else 0.0)
-    wide = np.flatnonzero(gaps * (1.0 + 1e-9) >= floor)
+    wide = np.flatnonzero(gaps * (1.0 + 1e-9) >= gaps.max() / 2 - 1 / N)
     first, last = wide[0], wide[-1]
     return values[first], (1.0 if last + 1 >= values.size else values[last + 1])
 
@@ -569,43 +576,6 @@ def _kernel_roots(thresholds: np.ndarray, M: int) -> np.ndarray:
     grid = np.linspace(0.0, 1.0, 257)
     kernel = dirichlet_kernel_sq(grid, M)
     return np.interp(thresholds, kernel[::-1], grid[::-1])
-
-
-def _flip_guesses(
-    M: int, N: int, sigma_left: np.ndarray, sigma_right: np.ndarray, stage: np.ndarray,
-    near: np.ndarray, second: np.ndarray, thresholds: np.ndarray, delta: np.ndarray,
-    fraction: np.ndarray,
-) -> np.ndarray:
-    """Where each search of `_screen_plan` starts, as a real k: its mass, the
-    near value's or the first two values' (stage 0 or 1), modelled as the sum
-    of K(sigma - i) + K(sigma + i) over those values i (K the squared
-    Dirichlet kernel, the second term dropped at a lone twin), falls to the
-    threshold.  Two Newton steps in sigma, kept between the gap's ends, start
-    from sigma = i +- delta, K(delta) = threshold (`_kernel_roots`), for the
-    near mass and from the false position (`fraction` of the way) for the two
-    values'."""
-    ahead = np.sign(sigma_left + sigma_right - 2 * near)
-    sig = np.where(stage == 0, near + ahead * delta,
-                   sigma_left + (sigma_right - sigma_left) * fraction)
-    low, high = np.minimum(sigma_left, sigma_right), np.maximum(sigma_left, sigma_right)
-    # the terms K(sigma + offset) of each search's mass, at sigma and at
-    # sigma + step, summed per search by bincount
-    values = np.stack([near, near, second, second])
-    lone = (values == 0) | (2 * values == M)
-    term, owner = np.nonzero(np.stack([np.ones(near.size, dtype=bool), ~lone[1],
-                                       stage == 1, (stage == 1) & ~lone[3]]))
-    offset = np.array([-1.0, 1.0, -1.0, 1.0])[term] * values[term, owner]
-    step = 1e-6
-    offsets = np.concatenate([offset, offset + step])
-    owners = np.concatenate([owner, owner])
-    slots = np.concatenate([owner, owner + near.size])
-    for _ in range(2):
-        kernel = dirichlet_kernel_sq(sig[owners] + offsets, M)
-        mass = np.bincount(slots, kernel, minlength=2 * near.size).reshape(2, -1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sig = np.clip(sig - (mass[0] - thresholds) * step / (mass[1] - mass[0]), low, high)
-        sig = np.where(np.isnan(sig), (low + high) / 2, sig)
-    return np.sin(np.pi / M * sig) ** 2 * N
 
 
 def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
@@ -622,37 +592,13 @@ def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     flips at most once per gap and level, and once the flips' neighbours are
     rows too, a gap whose two ends lie in one piece and report the same value
     at every level reports it throughout: its errors lie between its ends'.
-    Every other gap is filled.  `level_errors` gives each mean the same bits
+    Every other gap is filled; a fill of more means than the screen's own
+    estimate (`_screen_means`), which only a flip the search missed could
+    ask for, raises instead.  `level_errors` gives each mean the same bits
     whatever else it is called with, so the maximum is the dense sweep's bit
     for bit.
-
-    The screen skips the means where no error passes a floor
-    (`_screened_range`).  Every error is at least the nearest value's
-    distance, so every level's maximum is at least w/2 - 1/N, w the widest
-    gap between values, at the grid row next to its midpoint: that floor is
-    sure.  The maxima are expected near (1 - delta) w, K(delta) the lowest
-    level, where the far side of that level's flip starts in the widest gap,
-    so the screen first skips below 0.98 of that, less 1/N, and keeps the
-    result only if every level's maximum reaches it; else it screens again
-    from the sure floor.
     """
-    thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
-    roots = _kernel_roots(thresholds, M)
-    widest = np.diff(output_grid(M)[: M // 2 + 1]).max()
-    sure = widest / 2 - 1 / N
-    expected = max(sure, 0.98 * (1.0 - roots.max(initial=0.0)) * widest - 1 / N)
-    best = _screen_pass(M, N, ps, roots, expected)
-    if best.min(initial=np.inf) < expected:
-        best = _screen_pass(M, N, ps, roots, sure)
-    return best
-
-
-def _screen_pass(
-    M: int, N: int, ps: Sequence[float], roots: np.ndarray, floor: float,
-) -> np.ndarray:
-    """The screen's maximum per level over its means and filled gaps, where
-    no error outside its range passes `floor`."""
-    ks, piece, order = _screen_plan(M, N, ps, roots, floor)
+    ks, piece, order = _screen_plan(M, N, ps)
     means = ks / N
     errs = level_errors(means, M, ps)
     values = output_grid(M)[: M // 2 + 1]
@@ -668,10 +614,12 @@ def _screen_pass(
     best = errs.max(axis=1)
     if gaps.size:
         starts, sizes = ks[gaps] + 1, widths[gaps] - 1
-        offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        rows = np.arange(offsets.size) + offsets
-        for part in _even_slices(rows.size, max(1024, _CHUNK_CELLS // M)):
-            best = np.maximum(best, level_errors(rows[part] / N, M, ps).max(axis=1))
+        fill, budget = int(sizes.sum()), _screen_means(M, len(ps))
+        if fill > budget:
+            raise RuntimeError(f"the worst-case screen at M={M}, N={N} would fill {fill} "
+                               f"means, more than its estimate of {budget}")
+        rows = np.arange(fill) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        best = np.maximum(best, level_errors(rows / N, M, ps).max(axis=1))
     return best
 
 

@@ -134,14 +134,14 @@ def _refuse_sweeps(setting: str, n: int, Ms: list[int], ps: list[float]) -> None
     for M in Ms:
         _refuse_outcomes(M)
     screened = [setting == "worst" and _screens(M, 1 << n, ps) for M in Ms]
-    if n > _MAX_SCREEN_N_LOG2 and any(screened):
-        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means; the limit is "
-                         f"2^{_MAX_SCREEN_N_LOG2}+1 means for a screened worst case "
-                         f"(n <= {_MAX_SCREEN_N_LOG2})")
     if n > _MAX_SWEEP_N_LOG2 and not all(screened):
         weights = f" and 8(2^{n}+1) bytes of class weights" if setting == "avg" else ""
         raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
                          f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
+    if n > _MAX_SCREEN_N_LOG2:
+        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means; the limit is "
+                         f"2^{_MAX_SCREEN_N_LOG2}+1 means for a screened worst case "
+                         f"(n <= {_MAX_SCREEN_N_LOG2})")
     p_max = max(ps)
     for M, screen in zip(Ms, screened):
         cells = _outcome_cells_per_mean(M, p_max)

@@ -182,7 +182,10 @@ def _walsh_blocks(blocks: np.ndarray) -> None:
     # _MARGINAL_AMPS amplitudes takes a stage's butterflies over slabs of
     # `pairs` pairs and `rows` of their rows, about that many amplitudes, so
     # the copies they make stay that small; every amplitude takes the same
-    # operations in the same order whatever the slab.
+    # operations in the same order whatever the slab.  A smaller buffer
+    # takes one call per stage: the slab loop's few microseconds a stage
+    # made gate-level runs at n <= 5 5-15 % slower on a 2-core x86-64
+    # machine.
     *lead, n, t = blocks.shape
     across = math.prod(lead) * t
     h = 1

@@ -427,33 +427,36 @@ class TestWorstError:
     def test_gaps_left_without_their_flips_are_filled(self, monkeypatch, chunk_sizes):
         # masses that reach every level hide every side flip from the search,
         # so the gaps whose ends report different values are filled mean by
-        # mean, and the maximum is still the dense sweep's
+        # mean in a second level_errors call, and the maximum is still the
+        # dense sweep's; the fill passes the screen's own estimate, so it
+        # raises unless that estimate is lifted
         monkeypatch.setattr(bounds, "_lead_masses", lambda sigma, near, second, M, rows: (
             np.full(sigma.size, 2.0), np.full(rows.size, 2.0)))
-        for M, N, ps in ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (64, 1 << 12, [0.75]),
-                         (5, 1 << 10, [0.51])):
+        cases = ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (64, 1 << 12, [0.75]),
+                 (5, 1 << 10, [0.51]))
+        for M, N, ps in cases:
+            with pytest.raises(RuntimeError, match=f"screen at M={M}, N={N} would fill"):
+                bounds._screened_worst_errors(M, N, ps)
+        monkeypatch.setattr(bounds, "_screen_means", lambda M, levels: 1 << 20)
+        for M, N, ps in cases:
             chunk_sizes.clear()
             screened = [x.hex() for x in bounds._screened_worst_errors(M, N, ps)]
-            assert len(chunk_sizes) > 1
+            assert len(chunk_sizes) == 2
             assert screened == [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
 
-    def test_a_floor_the_maxima_miss_is_screened_again(self, monkeypatch):
-        # kernel roots of 0 make the expected floor 0.98 of the widest gap
-        # between values, above every level's maximum, so the screen runs a
-        # second pass from the sure floor, half that gap less 1/N, and still
-        # gives the dense sweep's bits
-        floors = []
-        screen_pass = bounds._screen_pass
-        monkeypatch.setattr(bounds, "_screen_pass", lambda M, N, ps, roots, floor: (
-            floors.append(floor) or screen_pass(M, N, ps, roots, floor)))
-        monkeypatch.setattr(bounds, "_kernel_roots", lambda thresholds, M: np.zeros(
-            len(thresholds)))
-        for M, N, ps in ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (65, 1 << 14, [0.51, 0.75])):
-            floors.clear()
-            screened = [x.hex() for x in bounds._screened_worst_errors(M, N, ps)]
-            widest = np.diff(output_grid(M)[: M // 2 + 1]).max()
-            assert floors == [0.98 * widest - 1 / N, widest / 2 - 1 / N]
-            assert screened == [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
+    @pytest.mark.parametrize("M", [4, 5, 4096])
+    def test_screen_is_nondecreasing_along_nested_grids(self, M):
+        # the bounds suite's nested-grid check at M = 64, at the ends of the
+        # screened M range: every mean k/2^n is the mean 2k/2^(n+1), so the
+        # worst case cannot fall from N = 2^12 to the CLI's limit of 2^30,
+        # the fill stays within the screen's estimate (else it raises), and
+        # every maximum is within the paper's bound C(p) pi / M
+        levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
+        rows = np.array([[r.value for r in bounds.worst_probabilistic_errors(M, 1 << n, levels)]
+                         for n in range(12, 31)])
+        assert bounds._screens(M, 1 << 30, levels)
+        assert (np.diff(rows, axis=0) >= 0).all()
+        assert (rows <= [c_bound(p, M) * math.pi / M for p in levels]).all()
 
     @pytest.mark.parametrize("M, ps", [(64, [0.75, 0.9]), (3, [0.75]), (4097, [0.75])])
     def test_dense_sweep_outside_the_screen(self, monkeypatch, M, ps):

@@ -276,6 +276,9 @@ class TestError:
          "screened worst case (n <= 30)"),
         (["curve", "--setting", "worst", "--n", "25", "--p", "0.75", "--m-values", "64,3"],
          "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
+        # past both limits, an M sweep with a dense M cites the dense one
+        (["curve", "--setting", "worst", "--n", "31", "--p", "0.75", "--m-values", "64,3"],
+         "a sweep at n=31 needs N+1 = 2^31+1 means; the limit is 2^24+1 means (n <= 24)"),
     ])
     def test_oversized_sweep_is_refused_before_any_work(self, capsys, no_sweep, argv,
                                                         message):

@@ -55,16 +55,25 @@ class TestPrimitives:
         apply_primitive(state, Primitive.WALSH_HADAMARD)
         assert np.abs(state.amplitudes - ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12])
+    @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12, 1 << 30])
     def test_walsh_slabs_change_no_bit(self, monkeypatch, slab):
-        # butterflies over slabs of pairs, of rows of one pair, or of single
-        # amplitudes give the bits of one slab per stage, on stacks of runs
+        # butterflies over slabs of pairs, of rows of one pair, of single
+        # amplitudes or of the whole buffer give the bits of the butterflies
+        # of each stage over the whole buffer at once, on stacks of runs
         rng = np.random.default_rng(37)
         for shape in ((1, 1), (8, 1), (64, 3), (4, 256, 1), (1 << 12, 2), (3, 1 << 10, 4)):
             blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             whole = blocks.copy()
-            monkeypatch.setattr(simulator, "_MARGINAL_AMPS", 1 << 30)
-            simulator._walsh_blocks(whole)
+            *lead, n, t = shape
+            h = 1
+            while h < n:
+                v = whole.reshape(*lead, n // (2 * h), 2, h, t)
+                lo, hi = v[..., 0, :, :], v[..., 1, :, :]
+                top = lo.copy()
+                lo += hi
+                np.subtract(top, hi, out=hi)
+                h *= 2
+            whole *= 1.0 / math.sqrt(n)
             monkeypatch.setattr(simulator, "_MARGINAL_AMPS", slab)
             simulator._walsh_blocks(blocks)
             assert np.array_equal(blocks.view(np.int64), whole.view(np.int64)), shape
