@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,11 +63,12 @@ LEVEL_SLACK = 1e-12
 _BLOCK_CELLS = 1 << 14
 
 # Cells per chunk when sweeping all means k/N: a chunk is about
-# _CHUNK_CELLS // M means.  The worst case cuts the N+1 means into even
-# chunks, since its maximum does not depend on them.  The average case keeps
-# chunks of exactly that many means and a remainder: they partition its
-# weighted sum into one np.dot per chunk, so they fix its bits.  _BLOCK_CELLS,
-# not this, sizes the work arrays.
+# _CHUNK_CELLS // M means, at least 1024.  The worst case cuts the N+1 means
+# into even chunks (`_even_slices`), since its maximum does not depend on
+# them: none is short.  The average case keeps chunks of exactly that many
+# means and a remainder (`_fixed_slices`): they partition its weighted sum
+# into one np.dot per chunk, so they fix its bits.  _BLOCK_CELLS, not this,
+# sizes the work arrays.
 _CHUNK_CELLS = 1 << 21
 
 # The screened worst case (`_screened_worst_errors`) runs at M up to
@@ -352,18 +353,6 @@ def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.nda
     return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M), ps)
 
 
-def _sweep_all_means(
-    M: int, N: int, ps: Sequence[float], split: Callable[[int, int], list[slice]],
-):
-    """Yield (k-slice, level-error block) over the full mean grid k/N, in the
-    chunks split(N + 1, chunk) gives for chunk = _CHUNK_CELLS // M means (at
-    least 1024): `_even_slices` or `_fixed_slices`."""
-    for ks in split(N + 1, max(1024, _CHUNK_CELLS // max(M, 1))):
-        means = np.arange(ks.start, ks.stop, dtype=np.float64)
-        means /= N  # in place: a chunk holds one array of means besides sigma
-        yield ks, level_errors(means, M, ps)
-
-
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
     """Worst-case records for several levels from one screened sweep.
 
@@ -390,11 +379,12 @@ def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[Erro
 
 def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     """The largest level error over all N+1 means k/N, per level: the dense
-    sweep.  The maximum does not depend on the chunks, so they are even: no
-    sweep ends in a short one."""
+    sweep, in the even chunks of _CHUNK_CELLS."""
     best = np.zeros(len(ps))
-    for _, errs in _sweep_all_means(M, N, ps, _even_slices):
-        best = np.maximum(best, errs.max(axis=1))
+    for ks in _even_slices(N + 1, max(1024, _CHUNK_CELLS // max(M, 1))):
+        means = np.arange(ks.start, ks.stop, dtype=np.float64)
+        means /= N  # in place: a chunk holds one array of means besides sigma
+        best = np.maximum(best, level_errors(means, M, ps).max(axis=1))
     return best
 
 
@@ -632,13 +622,21 @@ def avg_probabilistic_errors(
     M: int, N: int, ps: Sequence[float], measure: Measure, beta: float = 2.0
 ) -> list[ErrorRecord]:
     """Average-case records for several levels from one set of class weights
-    and one sweep over the mean grid."""
+    and one sweep over the mean grid in the fixed chunks of _CHUNK_CELLS.  A
+    chunk whose weights are all zero would add +0.0 to each level's fsum and
+    is skipped before its level errors: the `p1` weights underflow to zero
+    beyond about 19 sqrt(N) means either side of N/2, so its sweep evaluates
+    a few chunks whatever N."""
     for p in ps:
         _validate_p(p)
     weights = class_weights(measure, N)
     parts: list[list[float]] = [[] for _ in ps]
-    for ks, errs in _sweep_all_means(M, N, ps, _fixed_slices):
-        for level_parts, level_errs in zip(parts, errs):
+    for ks in _fixed_slices(N + 1, max(1024, _CHUNK_CELLS // max(M, 1))):
+        if not weights[ks].any():
+            continue
+        means = np.arange(ks.start, ks.stop, dtype=np.float64)
+        means /= N
+        for level_parts, level_errs in zip(parts, level_errors(means, M, ps)):
             level_parts.append(float(np.dot(weights[ks], level_errs)))
     return [_record(Setting.AVG_PROBABILISTIC, measure, M, N, p, math.fsum(level_parts), beta)
             for p, level_parts in zip(ps, parts)]

@@ -9,15 +9,11 @@ double precision, so marginals agree with the closed form to ~1e-14.
 `run_qs_batch` runs the whole circuit for a stack of value tables at once;
 `run_qs` is a batch of one plus a sampled measurement.
 
-The index-controlled power comes in two forms.  `apply_lambda` acts on any
-state: it sweeps t = 1..index_dim-1 over blocks [t:], index_dim*(index_dim-1)/2
-block-Grover applications.  `run_qs_batch` acts only on the state the
-algorithm prepares, where blocks 0..M-1 all hold the same data vector; it
-chains them instead on one (N, K) work buffer, block j being block j-1
-after one more Grover application, so a run makes exactly M-1 applications
-(M-1 queries).  Both leave block j holding its input after exactly j
-applications of S_f, W, S0, W; `apply_lambda` is the differential oracle
-for the chain.
+The index-controlled power comes in two forms, both leaving block j after
+exactly j applications of S_f, W, S0, W: `apply_lambda` sweeps any state,
+index_dim*(index_dim-1)/2 block applications, and is the test oracle for
+`run_qs_batch`, which chains the prepared state's equal blocks on one work
+buffer, M-1 applications (M-1 queries).
 """
 
 from __future__ import annotations
@@ -65,9 +61,9 @@ _MAX_FOURIER_WORK = 1 << 34
 # slices of 1 or 7 columns do not.  At N <= 256 a slice is the whole product.
 _FOURIER_COLUMNS = 256
 # Amplitudes per group of index rows whose squared magnitudes the marginal
-# sums at once, and per slab of a Walsh-Hadamard stage's butterflies: their
-# temporaries stay near 1 MiB, or one row where a row is longer, not half
-# the state.
+# sums at once, and per slab of a Walsh plan's butterfly stage, whose one
+# scratch is that size: their temporaries stay near 1 MiB, or one row where
+# a row is longer, not half the state.
 _MARGINAL_AMPS = 1 << 16
 
 
@@ -154,15 +150,16 @@ class StateVector:
         return _index_marginals(self.blocks())
 
 
-# The Walsh and Grover kernels act in place on arrays of shape (..., N, T):
-# axis -2 is the data register and the trailing axis stacks T vectors that
-# share it, so the butterflies' inner loops run over rows of T.  A state's
-# (index_dim, N) blocks pass as blocks[..., None]; the batched chain keeps
-# its K runs in one (N, K) work buffer.  The Fourier and marginal kernels act
-# on blocks of shape (..., index_dim, N), any leading axes stacking runs.
-# Every element goes through the same IEEE operations in the same order
-# whatever the shape, so a stacked run is bit-identical to the runs done one
-# at a time.
+# The Walsh and Grover kernels act in place on a buffer of shape (..., N, T)
+# through its `_WalshPlan`: axis -2 is the data register and the trailing
+# axis stacks T vectors that share it, so the butterflies' inner loops run
+# over rows of T.  A state's (index_dim, N) blocks pass as blocks[..., None],
+# with a plan per call (per sweep in `apply_lambda`); the batched chain keeps
+# its K runs in one (N, K) work buffer and one plan for the run.  The Fourier
+# and marginal kernels act on blocks of shape (..., index_dim, N), any
+# leading axes stacking runs.  Every element goes through the same IEEE
+# operations in the same order whatever the shape, so a stacked run is
+# bit-identical to the runs done one at a time.
 
 def _index_marginals(blocks: np.ndarray) -> np.ndarray:
     # A few index rows at a time (_MARGINAL_AMPS); a row's sum over its data
@@ -175,40 +172,44 @@ def _index_marginals(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(blocks.shape[:-1])
 
 
-def _walsh_blocks(blocks: np.ndarray) -> None:
-    # Fast Walsh-Hadamard transform along the data axis -2, 1/sqrt(N)
-    # normalized; its own inverse.  Splitting that axis keeps a view.  Stage
-    # h pairs each run of h data rows with the next.  A buffer of more than
-    # _MARGINAL_AMPS amplitudes takes a stage's butterflies over slabs of
-    # `pairs` pairs and `rows` of their rows, about that many amplitudes, so
-    # the copies they make stay that small; every amplitude takes the same
-    # operations in the same order whatever the slab.  A smaller buffer
-    # takes one call per stage: the slab loop's few microseconds a stage
-    # made gate-level runs at n <= 5 5-15 % slower on a 2-core x86-64
-    # machine.
-    *lead, n, t = blocks.shape
-    across = math.prod(lead) * t
-    h = 1
-    while h < n:
-        v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
-        if across * n <= _MARGINAL_AMPS:
-            _butterflies(v)
-        else:
+class _WalshPlan:
+    # Fast Walsh-Hadamard transform of one buffer along its data axis -2,
+    # 1/sqrt(N) normalized and its own inverse, planned once per buffer.
+    # Splitting that axis keeps a view; stage h pairs each run of h data rows
+    # with the next.  The plan lists each stage as (lo, hi) slabs of `pairs`
+    # pairs and `rows` of their rows, about _MARGINAL_AMPS amplitudes (one
+    # row where a row is longer), so a buffer that small takes a stage as one
+    # slab; one scratch, the size of the largest slab, holds lo while it is
+    # written.  Every amplitude takes the same operations in the same order
+    # whatever the slab.
+    __slots__ = ("blocks", "slabs", "scale")
+
+    def __init__(self, blocks: np.ndarray) -> None:
+        *lead, n, t = blocks.shape
+        across = math.prod(lead) * t
+        views = []
+        h = 1
+        while h < n:
+            v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
             rows = min(h, max(1, _MARGINAL_AMPS // across))
             pairs = max(1, _MARGINAL_AMPS // (across * rows))
             for p in range(0, n // (2 * h), pairs):
                 for r in range(0, h, rows):
-                    _butterflies(v[..., p:p + pairs, :, r:r + rows, :])
-        h *= 2
-    blocks *= 1.0 / math.sqrt(n)
+                    slab = v[..., p:p + pairs, :, r:r + rows, :]
+                    views.append((slab[..., 0, :, :], slab[..., 1, :, :]))
+            h *= 2
+        scratch = np.empty(max((lo.size for lo, _ in views), default=0), blocks.dtype)
+        self.blocks = blocks
+        self.slabs = [(lo, hi, scratch[:lo.size].reshape(lo.shape)) for lo, hi in views]
+        self.scale = 1.0 / math.sqrt(n)
 
-
-def _butterflies(v: np.ndarray) -> None:
-    # (lo, hi) -> (lo + hi, lo - hi) in place over axis -3 of v
-    lo, hi = v[..., 0, :, :], v[..., 1, :, :]
-    top = lo.copy()
-    lo += hi
-    np.subtract(top, hi, out=hi)
+    def run(self, sign: float = 1.0) -> None:
+        # (lo, hi) -> (lo + hi, lo - hi) slab by slab, then one scaling
+        for lo, hi, top in self.slabs:
+            np.copyto(top, lo)
+            lo += hi
+            np.subtract(top, hi, out=hi)
+        self.blocks *= sign * self.scale
 
 
 def _fourier_matrix(M: int) -> np.ndarray:
@@ -231,38 +232,31 @@ def _apply_fourier(blocks: np.ndarray, F: np.ndarray) -> None:
         cols[...] = F @ cols
 
 
-def _grover_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
-    # Q_f = -(W S0 W) S_f; W is its own inverse.  `signs` broadcasts over
-    # the trailing axis: shape (N, 1) for one run, (N, K) for K stacked runs.
-    blocks *= signs
-    _walsh_blocks(blocks)
-    blocks[..., 0, :] *= -1.0
-    _walsh_blocks(blocks)
-    blocks *= -1.0
-
-
-def _lambda_blocks(blocks: np.ndarray, signs: np.ndarray) -> None:
-    # Block j of (index_dim, N) blocks receives j Grover applications: sweep
-    # t = 1..index_dim-1 hits blocks [t:] once per sweep.
-    for t in range(1, blocks.shape[0]):
-        _grover_blocks(blocks[t:, :, None], signs[:, None])
+def _grover_blocks(walsh: _WalshPlan, signs: np.ndarray) -> None:
+    # Q_f = -(W S0 W) S_f on the plan's buffer; W is its own inverse, and
+    # the closing negation is the second W's sign (x * -c is (x * c) * -1
+    # bit for bit).  `signs` broadcasts over the trailing axis: shape (N, 1)
+    # for one run, (N, K) for K stacked runs.
+    walsh.blocks *= signs
+    walsh.run()
+    walsh.blocks[..., 0, :] *= -1.0
+    walsh.run(-1.0)
 
 
 def _chain_blocks(blocks: np.ndarray, signs: np.ndarray) -> int:
     # Walsh preparation and index-controlled power on (K, M, N) blocks whose
     # M blocks per run are equal on entry.  Block 0 of the K runs is copied
     # into one C-contiguous (N, K) work buffer (a copy: at K = 1 the
-    # transpose is already contiguous, and a view would write into block 0).
-    # The Walsh transform runs there once, then one Grover application per
-    # further block with `signs` of shape (N, K); after each step the buffer
-    # is written out as the next block, so block j holds the transformed
-    # entry value after exactly j applications.  Returns the number of S_f
-    # applications per run.
+    # transpose is already contiguous, and a view would write into block 0),
+    # whose one Walsh plan serves all 2M-1 transforms.  The buffer is written
+    # out as block j after its j-th Grover application, with `signs` of
+    # shape (N, K).  Returns the number of S_f applications per run.
     work = blocks[:, 0, :].T.copy()
-    _walsh_blocks(work)
+    walsh = _WalshPlan(work)
+    walsh.run()
     blocks[:, 0, :] = work.T
     for j in range(1, blocks.shape[1]):
-        _grover_blocks(work, signs)
+        _grover_blocks(walsh, signs)
         blocks[:, j, :] = work.T
     return blocks.shape[1] - 1
 
@@ -285,7 +279,7 @@ def apply_primitive(
     if which is Primitive.S0:
         blocks[:, 0] *= -1.0
     elif which is Primitive.WALSH_HADAMARD:
-        _walsh_blocks(blocks[..., None])
+        _WalshPlan(blocks[..., None]).run()
     elif which in (Primitive.QFT, Primitive.QFT_INVERSE):
         F = _fourier_matrix(state.layout.M)
         _apply_fourier(blocks, F.conj() if which is Primitive.QFT_INVERSE else F)
@@ -316,7 +310,7 @@ def apply_standard_query(state: StateVector, f: BooleanFunction) -> StateVector:
 
 def apply_grover(state: StateVector, f: BooleanFunction) -> StateVector:
     """Apply the Grover operator to every index block in place."""
-    _grover_blocks(state.blocks()[..., None], _query_signs(state, f)[:, None])
+    _grover_blocks(_WalshPlan(state.blocks()[..., None]), _query_signs(state, f)[:, None])
     return state
 
 
@@ -325,10 +319,13 @@ def apply_lambda(state: StateVector, f: BooleanFunction) -> StateVector:
 
     Implemented by sweeping t = 1..index_dim-1 and hitting blocks [t:] once
     per sweep, so it is correct on any state, at index_dim*(index_dim-1)/2
-    block applications.  `run_qs_batch` chains the blocks of the prepared
-    state instead (M-1 applications), and this sweep is its test oracle.
+    block applications, each sweep's blocks [t:] with a Walsh plan of their
+    own.  `run_qs_batch` chains the blocks of the prepared state instead
+    (M-1 applications), and this sweep is its test oracle.
     """
-    _lambda_blocks(state.blocks(), _query_signs(state, f))
+    blocks, signs = state.blocks(), _query_signs(state, f)[:, None]
+    for t in range(1, blocks.shape[0]):
+        _grover_blocks(_WalshPlan(blocks[t:, :, None]), signs)
     return state
 
 

@@ -510,10 +510,25 @@ class TestAvgError:
 
     def test_chunks_fix_the_weighted_sum(self, chunk_sizes):
         # the 2^14 + 1 means at M = 128 are chunks of 2^14 means and 1, one
-        # np.dot each; the values are those of that partition
-        records = avg_probabilistic_errors(128, 1 << 14, [0.75, 0.99], Measure.UNIFORM_FUNCTIONS)
+        # np.dot each; the values are those of that partition.  Under p1 the
+        # last chunk, k = N, has weight 2^-N = 0.0 and is skipped
+        levels = [0.75, 0.99]
+        records = avg_probabilistic_errors(128, 1 << 14, levels, Measure.UNIFORM_MEANS)
         assert chunk_sizes == [1 << 14, 1]
+        assert [r.value.hex() for r in records] == ["0x1.a9ce21a094560p-8", "0x1.36ccbf819ec1fp-3"]
+        chunk_sizes.clear()
+        records = avg_probabilistic_errors(128, 1 << 14, levels, Measure.UNIFORM_FUNCTIONS)
+        assert chunk_sizes == [1 << 14]
         assert [r.value.hex() for r in records] == ["0x1.d6ead8b895656p-9", "0x1.63e13fbcfba5fp-4"]
+
+    def test_chunks_without_weight_are_skipped(self, chunk_sizes):
+        # the p1 weights underflow to 0.0 beyond about 19 sqrt(N) means either
+        # side of N/2, so a sweep evaluates only the chunks around the middle;
+        # the values are those of the sweep over every chunk
+        N = 1 << 20
+        records = avg_probabilistic_errors(64, N, [0.51, 0.75], Measure.UNIFORM_FUNCTIONS)
+        assert 0 < sum(chunk_sizes) < (N + 1) / 8
+        assert [r.value.hex() for r in records] == ["0x1.98844cdb32236p-12"] * 2
 
     def test_uniform_means_bounded_by_worst(self):
         worst = worst_probabilistic_error(32, 1 << 8, 0.75).value

@@ -29,6 +29,21 @@ def random_function(rng, n):
     return BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
 
 
+def _written_out_walsh(blocks):
+    # the Walsh-Hadamard transform along axis -2 of (..., N, T) blocks, each
+    # stage's butterflies over the whole buffer at once, then 1/sqrt(N)
+    *lead, n, t = blocks.shape
+    h = 1
+    while h < n:
+        v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
+        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
+        top = lo.copy()
+        lo += hi
+        np.subtract(top, hi, out=hi)
+        h *= 2
+    blocks *= 1.0 / math.sqrt(n)
+
+
 class TestLayout:
     @pytest.mark.parametrize("M,m", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (16, 4), (17, 5)])
     def test_index_register_size(self, M, m):
@@ -57,26 +72,51 @@ class TestPrimitives:
 
     @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12, 1 << 30])
     def test_walsh_slabs_change_no_bit(self, monkeypatch, slab):
-        # butterflies over slabs of pairs, of rows of one pair, of single
-        # amplitudes or of the whole buffer give the bits of the butterflies
-        # of each stage over the whole buffer at once, on stacks of runs
+        # a plan's butterflies over slabs of pairs, of rows of one pair, of
+        # single amplitudes or of whole stages give the bits of the
+        # butterflies of each stage over the whole buffer at once, on stacks
+        # of runs; a buffer of at most a slab takes each stage as one slab
+        monkeypatch.setattr(simulator, "_MARGINAL_AMPS", slab)
         rng = np.random.default_rng(37)
         for shape in ((1, 1), (8, 1), (64, 3), (4, 256, 1), (1 << 12, 2), (3, 1 << 10, 4)):
             blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             whole = blocks.copy()
-            *lead, n, t = shape
-            h = 1
-            while h < n:
-                v = whole.reshape(*lead, n // (2 * h), 2, h, t)
-                lo, hi = v[..., 0, :, :], v[..., 1, :, :]
-                top = lo.copy()
-                lo += hi
-                np.subtract(top, hi, out=hi)
-                h *= 2
-            whole *= 1.0 / math.sqrt(n)
-            monkeypatch.setattr(simulator, "_MARGINAL_AMPS", slab)
-            simulator._walsh_blocks(blocks)
+            _written_out_walsh(whole)
+            plan = simulator._WalshPlan(blocks)
+            plan.run()
             assert np.array_equal(blocks.view(np.int64), whole.view(np.int64)), shape
+            if blocks.size <= slab:
+                assert len(plan.slabs) == shape[-2].bit_length() - 1
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_primitives_match_written_out_butterflies(self, n):
+        # the Walsh primitive, the Grover operator (-(W S0 W) S_f) and the
+        # index-controlled power (block j gets j Grover applications), each
+        # from plans built per call, bit for bit on seeded random states
+        rng = np.random.default_rng(53 + n)
+        for M in (1, 3, 4):
+            layout = QubitLayout(n=n, M=M)
+            f = random_function(rng, n)
+            signs = (1.0 - 2.0 * f.table().astype(np.float64))[:, None]
+
+            def grover(x):
+                x *= signs
+                _written_out_walsh(x)
+                x[..., 0, :] *= -1.0
+                _written_out_walsh(x)
+                x *= -1.0
+
+            state = StateVector.random(layout, rng)
+            expected = state.blocks()[..., None].copy()
+            _written_out_walsh(expected)
+            apply_primitive(state, Primitive.WALSH_HADAMARD)
+            grover(expected)
+            apply_grover(state, f)
+            for t in range(1, layout.index_dim):
+                grover(expected[t:])
+            apply_lambda(state, f)
+            assert np.array_equal(state.amplitudes.view(np.int64),
+                                  expected.reshape(-1).view(np.int64)), (n, M)
 
     def test_s0_flips_only_data_zero(self):
         layout = QubitLayout(n=3, M=2)
@@ -403,18 +443,29 @@ class TestBatchedCore:
 
     @pytest.mark.parametrize("M", [*range(1, 17), 100])
     def test_chain_makes_m_minus_one_grover_applications(self, monkeypatch, M):
-        calls = []
+        calls, plans = [], []
         grover = simulator._grover_blocks
 
-        def counting(blocks, signs):
-            calls.append(blocks.shape)
-            grover(blocks, signs)
+        def counting(walsh, signs):
+            calls.append(walsh)
+            grover(walsh, signs)
+
+        class Plan(simulator._WalshPlan):
+            __slots__ = ()
+
+            def __init__(self, blocks):
+                super().__init__(blocks)
+                plans.append(self)
 
         monkeypatch.setattr(simulator, "_grover_blocks", counting)
+        monkeypatch.setattr(simulator, "_WalshPlan", Plan)
         batch = run_qs_batch(2, M, np.eye(3, 4, dtype=np.int8))
         assert len(calls) == M - 1 == batch.queries
-        # every application acts on the one (N, K) work buffer
-        assert all(shape == (4, 3) for shape in calls)
+        # one plan per run, on the one (N, K) work buffer, serves every
+        # application and the preparation's transform
+        (plan,) = plans
+        assert plan.blocks.shape == (4, 3)
+        assert all(walsh is plan for walsh in calls)
 
     @pytest.mark.parametrize("M", [1, 5, 16])
     @pytest.mark.parametrize("n", [0, 3, 10])
