@@ -38,6 +38,7 @@ __all__ = [
     "worst_probabilistic_errors",
     "avg_probabilistic_error",
     "avg_probabilistic_errors",
+    "refuse_sweeps",
     "v_func",
     "v_inverse",
     "c_bound",
@@ -120,25 +121,6 @@ class ErrorRecord:
 def _validate_p(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"probability level must lie in (0, 1], got {p}")
-
-
-def _outcome_cells_per_mean(M: int, p_max: float) -> int:
-    """Estimated outcome cells per mean that `level_errors` evaluates for
-    levels up to p_max, the cost by which oversized sweeps are refused.
-
-    Up to 8/pi^2 the pair pass decides nearly every mean from the two values
-    bracketing sigma, 4 cells.  Above it the walk adds one value's two twin
-    outcomes per step; the kernel's tail beyond distance d carries less than
-    about 1/(pi^2 d) per side, so it stops after about h values per side,
-    h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
-    outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
-    """
-    if p_max >= 1.0:
-        return M
-    half = 1
-    if p_max > EIGHT_OVER_PI_SQ:
-        half = math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
-    return 4 * half if 2 * half < M // 2 + 1 else M
 
 
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
@@ -409,6 +391,66 @@ def _screen_means(M: int, levels: int) -> int:
     return (9 + 6 * levels) * (M // 2 + 1)
 
 
+# Sizes above which `refuse_sweeps` refuses a sweep before any work.  A dense
+# sweep evaluates all N+1 means k/N: at N = 2^24 a worst case
+# (`_full_worst_errors`) takes seconds per level, and an average case first
+# stores 128 MiB of 8-byte class weights (about 170 MB peak).  Its cost is its
+# outcome cells, its means times the cells per mean at its highest level
+# (`_outcome_cells_per_mean`): 4 up to 8/pi^2, so 2^26 at N = 2^24.  A screened
+# worst case (`_screens`) evaluates a few means per value and level whatever N
+# (`_screen_means`), a few ms at M = 64 and N = 2^30, the largest grid the
+# bounds suite's nested-grid check covers, so it may reach that N.
+_MAX_SWEEP_N_LOG2 = 24
+_MAX_SCREEN_N_LOG2 = 30
+_MAX_SWEEP_CELLS_LOG2 = 28
+
+
+def _outcome_cells_per_mean(M: int, p_max: float) -> int:
+    """Estimated outcome cells per mean that `level_errors` evaluates for
+    levels up to p_max, the cost by which oversized sweeps are refused.
+
+    Up to 8/pi^2 the pair pass decides nearly every mean from the two values
+    bracketing sigma, 4 cells.  Above it the walk adds one value's two twin
+    outcomes per step; the kernel's tail beyond distance d carries less than
+    about 1/(pi^2 d) per side, so it stops after about h values per side,
+    h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
+    outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
+    """
+    if p_max >= 1.0:
+        return M
+    half = 1
+    if p_max > EIGHT_OVER_PI_SQ:
+        half = math.ceil(2.0 / (math.pi**2 * (1.0 - p_max))) + 1
+    return 4 * half if 2 * half < M // 2 + 1 else M
+
+
+def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[float]) -> None:
+    """Raise ValueError, before any work and without numpy, if a sweep over
+    the N+1 means k/N at each M of Ms and levels ps passes the limits: a
+    screened worst case's (`_screens`) at its M, the dense sweep's at every
+    other, a dense M's limit on n = ceil(log2 N) cited before the screen's."""
+    n = (N - 1).bit_length()
+    worst = setting is Setting.WORST_PROBABILISTIC
+    screened = [worst and _screens(M, N, ps) for M in Ms]
+    if n > _MAX_SWEEP_N_LOG2 and not all(screened):
+        weights = "" if worst else f" and 8(2^{n}+1) bytes of class weights"
+        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
+                         f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
+    if n > _MAX_SCREEN_N_LOG2:
+        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means; the limit is "
+                         f"2^{_MAX_SCREEN_N_LOG2}+1 means for a screened worst case "
+                         f"(n <= {_MAX_SCREEN_N_LOG2})")
+    p_max = max(ps)
+    for M, screen in zip(Ms, screened):
+        cells = _outcome_cells_per_mean(M, p_max)
+        means = _screen_means(M, len(ps)) if screen else N + 1
+        if means * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
+            count = f"{means} screened" if screen else f"(2^{n}+1)"
+            raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs {count} x "
+                             f"{cells} outcome cells; the limit is "
+                             f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
+
+
 def _nearest_values(
     means: np.ndarray, sigma: np.ndarray, edges: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -606,8 +648,8 @@ def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
         starts, sizes = ks[gaps] + 1, widths[gaps] - 1
         fill, budget = int(sizes.sum()), _screen_means(M, len(ps))
         if fill > budget:
-            raise RuntimeError(f"the worst-case screen at M={M}, N={N} would fill {fill} "
-                               f"means, more than its estimate of {budget}")
+            raise ValueError(f"the worst-case screen at M={M}, N={N} would fill {fill} "
+                             f"means, more than its estimate of {budget}")
         rows = np.arange(fill) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
         best = np.maximum(best, level_errors(rows / N, M, ps).max(axis=1))
     return best
@@ -656,14 +698,14 @@ def _record(
     """The error value with the one bound that applies to it.
 
     - ImprovedCor, (3/4) pi/M: the worst case at p = 8/pi^2;
-    - WA4 (upper): the uniform-function measure, 4 | M and N >= 2;
+    - WA4 (upper): the uniform-function measure, 4 | M, N >= 2 and p <= 8/pi^2;
     - WAn4 (lower, with beta): the uniform-function measure, 4 not | M, M > 4;
     - GlobalCor, C(p) pi/M: everything else.
     """
     uniform_functions = measure is Measure.UNIFORM_FUNCTIONS
     if setting is Setting.WORST_PROBABILISTIC and abs(p - EIGHT_OVER_PI_SQ) <= 1e-15:
         bound, ref = 0.75 * math.pi / M, "ImprovedCor"
-    elif uniform_functions and M % 4 == 0 and N >= 2:
+    elif uniform_functions and M % 4 == 0 and N >= 2 and p <= EIGHT_OVER_PI_SQ:
         bound, ref = wa4_upper_bound(M, N), "WA4"
     elif uniform_functions and M % 4 != 0 and M > 4:
         bound, ref = wan4_lower_bound(M, N, beta), "WAn4"

@@ -24,11 +24,9 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     ErrorRecord,
     Setting,
-    _outcome_cells_per_mean,
-    _screen_means,
-    _screens,
     avg_probabilistic_error,
     avg_probabilistic_errors,
+    refuse_sweeps,
     worst_probabilistic_error,
     worst_probabilistic_errors,
 )
@@ -102,55 +100,14 @@ def _record_row(rec: ErrorRecord) -> str:
 
 _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 
-# Sizes above which a command is refused before any work, with exit code 2.
-# An average sweep evaluates every mean k/N, k = 0..N, and first stores an
-# 8-byte class weight per mean: at N = 2^24 it holds 128 MiB of weights
-# (about 170 MB peak), and a one-level sweep takes several seconds.  So does
-# a worst-case sweep above 8/pi^2 or outside 4 <= M <= 4096, which stays
-# dense.  A sweep's cost is its outcome cells, N+1 means times the estimated
-# cells per mean at its highest level: 4 up to 8/pi^2 (N = 2^24 is then 2^26
-# cells), more above, and all M at p = 1.  Up to 8/pi^2 at 4 <= M <= 4096
-# the worst case screens the means instead (`bounds._screens`): it evaluates
-# and probes a few means per value and level whatever N
-# (`bounds._screen_means`), a few ms at M = 64 and N = 2^30, so its
-# grid may reach N = 2^_MAX_SCREEN_N_LOG2, the largest grid the bounds
-# suite's nested-grid check covers; its cells are counted from its own
-# means.  A law has one row, and a sweep one output, per outcome j < M.
-_MAX_SWEEP_N_LOG2 = 24
-_MAX_SCREEN_N_LOG2 = 30
-_MAX_SWEEP_CELLS_LOG2 = 28
+# A law has one row, and a sweep one output, per outcome j < M; the sizes of
+# the sweeps themselves are refused by `bounds.refuse_sweeps`.
 _MAX_OUTCOMES = 1 << 20
 
 
 def _refuse_outcomes(M: int) -> None:
     if M > _MAX_OUTCOMES:
         raise ValueError(f"M={M} is above the limit of {_MAX_OUTCOMES} outcomes")
-
-
-def _refuse_sweeps(setting: str, n: int, Ms: list[int], ps: list[float]) -> None:
-    """Refuse sweeps over N+1 = 2^n + 1 means at each M, at levels ps, above
-    the limits: a screened worst case's (`bounds._screens`) at its M, the
-    dense sweep's at every other."""
-    for M in Ms:
-        _refuse_outcomes(M)
-    screened = [setting == "worst" and _screens(M, 1 << n, ps) for M in Ms]
-    if n > _MAX_SWEEP_N_LOG2 and not all(screened):
-        weights = f" and 8(2^{n}+1) bytes of class weights" if setting == "avg" else ""
-        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means{weights}; the limit "
-                         f"is 2^{_MAX_SWEEP_N_LOG2}+1 means (n <= {_MAX_SWEEP_N_LOG2})")
-    if n > _MAX_SCREEN_N_LOG2:
-        raise ValueError(f"a sweep at n={n} needs N+1 = 2^{n}+1 means; the limit is "
-                         f"2^{_MAX_SCREEN_N_LOG2}+1 means for a screened worst case "
-                         f"(n <= {_MAX_SCREEN_N_LOG2})")
-    p_max = max(ps)
-    for M, screen in zip(Ms, screened):
-        cells = _outcome_cells_per_mean(M, p_max)
-        means = _screen_means(M, len(ps)) if screen else (1 << n) + 1
-        if means * cells > 1 << _MAX_SWEEP_CELLS_LOG2:
-            count = f"{means} screened" if screen else f"(2^{n}+1)"
-            raise ValueError(f"a sweep at n={n}, M={M} and p={p_max:g} needs {count} x "
-                             f"{cells} outcome cells; the limit is "
-                             f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
@@ -185,25 +142,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate(setting: str, M: int, N: int, p: float, measure: str, beta: float) -> ErrorRecord:
-    if setting == "worst":
-        return worst_probabilistic_error(M, N, p)
-    return avg_probabilistic_error(M, N, p, Measure(measure), beta=beta)
-
-
-def _evaluate_levels(setting: str, M: int, N: int, ps: list[float], measure: str,
-                     beta: float) -> list[ErrorRecord]:
-    """All levels at one (M, N) from one sweep over the mean grid."""
-    if setting == "worst":
-        return worst_probabilistic_errors(M, N, ps)
-    return avg_probabilistic_errors(M, N, ps, Measure(measure), beta=beta)
+def _sweep(args: argparse.Namespace, Ms: list[int], ps: list[float]) -> int:
+    """Refuse an oversized sweep before any work, then write one row per M at
+    one level, or one row per level at one M from one multi-level sweep."""
+    for M in Ms:
+        _refuse_outcomes(M)
+    setting, N, measure = Setting(args.setting), 1 << args.n, Measure(args.measure)
+    refuse_sweeps(setting, N, Ms, ps)
+    worst = setting is Setting.WORST_PROBABILISTIC
+    if len(ps) == 1:
+        recs = [worst_probabilistic_error(M, N, ps[0]) if worst
+                else avg_probabilistic_error(M, N, ps[0], measure, beta=args.beta) for M in Ms]
+    else:
+        (M,) = Ms
+        recs = (worst_probabilistic_errors(M, N, ps) if worst
+                else avg_probabilistic_errors(M, N, ps, measure, beta=args.beta))
+    _emit("\n".join([_ERROR_HEADER, *map(_record_row, recs)]) + "\n", args.out)
+    return 0
 
 
 def _cmd_error(args: argparse.Namespace) -> int:
-    _refuse_sweeps(args.setting, args.n, [args.m], [args.p])
-    rec = _evaluate(args.setting, args.m, 1 << args.n, args.p, args.measure, args.beta)
-    _emit(_ERROR_HEADER + "\n" + _record_row(rec) + "\n", args.out)
-    return 0
+    return _sweep(args, [args.m], [args.p])
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -214,20 +173,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             raise ValueError("--m-values must name at least one M")
         if args.p is None:
             raise ValueError("--p is required when sweeping over --m-values")
-        _refuse_sweeps(args.setting, args.n, args.m_values, [args.p])
-        recs = [_evaluate(args.setting, M, 1 << args.n, args.p, args.measure, args.beta)
-                for M in args.m_values]
-    else:
-        if not args.p_values:
-            raise ValueError("--p-values must name at least one p")
-        if args.m is None:
-            raise ValueError("--m is required when sweeping over --p-values")
-        _refuse_sweeps(args.setting, args.n, [args.m], args.p_values)
-        recs = _evaluate_levels(args.setting, args.m, 1 << args.n, args.p_values,
-                                args.measure, args.beta)
-    lines = [_ERROR_HEADER, *map(_record_row, recs)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _sweep(args, args.m_values, [args.p])
+    if not args.p_values:
+        raise ValueError("--p-values must name at least one p")
+    if args.m is None:
+        raise ValueError("--m is required when sweeping over --p-values")
+    return _sweep(args, [args.m], args.p_values)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

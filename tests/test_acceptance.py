@@ -92,5 +92,5 @@ def test_11_bracketing_output_distance(suite_runs):
 def test_12_every_attached_bound_holds_with_positive_lower_bounds(suite_runs):
     # the check fails when no WAn4 record has a positive bound, since a
     # non-positive lower bound holds for any value
-    _accept(suite_runs, "12 every attached bound holds at p <= 8/pi^2, WAn4 non-vacuously",
-            (BOUNDS, "every attached bound holds at p <= 8/pi^2"))
+    _accept(suite_runs, "12 every attached bound holds at p <= 0.99, WAn4 non-vacuously",
+            (BOUNDS, "every attached bound holds at p <= 0.99"))

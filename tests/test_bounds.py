@@ -435,7 +435,7 @@ class TestWorstError:
         cases = ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (64, 1 << 12, [0.75]),
                  (5, 1 << 10, [0.51]))
         for M, N, ps in cases:
-            with pytest.raises(RuntimeError, match=f"screen at M={M}, N={N} would fill"):
+            with pytest.raises(ValueError, match=f"screen at M={M}, N={N} would fill"):
                 bounds._screened_worst_errors(M, N, ps)
         monkeypatch.setattr(bounds, "_screen_means", lambda M, levels: 1 << 20)
         for M, N, ps in cases:
@@ -664,8 +664,10 @@ class TestErrorRecord:
         (AVG, P1, 6, 1 << 12, 0.75, "WAn4", wan4_lower_bound(6, 1 << 12, 2.0), True),
         (AVG, P1, 3, 256, 0.75, "GlobalCor", c_bound(0.75, 3) * math.pi / 3, False),
         (AVG, P2, 8, 256, 0.75, "GlobalCor", c_bound(0.75, 8) * math.pi / 8, False),
+        # WA4 is derived up to 8/pi^2, and the value here is above it
+        (AVG, P1, 64, 1 << 12, 0.9, "GlobalCor", c_bound(0.9, 64) * math.pi / 64, False),
     ], ids=["ImprovedCor", "worst-GlobalCor", "WA4", "WA4-N1-GlobalCor", "WAn4",
-            "p1-small-M-GlobalCor", "p2-GlobalCor"])
+            "p1-small-M-GlobalCor", "p2-GlobalCor", "p1-above-8-over-pi2-GlobalCor"])
     def test_attached_bound(self, setting, measure, M, N, p, ref, bound, lower):
         if setting is WORST:
             rec = worst_probabilistic_error(M, N, p)
@@ -677,3 +679,49 @@ class TestErrorRecord:
         # bound_holds faces the bound's direction: past it on the wrong side fails
         assert replace(rec, value=rec.bound + 0.1).bound_holds is lower
         assert replace(rec, value=rec.bound - 0.1).bound_holds is not lower
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        pytest.fail(f"refuse_sweeps used np.{name}")
+
+
+class TestRefuseSweeps:
+    # (setting, Ms, n, levels) at each limit's edge; the CLI's refusal table
+    # checks the same messages end to end
+    @pytest.mark.parametrize("setting,Ms,n,ps", [
+        (WORST, [3], 24, [0.75]),  # dense: M < 4
+        (AVG, [64], 24, [0.75]),
+        (WORST, [64], 30, [0.75]),  # screened
+        (AVG, [1 << 20], 24, [0.3, EIGHT_OVER_PI_SQ]),  # 4 cells per mean up to 8/pi^2
+        (WORST, [64], 23, [0.6, 0.9]),  # 16 cells per mean
+        (WORST, [4096], 15, [1.0]),  # all M cells at p = 1
+    ])
+    def test_accepted_edges_touch_no_numpy(self, monkeypatch, setting, Ms, n, ps):
+        monkeypatch.setattr(bounds, "np", NoNumpy())
+        assert bounds.refuse_sweeps(setting, 1 << n, Ms, ps) is None
+
+    @pytest.mark.parametrize("setting,Ms,n,ps,message", [
+        (WORST, [3], 25, [0.75],
+         "a sweep at n=25 needs N+1 = 2^25+1 means; the limit is 2^24+1 means (n <= 24)"),
+        (AVG, [64], 25, [0.75],
+         "a sweep at n=25 needs N+1 = 2^25+1 means and 8(2^25+1) bytes of class weights; "
+         "the limit is 2^24+1 means (n <= 24)"),
+        (WORST, [64], 31, [0.75],
+         "a sweep at n=31 needs N+1 = 2^31+1 means; the limit is 2^30+1 means for a "
+         "screened worst case (n <= 30)"),
+        # past both limits, a dense M cites the dense one
+        (WORST, [64, 3], 31, [0.75],
+         "a sweep at n=31 needs N+1 = 2^31+1 means; the limit is 2^24+1 means (n <= 24)"),
+        (WORST, [64], 24, [0.6, 0.9],
+         "a sweep at n=24, M=64 and p=0.9 needs (2^24+1) x 16 outcome cells; "
+         "the limit is 2^28 cells"),
+        (WORST, [4096], 16, [1.0],
+         "a sweep at n=16, M=4096 and p=1 needs (2^16+1) x 4096 outcome cells; "
+         "the limit is 2^28 cells"),
+    ])
+    def test_first_refused_size_raises(self, monkeypatch, setting, Ms, n, ps, message):
+        monkeypatch.setattr(bounds, "np", NoNumpy())
+        with pytest.raises(ValueError) as exc:
+            bounds.refuse_sweeps(setting, 1 << n, Ms, ps)
+        assert str(exc.value) == message

@@ -321,6 +321,18 @@ class TestError:
                                "--n", "24", "--p-values", f"0.3,{p}")
         assert (code, err, asked) == (0, "", [(M, 1 << 24)])
 
+    def test_a_screen_past_its_estimate_exits_two(self, capsys, monkeypatch):
+        # masses that reach every level hide every side flip, so the screen
+        # would fill past its own estimate of means; it raises instead, and
+        # the command ends in one error line
+        monkeypatch.setattr(bounds, "_lead_masses", lambda sigma, near, second, M, rows: (
+            np.full(sigma.size, 2.0), np.full(rows.size, 2.0)))
+        code, out, err = run_cli(capsys, "error", "--setting", "worst", "--m", "64",
+                                 "--n", "16", "--p", "0.75")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the worst-case screen at M=64, N=65536 would fill ")
+        assert err.endswith(" means, more than its estimate of 495\n") and err.count("\n") == 1
+
     def test_symbolic_p_values(self, capsys):
         code, out, _ = run_cli(capsys, "error", "--setting", "worst", "--m", "4",
                                "--n", "4", "--p", "4/pi2")
