@@ -56,8 +56,8 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Outcome cells per block of rows in a level-error pass, about: 4 per mean in
-# the pair pass, 2 (one value's twin outcomes) in each step of the walk.  The
+# Outcome cells per block of rows of the pair pass, about: 4 per mean, and 2
+# (one value's twins) per step of the walk that continues a block's rows.  The
 # rows are cut into even blocks (`_even_slices`), so a block holds between
 # 3/4 and 3/2 of this and its work arrays, a few per cell, stay in a core's
 # L2 cache.  Rows are independent, so blocks change no bit.
@@ -126,40 +126,29 @@ def _validate_p(p: float) -> None:
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     """Level errors for many means and levels at once; shape (len(ps), len(means)).
 
-    For each mean: order outcomes by (|abar(j) - a|, j), accumulate
+    For each mean: order outcomes by (|abar(j) - a|, i, j), where i = min(j,
+    M - j) indexes the value v_i = sin^2(pi i/M) that j reports, accumulate
     probability in that order, and report the distance at which the running
     mass first reaches p - LEVEL_SLACK, or the farthest distance where no
-    outcome reaches it.  Equidistant outcomes enter as a group, since the
-    crossing distance already admits the whole group.  `_full_level_errors`
-    does exactly this by a stable sort of all M outcomes; it is the tests'
-    oracle, and the two passes below give its bits.
+    outcome reaches it.  Equidistant outcomes share their distance, so their
+    order is a convention, which the tests pin to move no bit.
+    `_full_level_errors` does exactly this by one stable sort of all M
+    outcomes; it is the tests' oracle.
 
-    The distinct outputs v_i = sin^2(pi i/M), i = 0..M//2, increase with i,
-    and value v_i is reported by the twin outcomes j = i and j = M - i (a
-    missing twin, at i = 0 or i = M/2 for even M, adds +0.0).  So the
-    (distance, j) order merges the values below a, walked downward, with the
-    values above a, walked upward: each step takes the nearer value's twins
-    j = i, then j = M - i, and on an exact tie of the two distances the four
-    outcomes i_lo, i_hi, M - i_hi, M - i_lo.  The running mass adds the same
-    probabilities (one per-cell formula, `outcome_probabilities_at`) in the
-    same order as the full sort's cumulative sum, so the sums, and the
-    errors, are bit-identical.
+    The values increase with i, and v_i is reported by the twins j = i and
+    j = M - i (a missing twin, at i = 0 or i = M/2 for even M, adds +0.0).
+    So the order merges the values below a, walked downward, with those
+    above, walked upward, one value's twins per step, the lower value first
+    on an exact tie.  The running mass adds the same probabilities (one
+    per-cell formula, `outcome_probabilities_at`) in the same order as the
+    full sort's cumulative sum, so the errors are bit-identical.
 
-    Up to 8/pi^2, and at M >= 4, the pair pass runs first over every row: the
-    two values bracketing sigma, v_lo and v_lo+1 (lo = floor(sigma), clipped
-    to 0..M//2-1), in the order one comparison of their distances gives, the
-    far value's law evaluated only in rows where the near value falls short
-    of the highest level (`_pair_block`).  A row is decided when every level
-    is reached at a distance strictly below d_out, the distance of the
-    nearest value outside the pair, and the two distances differ.  The walk
-    (`_walk_block`) takes the rows the pair pass leaves, and every row above
-    8/pi^2 or at M < 4; a row leaves it once its mass reaches the highest
-    level or its values run out.
-
-    Both passes read one set of value edges, level thresholds and sigma
-    values, and go over their rows in even blocks of about _BLOCK_CELLS
-    cells, so their work arrays stay in cache however many means they are
-    given.
+    The pair pass (`_pair_block`) takes every row's first two values, the
+    second's law evaluated only where the first falls short of the highest
+    level, in even blocks of about _BLOCK_CELLS cells, so its work arrays
+    stay in cache; the walk (`_walk_block`) continues a block's rows still
+    short, until their mass reaches the highest level or their values run
+    out.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -168,30 +157,22 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     means = np.atleast_1d(np.asarray(means, dtype=np.float64))
     if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):
         raise ValueError("means must lie in [0, 1]")
-    values = output_grid(M)[: M // 2 + 1]
-    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    edges = _value_edges(M)
     thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
     # sigmas_of adds no temporary of the means' size to the call's peak heap
     sigma = sigmas_of(means, M)
     out = np.empty((len(ps), means.size))
-    if max(ps, default=0.0) <= EIGHT_OVER_PI_SQ and M >= 4:
-        accepted = np.empty(means.size, dtype=bool)
-        for block in _row_blocks(means.size, 4):
-            accepted[block] = _pair_block(
-                means[block], sigma[block], edges, M, thresholds, out[:, block])
-        rows = np.flatnonzero(~accepted)
-    else:
-        rows = np.arange(means.size)
-    for block in _row_blocks(rows.size, 2):
-        cols = rows[block]
-        _walk_block(means[cols], sigma[cols], cols, edges, M, thresholds, out)
+    for block in _row_blocks(means.size, 4):
+        _pair_block(means[block], sigma[block], edges, M, thresholds, out[:, block])
     return out
 
 
 def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """The full sort's crossing rule: cells stably sorted by distance
     accumulate mass, and the error at p is the distance of the first cell
-    whose running mass reaches p - LEVEL_SLACK.
+    whose running mass reaches p - LEVEL_SLACK.  Given a mean's outcomes as
+    cells in value order (`_value_order`), the sort is the (distance, value,
+    j) order of `level_errors`, its one definition.
 
     `dists` and `probs` have shape (rows, cells).  The running mass never
     decreases, so the first such cell is the count of cells below
@@ -229,6 +210,13 @@ def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
     return _even_slices(rows, max(1, _BLOCK_CELLS // cells_per_row))
 
 
+def _value_edges(M: int) -> np.ndarray:
+    """The distinct outputs v_i = sin^2(pi i/M), i = 0..M//2, as edges[i + 2]:
+    two infinite edges on each side stand for the values past either end, at
+    every M >= 1."""
+    return np.concatenate([[-np.inf, -np.inf], output_grid(M)[: M // 2 + 1], [np.inf, np.inf]])
+
+
 def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
     """Probabilities of outcomes j = i and j = M - i, shape (2, len(i)); a
     missing twin (i = 0, or i = M/2 at even M) has mass +0.0."""
@@ -240,83 +228,75 @@ def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
     return probs
 
 
-def _pair_values(
-    means: np.ndarray, sigma: np.ndarray, values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pair of values bracketing sigma: lo = floor(sigma) clipped to
-    0..M//2-1, the distances d_lo and d_hi to v_lo and v_lo+1, and whether
-    v_lo is the near value."""
-    lo = np.clip(np.floor(sigma).astype(np.int64), 0, values.size - 2)
-    d_lo = np.abs(values[lo] - means)
-    d_hi = np.abs(values[lo + 1] - means)
-    return lo, d_lo, d_hi, d_lo < d_hi
+def _first_values(
+    means: np.ndarray, sigma: np.ndarray, edges: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Each row's first two values in the (distance, value) order of
+    `level_errors`.  v_lo and v_lo+1, lo = floor(sigma) (truncation, as sigma
+    >= 0) but at most max(M//2 - 1, 0), bracket the mean to within rounding,
+    so the near one of them comes first, v_lo on a tie; then the far one or
+    the value beyond the near one (an infinite edge where that runs out),
+    whichever is nearer, the lower value on a tie.  Returns lo, the near and
+    second value indices, their distances, and whether the second is the
+    value beyond."""
+    lo = np.minimum(sigma.astype(np.int64), max(edges.size - 6, 0))  # M//2 - 1
+    d_lo = np.abs(edges[lo + 2] - means)
+    d_hi = np.abs(edges[lo + 3] - means)
+    near_is_lo = d_lo <= d_hi
+    far = lo + near_is_lo
+    near = lo + 1 - near_is_lo
+    beyond = 2 * near - far
+    d_far = np.maximum(d_lo, d_hi)
+    d_beyond = np.abs(edges[beyond + 2] - means)
+    beyond_first = np.where(near_is_lo, d_beyond <= d_far, d_beyond < d_far)
+    second = np.where(beyond_first, beyond, far)
+    return (lo, near, second, np.minimum(d_lo, d_hi), np.minimum(d_beyond, d_far),
+            beyond_first)
 
 
 def _pair_block(
     means: np.ndarray, sigma: np.ndarray, edges: np.ndarray, M: int,
     thresholds: np.ndarray, out: np.ndarray,
-) -> np.ndarray:
-    """The pair pass of `level_errors` on one block of rows, written into
-    `out`; returns the mask of the rows it decides, whose columns of `out`
-    then hold their errors.
-
-    The running mass adds the near value's twins, then, in the rows where it
-    falls short of the highest level, the far value's: the (distance, j)
-    order wherever the two distances differ.
-    """
-    lo, d_lo, d_hi, near_is_lo = _pair_values(means, sigma, edges[1:-1])
-    d_near = np.minimum(d_lo, d_hi)
-    d_far = np.maximum(d_lo, d_hi)
-    near = _twin_probs(sigma, lo + 1 - near_is_lo, M)
-    mass = np.add(near[0], near[1], out=near[0])
-    np.copyto(out, d_far)
-    np.copyto(out, d_near, where=mass >= thresholds)
+) -> None:
+    """The pair pass of `level_errors` on one block of rows, whose errors it
+    writes into `out`: the running mass adds the first value's twins, then,
+    in the rows where it falls short of the highest level, the second's
+    (`_first_values`); the rows still short go on to `_walk_block`."""
+    _, near, second, d_near, d_second, _ = _first_values(means, sigma, edges)
+    probs = _twin_probs(sigma, near, M)
+    mass = np.add(probs[0], probs[1], out=probs[0])
+    np.copyto(out, d_near)
+    np.copyto(out, d_second, where=mass < thresholds)
     highest = thresholds.max(initial=-np.inf)
+    rows = np.flatnonzero(mass < highest)
+    probs = _twin_probs(sigma[rows], second[rows], M)
+    mass = mass[rows] + probs[0]
+    mass += probs[1]
     short = mass < highest
-    rows = np.flatnonzero(short)
-    far = _twin_probs(sigma[rows], lo[rows] + near_is_lo[rows], M)
-    total = mass[rows] + far[0]
-    total += far[1]
-    mass[rows] = total
-    d_out = np.minimum(means - edges[lo], edges[lo + 3] - means)
-    widest = np.where(short, d_far, d_near)
-    return (mass >= highest) & (widest < d_out) & (d_lo != d_hi)
+    if short.any():
+        rows, mass = rows[short], mass[short]
+        # the two values taken are adjacent; the walk starts from their neighbours
+        taken = np.minimum(near[rows], second[rows])
+        _walk_block(means[rows], sigma[rows], rows, taken + 1, taken + 4, mass, edges, M,
+                    thresholds, out)
 
 
 def _walk_block(
-    means: np.ndarray, sigma: np.ndarray, cols: np.ndarray, edges: np.ndarray,
-    M: int, thresholds: np.ndarray, out: np.ndarray,
+    means: np.ndarray, sigma: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    mass: np.ndarray, edges: np.ndarray, M: int, thresholds: np.ndarray, out: np.ndarray,
 ) -> None:
-    """The outward walk of `level_errors` on one block of rows, whose columns
-    of `out` are `cols`.
+    """The walk of `level_errors` on the rows `cols` of `out`, which hold
+    their errors so far, and whose running mass is `mass`.
 
-    edges[lo] is the nearest value at or below a not yet taken and edges[hi]
-    the nearest above it; the edges -inf and inf stand for a side whose
-    values have run out.  Each step sets the error of every level the mass
-    has not reached yet to the step's distance, so a level keeps the distance
-    of the step that reaches it, or the last step's.
+    edges[lo] is the nearest value below a not yet taken and edges[hi] the
+    nearest above it; an infinite edge stands for a side whose values have
+    run out.  Each step sets the error of every level the mass has not
+    reached yet to the step's distance, so a level keeps the distance of the
+    step that reaches it, or the last step's.
     """
-    hi = np.searchsorted(edges, means, side="right")
-    lo = hi - 1
-    d_lo = means - edges[lo]
-    d_hi = edges[hi] - means
-    dist = np.minimum(d_lo, d_hi)
-    errors = np.tile(dist, (thresholds.shape[0], 1))
-    mass = np.zeros(means.size)
+    errors = out[:, cols]
     highest = thresholds.max(initial=-np.inf)
-    while cols.size:
-        np.copyto(errors, dist, where=mass < thresholds)
-        take_lo = d_lo <= d_hi
-        near = _twin_probs(sigma, np.where(take_lo, lo, hi) - 1, M)
-        mass += near[0]
-        tie = np.flatnonzero(d_lo == d_hi)
-        if tie.size:
-            far = _twin_probs(sigma[tie], hi[tie] - 1, M)
-            mass[tie] += far[0]
-            mass[tie] += far[1]
-        mass += near[1]
-        lo -= take_lo
-        hi += d_hi <= d_lo
+    while True:
         d_lo = means - edges[lo]
         d_hi = edges[hi] - means
         dist = np.minimum(d_lo, d_hi)
@@ -326,25 +306,42 @@ def _walk_block(
             means, cols, sigma, lo, hi, d_lo, d_hi, dist, mass = (
                 x[stay] for x in (means, cols, sigma, lo, hi, d_lo, d_hi, dist, mass))
             errors = errors[:, stay]
+        if not cols.size:
+            return
+        np.copyto(errors, dist, where=mass < thresholds)
+        take_lo = d_lo <= d_hi
+        probs = _twin_probs(sigma, np.where(take_lo, lo, hi) - 2, M)
+        mass += probs[0]
+        mass += probs[1]
+        lo -= take_lo
+        hi += ~take_lo
+
+
+def _value_order(M: int) -> np.ndarray:
+    """The outcomes j = 0..M-1 by the index i = min(j, M - j) of the value
+    they report, then by j: 0, 1, M - 1, 2, M - 2, ..."""
+    j = np.arange(M)
+    return np.argsort(np.minimum(j, M - j), kind="stable")
 
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
     """The level errors of `level_errors` from one stable sort of all M
-    outcomes per mean; the tests' oracle for the pair pass and the walk."""
-    dists = np.abs(output_grid(M) - means[:, None])
-    return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M), ps)
+    outcomes per mean, in value order; the tests' oracle for the pair pass
+    and the walk."""
+    order = _value_order(M)
+    dists = np.abs(output_grid(M)[order] - means[:, None])
+    return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M)[:, order], ps)
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
     """Worst-case records for several levels from one screened sweep.
 
-    Where `level_errors` starts with its pair pass (every level at most
-    8/pi^2, 4 <= M <= _SCREEN_MAX_M) and the screen's estimated means and
-    fixed cost are fewer than the N+1 means (`_screens`),
-    `_screened_worst_errors` evaluates candidate means and the two rows
-    around every side flip it finds: O(L M) means for L levels, whatever N,
-    found with a few probes of the near value's and the first two values'
-    masses per flip.  Elsewhere the dense sweep over all N+1 means,
+    Where every level is at most 8/pi^2, 4 <= M <= _SCREEN_MAX_M, and the
+    screen's estimated means and fixed cost are fewer than the N+1 means
+    (`_screens`), `_screened_worst_errors` evaluates candidate means and the
+    two rows around every side flip it finds: O(L M) means for L levels,
+    whatever N, found with a few probes of the near value's and the first
+    two values' masses per flip.  Elsewhere the dense sweep over all N+1 means,
     `_full_worst_errors`, runs; it is also the screen's oracle.  Both give
     the same bits, and each `level_errors` call answers every level, so a
     sweep costs about what its highest level costs alone.
@@ -372,9 +369,9 @@ def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
 
 def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
     """Whether the worst case is screened: every level at most 8/pi^2 and
-    4 <= M <= _SCREEN_MAX_M, where `level_errors` starts with its pair pass,
-    and fewer means to screen, with the screen's fixed cost, than the dense
-    sweep's N+1."""
+    4 <= M <= _SCREEN_MAX_M, where each error is the distance of one of the
+    three values nearest the mean (`_screened_worst_errors`), and fewer means
+    to screen, with the screen's fixed cost, than the dense sweep's N+1."""
     if not 4 <= M <= _SCREEN_MAX_M or max(ps, default=1.0) > EIGHT_OVER_PI_SQ:
         return False
     return _SCREEN_FIXED_MEANS + _screen_means(M, len(ps)) < N + 1
@@ -409,9 +406,9 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
     """Estimated outcome cells per mean that `level_errors` evaluates for
     levels up to p_max, the cost by which oversized sweeps are refused.
 
-    Up to 8/pi^2 the pair pass decides nearly every mean from the two values
-    bracketing sigma, 4 cells.  Above it the walk adds one value's two twin
-    outcomes per step; the kernel's tail beyond distance d carries less than
+    Up to 8/pi^2 the pair pass decides nearly every mean from its first two
+    values, 4 cells.  Above it the walk adds one value's two twin outcomes
+    per step; the kernel's tail beyond distance d carries less than
     about 1/(pi^2 d) per side, so it stops after about h values per side,
     h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
     outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
@@ -425,10 +422,14 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
 
 
 def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[float]) -> None:
-    """Raise ValueError, before any work and without numpy, if a sweep over
-    the N+1 means k/N at each M of Ms and levels ps passes the limits: a
-    screened worst case's (`_screens`) at its M, the dense sweep's at every
-    other, a dense M's limit on n = ceil(log2 N) cited before the screen's."""
+    """Raise ValueError, before any work and without numpy, if an M of Ms is
+    below 1, or if a sweep over the N+1 means k/N at each M of Ms and levels
+    ps passes the limits: a screened worst case's (`_screens`) at its M, the
+    dense sweep's at every other, a dense M's limit on n = ceil(log2 N) cited
+    before the screen's."""
+    for M in Ms:
+        if M < 1:
+            raise ValueError(f"M must be >= 1, got {M}")
     n = (N - 1).bit_length()
     worst = setting is Setting.WORST_PROBABILISTIC
     screened = [worst and _screens(M, N, ps) for M in Ms]
@@ -456,16 +457,13 @@ def _nearest_values(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's piece, 2 floor(sigma) plus whether v_lo+1 is the near
     value; the indices of its three nearest values in the order
-    `level_errors` takes them, shape (3, rows): the near value, then the far
-    one of the pair or, where it is nearer, the value beyond the near one (an
-    index outside 0..M//2 where that runs out); and where it is."""
-    lo, d_lo, d_hi, near_is_lo = _pair_values(means, sigma, edges[1:-1])
-    near = lo + 1 - near_is_lo
-    far = lo + near_is_lo
-    beyond = 2 * near - far
-    swap = np.where(near_is_lo, means - edges[lo], edges[lo + 3] - means) < np.maximum(d_lo, d_hi)
-    order = np.stack([near, np.where(swap, beyond, far), np.where(swap, far, beyond)])
-    return 2 * np.floor(sigma) + (d_lo >= d_hi), order, swap
+    `level_errors` takes them, shape (3, rows): its first two values
+    (`_first_values`), then the other of the far value and the value beyond
+    the near one (an index outside 0..M//2 where that runs out); and whether
+    the second is the value beyond."""
+    lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
+    order = np.stack([near, second, 2 * near - second])
+    return 2 * np.floor(sigma) + (near - lo), order, beyond_first
 
 
 def _lead_masses(
@@ -508,8 +506,8 @@ def _screen_plan(
     value's kernel alone or the false position puts the flip, the search
     takes two to four.
     """
-    values = output_grid(M)[: M // 2 + 1]
-    edges = np.concatenate([[-np.inf], values, [np.inf]])
+    edges = _value_edges(M)
+    values = edges[2:-2]
     thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
     marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
                             (values[:-2] + values[2:]) / 2])
@@ -633,12 +631,11 @@ def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     ks, piece, order = _screen_plan(M, N, ps)
     means = ks / N
     errs = level_errors(means, M, ps)
-    values = output_grid(M)[: M // 2 + 1]
+    # an index outside 0..M//2 reads an infinite edge, which no error equals
+    edges = _value_edges(M)
     reported = np.full(errs.shape, -1)
     for i in order[::-1]:
-        inside = (i >= 0) & (i < values.size)
-        dist = np.abs(values[np.where(inside, i, 0)] - means)
-        np.copyto(reported, i, where=inside & (errs == dist))
+        np.copyto(reported, i, where=errs == np.abs(edges[i + 2] - means))
     keep = (piece[:-1] == piece[1:]) & (reported[:, :-1] == reported[:, 1:]).all(axis=0)
     keep &= (reported[:, :-1] >= 0).all(axis=0)
     widths = np.diff(ks)

@@ -27,9 +27,9 @@ from qsum.bounds import (
 from qsum.closedform import dirichlet_kernel_sq, output_grid
 from qsum.suites import brute_force_errors_at_levels
 
-# levels at or below 8/pi^2, where level_errors starts with the pair pass
+# levels at or below 8/pi^2, where the pair pass decides most rows
 PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
-# levels above it, where the walk takes every row
+# levels above it, where most rows walk on
 WALK_LEVELS = [0.9, 0.99, 1.0]
 
 
@@ -139,27 +139,44 @@ class TestErrorAtLevel:
             assert np.array_equal(got, want), ps
 
     @pytest.mark.parametrize("M", [10, 22, 38])
-    def test_pair_pass_defers_distance_ties(self, pass_log, M):
+    def test_pair_pass_decides_distance_ties(self, pass_log, M):
         # at a = 1/2, M = 2 mod 4, sigma = M/4 lies halfway between two values
-        # whose distances from 1/2 tie exactly at these M; the full sort then
-        # interleaves their outcomes by j, so the pair pass leaves the row to
-        # the walk, which adds the four outcomes in that order
+        # whose distances from 1/2 tie exactly at these M; the lower value
+        # comes first and the upper second, and their four outcomes reach
+        # every level up to 8/pi^2, so the pair pass decides the row, with
+        # the full sort's bits
         passes, full = pass_log
         v = output_grid(M)[: M // 2 + 1]
         lo = (M - 2) // 4
         assert 0.5 - v[lo] == v[lo + 1] - 0.5
         means = self._pair_edge_means(M)
+        assert means[1] == 0.5
         got = level_errors(means, M, PAIR_LEVELS)
-        (pair, rows, left), walk = passes
-        assert (pair, rows, walk) == ("pair", means.size, ("walk", left))
-        sigma = sigmas_of(means, M)
-        edges = np.concatenate([[-np.inf], v, [np.inf]])
-        thresholds = np.reshape(PAIR_LEVELS, (-1, 1)) - bounds.LEVEL_SLACK
-        out = np.empty((len(PAIR_LEVELS), means.size))
-        accepted = bounds._pair_block(means, sigma, edges, M, thresholds, out)
-        assert not accepted[1]  # a = 1/2
+        assert 0.5 not in self._rows(passes, "walk")
         want = full(means, M, PAIR_LEVELS)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_tie_order_moves_no_bit(self):
+        # the (distance, value, j) order of the oracle's cells against the
+        # (distance, j) order: equal errors at every M <= 300 on the grids
+        # N = 2^6 and 2^12, a = 1/2 among them.  Only a row with two values
+        # at one distance orders its cells differently, so only those rows,
+        # 692 of them, are sorted both ways
+        levels = [0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
+        means = np.concatenate([np.arange(65) / 64, np.arange(4097) / 4096])
+        tied = 0
+        for M in range(1, 301):
+            values = output_grid(M)[: M // 2 + 1]
+            value_dists = np.sort(np.abs(values - means[:, None]), axis=1)
+            rows = means[(np.diff(value_dists, axis=1) == 0).any(axis=1)]
+            tied += rows.size
+            dists = np.abs(output_grid(M) - rows[:, None])
+            probs = closedform.outcome_probabilities(sigmas_of(rows, M), M)
+            order = bounds._value_order(M)
+            by_j = bounds._crossings(dists, probs, levels)
+            by_value = bounds._crossings(dists[:, order], probs[:, order], levels)
+            assert [x.hex() for x in by_j.ravel()] == [x.hex() for x in by_value.ravel()], M
+        assert tied == 692
 
     @pytest.fixture
     def kernel_cells(self, monkeypatch):
@@ -171,44 +188,38 @@ class TestErrorAtLevel:
         return cells
 
     def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
-        # the pair pass takes the near value's two outcomes (4 kernel cells)
-        # of every mean and the far value's only where the near pair falls
-        # short of the highest level, and the walk takes the few rows it
-        # leaves: 6.02 cells per mean here, where the full sort takes 128
+        # the pair pass takes the first value's two outcomes (4 kernel cells)
+        # of every mean and the second's only where the first falls short of
+        # the highest level, and the walk takes the few rows still short:
+        # 6.01 cells per mean here, where the full sort takes 128
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 197316
+        assert sum(kernel_cells) == 196788
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
-        # the walk takes one value's two outcomes (4 kernel cells) per step
-        # and stops each mean at the highest level: 76.7 cells per mean here,
-        # where the full sort takes 472
+        # each value adds its two outcomes (4 kernel cells), the first two in
+        # the pair pass and the rest in the walk, which stops each mean at
+        # the highest level: 76.7 cells per mean here, where the full sort
+        # takes 472
         N = 1 << 12
         level_errors(np.arange(N + 1) / N, 236, [0.99])
         assert sum(kernel_cells) == 314060
 
     @pytest.fixture
     def pass_log(self, monkeypatch):
-        """Record ("pair", rows in, rows left) per pair pass and ("walk",
-        rows) per walk, in call order, summed over each pass's blocks, and
-        make the full sort fail when level_errors runs it; returns the log
-        and the unpatched full sort."""
+        """Record ("pair", means) per block of the pair pass and ("walk",
+        means) per walk, in call order, and make the full sort fail when
+        level_errors runs it; returns the log and the unpatched full sort."""
         passes = []
         pair, walk = bounds._pair_block, bounds._walk_block
         full = bounds._full_level_errors
 
-        def log(name, *rows):
-            if passes and passes[-1][0] == name:
-                rows = tuple(map(sum, zip(passes.pop()[1:], rows)))
-            passes.append((name, *rows))
-
         def counted_pair(means, *args):
-            accepted = pair(means, *args)
-            log("pair", means.size, means.size - np.count_nonzero(accepted))
-            return accepted
+            passes.append(("pair", means.copy()))
+            pair(means, *args)
 
         def counted_walk(means, *args):
-            log("walk", means.size)
+            passes.append(("walk", means.copy()))
             walk(means, *args)
 
         def no_full_sort(means, M, ps):
@@ -219,38 +230,62 @@ class TestErrorAtLevel:
         monkeypatch.setattr(bounds, "_full_level_errors", no_full_sort)
         return passes, full
 
+    @staticmethod
+    def _rows(passes, name):
+        """The means one kind of pass took, in call order."""
+        return np.concatenate([np.empty(0)] + [means for kind, means in passes if kind == name])
+
     def test_narrowest_window_up_to_eight_over_pi_sq(self, pass_log):
-        # the pair pass, one value per side, runs over every mean at 8/pi^2
-        # and decides most; the walk takes exactly the rest, and the full
-        # sort never runs
+        # the pair pass runs over every mean at 8/pi^2 and decides most from
+        # their first two values; the walk takes a few of the rest, and the
+        # full sort never runs
         passes, _ = pass_log
         means = np.arange((1 << 15) + 1) / (1 << 15)
         level_errors(means, 16, [EIGHT_OVER_PI_SQ])
-        (pair, rows, left), walk = passes
-        assert (pair, rows) == ("pair", means.size) and 0 < left < rows
-        assert walk == ("walk", left)
+        assert np.array_equal(self._rows(passes, "pair"), means)
+        assert 0 < self._rows(passes, "walk").size < means.size / 10
+
+    def _check_one_route(self, passes, means, M, ps):
+        """Run level_errors and check that the pair pass took every mean and
+        the walk exactly those whose first two values carry less than the
+        highest level (the full sort is patched to fail)."""
+        sigma = sigmas_of(means, M)
+        _, order, _ = bounds._nearest_values(means, sigma, bounds._value_edges(M))
+        _, two = bounds._lead_masses(sigma, order[0], order[1], M, np.arange(means.size))
+        passes.clear()
+        level_errors(means, M, ps)
+        assert np.array_equal(self._rows(passes, "pair"), means), (M, ps)
+        short = means[two < max(ps) - bounds.LEVEL_SLACK]
+        assert np.array_equal(self._rows(passes, "walk"), short), (M, ps)
 
     def test_full_sort_when_no_window_fits(self, pass_log):
         # M <= 3 has too few values for a pair on each side, and level 1
-        # needs every value: no pair pass fits, so the walk takes every mean
-        # where the full sort would, and the full sort never runs
+        # needs every value: the full sort still never runs there, as the
+        # pair pass takes every mean and the walk the ones left short
         passes, _ = pass_log
         means = np.arange(513) / 512
         for M, ps in ((3, [0.75]), (2, [0.51]), (1, [EIGHT_OVER_PI_SQ]),
                       (16, [0.6, 1.0]), (4096, [1.0])):
-            passes.clear()
-            level_errors(means, M, ps)
-            assert passes == [("walk", means.size)], (M, ps)
+            self._check_one_route(passes, means, M, ps)
 
     def test_walk_takes_every_mean_above_eight_over_pi_sq(self, pass_log):
-        # above 8/pi^2 the pair pass decides nothing, so the walk takes every
-        # mean and the full sort never runs
+        # above 8/pi^2 the walk takes every mean the pair pass leaves short
+        # after two values, and the full sort never runs
         passes, _ = pass_log
         means = np.arange(513) / 512
         for ps in ([0.9], [0.6, 0.99]):
-            passes.clear()
-            level_errors(means, 236, ps)
-            assert passes == [("walk", means.size)], ps
+            self._check_one_route(passes, means, 236, ps)
+
+    def test_one_route_at_every_m_and_level(self, pass_log):
+        # the pair pass takes every mean at every M and level, M <= 3 and
+        # p = 1 included; the walk takes exactly the means whose first two
+        # values carry less than the highest level, and the full sort never
+        # runs
+        passes, _ = pass_log
+        means = np.arange(513) / 512
+        for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096):
+            for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0]):
+                self._check_one_route(passes, means, M, ps)
 
     def test_randomized_window_full_sort_and_subset_oracle(self):
         # seeded three-way differential: level_errors against the full sort
@@ -341,6 +376,25 @@ class TestErrorAtLevel:
             want = bounds._full_level_errors(means, 8, ps)
             got = level_errors(means, 8, ps)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), ps
+
+    def test_first_value_reaching_a_level_exactly_decides_it(self, monkeypatch):
+        # mass 1/4 on each outcome of M = 4 puts 1/2 on v_1 = 1/2, the first
+        # value of every mean in (1/4, 3/4), and p = 1/2 + LEVEL_SLACK puts
+        # the threshold on it: the pair pass reports that value's distance
+        def uniform(sigma, j, M):
+            return np.full(np.broadcast_shapes(np.shape(j), np.shape(sigma)), 1.0 / M)
+
+        monkeypatch.setattr(bounds, "outcome_probabilities_at", uniform)
+        monkeypatch.setattr(bounds, "outcome_probabilities",
+                            lambda sigma, M: uniform(np.reshape(sigma, (-1, 1)),
+                                                     np.arange(M), M))
+        means = np.random.default_rng(4).uniform(0.3, 0.7, 40)
+        ps = [0.5 + bounds.LEVEL_SLACK]
+        assert ps[0] - bounds.LEVEL_SLACK == 0.5
+        got = level_errors(means, 4, ps)
+        assert np.array_equal(got.view(np.int64),
+                              bounds._full_level_errors(means, 4, ps).view(np.int64))
+        assert np.array_equal(got[0], np.abs(means - 0.5))
 
     def test_crossings_on_cells_major_arrays(self):
         # (rows, cells) arrays of two means: the first has a distance tie at
@@ -719,6 +773,9 @@ class TestRefuseSweeps:
         (WORST, [4096], 16, [1.0],
          "a sweep at n=16, M=4096 and p=1 needs (2^16+1) x 4096 outcome cells; "
          "the limit is 2^28 cells"),
+        # an M below 1 before any size, and before the M ahead of it sweeps
+        (AVG, [-3], 25, [0.5], "M must be >= 1, got -3"),
+        (WORST, [4, 0], 12, [0.5], "M must be >= 1, got 0"),
     ])
     def test_first_refused_size_raises(self, monkeypatch, setting, Ms, n, ps, message):
         monkeypatch.setattr(bounds, "np", NoNumpy())

@@ -279,6 +279,12 @@ class TestError:
         # past both limits, an M sweep with a dense M cites the dense one
         (["curve", "--setting", "worst", "--n", "31", "--p", "0.75", "--m-values", "64,3"],
          "a sweep at n=31 needs N+1 = 2^31+1 means; the limit is 2^24+1 means (n <= 24)"),
+        # an M below 1 comes before 128 MiB of p2 class weights, and before
+        # the sweep of the M ahead of it
+        (["error", "--setting", "avg", "--m", "-3", "--n", "24", "--p", "0.5",
+          "--measure", "p2"], "M must be >= 1, got -3"),
+        (["curve", "--setting", "worst", "--n", "12", "--p", "0.5", "--m-values", "4,0"],
+         "M must be >= 1, got 0"),
     ])
     def test_oversized_sweep_is_refused_before_any_work(self, capsys, no_sweep, argv,
                                                         message):

@@ -188,9 +188,9 @@ class TestOutputValue:
     @pytest.mark.parametrize("Ms", [range(1, 4097), [1 << 16], [1 << 20], [1 << 24]],
                              ids=["1..4096", "2^16", "2^20", "2^24"])
     def test_first_half_strictly_increases(self, Ms):
-        # level_errors' pair pass bounds every outside distance by d_out, the
-        # distance of the nearest value outside the pair, and its walk takes
-        # each side's values in order of distance; both need this order
+        # level_errors' pair pass takes the value beyond the near one as the
+        # next on its side, and its walk takes each side's values in order of
+        # distance; both need this order
         for M in Ms:
             values = output_grid(M)[: M // 2 + 1]
             assert np.all(values[1:] > values[:-1]), M
