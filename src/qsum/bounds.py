@@ -162,7 +162,7 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     # sigmas_of adds no temporary of the means' size to the call's peak heap
     sigma = sigmas_of(means, M)
     out = np.empty((len(ps), means.size))
-    for block in _row_blocks(means.size, 4):
+    for block in _row_blocks(means.size):
         _pair_block(means[block], sigma[block], edges, M, thresholds, out[:, block])
     return out
 
@@ -204,10 +204,10 @@ def _fixed_slices(count: int, step: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
+def _row_blocks(rows: int) -> list[slice]:
     """Even blocks of rows covering range(rows), of about _BLOCK_CELLS cells
-    and at least one row each."""
-    return _even_slices(rows, max(1, _BLOCK_CELLS // cells_per_row))
+    at 4 per row, and at least one row each."""
+    return _even_slices(rows, max(1, _BLOCK_CELLS // 4))
 
 
 def _value_edges(M: int) -> np.ndarray:
@@ -452,20 +452,6 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
                              f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
 
 
-def _nearest_values(
-    means: np.ndarray, sigma: np.ndarray, edges: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's piece, 2 floor(sigma) plus whether v_lo+1 is the near
-    value; the indices of its three nearest values in the order
-    `level_errors` takes them, shape (3, rows): its first two values
-    (`_first_values`), then the other of the far value and the value beyond
-    the near one (an index outside 0..M//2 where that runs out); and whether
-    the second is the value beyond."""
-    lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
-    order = np.stack([near, second, 2 * near - second])
-    return 2 * np.floor(sigma) + (near - lo), order, beyond_first
-
-
 def _lead_masses(
     sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -481,26 +467,24 @@ def _lead_masses(
     return first, both
 
 
-def _screen_plan(
-    M: int, N: int, ps: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The means the screen evaluates, as sorted k, with each one's piece and
-    three nearest values (`_nearest_values`), within the range where an
-    error may reach every level's maximum (`_screened_range`).
+def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
+    """The means the screen evaluates, as sorted distinct k, within the range
+    where an error may reach every level's maximum (`_screened_range`).
 
     The candidates are the grid neighbours floor(x N)-1..+2 of every value,
     of the midpoints of values one apart (where the near value changes) and
     two apart (where the far value and the value beyond the near one swap),
-    and of the range's ends.  So between two candidates the three nearest
-    values keep their order, and a level reports the first, second or third
-    as the running mass after the first, or the first two, reaches it.  In
-    every gap between candidates of one piece whose ends differ in either
-    mass's side of a level, a search over all such (gap, level, mass) at
-    once finds the two rows around the flip from that mass alone
-    (`_lead_masses`); they join the candidates with the gap's piece and
-    values.  The search keeps a bracket [left, right] around the flip and
-    probes the rows g, g+1 at a guess, then at the Newton step from those
-    two, or at the midpoint once the step leaves the bracket or
+    and of the range's ends.  So a gap between candidates wider than one row
+    lies in one piece (`_screened_worst_errors`, which checks it), its three
+    nearest values keep their order, and a level reports the first, second
+    or third as the running mass after the first, or the first two, reaches
+    it.  In every such gap whose ends differ in either mass's side of a
+    level, a search over all such (gap, level, mass) at once finds the two
+    rows around the flip from that mass alone (`_lead_masses`), with the
+    first two values of the gap's left end (`_first_values`); they join the
+    candidates.  The search keeps a bracket [left, right] around the flip
+    and probes the rows g, g+1 at a guess, then at the Newton step from
+    those two, or at the midpoint once the step leaves the bracket or
     _NEWTON_ROUNDS have passed, until right = left + 1.  Plain bisection
     would take about log2(N/M) rounds; from its first guess, where the near
     value's kernel alone or the false position puts the flip, the search
@@ -518,23 +502,22 @@ def _screen_plan(
     ks = ks[np.diff(ks, prepend=-1) > 0]
     means = ks / N
     sigma = sigmas_of(means, M)
-    piece, order, swap = _nearest_values(means, sigma, edges)
-    # the mass of the first two values falls below a level only where the
-    # second is the value beyond the near one (no seeded draw found it
-    # elsewhere; a flip missed would be filled); 2 stands for a mass above
-    # every level
-    beyond = np.flatnonzero(swap)
+    _, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
+    # the mass of the first two values is computed only where the second is
+    # the value beyond the near one: elsewhere they are the two values
+    # bracketing sigma, whose twins carry at least v(d) + v(1 - d) >= 8/pi^2,
+    # above every level; 2 stands for such a mass
+    beyond = np.flatnonzero(beyond_first)
     masses = np.full((2, ks.size), 2.0)
-    masses[0], masses[1, beyond] = _lead_masses(sigma, order[0], order[1], M, beyond)
+    masses[0], masses[1, beyond] = _lead_masses(sigma, near, second, M, beyond)
 
     # excess[stage, level, row]: the mass after the nearest value (stage 0)
     # or two (stage 1) less the level's threshold, >= 0 where it reaches it
     excess = masses[:, None, :] - thresholds[:, None]
     above = excess >= 0
-    one_piece = (piece[:-1] == piece[1:]) & (np.diff(ks) > 1)
-    stage, level, gap = np.nonzero((above[..., :-1] != above[..., 1:]) & one_piece)
+    stage, level, gap = np.nonzero((above[..., :-1] != above[..., 1:]) & (np.diff(ks) > 1))
     left, right = ks[gap], ks[gap + 1]
-    near, second = order[0, gap], order[1, gap]
+    near, second = near[gap], second[gap]
     f_left, f_right = excess[stage, level, gap], excess[stage, level, gap + 1]
     left_above = f_left >= 0
     # the near value's mass is about the kernel K(sigma - near) of its
@@ -567,15 +550,8 @@ def _screen_plan(
         inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
         guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
         todo = todo[hi_k - lo_k > 1]
-
-    # the flip rows join the candidates with their gap's piece and values; a
-    # row that is both keeps the candidate's, the first in a stable sort
-    ks = np.concatenate([ks, left, right])
-    first = np.argsort(ks, kind="stable")
-    first = first[np.diff(ks[first], prepend=-1) > 0]
-    piece = np.concatenate([piece, piece[gap], piece[gap]])[first]
-    order = np.concatenate([order, order[:, gap], order[:, gap]], axis=1)[:, first]
-    return ks[first], piece, order
+    ks = np.sort(np.concatenate([ks, left, right]))
+    return ks[np.diff(ks, prepend=-1) > 0]
 
 
 def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
@@ -614,11 +590,12 @@ def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     so that each row's error is the distance of one of the values nearest it.
 
     A piece is a run of means with one floor(sigma) and one near value (the
-    nearer of v_lo and v_lo+1).  In a gap between candidates the distance of
-    each value moves monotonically with the mean, and at level p a row
-    reports the near value where the near value's twin mass reaches
-    p - LEVEL_SLACK, the second nearest where the mass of the two does, and
-    the third elsewhere.  Both masses fall away from the near value, so each
+    nearer of v_lo and v_lo+1); each row's piece and three nearest values
+    are read from the row itself (`_first_values`), not from the plan.  In a
+    gap between candidates the distance of each value moves monotonically
+    with the mean, and at level p a row reports the near value where the
+    near value's twin mass reaches p - LEVEL_SLACK, the second nearest where
+    the mass of the two does, and the third elsewhere.  Both masses fall away from the near value, so each
     flips at most once per gap and level, and once the flips' neighbours are
     rows too, a gap whose two ends lie in one piece and report the same value
     at every level reports it throughout: its errors lie between its ends'.
@@ -628,13 +605,18 @@ def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     whatever else it is called with, so the maximum is the dense sweep's bit
     for bit.
     """
-    ks, piece, order = _screen_plan(M, N, ps)
+    ks = _screen_plan(M, N, ps)
     means = ks / N
     errs = level_errors(means, M, ps)
-    # an index outside 0..M//2 reads an infinite edge, which no error equals
+    # each row's own piece and three nearest values, in the order
+    # `level_errors` takes them; an index outside 0..M//2 reads an infinite
+    # edge, which no error equals
     edges = _value_edges(M)
+    sigma = sigmas_of(means, M)
+    lo, near, second, _, _, _ = _first_values(means, sigma, edges)
+    piece = 2 * np.floor(sigma) + (near - lo)
     reported = np.full(errs.shape, -1)
-    for i in order[::-1]:
+    for i in (2 * near - second, second, near):
         np.copyto(reported, i, where=errs == np.abs(edges[i + 2] - means))
     keep = (piece[:-1] == piece[1:]) & (reported[:, :-1] == reported[:, 1:]).all(axis=0)
     keep &= (reported[:, :-1] >= 0).all(axis=0)

@@ -31,7 +31,7 @@ from .bounds import (
     worst_probabilistic_errors,
 )
 from .closedform import distribution
-from .simulator import run_qs
+from .simulator import refuse_runs, run_qs
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -124,6 +124,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    refuse_runs(args.n, args.m, 1)  # before the table is read or parsed
     table = sys.stdin.read().strip() if args.f == "-" else args.f
     f = BooleanFunction.from_hex(args.n, table)
     result = run_qs(f, args.m, rng_seed=args.seed)

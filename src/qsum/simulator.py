@@ -44,6 +44,7 @@ __all__ = [
     "measure_index",
     "run_qs",
     "run_qs_batch",
+    "refuse_runs",
 ]
 
 # The batched core refuses a run above this many amplitudes over all its value
@@ -412,6 +413,31 @@ class QSBatch:
     qubits: int                 # used by each run
 
 
+def refuse_runs(n: int, M: int, K: int) -> None:
+    """Raise ValueError, before any work, if K runs at n data qubits and
+    parameter M pass the simulator's limits: their K * index_dim * 2**n
+    amplitudes or the M*M entries of the Fourier block exceed 2**24, or a
+    Fourier transform needs more than 2**34 multiply-adds (K * M**2 * 2**n)."""
+    layout = QubitLayout(n=n, M=M)
+    size = K * layout.dim
+    if size > _MAX_AMPLITUDES:
+        raise ValueError(
+            f"{K} run(s) at n={n}, M={M} need {size} amplitudes; "
+            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
+        )
+    if M * M > _MAX_AMPLITUDES:
+        raise ValueError(
+            f"the Fourier block at M={M} has {M * M} entries; "
+            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
+        )
+    work = K * M * M * layout.N
+    if work > _MAX_FOURIER_WORK:
+        raise ValueError(
+            f"{K} run(s) at n={n}, M={M} need {work} multiply-adds per Fourier "
+            f"transform; the simulator's limit is {_MAX_FOURIER_WORK}"
+        )
+
+
 def run_qs_batch(n: int, M: int, tables) -> QSBatch:
     """Run the summation circuit once per row of a (K, 2**n) array of 0/1
     value tables, all K runs on a leading axis.
@@ -430,33 +456,15 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
     preparation leaves empty, are left out of the Walsh transform, the chain
     and both Fourier transforms, so they stay exactly zero.
 
-    A batch is refused with ValueError before anything is allocated when its
-    K * index_dim * 2**n amplitudes or the M*M entries of its Fourier block
-    exceed 2**24, or when a Fourier transform needs more than 2**34
-    multiply-adds (K * M**2 * 2**n).
+    A batch is refused with ValueError (`refuse_runs`) before anything is
+    allocated.
     """
     layout = QubitLayout(n=n, M=M)
     tables = np.asarray(tables)
     if tables.ndim != 2 or tables.shape[1] != layout.N:
         raise ValueError(f"value tables must have shape (K, {layout.N}), got {tables.shape}")
     K = tables.shape[0]
-    size = K * layout.dim
-    if size > _MAX_AMPLITUDES:
-        raise ValueError(
-            f"{K} run(s) at n={n}, M={M} need {size} amplitudes; "
-            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
-        )
-    if M * M > _MAX_AMPLITUDES:
-        raise ValueError(
-            f"the Fourier block at M={M} has {M * M} entries; "
-            f"the simulator's limit is {_MAX_AMPLITUDES} (256 MiB)"
-        )
-    work = K * M * M * layout.N
-    if work > _MAX_FOURIER_WORK:
-        raise ValueError(
-            f"{K} run(s) at n={n}, M={M} need {work} multiply-adds per Fourier "
-            f"transform; the simulator's limit is {_MAX_FOURIER_WORK}"
-        )
+    refuse_runs(n, M, K)
     if ((tables != 0) & (tables != 1)).any():
         raise ValueError("value tables must hold only 0 and 1")
     signs = 1.0 - 2.0 * tables.T.astype(np.float64, order="C")

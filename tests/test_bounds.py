@@ -81,36 +81,36 @@ class TestErrorAtLevel:
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
-        # mean counts that fill at most one block of the first pass, and that
-        # split into two even blocks (3 block // 2 + 1 rounds to two) and
-        # into several, all prefixes of one draw; the reference is the full
-        # sort of every mean.  The pair pass takes 4 cells per mean, the walk
-        # 2 per step; above 8/pi^2, and at M <= 3 at every level, the walk
-        # takes every mean
+        # mean counts that fill at most one block and that split into two
+        # even blocks (3 block // 2 + 1 rounds to two) and into several, all
+        # prefixes of one draw; the reference is the full sort of every mean.
+        # Every call is cut into blocks of 4 cells, the pair pass's, per
+        # mean, at every level and M; the walk continues each block's rows
         rng = np.random.default_rng(budget + M)
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
+        block = max(1, budget // 4)
+        counts = (block - 1, block, 3 * block // 2 + 1, 3 * block + 7)
+        for count in counts:
+            blocks = len(bounds._row_blocks(count))
+            assert blocks >= 2 if count > block else blocks == min(count, 1), count
         for p in (0.51, EIGHT_OVER_PI_SQ, *WALK_LEVELS):
-            cells = 4 if p <= EIGHT_OVER_PI_SQ and M >= 4 else 2
-            block = max(1, budget // cells)
-            counts = (block - 1, block, 3 * block // 2 + 1, 3 * block + 7)
             means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
             want = bounds._full_level_errors(means, M, [p]).view(np.int64)
             for count in counts:
-                if count > block:
-                    assert len(bounds._row_blocks(count, cells)) >= 2, (p, count)
                 got = level_errors(means[:count], M, [p]).view(np.int64)
                 assert np.array_equal(got, want[:, :count]), (p, count)
 
     def test_row_blocks_are_even(self):
         # 4097 means of the pair pass make one block, not 4096 + 1
-        assert bounds._row_blocks(4097, 4) == [slice(0, 4097)]
-        for cells_per_row in (1, 2, 3, 4, 1 << 15):
-            step = max(1, bounds._BLOCK_CELLS // cells_per_row)
+        assert bounds._row_blocks(4097) == [slice(0, 4097)]
+        for step in (max(1, bounds._BLOCK_CELLS // c) for c in (1, 2, 3, 4, 1 << 15)):
             for rows in (0, 1, step - 1, step, step + 1, 3 * step // 2, 5 * step + 7):
-                blocks = bounds._row_blocks(rows, cells_per_row)
+                blocks = bounds._even_slices(rows, step)
                 assert [k for b in blocks for k in range(rows)[b]] == list(range(rows))
                 sizes = {len(range(rows)[b]) for b in blocks}
                 assert not sizes or (min(sizes) >= 1 and max(sizes) - min(sizes) <= 1)
+                if step == bounds._BLOCK_CELLS // 4:
+                    assert bounds._row_blocks(rows) == blocks
 
     @staticmethod
     def _pair_edge_means(M):
@@ -250,8 +250,8 @@ class TestErrorAtLevel:
         the walk exactly those whose first two values carry less than the
         highest level (the full sort is patched to fail)."""
         sigma = sigmas_of(means, M)
-        _, order, _ = bounds._nearest_values(means, sigma, bounds._value_edges(M))
-        _, two = bounds._lead_masses(sigma, order[0], order[1], M, np.arange(means.size))
+        _, near, second, _, _, _ = bounds._first_values(means, sigma, bounds._value_edges(M))
+        _, two = bounds._lead_masses(sigma, near, second, M, np.arange(means.size))
         passes.clear()
         level_errors(means, M, ps)
         assert np.array_equal(self._rows(passes, "pair"), means), (M, ps)
@@ -415,7 +415,7 @@ class TestErrorAtLevel:
         ps = PAIR_LEVELS + WALK_LEVELS
         want = bounds._full_level_errors(means, M, ps)
 
-        def no_blocks(rows, cells_per_row):
+        def no_blocks(rows):
             raise AssertionError("the full sort asked for row blocks")
 
         monkeypatch.setattr(bounds, "_row_blocks", no_blocks)

@@ -172,6 +172,19 @@ class TestSimulate:
         assert err == ("error: 1 run(s) at n=20, M=1024 need 1073741824 amplitudes; "
                        "the simulator's limit is 16777216 (256 MiB)\n")
 
+    def test_oversized_run_is_refused_before_reading_its_table(self, capsys, monkeypatch):
+        # a valid n = 23 table is 2^21 hex digits; parsing it would take
+        # about 120 MB before the simulator refused the run
+        class NoRead:
+            def read(self):
+                pytest.fail("the table of a refused run was read")
+
+        monkeypatch.setattr("sys.stdin", NoRead())
+        code, out, err = run_cli(capsys, "simulate", "--n", "23", "--m", "4", "--f", "-")
+        assert code == 2 and out == ""
+        assert err == ("error: 1 run(s) at n=23, M=4 need 33554432 amplitudes; "
+                       "the simulator's limit is 16777216 (256 MiB)\n")
+
     @pytest.mark.parametrize("n,M,message", [
         # few amplitudes, but a 2**26-entry Fourier matrix
         (0, 8192, "the Fourier block at M=8192 has 67108864 entries; "
