@@ -1,10 +1,11 @@
 """Boolean functions on {0..N-1}, their means, and measures on the function space.
 
-The domain size is always a power of two, N = 2**n with n <= 24, so a mean
-k/N is a float and exact in binary64; the closed form decides integrality on
-the float sigma, not on the mean.  Two probability measures on the set of
-Boolean functions are supported: uniform over the 2**N functions ("p1") and
-uniform over the N+1 attainable means ("p2").
+The domain size is always a power of two, N = 2**n, so a mean k/N is a
+float, exact in binary64 up to n = 53 (sweeps reach n = 24, and a screened
+worst case n = 30); the closed form decides integrality on the float sigma,
+not on the mean.  Two probability measures on the set of Boolean functions
+are supported: uniform over the 2**N functions ("p1") and uniform over the
+N+1 attainable means ("p2").
 """
 
 from __future__ import annotations

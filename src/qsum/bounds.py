@@ -396,7 +396,9 @@ def _screen_means(M: int, levels: int) -> int:
 # (`_outcome_cells_per_mean`): 4 up to 8/pi^2, so 2^26 at N = 2^24.  A screened
 # worst case (`_screens`) evaluates a few means per value and level whatever N
 # (`_screen_means`), a few ms at M = 64 and N = 2^30, the largest grid the
-# bounds suite's nested-grid check covers, so it may reach that N.
+# bounds suite's nested-grid check covers, so it may reach that N.  A sweep
+# has one output per outcome j < M, at most _MAX_OUTCOMES.
+_MAX_OUTCOMES = 1 << 20
 _MAX_SWEEP_N_LOG2 = 24
 _MAX_SCREEN_N_LOG2 = 30
 _MAX_SWEEP_CELLS_LOG2 = 28
@@ -423,13 +425,15 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
 
 def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[float]) -> None:
     """Raise ValueError, before any work and without numpy, if an M of Ms is
-    below 1, or if a sweep over the N+1 means k/N at each M of Ms and levels
-    ps passes the limits: a screened worst case's (`_screens`) at its M, the
-    dense sweep's at every other, a dense M's limit on n = ceil(log2 N) cited
-    before the screen's."""
+    below 1 or above _MAX_OUTCOMES, or if a sweep over the N+1 means k/N at
+    each M of Ms and levels ps passes the limits: a screened worst case's
+    (`_screens`) at its M, the dense sweep's at every other, a dense M's
+    limit on n = ceil(log2 N) cited before the screen's."""
     for M in Ms:
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
+        if M > _MAX_OUTCOMES:
+            raise ValueError(f"M={M} is above the limit of {_MAX_OUTCOMES} outcomes")
     n = (N - 1).bit_length()
     worst = setting is Setting.WORST_PROBABILISTIC
     screened = [worst and _screens(M, N, ps) for M in Ms]

@@ -22,6 +22,7 @@ from .boolfn import BooleanFunction, Measure
 from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
+    _MAX_OUTCOMES,
     ErrorRecord,
     Setting,
     avg_probabilistic_error,
@@ -100,18 +101,10 @@ def _record_row(rec: ErrorRecord) -> str:
 
 _ERROR_HEADER = "M,N,p,setting,measure,value,bound,bound_ref"
 
-# A law has one row, and a sweep one output, per outcome j < M; the sizes of
-# the sweeps themselves are refused by `bounds.refuse_sweeps`.
-_MAX_OUTCOMES = 1 << 20
-
-
-def _refuse_outcomes(M: int) -> None:
-    if M > _MAX_OUTCOMES:
-        raise ValueError(f"M={M} is above the limit of {_MAX_OUTCOMES} outcomes")
-
-
 def _cmd_dist(args: argparse.Namespace) -> int:
-    _refuse_outcomes(args.m)
+    # a law has one row per outcome j < M, under the sweeps' outcome limit
+    if args.m > _MAX_OUTCOMES:
+        raise ValueError(f"M={args.m} is above the limit of {_MAX_OUTCOMES} outcomes")
     N = 1 << args.n
     if not 0 <= args.k <= N:
         raise ValueError(f"k must lie in [0, {N}], got {args.k}")
@@ -146,8 +139,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _sweep(args: argparse.Namespace, Ms: list[int], ps: list[float]) -> int:
     """Refuse an oversized sweep before any work, then write one row per M at
     one level, or one row per level at one M from one multi-level sweep."""
-    for M in Ms:
-        _refuse_outcomes(M)
     setting, N, measure = Setting(args.setting), 1 << args.n, Measure(args.measure)
     refuse_sweeps(setting, N, Ms, ps)
     worst = setting is Setting.WORST_PROBABILISTIC

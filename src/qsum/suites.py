@@ -412,6 +412,23 @@ def _suite_bounds() -> Checks:
     yield ("level error is nondecreasing in p", mono_ok,
            "checked on a 20-point p grid for several (a, M)")
 
+    # the cited baseline, BHMT (quant-ph/0005055) Theorem 12: the output lies
+    # within 2 pi k sqrt(a(1-a))/M + k^2 pi^2/M^2 of a with probability at
+    # least 8/pi^2 for k = 1 and above 1 - 1/(2(k-1)) for k >= 2
+    ks = (1, 2, 3, 4)
+    bhmt_levels = [EIGHT_OVER_PI_SQ] + [1.0 - 1.0 / (2 * (k - 1)) for k in ks[1:]]
+    means = np.arange((1 << 10) + 1) / (1 << 10)
+    spread = 2.0 * math.pi * np.sqrt(means * (1.0 - means))
+    ratio, at = 0.0, (0, 0)
+    for M in range(1, 65):
+        for k, errors in zip(ks, level_errors(means, M, bhmt_levels)):
+            worst = float((errors / (k * spread / M + (k * math.pi / M) ** 2)).max())
+            if worst > ratio:
+                ratio, at = worst, (M, k)
+    yield ("BHMT Theorem 12 holds at every mean", ratio <= 1.0,
+           f"largest error / bound {ratio:.4f} at M = {at[0]}, k = {at[1]} (<= 1; N = 2^10, "
+           f"M = 1..64, k = 1..4 at p = 8/pi^2, 1/2, 3/4, 5/6)")
+
 
 def _suite_calculus() -> Checks:
     a1 = abs(v_inverse(EIGHT_OVER_PI_SQ) - 0.25)

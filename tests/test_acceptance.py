@@ -94,3 +94,8 @@ def test_12_every_attached_bound_holds_with_positive_lower_bounds(suite_runs):
     # non-positive lower bound holds for any value
     _accept(suite_runs, "12 every attached bound holds at p <= 0.99, WAn4 non-vacuously",
             (BOUNDS, "every attached bound holds at p <= 0.99"))
+
+
+def test_13_bhmt_theorem_12_at_every_mean(suite_runs):
+    _accept(suite_runs, "13 level errors within BHMT's 2 pi k sqrt(a(1-a))/M + k^2 pi^2/M^2",
+            (BOUNDS, "BHMT Theorem 12 holds at every mean"))

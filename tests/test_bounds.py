@@ -31,6 +31,8 @@ from qsum.suites import brute_force_errors_at_levels
 PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
 # levels above it, where most rows walk on
 WALK_LEVELS = [0.9, 0.99, 1.0]
+# every level of the differential, and one a single cell reaches
+LEVELS = [1e-13, *PAIR_LEVELS, *WALK_LEVELS]
 
 
 @pytest.fixture
@@ -55,10 +57,8 @@ class TestErrorAtLevel:
         assert val <= 3 * math.pi / 32
         assert [val] == brute_force_errors_at_levels(Fraction(17, 64), 8, [EIGHT_OVER_PI_SQ])
 
-    def test_nondecreasing_in_p(self):
-        for M, k in ((3, 1), (7, 5), (12, 9), (8, 14)):
-            errs = level_errors([k / 16], M, list(np.linspace(0.05, 1.0, 30)))[:, 0]
-            assert np.all(np.diff(errs) >= -1e-15)
+    def test_nondecreasing_in_p(self, suite_runs):
+        assert suite_runs["bounds"].check("level error is nondecreasing in p").passed
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -66,26 +66,90 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [1.5])
 
-    @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 64, 65, 236])
+    @staticmethod
+    def _near_integer_means(M):
+        """20 seeded means whose sigma lies on an integer or within 1e-10 to
+        1e-3 of one, where the first value carries nearly all the mass."""
+        rng = np.random.default_rng(M)
+        sigma = rng.integers(0, M // 2 + 1, size=20) + rng.choice(
+            [-1e-3, -1e-5, -1e-7, -1e-10, 0.0, 1e-10, 1e-7, 1e-5, 1e-3], size=20)
+        return np.sin(np.pi * np.clip(sigma, 0.0, M / 2) / M) ** 2
+
+    @classmethod
+    def _level_means(cls, M):
+        """Means at the edges of the pair pass and the walk: a in {0, 1/2, 1};
+        means between the two lowest and the two highest values, where a twin
+        is missing (i = 0, and i = M/2 at even M) on the near or the far side;
+        up to about 64 midpoints of adjacent values, where two distances
+        nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
+        integer sigma; and seeded random means."""
+        v = output_grid(M)[: M // 2 + 1]
+        ends = np.concatenate([np.linspace(0.0, v[min(2, v.size - 1)], 13),
+                               np.linspace(v[max(v.size - 3, 0)], 1.0, 13)])
+        mids = 0.5 * (v[:-1] + v[1:])
+        return np.concatenate([[0.0, 0.5, 1.0], ends, mids[:: max(1, mids.size // 64)],
+                               cls._near_integer_means(M),
+                               np.random.default_rng(M + 1).random(30)])
+
+    @staticmethod
+    def _lead_masses(means, M):
+        """Each row's running mass after its first value and after its first
+        two, as the pair pass sums them."""
+        sigma = sigmas_of(means, M)
+        _, near, second, _, _, _ = bounds._first_values(means, sigma, bounds._value_edges(M))
+        return bounds._lead_masses(sigma, near, second, M, np.arange(means.size))
+
+    @classmethod
+    def _lead_mass_levels(cls, means, M):
+        """The levels within an ulp of LEVEL_SLACK above a row's running mass
+        after its first value or its first two, where the pair pass decides
+        whether the row goes on."""
+        p = np.concatenate(cls._lead_masses(means, M)) + bounds.LEVEL_SLACK
+        levels = np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)])
+        return sorted(set(levels[(levels > 0.0) & (levels <= 1.0)].tolist()))
+
+    @staticmethod
+    def _assert_full_sort_bits(means, M, level_sets):
+        """level_errors gives the bits of the full sort at every level set; one
+        full sort answers their union, as it counts each level on its own."""
+        full = bounds._full_level_errors(means, M, [p for ps in level_sets for p in ps])
+        start = 0
+        for ps in level_sets:
+            got = level_errors(means, M, ps)
+            want = full[start:start + len(ps)]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (M, ps)
+            start += len(ps)
+
+    @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 22, 38, 64, 65, 236, 1024, 4096])
     def test_window_is_bit_identical_to_full_sort(self, M):
-        # one full sort per N answers every level set: its rows are counted
-        # level by level, so they do not depend on the other levels asked for
-        levels = [1e-13, 0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
-        for N in (1, 2, 1 << 12):
-            means = np.concatenate([[0.0, 0.5, 1.0], np.arange(N + 1) / N])
-            full = bounds._full_level_errors(means, M, levels).view(np.int64)
-            for rows in [[i] for i in range(len(levels))] + [list(range(len(levels)))]:
-                window = level_errors(means, M, [levels[i] for i in rows])
-                assert np.array_equal(window.view(np.int64), full[rows]), (N, rows)
+        # the one differential of the pair pass and the walk against their
+        # oracle: every level alone and in sets, two seeded level sets, and
+        # at M <= 236 each level at the near-integer rows' own running
+        # masses; at M <= 10 the subset minimum answers the seeded sets too.
+        # The two tests below run it under other block budgets
+        rng = np.random.default_rng(M)
+        means = self._level_means(M)
+        seeded = [rng.uniform(0.3, 0.995, 2).tolist(), sorted(rng.uniform(0.05, 1.0, 4))]
+        self._assert_full_sort_bits(means, M, [[p] for p in LEVELS] + [PAIR_LEVELS, LEVELS]
+                                    + seeded)
+        if M <= 236:
+            near = self._near_integer_means(M)
+            self._assert_full_sort_bits(near, M, [[p] for p in self._lead_mass_levels(near, M)])
+        if M <= 10:
+            union = [p for ps in seeded for p in ps]
+            got = level_errors(means[::8], M, union)
+            for a, errors in zip(means[::8], got.T):
+                oracle = brute_force_errors_at_levels(float(a), M, union)
+                assert np.abs(errors - oracle).max() <= 1e-12, (M, a)
 
     @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts that fill at most one block and that split into two
         # even blocks (3 block // 2 + 1 rounds to two) and into several, all
-        # prefixes of one draw; the reference is the full sort of every mean.
-        # Every call is cut into blocks of 4 cells, the pair pass's, per
-        # mean, at every level and M; the walk continues each block's rows
+        # prefixes of one draw, each against its full sort.  Every call is
+        # cut into blocks of 4 cells, the pair pass's, per mean, at every
+        # level and M; the walk continues each block's rows
         rng = np.random.default_rng(budget + M)
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         block = max(1, budget // 4)
@@ -93,12 +157,17 @@ class TestErrorAtLevel:
         for count in counts:
             blocks = len(bounds._row_blocks(count))
             assert blocks >= 2 if count > block else blocks == min(count, 1), count
-        for p in (0.51, EIGHT_OVER_PI_SQ, *WALK_LEVELS):
-            means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
-            want = bounds._full_level_errors(means, M, [p]).view(np.int64)
-            for count in counts:
-                got = level_errors(means[:count], M, [p]).view(np.int64)
-                assert np.array_equal(got, want[:, :count]), (p, count)
+        means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
+        for count in counts:
+            self._assert_full_sort_bits(means[:count], M, [[0.51, EIGHT_OVER_PI_SQ], WALK_LEVELS])
+
+    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
+    def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
+        # the differential's means and level sets in blocks of one row, and
+        # in one block
+        monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
+        self._assert_full_sort_bits(self._level_means(M), M, [PAIR_LEVELS, LEVELS])
 
     def test_row_blocks_are_even(self):
         # 4097 means of the pair pass make one block, not 4096 + 1
@@ -111,50 +180,6 @@ class TestErrorAtLevel:
                 assert not sizes or (min(sizes) >= 1 and max(sizes) - min(sizes) <= 1)
                 if step == bounds._BLOCK_CELLS // 4:
                     assert bounds._row_blocks(rows) == blocks
-
-    @staticmethod
-    def _pair_edge_means(M):
-        """Means at the pair pass's edges: a in {0, 1/2, 1}; means between the
-        two lowest and the two highest values, where a twin is missing (i = 0,
-        and i = M/2 at even M) on the near or the far side; midpoints of
-        adjacent values, where the two distances nearly or exactly tie; and
-        random means."""
-        v = output_grid(M)[: M // 2 + 1]
-        ends = np.concatenate([np.linspace(0.0, v[2], 13), np.linspace(v[-3], 1.0, 13)])
-        mids = 0.5 * (v[:-1] + v[1:])
-        return np.concatenate([[0.0, 0.5, 1.0], ends, mids,
-                               np.random.default_rng(M).random(30)])
-
-    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
-    @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
-    def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
-        # the reference is the full sort of every mean; the walk levels run
-        # the same means through the walk alone
-        means = self._pair_edge_means(M)
-        levels = PAIR_LEVELS + WALK_LEVELS
-        monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
-        for ps in [[p] for p in levels] + [PAIR_LEVELS, levels]:
-            want = bounds._full_level_errors(means, M, ps).view(np.int64)
-            got = level_errors(means, M, ps).view(np.int64)
-            assert np.array_equal(got, want), ps
-
-    @pytest.mark.parametrize("M", [10, 22, 38])
-    def test_pair_pass_decides_distance_ties(self, pass_log, M):
-        # at a = 1/2, M = 2 mod 4, sigma = M/4 lies halfway between two values
-        # whose distances from 1/2 tie exactly at these M; the lower value
-        # comes first and the upper second, and their four outcomes reach
-        # every level up to 8/pi^2, so the pair pass decides the row, with
-        # the full sort's bits
-        passes, full = pass_log
-        v = output_grid(M)[: M // 2 + 1]
-        lo = (M - 2) // 4
-        assert 0.5 - v[lo] == v[lo + 1] - 0.5
-        means = self._pair_edge_means(M)
-        assert means[1] == 0.5
-        got = level_errors(means, M, PAIR_LEVELS)
-        assert 0.5 not in self._rows(passes, "walk")
-        want = full(means, M, PAIR_LEVELS)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_tie_order_moves_no_bit(self):
         # the (distance, value, j) order of the oracle's cells against the
@@ -208,11 +233,9 @@ class TestErrorAtLevel:
     @pytest.fixture
     def pass_log(self, monkeypatch):
         """Record ("pair", means) per block of the pair pass and ("walk",
-        means) per walk, in call order, and make the full sort fail when
-        level_errors runs it; returns the log and the unpatched full sort."""
+        means) per walk, in call order."""
         passes = []
         pair, walk = bounds._pair_block, bounds._walk_block
-        full = bounds._full_level_errors
 
         def counted_pair(means, *args):
             passes.append(("pair", means.copy()))
@@ -222,118 +245,36 @@ class TestErrorAtLevel:
             passes.append(("walk", means.copy()))
             walk(means, *args)
 
-        def no_full_sort(means, M, ps):
-            raise AssertionError("level_errors ran the full sort")
-
         monkeypatch.setattr(bounds, "_pair_block", counted_pair)
         monkeypatch.setattr(bounds, "_walk_block", counted_walk)
-        monkeypatch.setattr(bounds, "_full_level_errors", no_full_sort)
-        return passes, full
+        return passes
 
     @staticmethod
     def _rows(passes, name):
         """The means one kind of pass took, in call order."""
         return np.concatenate([np.empty(0)] + [means for kind, means in passes if kind == name])
 
-    def test_narrowest_window_up_to_eight_over_pi_sq(self, pass_log):
-        # the pair pass runs over every mean at 8/pi^2 and decides most from
-        # their first two values; the walk takes a few of the rest, and the
-        # full sort never runs
-        passes, _ = pass_log
-        means = np.arange((1 << 15) + 1) / (1 << 15)
-        level_errors(means, 16, [EIGHT_OVER_PI_SQ])
-        assert np.array_equal(self._rows(passes, "pair"), means)
-        assert 0 < self._rows(passes, "walk").size < means.size / 10
-
-    def _check_one_route(self, passes, means, M, ps):
-        """Run level_errors and check that the pair pass took every mean and
-        the walk exactly those whose first two values carry less than the
-        highest level (the full sort is patched to fail)."""
-        sigma = sigmas_of(means, M)
-        _, near, second, _, _, _ = bounds._first_values(means, sigma, bounds._value_edges(M))
-        _, two = bounds._lead_masses(sigma, near, second, M, np.arange(means.size))
-        passes.clear()
-        level_errors(means, M, ps)
-        assert np.array_equal(self._rows(passes, "pair"), means), (M, ps)
-        short = means[two < max(ps) - bounds.LEVEL_SLACK]
-        assert np.array_equal(self._rows(passes, "walk"), short), (M, ps)
-
-    def test_full_sort_when_no_window_fits(self, pass_log):
-        # M <= 3 has too few values for a pair on each side, and level 1
-        # needs every value: the full sort still never runs there, as the
-        # pair pass takes every mean and the walk the ones left short
-        passes, _ = pass_log
-        means = np.arange(513) / 512
-        for M, ps in ((3, [0.75]), (2, [0.51]), (1, [EIGHT_OVER_PI_SQ]),
-                      (16, [0.6, 1.0]), (4096, [1.0])):
-            self._check_one_route(passes, means, M, ps)
-
-    def test_walk_takes_every_mean_above_eight_over_pi_sq(self, pass_log):
-        # above 8/pi^2 the walk takes every mean the pair pass leaves short
-        # after two values, and the full sort never runs
-        passes, _ = pass_log
-        means = np.arange(513) / 512
-        for ps in ([0.9], [0.6, 0.99]):
-            self._check_one_route(passes, means, 236, ps)
-
     def test_one_route_at_every_m_and_level(self, pass_log):
         # the pair pass takes every mean at every M and level, M <= 3 and
         # p = 1 included; the walk takes exactly the means whose first two
-        # values carry less than the highest level, and the full sort never
-        # runs
-        passes, _ = pass_log
+        # values carry less than the highest level.  At a = 1/2 and M = 2
+        # mod 4 (10, 22, 38), sigma = M/4 lies halfway between two values
+        # whose distances from 1/2 tie exactly, and their four outcomes
+        # reach every level up to 8/pi^2, so the pair pass decides the row
         means = np.arange(513) / 512
-        for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096):
-            for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0]):
-                self._check_one_route(passes, means, M, ps)
-
-    def test_randomized_window_full_sort_and_subset_oracle(self):
-        # seeded three-way differential: level_errors against the full sort
-        # bit for bit at M <= 256, and against the exhaustive subset minimum
-        # at M <= 10, on random means (some with sigma within 1e-10..1e-3 of
-        # an integer) and level sets on both sides of 8/pi^2
-        rng = np.random.default_rng(20031)
-        Ms = [*range(1, 11), *rng.integers(11, 257, size=20).tolist(), 256]
-        for M in Ms:
-            sigma = rng.integers(0, M // 2 + 1, size=40) + rng.choice(
-                [-1e-3, -1e-7, -1e-10, 0.0, 1e-10, 1e-7, 1e-3], size=40)
-            sigma = np.clip(sigma, 0.0, M / 2)
-            near_integer = np.clip(np.sin(np.pi * sigma / M) ** 2, 0.0, 1.0)
-            means = np.concatenate([rng.random(200), near_integer, [0.0, 0.5, 1.0]])
-            level_sets = [
-                [float(rng.uniform(0.3, EIGHT_OVER_PI_SQ)), EIGHT_OVER_PI_SQ],
-                [float(rng.uniform(0.3, EIGHT_OVER_PI_SQ)),
-                 float(rng.uniform(EIGHT_OVER_PI_SQ, 0.995))],
-                sorted(rng.uniform(0.05, 1.0, size=4).tolist()) + [1.0],
-            ]
-            # one full sort and one subset enumeration per mean answer the
-            # union of the three level sets, each level counted on its own
-            union = [p for ps in level_sets for p in ps]
-            full = bounds._full_level_errors(means, M, union).view(np.int64)
-            oracles = ([brute_force_errors_at_levels(float(a), M, union) for a in means[::16]]
-                       if M <= 10 else None)
-            start = 0
-            for ps in level_sets:
-                rows = slice(start, start + len(ps))
-                start = rows.stop
-                got = level_errors(means, M, ps)
-                assert np.array_equal(got.view(np.int64), full[rows]), (M, ps)
-                if oracles is not None:
-                    for a, errs, oracle in zip(means[::16], got[:, ::16].T, oracles):
-                        assert np.abs(errs - oracle[rows]).max() <= 1e-12, (M, a, ps)
-
-    @pytest.mark.parametrize("M", [1024, 4096])
-    def test_walk_is_bit_identical_to_full_sort_at_large_m(self, M):
-        # 64 seeded means, a in {0, 1/2, 1} among them.  The walk takes every
-        # row at 0.99 (about 20 values per side), at 1.0 (all M//2+1 values)
-        # and on a set spanning 8/pi^2; up to 8/pi^2 it takes the rows the
-        # pair pass leaves
-        rng = np.random.default_rng(M)
-        means = np.concatenate([[0.0, 0.5, 1.0], rng.random(61)])
-        for ps in ([0.99], [1.0], [0.75, EIGHT_OVER_PI_SQ, 0.9], PAIR_LEVELS):
-            got = level_errors(means, M, ps)
-            full = bounds._full_level_errors(means, M, ps)
-            assert np.array_equal(got.view(np.int64), full.view(np.int64)), ps
+        cases = [(M, ps) for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096)
+                 for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0])]
+        for M, ps in cases + [(M, PAIR_LEVELS) for M in (10, 22, 38)]:
+            _, two = self._lead_masses(means, M)
+            pass_log.clear()
+            level_errors(means, M, ps)
+            assert np.array_equal(self._rows(pass_log, "pair"), means), (M, ps)
+            short = means[two < max(ps) - bounds.LEVEL_SLACK]
+            assert np.array_equal(self._rows(pass_log, "walk"), short), (M, ps)
+            if M % 4 == 2 and ps == PAIR_LEVELS:
+                v = output_grid(M)[: M // 2 + 1]
+                assert 0.5 - v[(M - 2) // 4] == v[(M + 2) // 4] - 0.5
+                assert 0.5 not in short
 
     def test_subset_oracle_answers_every_level_from_one_enumeration(self):
         levels = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.95]
@@ -776,6 +717,9 @@ class TestRefuseSweeps:
         # an M below 1 before any size, and before the M ahead of it sweeps
         (AVG, [-3], 25, [0.5], "M must be >= 1, got -3"),
         (WORST, [4, 0], 12, [0.5], "M must be >= 1, got 0"),
+        # an M above the outcome limit as early, before the size n = 25
+        (AVG, [4, (1 << 20) + 1], 25, [0.5],
+         "M=1048577 is above the limit of 1048576 outcomes"),
     ])
     def test_first_refused_size_raises(self, monkeypatch, setting, Ms, n, ps, message):
         monkeypatch.setattr(bounds, "np", NoNumpy())

@@ -31,14 +31,8 @@ class TestKernel:
             kernel_direct_sum(0.13, 0.0, 7), abs=1e-12
         )
 
-    def test_matches_direct_sum_randomly(self):
-        rng = np.random.default_rng(123)
-        for _ in range(1000):
-            M = int(rng.integers(1, 33))
-            w1, w2 = rng.uniform(-4, 4, 2)
-            assert dirichlet_kernel_sq(M * (w1 - w2), M) == pytest.approx(
-                kernel_direct_sum(w1, w2, M), abs=1e-12
-            )
+    def test_matches_direct_sum_randomly(self, suite_runs):
+        assert suite_runs["calculus"].check("kernel matches the direct complex sum").passed
 
     def test_range(self):
         rng = np.random.default_rng(7)

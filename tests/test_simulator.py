@@ -61,14 +61,8 @@ class TestLayout:
 
 
 class TestPrimitives:
-    def test_walsh_hadamard_is_involution(self):
-        rng = np.random.default_rng(11)
-        layout = QubitLayout(n=4, M=3)
-        state = StateVector.random(layout, rng)
-        ref = state.amplitudes.copy()
-        apply_primitive(state, Primitive.WALSH_HADAMARD)
-        apply_primitive(state, Primitive.WALSH_HADAMARD)
-        assert np.abs(state.amplitudes - ref).max() <= 1e-12
+    def test_walsh_hadamard_is_involution(self, suite_runs):
+        assert suite_runs["unitarity"].check("Walsh-Hadamard is an involution").passed
 
     @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12, 1 << 30])
     def test_walsh_slabs_change_no_bit(self, monkeypatch, slab):
@@ -127,14 +121,8 @@ class TestPrimitives:
         apply_primitive(state2, Primitive.S0)
         assert state2.amplitudes[5] == 1.0
 
-    def test_fourier_inverse_identity(self):
-        rng = np.random.default_rng(12)
-        layout = QubitLayout(n=2, M=6)
-        state = StateVector.random(layout, rng)
-        ref = state.amplitudes.copy()
-        apply_primitive(state, Primitive.QFT)
-        apply_primitive(state, Primitive.QFT_INVERSE)
-        assert np.abs(state.amplitudes - ref).max() <= 1e-12
+    def test_fourier_inverse_identity(self, suite_runs):
+        assert suite_runs["unitarity"].check("Fourier block times its inverse is identity").passed
 
     def test_query_requires_function(self):
         state = StateVector.zero(QubitLayout(n=2, M=2))
@@ -146,21 +134,8 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             apply_primitive(state, Primitive.QUERY, BooleanFunction.from_mean(3, 1))
 
-    def test_norm_preserved_by_every_operator(self):
-        rng = np.random.default_rng(13)
-        layout = QubitLayout(n=3, M=6)
-        f = random_function(rng, 3)
-        state = StateVector.random(layout, rng)
-        for op in (Primitive.QFT, Primitive.WALSH_HADAMARD, Primitive.S0,
-                   Primitive.QFT_INVERSE):
-            apply_primitive(state, op)
-            assert abs(state.norm() - 1.0) <= 1e-10
-        apply_primitive(state, Primitive.QUERY, f)
-        assert abs(state.norm() - 1.0) <= 1e-10
-        apply_grover(state, f)
-        assert abs(state.norm() - 1.0) <= 1e-10
-        apply_lambda(state, f)
-        assert abs(state.norm() - 1.0) <= 1e-10
+    def test_norm_preserved_by_every_operator(self, suite_runs):
+        assert suite_runs["unitarity"].check("norm preservation across all operators").passed
 
 
 class TestStandardQuery:
@@ -172,16 +147,9 @@ class TestStandardQuery:
         apply_standard_query(state, BooleanFunction.from_mean(3, 0))
         assert np.array_equal(state.amplitudes, ref)
 
-    def test_prepared_ancilla_reproduces_sign_query(self):
-        rng = np.random.default_rng(4)
-        f = random_function(rng, 3)
-        data = rng.normal(size=8) + 1j * rng.normal(size=8)
-        data /= np.linalg.norm(data)
-        ancilla = np.array([-1.0, 1.0]) / math.sqrt(2)
-        state = StateVector(np.kron(data, ancilla), QubitLayout(n=4, M=1))
-        apply_standard_query(state, f)
-        expected = np.kron(data * (1 - 2 * f.table()), ancilla)
-        assert np.abs(state.amplitudes - expected).max() <= 1e-12
+    def test_prepared_ancilla_reproduces_sign_query(self, suite_runs):
+        check = "XOR query with prepared ancilla equals sign query"
+        assert suite_runs["unitarity"].check(check).passed
 
     def test_plain_ancilla_records_function_value(self):
         f = BooleanFunction.from_mean(2, 4)  # constant one
@@ -212,19 +180,9 @@ class TestGrover:
         apply_grover(state, f)
         assert np.abs(state.amplitudes + 1 / math.sqrt(8)).max() <= 1e-12
 
-    def test_invariant_plane_action(self):
-        for n, k in ((3, 3), (4, 9)):
-            f = BooleanFunction.from_mean(n, k)
-            spec = grover_spectrum(Fraction(k, 1 << n))
-            ones = f.table() == 1
-            psi0 = np.where(~ones, 1 / math.sqrt(1 << n), 0).astype(complex)
-            psi1 = np.where(ones, 1 / math.sqrt(1 << n), 0).astype(complex)
-            for col, basis in enumerate((psi0, psi1)):
-                state = StateVector(basis.copy(), QubitLayout(n=n, M=1))
-                apply_grover(state, f)
-                expected = (spec.subspace_matrix[0, col] * psi0
-                            + spec.subspace_matrix[1, col] * psi1)
-                assert np.abs(state.amplitudes - expected).max() <= 1e-12
+    def test_invariant_plane_action(self, suite_runs):
+        check = "Grover action on the invariant plane matches its 2x2 matrix"
+        assert suite_runs["unitarity"].check(check).passed
 
 
 class TestLambda:
@@ -287,11 +245,11 @@ class TestSpectrum:
             cmath.exp(2j * spec.theta), abs=1e-15
         )
 
-    def test_eigen_relation(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            k = int(rng.integers(0, (1 << n) + 1))
+    def test_eigen_relation(self, suite_runs):
+        # the suite's check takes 0 < a < 1; the degenerate means a in {0, 1}
+        # are checked here
+        assert suite_runs["unitarity"].check("eigenvector relation Q psi = lambda psi").passed
+        for n, k in ((1, 0), (1, 2), (3, 0), (3, 8)):
             f = BooleanFunction.from_mean(n, k)
             spec = grover_spectrum(Fraction(k, 1 << n))
             plus, minus = grover_eigenvectors(f)
@@ -300,16 +258,9 @@ class TestSpectrum:
                 apply_grover(state, f)
                 assert np.linalg.norm(state.amplitudes - lam * vec) <= 1e-10
 
-    def test_uniform_state_decomposition(self):
-        for n, k in ((3, 0), (3, 8), (3, 3), (4, 7), (1, 1), (4, 11)):
-            f = BooleanFunction.from_mean(n, k)
-            theta = sigma_of(Fraction(k, 1 << n), 1).theta
-            plus, minus = grover_eigenvectors(f)
-            uniform = np.full(1 << n, 1 / math.sqrt(1 << n), dtype=complex)
-            recon = (-1j / math.sqrt(2)) * (
-                cmath.exp(1j * theta) * plus - cmath.exp(-1j * theta) * minus
-            )
-            assert np.abs(recon - uniform).max() <= 1e-10
+    def test_uniform_state_decomposition(self, suite_runs):
+        check = "uniform state decomposes over the eigenvectors"
+        assert suite_runs["unitarity"].check(check).passed
 
 
 class TestRunQS:
@@ -385,61 +336,45 @@ class TestRunQS:
 
 
 class TestBatchedCore:
-    def test_rows_are_bit_identical_to_single_runs(self):
-        # K = 2 at M = 2 and K = 3 elsewhere equal index-row counts the sweeps
-        # touch, where signs of shape (K, N) instead of (K, 1, N) would pair
-        # tables with index rows instead of runs
-        rng = np.random.default_rng(41)
-        for n in range(7):
-            N = 1 << n
-            for M in range(1, 17):
-                K = 2 if M == 2 else 3
-                ks = rng.choice(N + 1, size=K, replace=K > N + 1)
-                tables = np.zeros((K, N), dtype=np.int8)
-                for row, k in zip(tables, ks):
-                    row[rng.permutation(N)[:k]] = 1
-                batch = run_qs_batch(n, M, tables)
-                expected = []
-                for row in tables:
-                    state = StateVector.zero(QubitLayout(n=n, M=M))
-                    apply_primitive(state, Primitive.QFT)
-                    apply_primitive(state, Primitive.WALSH_HADAMARD)
-                    apply_lambda(state, BooleanFunction(n, tuple(row.tolist())))
-                    apply_primitive(state, Primitive.QFT_INVERSE)
-                    expected.append(state.index_marginal())
-                assert np.array_equal(batch.probabilities.view(np.int64),
-                                      np.stack(expected).view(np.int64)), (n, M, ks)
-
-    @pytest.mark.parametrize("M", [17, 33, 64, 100, 128])
-    @pytest.mark.parametrize("n", [0, 2, 4])
-    def test_chain_matches_sweep_beyond_the_grid(self, monkeypatch, n, M):
-        # M not a power of two leaves tail blocks j >= M that the chain skips
+    @staticmethod
+    def _assert_chain_is_the_sweep(monkeypatch, n, M, tables):
+        """run_qs_batch against the literal circuit run by run: Fourier,
+        Walsh-Hadamard, the sweep apply_lambda and the inverse Fourier.  The
+        chain enters with M equal blocks per run; blocks j >= M stay +0.0,
+        where the sweep leaves -0.0, and blocks j < M and the marginals agree
+        bit for bit."""
         entries = []
         chain = simulator._chain_blocks
-
-        def recording(blocks, signs):
-            entries.append(blocks.copy())
-            return chain(blocks, signs)
-
-        monkeypatch.setattr(simulator, "_chain_blocks", recording)
-        rng = np.random.default_rng(43 + n * 1000 + M)
-        N = 1 << n
-        tables = rng.integers(0, 2, (3, N))
+        monkeypatch.setattr(simulator, "_chain_blocks",
+                            lambda blocks, signs: entries.append(blocks.copy())
+                            or chain(blocks, signs))
         batch = run_qs_batch(n, M, tables)
         (entry,) = entries
-        assert entry.shape == (3, M, N)
+        assert entry.shape == (len(tables), M, 1 << n)
         assert (entry == entry[:, :1, :]).all()
-        assert not batch.amplitudes[:, M:, :].any()
-        expected = []
-        for row in tables:
+        for k, row in enumerate(tables):
             state = StateVector.zero(QubitLayout(n=n, M=M))
             apply_primitive(state, Primitive.QFT)
             apply_primitive(state, Primitive.WALSH_HADAMARD)
             apply_lambda(state, BooleanFunction(n, tuple(row.tolist())))
             apply_primitive(state, Primitive.QFT_INVERSE)
-            expected.append(state.index_marginal())
-        assert np.array_equal(batch.probabilities.view(np.int64),
-                              np.stack(expected).view(np.int64))
+            assert np.array_equal(batch.amplitudes[k, :M].view(np.int64),
+                                  state.blocks()[:M].view(np.int64)), (n, M, k)
+            assert not batch.amplitudes[k, M:].any() and not state.blocks()[M:].any()
+            assert np.array_equal(batch.probabilities[k].view(np.int64),
+                                  state.index_marginal().view(np.int64)), (n, M, k)
+
+    @pytest.mark.parametrize("n,M", [(n, M) for n in range(7) for M in range(1, 17)]
+                             + [(n, M) for n in (0, 2, 4) for M in (17, 33, 64, 100, 128)])
+    def test_chain_matches_sweep_beyond_the_grid(self, monkeypatch, n, M):
+        # the gate grid (n <= 6, M <= 16) and beyond it, where M not a power
+        # of two leaves tail blocks j >= M that the chain skips.  K = 2 at
+        # M = 2 and K = 3 elsewhere equal index-row counts the sweeps touch,
+        # where query signs paired with index rows instead of runs would
+        # still broadcast
+        rng = np.random.default_rng(43 + n * 1000 + M)
+        tables = rng.integers(0, 2, (2 if M == 2 else 3, 1 << n))
+        self._assert_chain_is_the_sweep(monkeypatch, n, M, tables)
 
     @pytest.mark.parametrize("M", [*range(1, 17), 100])
     def test_chain_makes_m_minus_one_grover_applications(self, monkeypatch, M):
@@ -469,24 +404,11 @@ class TestBatchedCore:
 
     @pytest.mark.parametrize("M", [1, 5, 16])
     @pytest.mark.parametrize("n", [0, 3, 10])
-    def test_single_table_is_bit_identical_to_the_sweep(self, n, M):
+    def test_single_table_is_bit_identical_to_the_sweep(self, monkeypatch, n, M):
         # at K = 1 the (N, 1) transpose of block 0 is contiguous, so a work
         # buffer taken as a view instead of a copy would write into block 0
         rng = np.random.default_rng(47 + n * 100 + M)
-        table = rng.integers(0, 2, 1 << n)
-        batch = run_qs_batch(n, M, table[None])
-        state = StateVector.zero(QubitLayout(n=n, M=M))
-        apply_primitive(state, Primitive.QFT)
-        apply_primitive(state, Primitive.WALSH_HADAMARD)
-        apply_lambda(state, BooleanFunction(n, tuple(table.tolist())))
-        apply_primitive(state, Primitive.QFT_INVERSE)
-        # the sweep turns the empty tail blocks j >= M into -0.0, the chain
-        # leaves them +0.0; blocks j < M agree bit for bit
-        assert np.array_equal(batch.amplitudes[0, :M].view(np.int64),
-                              state.blocks()[:M].view(np.int64))
-        assert not batch.amplitudes[0, M:].any() and not state.blocks()[M:].any()
-        assert np.array_equal(batch.probabilities[0].view(np.int64),
-                              state.index_marginal().view(np.int64))
+        self._assert_chain_is_the_sweep(monkeypatch, n, M, rng.integers(0, 2, (1, 1 << n)))
 
     @staticmethod
     def _assert_sliced_fourier_is_the_whole_product(n, M, K):
