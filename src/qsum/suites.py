@@ -25,9 +25,13 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
+    _first_values,
+    _full_level_errors,
     _full_worst_errors,
+    _lead_masses,
     _screened_worst_errors,
     _screens,
+    _value_edges,
     avg_probabilistic_errors,
     c_bound,
     g_func,
@@ -64,6 +68,9 @@ __all__ = [
     "kernel_direct_sum",
     "brute_force_errors_at_levels",
     "gate_grid_deviation",
+    "level_error_mismatches",
+    "screen_mismatches",
+    "nested_grid_worst",
 ]
 
 @dataclass
@@ -138,6 +145,109 @@ def gate_grid_deviation(n_max: int = 6, m_max: int = 16) -> tuple[float, float, 
             if batch.queries != M - 1 or batch.qubits != n + math.ceil(math.log2(M)):
                 accounting_ok = False
     return max_dev, max_tail, accounting_ok
+
+
+# ---------------------------------------------------------------------------
+# Differentials of the fast paths against their oracles, for suites and tests
+# ---------------------------------------------------------------------------
+
+# levels at or below 8/pi^2, where the pair pass decides most rows
+PAIR_LEVELS = (FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ)
+# levels above it, where most rows walk on
+WALK_LEVELS = (0.9, 0.99, 1.0)
+# every level of the level-error differential, and one a single cell reaches
+LEVELS = (1e-13, *PAIR_LEVELS, *WALK_LEVELS)
+# the M of the bounds check on level errors; the tests add larger ones
+LEVEL_ERROR_MS = (*range(1, 13), 16, 17, 22, 38, 64, 65, 236)
+
+
+def _near_integer_means(M: int) -> np.ndarray:
+    """20 seeded means whose sigma lies on an integer or within 1e-10 to
+    1e-3 of one, where the first value carries nearly all the mass."""
+    rng = np.random.default_rng(M)
+    sigma = rng.integers(0, M // 2 + 1, size=20) + rng.choice(
+        [-1e-3, -1e-5, -1e-7, -1e-10, 0.0, 1e-10, 1e-7, 1e-5, 1e-3], size=20)
+    return np.sin(np.pi * np.clip(sigma, 0.0, M / 2) / M) ** 2
+
+
+def _level_means(M: int) -> np.ndarray:
+    """Means at the edges of the pair pass and the walk: a in {0, 1/2, 1};
+    means between the two lowest and the two highest values, where a twin
+    is missing (i = 0, and i = M/2 at even M) on the near or the far side;
+    up to about 64 midpoints of adjacent values, where two distances
+    nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
+    integer sigma; and seeded random means."""
+    v = output_grid(M)[: M // 2 + 1]
+    ends = np.concatenate([np.linspace(0.0, v[min(2, v.size - 1)], 13),
+                           np.linspace(v[max(v.size - 3, 0)], 1.0, 13)])
+    mids = 0.5 * (v[:-1] + v[1:])
+    return np.concatenate([[0.0, 0.5, 1.0], ends, mids[:: max(1, mids.size // 64)],
+                           _near_integer_means(M), np.random.default_rng(M + 1).random(30)])
+
+
+def _running_masses(means: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's running mass after its first value and after its first
+    two, as the pair pass sums them."""
+    sigma = sigmas_of(means, M)
+    _, near, second, _, _, _ = _first_values(means, sigma, _value_edges(M))
+    return _lead_masses(sigma, near, second, M, np.arange(means.size))
+
+
+def _lead_mass_levels(M: int) -> list[float]:
+    """The levels within an ulp of LEVEL_SLACK above a near-integer row's
+    running mass after its first value or its first two, where the pair
+    pass decides whether the row goes on."""
+    p = np.concatenate(_running_masses(_near_integer_means(M), M)) + LEVEL_SLACK
+    levels = np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)])
+    return sorted(set(levels[(levels > 0.0) & (levels <= 1.0)].tolist()))
+
+
+def _level_sets(M: int) -> list:
+    """Each level of LEVELS alone, PAIR_LEVELS, LEVELS, and last two seeded sets."""
+    rng = np.random.default_rng(M)
+    return [*([p] for p in LEVELS), PAIR_LEVELS, LEVELS,
+            rng.uniform(0.3, 0.995, 2).tolist(), sorted(rng.uniform(0.05, 1.0, 4))]
+
+
+def level_error_mismatches(means: np.ndarray, M: int, level_sets) -> int:
+    """The level sets at which `level_errors` gives other bits than the full
+    sort `_full_level_errors`, one call of which answers their union."""
+    full = _full_level_errors(means, M, [p for ps in level_sets for p in ps])
+    differ = start = 0
+    for ps in level_sets:
+        got = level_errors(means, M, ps)
+        differ += not np.array_equal(got.view(np.int64),
+                                     full[start:start + len(ps)].view(np.int64))
+        start += len(ps)
+    return differ
+
+
+def screen_mismatches(sweeps) -> tuple[int, int, int]:
+    """(mismatches, screened, forced) of worst-case sweeps {(M, N, ps):
+    records} against the dense `_full_worst_errors` in float.hex; a sweep
+    that stayed dense at M >= 4 is screened here too."""
+    differ = screened = forced = 0
+    for (M, N, ps), recs in sweeps.items():
+        full = list(map(float.hex, _full_worst_errors(M, N, ps)))
+        differ += [rec.value.hex() for rec in recs] != full
+        if _screens(M, N, ps):
+            screened += 1
+        elif M >= 4:
+            differ += list(map(float.hex, _screened_worst_errors(M, N, ps))) != full
+            forced += 1
+    return differ, screened, forced
+
+
+def nested_grid_worst(M: int) -> tuple[int, float]:
+    """(falls, largest ratio to C(p) pi / M) of the worst case at M along
+    N = 2^12..2^30, p in {0.51, 0.75, 8/pi^2}.  Each mean k/2^n is the mean
+    2k/2^(n+1), so it falls from one grid to the next only if a screen
+    missed a mean."""
+    levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
+    rows = np.array([[rec.value for rec in worst_probabilistic_errors(M, 1 << n, levels)]
+                     for n in range(12, 31)])
+    falls = int(np.count_nonzero(np.diff(rows, axis=0) < 0.0))
+    return falls, float((rows / [c_bound(p, M) * math.pi / M for p in levels]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +465,15 @@ def _suite_bounds() -> Checks:
     yield ("greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
 
+    cases = [(_level_means(M), M, _level_sets(M)) for M in LEVEL_ERROR_MS]
+    cases += [(_near_integer_means(M), M, [_lead_mass_levels(M)]) for M in LEVEL_ERROR_MS]
+    differ = sum(level_error_mismatches(*case) for case in cases)
+    yield ("level errors equal the full sort bit for bit", differ == 0,
+           f"{differ} of {sum(len(sets) for *_, sets in cases)} level sets differ in float.hex "
+           f"(M = 1..12, 16, 17, 22, 38, 64, 65, 236: edge, near-integer and seeded means at "
+           f"each level alone, the sets up to 8/pi^2 and to 1, and two seeded sets; the "
+           f"near-integer means at the levels on their own running masses, as one set)")
+
     rounding_ok = True
     for N in (2, 4, 8):
         M = int(1.5 * math.pi * N) + 1
@@ -374,29 +493,13 @@ def _suite_bounds() -> Checks:
            M == 236 and rec.value <= eps,
            f"M = {M}, worst error {rec.value:.6f} <= {eps} at N = 2^20")
 
-    # a sweep that stays dense at M >= 4 is screened here as well
-    differ = screened = forced = 0
-    for (M, N, ps), recs in swept.items():
-        full = list(map(float.hex, _full_worst_errors(M, N, ps)))
-        differ += [rec.value.hex() for rec in recs] != full
-        if _screens(M, N, ps):
-            screened += 1
-        elif M >= 4:
-            differ += list(map(float.hex, _screened_worst_errors(M, N, ps))) != full
-            forced += 1
+    differ, screened, forced = screen_mismatches(swept)
     yield ("screened worst case equals the full sweep", differ == 0,
            f"{differ} differ in float.hex among {len(swept)} sweeps ({screened} screened) and "
            f"{forced} forced screens of the dense ones (M = 2..64 at N in {{2^2,2^8,2^12}}, "
            f"M = 64 and 236 at N = 2^20)")
 
-    # every mean k/2^n is the mean 2k/2^(n+1), with the same bits, so the
-    # worst case cannot fall from one grid to the next unless a screen
-    # missed a mean
-    nested = (0.51, 0.75, EIGHT_OVER_PI_SQ)
-    rows = np.array([[rec.value for rec in worst_probabilistic_errors(64, 1 << n, nested)]
-                     for n in range(12, 31)])
-    falls = int(np.count_nonzero(np.diff(rows, axis=0) < 0.0))
-    ratio = float((rows / [c_bound(p, 64) * math.pi / 64 for p in nested]).max())
+    falls, ratio = nested_grid_worst(64)
     yield ("screened worst case is nondecreasing along nested grids",
            falls == 0 and ratio <= 1.0,
            f"{falls} falls from N = 2^n to 2^(n+1), n = 12..29, at M = 64 and p in "

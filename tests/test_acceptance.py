@@ -99,3 +99,8 @@ def test_12_every_attached_bound_holds_with_positive_lower_bounds(suite_runs):
 def test_13_bhmt_theorem_12_at_every_mean(suite_runs):
     _accept(suite_runs, "13 level errors within BHMT's 2 pi k sqrt(a(1-a))/M + k^2 pi^2/M^2",
             (BOUNDS, "BHMT Theorem 12 holds at every mean"))
+
+
+def test_14_level_errors_are_the_full_sort_bits(suite_runs):
+    _accept(suite_runs, "14 the pair pass and the walk give the full sort's bits (M<=236)",
+            (BOUNDS, "level errors equal the full sort bit for bit"))

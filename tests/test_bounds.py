@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsum import bounds, closedform
+from qsum import bounds, closedform, suites
 from qsum.boolfn import Measure, sigmas_of
 from qsum.bounds import (
     EIGHT_OVER_PI_SQ,
@@ -25,14 +25,11 @@ from qsum.bounds import (
     worst_probabilistic_error,
 )
 from qsum.closedform import dirichlet_kernel_sq, output_grid
-from qsum.suites import brute_force_errors_at_levels
+from qsum.suites import LEVELS, PAIR_LEVELS, WALK_LEVELS, brute_force_errors_at_levels
 
-# levels at or below 8/pi^2, where the pair pass decides most rows
-PAIR_LEVELS = [FOUR_OVER_PI_SQ, 0.51, 0.75, EIGHT_OVER_PI_SQ]
-# levels above it, where most rows walk on
-WALK_LEVELS = [0.9, 0.99, 1.0]
-# every level of the differential, and one a single cell reaches
-LEVELS = [1e-13, *PAIR_LEVELS, *WALK_LEVELS]
+# block budgets in cells, and the rows per block each makes at 4 cells per
+# row: one row, an odd count above one, and the default
+BUDGET_ROWS = {1: 1, 12: 3, bounds._BLOCK_CELLS: 4096}
 
 
 @pytest.fixture
@@ -66,83 +63,26 @@ class TestErrorAtLevel:
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [1.5])
 
-    @staticmethod
-    def _near_integer_means(M):
-        """20 seeded means whose sigma lies on an integer or within 1e-10 to
-        1e-3 of one, where the first value carries nearly all the mass."""
-        rng = np.random.default_rng(M)
-        sigma = rng.integers(0, M // 2 + 1, size=20) + rng.choice(
-            [-1e-3, -1e-5, -1e-7, -1e-10, 0.0, 1e-10, 1e-7, 1e-5, 1e-3], size=20)
-        return np.sin(np.pi * np.clip(sigma, 0.0, M / 2) / M) ** 2
-
-    @classmethod
-    def _level_means(cls, M):
-        """Means at the edges of the pair pass and the walk: a in {0, 1/2, 1};
-        means between the two lowest and the two highest values, where a twin
-        is missing (i = 0, and i = M/2 at even M) on the near or the far side;
-        up to about 64 midpoints of adjacent values, where two distances
-        nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
-        integer sigma; and seeded random means."""
-        v = output_grid(M)[: M // 2 + 1]
-        ends = np.concatenate([np.linspace(0.0, v[min(2, v.size - 1)], 13),
-                               np.linspace(v[max(v.size - 3, 0)], 1.0, 13)])
-        mids = 0.5 * (v[:-1] + v[1:])
-        return np.concatenate([[0.0, 0.5, 1.0], ends, mids[:: max(1, mids.size // 64)],
-                               cls._near_integer_means(M),
-                               np.random.default_rng(M + 1).random(30)])
-
-    @staticmethod
-    def _lead_masses(means, M):
-        """Each row's running mass after its first value and after its first
-        two, as the pair pass sums them."""
-        sigma = sigmas_of(means, M)
-        _, near, second, _, _, _ = bounds._first_values(means, sigma, bounds._value_edges(M))
-        return bounds._lead_masses(sigma, near, second, M, np.arange(means.size))
-
-    @classmethod
-    def _lead_mass_levels(cls, means, M):
-        """The levels within an ulp of LEVEL_SLACK above a row's running mass
-        after its first value or its first two, where the pair pass decides
-        whether the row goes on."""
-        p = np.concatenate(cls._lead_masses(means, M)) + bounds.LEVEL_SLACK
-        levels = np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)])
-        return sorted(set(levels[(levels > 0.0) & (levels <= 1.0)].tolist()))
-
-    @staticmethod
-    def _assert_full_sort_bits(means, M, level_sets):
-        """level_errors gives the bits of the full sort at every level set; one
-        full sort answers their union, as it counts each level on its own."""
-        full = bounds._full_level_errors(means, M, [p for ps in level_sets for p in ps])
-        start = 0
-        for ps in level_sets:
-            got = level_errors(means, M, ps)
-            want = full[start:start + len(ps)]
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (M, ps)
-            start += len(ps)
-
-    @pytest.mark.parametrize("M", [*range(1, 13), 16, 17, 22, 38, 64, 65, 236, 1024, 4096])
+    @pytest.mark.parametrize("M", [*suites.LEVEL_ERROR_MS, 1024, 4096])
     def test_window_is_bit_identical_to_full_sort(self, M):
-        # the one differential of the pair pass and the walk against their
-        # oracle: every level alone and in sets, two seeded level sets, and
-        # at M <= 236 each level at the near-integer rows' own running
-        # masses; at M <= 10 the subset minimum answers the seeded sets too.
-        # The two tests below run it under other block budgets
-        rng = np.random.default_rng(M)
-        means = self._level_means(M)
-        seeded = [rng.uniform(0.3, 0.995, 2).tolist(), sorted(rng.uniform(0.05, 1.0, 4))]
-        self._assert_full_sort_bits(means, M, [[p] for p in LEVELS] + [PAIR_LEVELS, LEVELS]
-                                    + seeded)
-        if M <= 236:
-            near = self._near_integer_means(M)
-            self._assert_full_sort_bits(near, M, [[p] for p in self._lead_mass_levels(near, M)])
+        # what the bounds check "level errors equal the full sort bit for
+        # bit" does not run: its means and level sets at M = 1024 and 4096;
+        # at its own M, each level on the near-integer rows' running masses
+        # alone, not in one set, and at M <= 10 the subset minimum at the
+        # seeded level sets
+        means, level_sets = suites._level_means(M), suites._level_sets(M)
+        if M not in suites.LEVEL_ERROR_MS:
+            assert suites.level_error_mismatches(means, M, level_sets) == 0
+            return
+        alone = [[p] for p in suites._lead_mass_levels(M)]
+        assert suites.level_error_mismatches(suites._near_integer_means(M), M, alone) == 0
         if M <= 10:
-            union = [p for ps in seeded for p in ps]
-            got = level_errors(means[::8], M, union)
-            for a, errors in zip(means[::8], got.T):
+            union = [p for ps in level_sets[-2:] for p in ps]
+            for a, errors in zip(means[::8], level_errors(means[::8], M, union).T):
                 oracle = brute_force_errors_at_levels(float(a), M, union)
                 assert np.abs(errors - oracle).max() <= 1e-12, (M, a)
 
-    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("budget", [1, 7, 12, bounds._BLOCK_CELLS])
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts that fill at most one block and that split into two
@@ -158,16 +98,20 @@ class TestErrorAtLevel:
             blocks = len(bounds._row_blocks(count))
             assert blocks >= 2 if count > block else blocks == min(count, 1), count
         means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
+        level_sets = [[0.51, EIGHT_OVER_PI_SQ], WALK_LEVELS]
         for count in counts:
-            self._assert_full_sort_bits(means[:count], M, [[0.51, EIGHT_OVER_PI_SQ], WALK_LEVELS])
+            assert suites.level_error_mismatches(means[:count], M, level_sets) == 0, count
 
-    @pytest.mark.parametrize("budget", [1, 7, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("budget", BUDGET_ROWS)
     @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
     def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
-        # the differential's means and level sets in blocks of one row, and
-        # in one block
+        # the differential's means and level sets in blocks of one row, of
+        # three, and in one block
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
-        self._assert_full_sort_bits(self._level_means(M), M, [PAIR_LEVELS, LEVELS])
+        rows = BUDGET_ROWS[budget]
+        assert bounds._row_blocks(2 * rows) == [slice(0, rows), slice(rows, 2 * rows)]
+        level_sets = [PAIR_LEVELS, LEVELS]
+        assert suites.level_error_mismatches(suites._level_means(M), M, level_sets) == 0
 
     def test_row_blocks_are_even(self):
         # 4097 means of the pair pass make one block, not 4096 + 1
@@ -265,7 +209,7 @@ class TestErrorAtLevel:
         cases = [(M, ps) for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096)
                  for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0])]
         for M, ps in cases + [(M, PAIR_LEVELS) for M in (10, 22, 38)]:
-            _, two = self._lead_masses(means, M)
+            _, two = suites._running_masses(means, M)
             pass_log.clear()
             level_errors(means, M, ps)
             assert np.array_equal(self._rows(pass_log, "pair"), means), (M, ps)
@@ -400,24 +344,23 @@ class TestWorstError:
         assert chunk_sizes[0] < 10_000
 
     def test_screen_equals_the_full_sweep(self):
-        # seeded (M, N, levels) draws, through the public driver and with the
-        # screen forced, so that small N screens too; float.hex equality.  The
-        # second set sits where the pair pass leaves the most rows undecided,
-        # between the near value's flip and the midpoint of values two apart
+        # seeded (M, N, levels) draws, none of them the bounds check's, each
+        # screened by worst_probabilistic_errors or, where it stays dense, with
+        # the screen forced.  The second set sits where the pair pass leaves
+        # the most rows undecided, between the near value's flip and the
+        # midpoint of values two apart
         rng = np.random.default_rng(2026)
         Ms = [4, 5, 6, 7, 8, 9, 12, 16, 17, 31, 33, 100, 236, 512, 1000, 1024, 2048, 4096]
         draws = [(int(rng.choice(Ms)), 1 << int(rng.integers(0, 17))) for _ in range(200)]
         draws += [(int(rng.integers(4, 33)), 1 << int(rng.integers(13, 17))) for _ in range(40)]
-        screened = 0
+        sweeps = {}
         for M, N in draws:
             ps = sorted({*rng.uniform(0.3, EIGHT_OVER_PI_SQ, int(rng.integers(0, 4))).tolist(),
                          float(rng.choice([EIGHT_OVER_PI_SQ, rng.uniform(0.3, EIGHT_OVER_PI_SQ)]))})
-            full = [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
-            public = [r.value.hex() for r in bounds.worst_probabilistic_errors(M, N, ps)]
-            forced = bounds._screened_worst_errors(M, N, ps)
-            assert public == full == [x.hex() for x in forced], (M, N, ps)
-            screened += bounds._screens(M, N, ps)
-        assert screened >= 60
+            sweeps[M, N, tuple(ps)] = bounds.worst_probabilistic_errors(M, N, ps)
+        differ, screened, forced = suites.screen_mismatches(sweeps)
+        assert differ == 0
+        assert screened >= 60 and screened + forced == len(sweeps)
 
     def test_gaps_left_without_their_flips_are_filled(self, monkeypatch, chunk_sizes):
         # masses that reach every level hide every side flip from the search,
@@ -435,23 +378,22 @@ class TestWorstError:
         monkeypatch.setattr(bounds, "_screen_means", lambda M, levels: 1 << 20)
         for M, N, ps in cases:
             chunk_sizes.clear()
-            screened = [x.hex() for x in bounds._screened_worst_errors(M, N, ps)]
+            bounds._screened_worst_errors(M, N, ps)
             assert len(chunk_sizes) == 2
-            assert screened == [x.hex() for x in bounds._full_worst_errors(M, N, ps)]
+        # each case now stays dense, so the differential forces its screen
+        sweeps = {(M, N, tuple(ps)): bounds.worst_probabilistic_errors(M, N, ps)
+                  for M, N, ps in cases}
+        assert suites.screen_mismatches(sweeps) == (0, 0, len(cases))
 
     @pytest.mark.parametrize("M", [4, 5, 4096])
     def test_screen_is_nondecreasing_along_nested_grids(self, M):
-        # the bounds suite's nested-grid check at M = 64, at the ends of the
-        # screened M range: every mean k/2^n is the mean 2k/2^(n+1), so the
-        # worst case cannot fall from N = 2^12 to the CLI's limit of 2^30,
-        # the fill stays within the screen's estimate (else it raises), and
-        # every maximum is within the paper's bound C(p) pi / M
-        levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
-        rows = np.array([[r.value for r in bounds.worst_probabilistic_errors(M, 1 << n, levels)]
-                         for n in range(12, 31)])
-        assert bounds._screens(M, 1 << 30, levels)
-        assert (np.diff(rows, axis=0) >= 0).all()
-        assert (rows <= [c_bound(p, M) * math.pi / M for p in levels]).all()
+        # the bounds check's nested grids, there at M = 64, at the ends of
+        # the screened M range, up to the CLI's limit of 2^30: the fill stays
+        # within the screen's estimate (else it raises), and every maximum
+        # is within the paper's bound C(p) pi / M
+        assert bounds._screens(M, 1 << 30, (0.51, 0.75, EIGHT_OVER_PI_SQ))
+        falls, ratio = suites.nested_grid_worst(M)
+        assert falls == 0 and ratio <= 1.0
 
     @pytest.mark.parametrize("M, ps", [(64, [0.75, 0.9]), (3, [0.75]), (4097, [0.75])])
     def test_dense_sweep_outside_the_screen(self, monkeypatch, M, ps):
