@@ -12,6 +12,7 @@ uniform-function measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -88,6 +89,15 @@ _SCREEN_FIXED_MEANS = 1 << 12
 # rounds bisect, so a search ends within this many plus log2 N rounds.
 _NEWTON_ROUNDS = 8
 
+# The pair pass lets the law's lower bound D >= v decide a row only where v
+# clears the highest threshold by this margin (`_floor_reach`), so that the
+# law's rounding cannot reverse the decision.  Its masses over the means
+# k/2^10 sum to 1 within 6.4e-15 at M = 64, 9.7e-14 at 1024 and 3.9e-13 at
+# 4096, the largest M the rule runs at (`_law_bounds_apply`); rounding
+# j -/+ sigma, below M, moves a kernel cell by about 1e-12 more at most, and
+# sigma - near by an ulp of M/2.  All are over 500 times below the margin.
+_FLOOR_MARGIN = 1e-9
+
 
 class Setting(Enum):
     WORST_PROBABILISTIC = "worst"
@@ -143,12 +153,16 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     per-cell formula, `outcome_probabilities_at`) in the same order as the
     full sort's cumulative sum, so the errors are bit-identical.
 
-    The pair pass (`_pair_block`) takes every row's first two values, the
-    second's law evaluated only where the first falls short of the highest
-    level, in even blocks of about _BLOCK_CELLS cells, so its work arrays
-    stay in cache; the walk (`_walk_block`) continues a block's rows still
-    short, until their mass reaches the highest level or their values run
-    out.
+    The pair pass (`_pair_block`) takes every row's first two values in even
+    blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache.
+    It reads the law only where the paper's lower bounds on it leave a level
+    open (`_law_bounds_apply`): a row whose sigma lies within `_floor_reach`
+    of its first value's index reaches every level there, since the kernel
+    is at least v; elsewhere the first value's law is evaluated, and the
+    second's where the first falls short of the highest level, unless the
+    two bracket sigma and so reach every level (`_brackets_reach`).  The
+    walk (`_walk_block`) continues a block's rows still short, until their
+    mass reaches the highest level or their values run out.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -159,12 +173,69 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
         raise ValueError("means must lie in [0, 1]")
     edges = _value_edges(M)
     thresholds = np.asarray(ps, dtype=np.float64).reshape(-1, 1) - LEVEL_SLACK
+    highest = thresholds.max(initial=-np.inf)
+    reach = _floor_reach(float(highest)) if _law_bounds_apply(M) else -1.0
+    bracketed = _brackets_reach(M, ps)
     # sigmas_of adds no temporary of the means' size to the call's peak heap
     sigma = sigmas_of(means, M)
     out = np.empty((len(ps), means.size))
     for block in _row_blocks(means.size):
-        _pair_block(means[block], sigma[block], edges, M, thresholds, out[:, block])
+        _pair_block(means[block], sigma[block], edges, M, thresholds, reach, bracketed,
+                    out[:, block])
     return out
+
+
+def _law_bounds_apply(M: int) -> bool:
+    """Whether `level_errors` may decide levels from the paper's two lower
+    bounds on the law instead of evaluating it (`_floor_reach`,
+    `_brackets_reach`): at 4 <= M <= _SCREEN_MAX_M, the range the
+    differentials pin.  Elsewhere the pair pass reads the law for every
+    row's first value."""
+    return 4 <= M <= _SCREEN_MAX_M
+
+
+def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
+    """Whether the two values bracketing sigma reach every level of ps: at
+    every level at most 8/pi^2, where `_law_bounds_apply`.
+
+    v_lo and v_lo+1, lo = floor(sigma), bracket sigma, and their twins carry
+    at least D(sigma - lo) + D(lo + 1 - sigma) (`_floor_reach`), which is at
+    least v(d) + v(1 - d) = g(d) >= 8/pi^2, d = sigma - lo: the kernel D(d) =
+    sin^2(pi d)/(M sin(pi d/M))^2 is at least v(d) = sin^2(pi d)/(pi d)^2.
+    At odd M and sigma above M//2, the top value's own twins bracket sigma
+    and carry the same.  D exceeds v by a factor of at least 1 + (pi d/M)^2/3,
+    so at d = 1/2, where g is least, the pair's mass exceeds 8/pi^2 by about
+    2/(3 M^2), 4e-8 at M = 4096: far above the law's rounding
+    (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK below it.
+    So a row's error is the distance of the near value or of the far one,
+    or of the value beyond the near one where that is nearer than the far
+    one."""
+    return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
+
+
+@functools.lru_cache(maxsize=64)
+def _floor_reach(h: float) -> float:
+    """The largest d in [0, 1], rounded down, with v(d) >= h + _FLOOR_MARGIN,
+    by scalar bisection; -1 where no d has, so that no row is within reach.
+
+    The twins of the value v_n carry D(n - sigma) + D(n + sigma), or D(n -
+    sigma) alone where a twin is missing, at least v(|sigma - n|), and v
+    decreases on [0, 1].  So where |sigma - n| <= reach(h), the law's mass
+    on v_n reaches the threshold h, however it rounds (_FLOOR_MARGIN)."""
+    target = h + _FLOOR_MARGIN
+    if v_func(0.0) < target:
+        return -1.0
+    lo, hi = 0.0, 1.0
+    if v_func(hi) >= target:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if v_func(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.ndarray:
@@ -210,11 +281,15 @@ def _row_blocks(rows: int) -> list[slice]:
     return _even_slices(rows, max(1, _BLOCK_CELLS // 4))
 
 
+@functools.lru_cache(maxsize=8)
 def _value_edges(M: int) -> np.ndarray:
     """The distinct outputs v_i = sin^2(pi i/M), i = 0..M//2, as edges[i + 2]:
     two infinite edges on each side stand for the values past either end, at
-    every M >= 1."""
-    return np.concatenate([[-np.inf, -np.inf], output_grid(M)[: M // 2 + 1], [np.inf, np.inf]])
+    every M >= 1.  Read-only, built once per M for the few latest M: a
+    screened sweep's plan, level errors and labels share it."""
+    edges = np.concatenate([[-np.inf, -np.inf], output_grid(M)[: M // 2 + 1], [np.inf, np.inf]])
+    edges.flags.writeable = False
+    return edges
 
 
 def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
@@ -256,21 +331,31 @@ def _first_values(
 
 def _pair_block(
     means: np.ndarray, sigma: np.ndarray, edges: np.ndarray, M: int,
-    thresholds: np.ndarray, out: np.ndarray,
+    thresholds: np.ndarray, reach: float, bracketed: bool, out: np.ndarray,
 ) -> None:
     """The pair pass of `level_errors` on one block of rows, whose errors it
-    writes into `out`: the running mass adds the first value's twins, then,
-    in the rows where it falls short of the highest level, the second's
-    (`_first_values`); the rows still short go on to `_walk_block`."""
-    _, near, second, d_near, d_second, _ = _first_values(means, sigma, edges)
-    probs = _twin_probs(sigma, near, M)
-    mass = np.add(probs[0], probs[1], out=probs[0])
+    writes into `out`.  A row whose sigma lies within `reach` of its first
+    value's index takes that value's distance at every level
+    (`_floor_reach`).  In the other rows the running mass adds the first
+    value's twins, then, in the rows where it falls short of the highest
+    level, the second's (`_first_values`), unless `bracketed` and the second
+    is the far bracketing value, whose pair reaches every level
+    (`_brackets_reach`); the rows still short go on to `_walk_block`."""
+    _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
     np.copyto(out, d_near)
-    np.copyto(out, d_second, where=mass < thresholds)
+    rows = np.flatnonzero(np.abs(sigma - near) > reach)
+    probs = _twin_probs(sigma[rows], near[rows], M)
+    mass = np.add(probs[0], probs[1], out=probs[0])
+    out[:, rows] = np.where(mass < thresholds, d_second[rows], d_near[rows])
     highest = thresholds.max(initial=-np.inf)
-    rows = np.flatnonzero(mass < highest)
+    short = mass < highest
+    if bracketed:
+        short &= beyond_first[rows]
+    rows = rows[short]
+    if not rows.size:
+        return
     probs = _twin_probs(sigma[rows], second[rows], M)
-    mass = mass[rows] + probs[0]
+    mass = mass[short] + probs[0]
     mass += probs[1]
     short = mass < highest
     if short.any():
@@ -368,11 +453,12 @@ def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
 
 
 def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
-    """Whether the worst case is screened: every level at most 8/pi^2 and
-    4 <= M <= _SCREEN_MAX_M, where each error is the distance of one of the
-    three values nearest the mean (`_screened_worst_errors`), and fewer means
-    to screen, with the screen's fixed cost, than the dense sweep's N+1."""
-    if not 4 <= M <= _SCREEN_MAX_M or max(ps, default=1.0) > EIGHT_OVER_PI_SQ:
+    """Whether the worst case is screened: where the two values bracketing
+    sigma reach every level (`_brackets_reach`), each error is the distance
+    of one of the three values nearest the mean (`_screened_worst_errors`),
+    and the screen runs where it has fewer means to evaluate, with its fixed
+    cost, than the dense sweep's N+1."""
+    if not _brackets_reach(M, ps):
         return False
     return _SCREEN_FIXED_MEANS + _screen_means(M, len(ps)) < N + 1
 
@@ -409,8 +495,12 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
     levels up to p_max, the cost by which oversized sweeps are refused.
 
     Up to 8/pi^2 the pair pass decides nearly every mean from its first two
-    values, 4 cells.  Above it the walk adds one value's two twin outcomes
-    per step; the kernel's tail beyond distance d carries less than
+    values, 4 cells.  That is an upper estimate, kept on purpose so that
+    refusals do not change: at 4 <= M <= _SCREEN_MAX_M the paper's lower
+    bounds on the law decide about half of the means without it, and the
+    rest mostly from the first value's 2 outcomes (`level_errors`), about 2
+    cells per mean at M = 64.  Above it the walk adds one value's two twin
+    outcomes per step; the kernel's tail beyond distance d carries less than
     about 1/(pi^2 d) per side, so it stops after about h values per side,
     h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
     outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
@@ -509,9 +599,9 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     _, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
     # the mass of the first two values is computed only where the second is
     # the value beyond the near one: elsewhere they are the two values
-    # bracketing sigma, whose twins carry at least v(d) + v(1 - d) >= 8/pi^2,
-    # above every level; 2 stands for such a mass
-    beyond = np.flatnonzero(beyond_first)
+    # bracketing sigma, which reach every level (`_brackets_reach`, as
+    # everywhere the screen runs); 2 stands for such a mass
+    beyond = np.flatnonzero(beyond_first | (not _brackets_reach(M, ps)))
     masses = np.full((2, ks.size), 2.0)
     masses[0], masses[1, beyond] = _lead_masses(sigma, near, second, M, beyond)
 
@@ -526,8 +616,8 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     left_above = f_left >= 0
     # the near value's mass is about the kernel K(sigma - near) of its
     # nearer twin, which falls to the threshold at |sigma - near| = delta
-    # (`_kernel_roots`); the two values' search starts at the false position
-    delta = _kernel_roots(thresholds, M)[level]
+    # (`_kernel_table`); the two values' search starts at the false position
+    delta = np.interp(thresholds, *_kernel_table(M))[level]
     ahead = np.sign(sigma[gap] + sigma[gap + 1] - 2 * near)
     guess = np.where(stage == 0, np.sin(np.pi / M * (near + ahead * delta)) ** 2 * N,
                      left + (right - left) * (f_left / (f_left - f_right)))
@@ -565,10 +655,10 @@ def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
 
     Every error is at least the nearest value's distance, so every level's
     maximum is at least w/2 - 1/N, at the grid row next to the widest gap's
-    midpoint.  Up to 8/pi^2 the twins of the two values bracketing sigma
-    carry mass at least v(d) + v(1 - d) >= 8/pi^2 (the kernel is at least
-    v), so a row's error is at most the farther one's distance, at most the
-    gap between the two values.  The gaps widen towards a = 1/2, so those at
+    midpoint.  The two values bracketing sigma reach every level
+    (`_brackets_reach`, as everywhere the screen runs), so a row's error is
+    at most the farther one's distance, at most the gap between the two
+    values.  The gaps widen towards a = 1/2, so those at
     least w/2 - 1/N wide, less a margin for rounding, are one run: [low,
     high] runs from its first value to its last (to 1 where it reaches the
     top value of odd M, above which an error is at most 1 less the value
@@ -579,13 +669,16 @@ def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
     return values[first], (1.0 if last + 1 >= values.size else values[last + 1])
 
 
-def _kernel_roots(thresholds: np.ndarray, M: int) -> np.ndarray:
-    """Per threshold, the delta in [0, 1] where the squared Dirichlet kernel
-    of M falls to it, interpolated in a table of 257 points; 1 where the
-    kernel stays above it."""
-    grid = np.linspace(0.0, 1.0, 257)
+@functools.lru_cache(maxsize=16)
+def _kernel_table(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squared Dirichlet kernel of M at 257 points d in [0, 1], and the
+    points, both in descending d, so that `np.interp` over them gives, per
+    threshold, the d where the kernel falls to it, or 1 where it stays
+    above it; read-only, built once per M."""
+    grid = np.linspace(0.0, 1.0, 257)[::-1]
     kernel = dirichlet_kernel_sq(grid, M)
-    return np.interp(thresholds, kernel[::-1], grid[::-1])
+    grid.flags.writeable = kernel.flags.writeable = False
+    return kernel, grid
 
 
 def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
@@ -698,30 +791,50 @@ def _record(
                        value=value, bound=bound, bound_ref=ref)
 
 
-def v_func(delta: float) -> float:
-    """sin^2(pi d)/(pi d)^2 with the limit 1 at d = 0; decreasing on
-    [1/4, 1/2] where it is inverted."""
-    if abs(delta) < 1e-9:
-        return 1.0 - (math.pi * delta) ** 2 / 3.0
-    s = math.sin(math.pi * delta) / (math.pi * delta)
-    return s * s
+def v_func(delta):
+    """sin^2(pi d)/(pi d)^2 with the limit 1 at d = 0; decreasing on [0, 1],
+    and inverted on [1/4, 1/2].  A float gives a float; an array gives an
+    array, each entry by the float's operations (`np.sin` for `math.sin`),
+    which the tests pin to give the float's bits."""
+    if np.ndim(delta) == 0:
+        delta = float(delta)
+        if abs(delta) < 1e-9:
+            return 1.0 - (math.pi * delta) ** 2 / 3.0
+        s = math.sin(math.pi * delta) / (math.pi * delta)
+        return s * s
+    d = np.asarray(delta, dtype=np.float64)
+    x = np.pi * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin(x) / x
+    return np.where(np.abs(d) < 1e-9, 1.0 - x**2 / 3.0, s * s)
 
 
-def v_inverse(p: float) -> float:
-    """Inverse of v on [1/4, 1/2], for p in [4/pi^2, 8/pi^2], by bisection."""
-    if not FOUR_OVER_PI_SQ - 1e-12 <= p <= EIGHT_OVER_PI_SQ + 1e-12:
+def v_inverse(p):
+    """Inverse of v on [1/4, 1/2], for p in [4/pi^2, 8/pi^2], by bisection;
+    a float gives a float, an array an array.  Every entry takes the same 38
+    halvings of [1/4, 1/2] (the width is exact), so an array's entries have
+    the floats' bits."""
+    x = np.asarray(p, dtype=np.float64)
+    if not np.all((FOUR_OVER_PI_SQ - 1e-12 <= x) & (x <= EIGHT_OVER_PI_SQ + 1e-12)):
         raise ValueError(
             f"p must lie in [4/pi^2, 8/pi^2] = [{FOUR_OVER_PI_SQ:.6f}, "
             f"{EIGHT_OVER_PI_SQ:.6f}], got {p}"
         )
-    lo, hi = 0.25, 0.5
-    while hi - lo > 1e-12:
+    lo, hi = np.full(x.shape, 0.25), np.full(x.shape, 0.5)
+    while np.any(hi - lo > 1e-12):
         mid = 0.5 * (lo + hi)
-        if v_func(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = v_func(mid) > x
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    root = 0.5 * (lo + hi)
+    return float(root) if root.ndim == 0 else root
+
+
+@functools.lru_cache(maxsize=64)
+def _c_of(p: float) -> float:
+    """1 - v^-1(p), built once per level: the records of every sweep at p
+    share it."""
+    return 1.0 - v_inverse(p)
 
 
 def c_bound(p: float, M: int) -> float:
@@ -731,18 +844,21 @@ def c_bound(p: float, M: int) -> float:
     if p < FOUR_OVER_PI_SQ:
         return 0.5
     if p <= EIGHT_OVER_PI_SQ:
-        return 1.0 - v_inverse(p)
+        return _c_of(p)
     return M / math.pi
 
 
-def g_func(delta: float) -> float:
-    """v(d) + v(1-d); at least 8/pi^2 on [0, 1], with the minimum at d = 1/2."""
-    return v_func(delta) + v_func(1.0 - delta)
+def g_func(delta):
+    """v(d) + v(1-d); at least 8/pi^2 on [0, 1], with the minimum at d = 1/2.
+    A float gives a float, an array an array."""
+    return v_func(delta) + v_func(np.subtract(1.0, delta))
 
 
-def h_func(delta: float) -> float:
-    """max(v(d), v(1-d)); at least 8/pi^2 on [0, 1/4] and [3/4, 1]."""
-    return max(v_func(delta), v_func(1.0 - delta))
+def h_func(delta):
+    """max(v(d), v(1-d)); at least 8/pi^2 on [0, 1/4] and [3/4, 1].  A float
+    gives a float, an array an array."""
+    most = np.maximum(v_func(delta), v_func(np.subtract(1.0, delta)))
+    return float(most) if most.ndim == 0 else most
 
 
 def wa4_upper_bound(M: int, N: int) -> float:

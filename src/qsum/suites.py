@@ -26,6 +26,7 @@ from .bounds import (
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
     _first_values,
+    _floor_reach,
     _full_level_errors,
     _full_worst_errors,
     _lead_masses,
@@ -170,19 +171,41 @@ def _near_integer_means(M: int) -> np.ndarray:
     return np.sin(np.pi * np.clip(sigma, 0.0, M / 2) / M) ** 2
 
 
+def _law_bound_edges(M: int) -> np.ndarray:
+    """Means where the law's lower bounds stop deciding a row of the pair
+    pass.  sigma at n +/- reach(p - LEVEL_SLACK) (`_floor_reach`) for each
+    level p of LEVELS that has a reach, at two seeded value indices n, with
+    the means an ulp either side; and 1e-6, 1e-4 and 5e-4 beyond, where the
+    first value's mass falls short.  And sigma on half-integers, an ulp
+    either side too, where the two values bracketing sigma carry the least
+    mass, nearest 8/pi^2 (`_brackets_reach`)."""
+    def means_at(sigma):
+        return np.sin(np.pi * np.clip(sigma, 0.0, M / 2) / M) ** 2
+
+    n = np.random.default_rng(M + 2).integers(0, M // 2 + 1, size=(2, 1))
+    reach = [r for r in (_floor_reach(p - LEVEL_SLACK) for p in LEVELS) if r >= 0.0]
+    past = [s * (r + d) for s in (1, -1) for r in reach for d in (1e-6, 1e-4, 5e-4)]
+    halves = np.arange(M // 2 + 1)[:: max(1, M // 24)] + 0.5
+    edges = means_at(np.concatenate([(n + [*reach, *(-r for r in reach)]).ravel(), halves]))
+    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+                           means_at((n + past).ravel())])
+
+
 def _level_means(M: int) -> np.ndarray:
     """Means at the edges of the pair pass and the walk: a in {0, 1/2, 1};
     means between the two lowest and the two highest values, where a twin
     is missing (i = 0, and i = M/2 at even M) on the near or the far side;
     up to about 64 midpoints of adjacent values, where two distances
     nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
-    integer sigma; and seeded random means."""
+    integer sigma; the edges of the law's lower bounds (`_law_bound_edges`);
+    and seeded random means."""
     v = output_grid(M)[: M // 2 + 1]
     ends = np.concatenate([np.linspace(0.0, v[min(2, v.size - 1)], 13),
                            np.linspace(v[max(v.size - 3, 0)], 1.0, 13)])
     mids = 0.5 * (v[:-1] + v[1:])
     return np.concatenate([[0.0, 0.5, 1.0], ends, mids[:: max(1, mids.size // 64)],
-                           _near_integer_means(M), np.random.default_rng(M + 1).random(30)])
+                           _near_integer_means(M), _law_bound_edges(M),
+                           np.random.default_rng(M + 1).random(30)])
 
 
 def _running_masses(means: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -546,16 +569,14 @@ def _suite_calculus() -> Checks:
            f"(1-v^-1(0.75)) pi = {c1:.4f} ~ 2.23, (1-v^-1(0.501)) pi = {c2:.4f} ~ 1.75")
 
     grid = np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 1000)
-    resid = max(abs(math.pi**2 / 16 * p + 0.25 - (1.0 - v_inverse(p))) for p in grid)
+    resid = np.abs(math.pi**2 / 16 * grid + 0.25 - (1.0 - v_inverse(grid))).max()
     yield ("linear approximation of 1 - v^-1(p) within 0.0085",
            resid <= 0.0085, f"max residual {resid:.6f} on a 1000-point grid")
 
-    deltas = np.linspace(0.25, 0.5, 2001)
-    vvals = [v_func(d) for d in deltas]
-    yield ("v is decreasing on [1/4, 1/2]",
-           all(b < a for a, b in zip(vvals, vvals[1:])), "2001-point grid")
+    vvals = v_func(np.linspace(0.25, 0.5, 2001))
+    yield ("v is decreasing on [1/4, 1/2]", (np.diff(vvals) < 0.0).all(), "2001-point grid")
 
-    gg = np.array([g_func(d) for d in np.linspace(0.0, 1.0, 10001)])
+    gg = g_func(np.linspace(0.0, 1.0, 10001))
     at_half = abs(gg[5000] - EIGHT_OVER_PI_SQ)
     off = np.delete(gg, 5000)
     yield ("g has minimum 8/pi^2 exactly at 1/2",
@@ -563,10 +584,9 @@ def _suite_calculus() -> Checks:
            and off.min() > EIGHT_OVER_PI_SQ + 1e-12,
            f"g(1/2) - 8/pi^2 = {at_half:.2e}, off-center margin {off.min() - EIGHT_OVER_PI_SQ:.2e}")
 
-    hh = [h_func(d) for d in np.concatenate([np.linspace(0, 0.25, 500),
-                                             np.linspace(0.75, 1.0, 500)])]
+    hh = h_func(np.concatenate([np.linspace(0, 0.25, 500), np.linspace(0.75, 1.0, 500)])).min()
     yield ("h stays above 8/pi^2 on the outer quarters",
-           min(hh) >= EIGHT_OVER_PI_SQ - 1e-12, f"min h = {min(hh):.6f}")
+           hh >= EIGHT_OVER_PI_SQ - 1e-12, f"min h = {hh:.6f}")
 
     wmin = min(dirichlet_kernel_sq(0.5, M) for M in range(1, 65))
     yield ("w(1/2, M) is at least 4/pi^2 for every M",

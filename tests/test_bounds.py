@@ -42,6 +42,14 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def no_law_bounds(monkeypatch):
+    """Level errors that read the law for every row's first value: a test
+    law that breaks the kernel's lower bounds (D >= v, g >= 8/pi^2) must not
+    let them decide a level."""
+    monkeypatch.setattr(bounds, "_law_bounds_apply", lambda M: False)
+
+
 class TestErrorAtLevel:
     def test_point_mass_gives_zero(self):
         assert level_errors([Fraction(0)], 8, [0.8])[0, 0] == 0.0
@@ -82,7 +90,7 @@ class TestErrorAtLevel:
                 oracle = brute_force_errors_at_levels(float(a), M, union)
                 assert np.abs(errors - oracle).max() <= 1e-12, (M, a)
 
-    @pytest.mark.parametrize("budget", [1, 7, 12, bounds._BLOCK_CELLS])
+    @pytest.mark.parametrize("budget", BUDGET_ROWS)
     @pytest.mark.parametrize("M", [1, 3, 16, 100])
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts that fill at most one block and that split into two
@@ -158,21 +166,25 @@ class TestErrorAtLevel:
 
     def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
         # the pair pass takes the first value's two outcomes (4 kernel cells)
-        # of every mean and the second's only where the first falls short of
-        # the highest level, and the walk takes the few rows still short:
-        # 6.01 cells per mean here, where the full sort takes 128
+        # only of the means whose sigma lies beyond the floor's reach of it,
+        # about half of them here, and the second's only where the first
+        # falls short of the highest level and the second is the value
+        # beyond the near one; the walk takes the few rows still short: 2.02
+        # cells per mean here, where reading the law of every first value
+        # took 6.01 and the full sort takes 128
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 196788
+        assert sum(kernel_cells) == 66040
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
         # each value adds its two outcomes (4 kernel cells), the first two in
         # the pair pass and the rest in the walk, which stops each mean at
-        # the highest level: 76.7 cells per mean here, where the full sort
-        # takes 472
+        # the highest level, but the means within the floor's reach of their
+        # first value, about a ninth of them at 0.99, take none: 76.2 cells
+        # per mean here (76.7 before the floor), where the full sort takes 472
         N = 1 << 12
         level_errors(np.arange(N + 1) / N, 236, [0.99])
-        assert sum(kernel_cells) == 314060
+        assert sum(kernel_cells) == 312208
 
     @pytest.fixture
     def pass_log(self, monkeypatch):
@@ -228,7 +240,7 @@ class TestErrorAtLevel:
                     brute_force_errors_at_levels(a, M, [p])[0] for p in levels]
 
     def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
-            self, monkeypatch):
+            self, monkeypatch, no_law_bounds):
         # with half the mass no level above 1/2 is reached, so each mean takes
         # its farthest outcome: abar = 1 from 0.3, abar = 0 from 0.7; the
         # walk takes it once its values run out
@@ -243,7 +255,7 @@ class TestErrorAtLevel:
         for p in (0.6, 0.9, 1.0):
             assert level_errors(means, 8, [p]).tolist() == expected
 
-    def test_mass_exactly_at_a_level_is_reached_there(self, monkeypatch):
+    def test_mass_exactly_at_a_level_is_reached_there(self, monkeypatch, no_law_bounds):
         # mass 1/8 on each outcome of M = 8 makes every running mass exact,
         # and p = k/8 + LEVEL_SLACK puts the threshold on one of them: the
         # level takes the distance at which the mass reaches it, not the next
@@ -262,7 +274,8 @@ class TestErrorAtLevel:
             got = level_errors(means, 8, ps)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), ps
 
-    def test_first_value_reaching_a_level_exactly_decides_it(self, monkeypatch):
+    def test_first_value_reaching_a_level_exactly_decides_it(self, monkeypatch,
+                                                              no_law_bounds):
         # mass 1/4 on each outcome of M = 4 puts 1/2 on v_1 = 1/2, the first
         # value of every mean in (1/4, 3/4), and p = 1/2 + LEVEL_SLACK puts
         # the threshold on it: the pair pass reports that value's distance
@@ -477,6 +490,20 @@ class TestVCalculus:
     def test_round_trip(self):
         for p in np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 50):
             assert v_func(v_inverse(float(p))) == pytest.approx(float(p), abs=1e-10)
+
+    def test_array_forms_give_the_floats_bits(self):
+        # the calculus suite runs its grids through the array forms; each
+        # entry must be the float form's value, bit for bit
+        deltas = np.concatenate([[0.0, 1e-10, -1e-10, 1.0 - 1e-10, 1.0],
+                                 np.linspace(0.0, 1.0, 1001)])
+        levels = np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 101)
+        for f, grid in ((v_func, deltas), (g_func, deltas), (h_func, deltas),
+                        (v_inverse, levels)):
+            want = [f(float(x)) for x in grid]
+            assert {type(x) for x in want} == {float}
+            assert [x.hex() for x in f(grid).tolist()] == [x.hex() for x in want], f
+        with pytest.raises(ValueError):
+            v_inverse(np.array([0.5, 0.9]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
