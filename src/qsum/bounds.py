@@ -58,30 +58,24 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 LEVEL_SLACK = 1e-12
 
 # Outcome cells per block of rows of the pair pass, about: 4 per mean, and 2
-# (one value's twins) per step of the walk that continues a block's rows.  The
-# rows are cut into even blocks (`_even_slices`), so a block holds between
-# 3/4 and 3/2 of this and its work arrays, a few per cell, stay in a core's
-# L2 cache.  Rows are independent, so blocks change no bit.
+# per step of the walk that continues a block's rows.  The even blocks
+# (`_even_slices`) hold 3/4 to 3/2 of this, so their work arrays stay in a
+# core's L2 cache.  Rows are independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
 
-# Cells per chunk when sweeping all means k/N: a chunk is about
-# _CHUNK_CELLS // M means, at least 1024.  The worst case cuts the N+1 means
-# into even chunks (`_even_slices`), since its maximum does not depend on
-# them: none is short.  The average case keeps chunks of exactly that many
-# means and a remainder (`_fixed_slices`): they partition its weighted sum
-# into one np.dot per chunk, so they fix its bits.  _BLOCK_CELLS, not this,
-# sizes the work arrays.
+# Cells per chunk when sweeping all means k/N: about _CHUNK_CELLS // M means,
+# at least 1024.  The worst case's maximum does not depend on its chunks, so
+# they are even (`_even_slices`); the average case's fixed chunks and
+# remainder (`_fixed_slices`) partition its weighted sum into one np.dot
+# each, so they fix its bits.
 _CHUNK_CELLS = 1 << 21
 
 # The screened worst case (`_screened_worst_errors`) runs at M up to
 # _SCREEN_MAX_M, the range its oracle tests cover, where its estimated means
-# (`_screen_means`) and _SCREEN_FIXED_MEANS are fewer than the dense sweep's
-# N+1.  _SCREEN_FIXED_MEANS is the screen's fixed cost, the numpy passes of
-# its plan and search, counted in means of the dense sweep.  Measured on a
-# 2-core x86-64 machine at N = 2^12..2^17, M = 5..4096 and one or four
-# levels, the screen took 1.05-2.8x the dense sweep's time at N = 2^12,
-# which stays dense, 0.03-0.95x wherever it screens, and 0.70-1.8x where it
-# stays dense above 2^12.
+# (`_screen_means`) and its fixed cost, the numpy passes of its plan and
+# search counted in means of the dense sweep, are fewer than N+1.  Fitted on
+# a 2-core x86-64 machine at N = 2^12..2^17, M = 5..4096 and one or four
+# levels, where the screen took 0.03-0.95x the dense sweep's time.
 _SCREEN_MAX_M = 4096
 _SCREEN_FIXED_MEANS = 1 << 12
 
@@ -154,15 +148,10 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     full sort's cumulative sum, so the errors are bit-identical.
 
     The pair pass (`_pair_block`) takes every row's first two values in even
-    blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache.
-    It reads the law only where the paper's lower bounds on it leave a level
-    open (`_law_bounds_apply`): a row whose sigma lies within `_floor_reach`
-    of its first value's index reaches every level there, since the kernel
-    is at least v; elsewhere the first value's law is evaluated, and the
-    second's where the first falls short of the highest level, unless the
-    two bracket sigma and so reach every level (`_brackets_reach`).  The
-    walk (`_walk_block`) continues a block's rows still short, until their
-    mass reaches the highest level or their values run out.
+    blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache,
+    and reads the law only where the paper's lower bounds on it leave a
+    level open (`_law_bounds_apply`); the walk (`_walk_block`) continues a
+    block's rows still short.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -186,11 +175,9 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
 
 
 def _law_bounds_apply(M: int) -> bool:
-    """Whether `level_errors` may decide levels from the paper's two lower
-    bounds on the law instead of evaluating it (`_floor_reach`,
-    `_brackets_reach`): at 4 <= M <= _SCREEN_MAX_M, the range the
-    differentials pin.  Elsewhere the pair pass reads the law for every
-    row's first value."""
+    """Whether levels may be decided from the paper's two lower bounds on the
+    law (`_floor_reach`, `_brackets_reach`) instead of the law: at 4 <= M <=
+    _SCREEN_MAX_M, the range the differentials pin."""
     return 4 <= M <= _SCREEN_MAX_M
 
 
@@ -207,21 +194,16 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     so at d = 1/2, where g is least, the pair's mass exceeds 8/pi^2 by about
     2/(3 M^2), 4e-8 at M = 4096: far above the law's rounding
     (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK below it.
-    So a row's error is the distance of the near value or of the far one,
-    or of the value beyond the near one where that is nearer than the far
-    one."""
+    So a row's error is the distance of one of its three nearest values."""
     return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
 
 
 @functools.lru_cache(maxsize=64)
 def _floor_reach(h: float) -> float:
     """The largest d in [0, 1], rounded down, with v(d) >= h + _FLOOR_MARGIN,
-    by scalar bisection; -1 where no d has, so that no row is within reach.
-
-    The twins of the value v_n carry D(n - sigma) + D(n + sigma), or D(n -
-    sigma) alone where a twin is missing, at least v(|sigma - n|), and v
-    decreases on [0, 1].  So where |sigma - n| <= reach(h), the law's mass
-    on v_n reaches the threshold h, however it rounds (_FLOOR_MARGIN)."""
+    by scalar bisection, or -1 where none has.  The twins of v_n carry at
+    least D(n - sigma) >= v(|sigma - n|), and v decreases on [0, 1], so where
+    |sigma - n| <= d their mass reaches h, however it rounds."""
     target = h + _FLOOR_MARGIN
     if v_func(0.0) < target:
         return -1.0
@@ -239,18 +221,13 @@ def _floor_reach(h: float) -> float:
 
 
 def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.ndarray:
-    """The full sort's crossing rule: cells stably sorted by distance
-    accumulate mass, and the error at p is the distance of the first cell
-    whose running mass reaches p - LEVEL_SLACK.  Given a mean's outcomes as
-    cells in value order (`_value_order`), the sort is the (distance, value,
-    j) order of `level_errors`, its one definition.
-
-    `dists` and `probs` have shape (rows, cells).  The running mass never
-    decreases, so the first such cell is the count of cells below
-    p - LEVEL_SLACK; where no cell reaches the level that count is clipped to
-    the last cell, the farthest distance.  Returns the errors, shape
-    (len(ps), rows).
-    """
+    """The full sort's crossing rule on cells of shape (rows, cells): cells
+    stably sorted by distance accumulate mass, and the error at p is the
+    distance of the first cell whose running mass reaches p - LEVEL_SLACK,
+    the count of cells below it, clipped to the farthest distance where no
+    cell does; shape (len(ps), rows).  With cells in value order
+    (`_value_order`) the sort is the (distance, value, j) order of
+    `level_errors`, its one definition."""
     order = np.argsort(dists, axis=1, kind="stable")
     sorted_dists = np.take_along_axis(dists, order, axis=1)
     cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
@@ -285,8 +262,7 @@ def _row_blocks(rows: int) -> list[slice]:
 def _value_edges(M: int) -> np.ndarray:
     """The distinct outputs v_i = sin^2(pi i/M), i = 0..M//2, as edges[i + 2]:
     two infinite edges on each side stand for the values past either end, at
-    every M >= 1.  Read-only, built once per M for the few latest M: a
-    screened sweep's plan, level errors and labels share it."""
+    every M >= 1.  Read-only, built once per M for the few latest M."""
     edges = np.concatenate([[-np.inf, -np.inf], output_grid(M)[: M // 2 + 1], [np.inf, np.inf]])
     edges.flags.writeable = False
     return edges
@@ -307,13 +283,12 @@ def _first_values(
     means: np.ndarray, sigma: np.ndarray, edges: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Each row's first two values in the (distance, value) order of
-    `level_errors`.  v_lo and v_lo+1, lo = floor(sigma) (truncation, as sigma
-    >= 0) but at most max(M//2 - 1, 0), bracket the mean to within rounding,
-    so the near one of them comes first, v_lo on a tie; then the far one or
-    the value beyond the near one (an infinite edge where that runs out),
-    whichever is nearer, the lower value on a tie.  Returns lo, the near and
-    second value indices, their distances, and whether the second is the
-    value beyond."""
+    `level_errors`.  v_lo and v_lo+1, lo = floor(sigma) but at most
+    max(M//2 - 1, 0), bracket the mean to within rounding, so the near one
+    comes first, v_lo on a tie; then the far one or the value beyond the
+    near one (an infinite edge where that runs out), whichever is nearer,
+    the lower on a tie.  Returns lo, the near and second value indices,
+    their distances, and whether the second is the value beyond."""
     lo = np.minimum(sigma.astype(np.int64), max(edges.size - 6, 0))  # M//2 - 1
     d_lo = np.abs(edges[lo + 2] - means)
     d_hi = np.abs(edges[lo + 3] - means)
@@ -334,19 +309,17 @@ def _pair_block(
     thresholds: np.ndarray, reach: float, bracketed: bool, out: np.ndarray,
 ) -> None:
     """The pair pass of `level_errors` on one block of rows, whose errors it
-    writes into `out`.  A row whose sigma lies within `reach` of its first
-    value's index takes that value's distance at every level
-    (`_floor_reach`).  In the other rows the running mass adds the first
-    value's twins, then, in the rows where it falls short of the highest
-    level, the second's (`_first_values`), unless `bracketed` and the second
-    is the far bracketing value, whose pair reaches every level
-    (`_brackets_reach`); the rows still short go on to `_walk_block`."""
+    writes into `out`.  A row within `reach` of its first value takes that
+    value's distance at every level (`_floor_reach`); the others add its
+    twins' mass, and the second value's where that falls short of the
+    highest level, unless `bracketed` and the second is the far bracketing
+    value (`_brackets_reach`); the rows still short go on to `_walk_block`."""
     _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
     np.copyto(out, d_near)
     rows = np.flatnonzero(np.abs(sigma - near) > reach)
     probs = _twin_probs(sigma[rows], near[rows], M)
     mass = np.add(probs[0], probs[1], out=probs[0])
-    out[:, rows] = np.where(mass < thresholds, d_second[rows], d_near[rows])
+    out[:, rows] = _lead_errors([mass < thresholds], (d_near[rows], d_second[rows]))
     highest = thresholds.max(initial=-np.inf)
     short = mass < highest
     if bracketed:
@@ -366,19 +339,26 @@ def _pair_block(
                     thresholds, out)
 
 
+def _lead_errors(short, dists: Sequence[np.ndarray]) -> np.ndarray:
+    """The crossing rule on a row's first values: each level takes the
+    distance dists[s] of the first value s whose running mass is not short
+    of it (short[s], shape (levels, rows)), or dists[-1] where all are."""
+    errors = dists[-1]
+    for s in reversed(range(len(short))):
+        errors = np.where(short[s], errors, dists[s])
+    return errors
+
+
 def _walk_block(
     means: np.ndarray, sigma: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     mass: np.ndarray, edges: np.ndarray, M: int, thresholds: np.ndarray, out: np.ndarray,
 ) -> None:
     """The walk of `level_errors` on the rows `cols` of `out`, which hold
-    their errors so far, and whose running mass is `mass`.
-
-    edges[lo] is the nearest value below a not yet taken and edges[hi] the
-    nearest above it; an infinite edge stands for a side whose values have
-    run out.  Each step sets the error of every level the mass has not
-    reached yet to the step's distance, so a level keeps the distance of the
-    step that reaches it, or the last step's.
-    """
+    their errors so far, and whose running mass is `mass`.  edges[lo] and
+    edges[hi] are the nearest values below and above a not yet taken, an
+    infinite edge where a side has run out.  Each step sets every level the
+    mass has not reached yet to the step's distance, so a level keeps the
+    distance of the step that reaches it, or the last step's."""
     errors = out[:, cols]
     highest = thresholds.max(initial=-np.inf)
     while True:
@@ -419,18 +399,11 @@ def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.nda
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
-    """Worst-case records for several levels from one screened sweep.
-
-    Where every level is at most 8/pi^2, 4 <= M <= _SCREEN_MAX_M, and the
-    screen's estimated means and fixed cost are fewer than the N+1 means
-    (`_screens`), `_screened_worst_errors` evaluates candidate means and the
-    two rows around every side flip it finds: O(L M) means for L levels,
-    whatever N, found with a few probes of the near value's and the first
-    two values' masses per flip.  Elsewhere the dense sweep over all N+1 means,
-    `_full_worst_errors`, runs; it is also the screen's oracle.  Both give
-    the same bits, and each `level_errors` call answers every level, so a
-    sweep costs about what its highest level costs alone.
-    """
+    """Worst-case records for several levels from one sweep: screened
+    (`_screened_worst_errors`, O(L M) means for L levels whatever N) where
+    `_screens`, else dense over all N+1 means (`_full_worst_errors`, the
+    screen's oracle).  Both give the same bits and answer every level at
+    once, so a sweep costs about what its highest level costs alone."""
     for p in ps:
         _validate_p(p)
     if _screens(M, N, ps):
@@ -454,10 +427,8 @@ def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
 
 def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
     """Whether the worst case is screened: where the two values bracketing
-    sigma reach every level (`_brackets_reach`), each error is the distance
-    of one of the three values nearest the mean (`_screened_worst_errors`),
-    and the screen runs where it has fewer means to evaluate, with its fixed
-    cost, than the dense sweep's N+1."""
+    sigma reach every level (`_brackets_reach`) and the screen's means, with
+    its fixed cost, are fewer than the dense sweep's N+1."""
     if not _brackets_reach(M, ps):
         return False
     return _SCREEN_FIXED_MEANS + _screen_means(M, len(ps)) < N + 1
@@ -465,25 +436,21 @@ def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
 
 def _screen_means(M: int, levels: int) -> int:
     """The screen's cost in means of the dense sweep, whatever N: 9 + 6
-    levels per value.  Over the about 2/3 of the values it keeps
-    (`_screened_range`) it evaluates 12 candidates per value and the two
-    rows around each of up to two flips per value and level, found in two to
-    four rounds of probes (`_screen_plan`); the factors are fitted to the
-    timings quoted at _SCREEN_FIXED_MEANS.  A fill of more means than this
-    raises (`_screened_worst_errors`)."""
+    levels per value, fitted to timings (_SCREEN_MAX_M).  Over the about 2/3
+    of the values it keeps (`_screened_range`) it reads 12 candidates per
+    value and the rows around up to two flips per value and level, and probes
+    a few more (`_screen_plan`).  A larger fill raises (`_screen_rows`)."""
     return (9 + 6 * levels) * (M // 2 + 1)
 
 
 # Sizes above which `refuse_sweeps` refuses a sweep before any work.  A dense
-# sweep evaluates all N+1 means k/N: at N = 2^24 a worst case
-# (`_full_worst_errors`) takes seconds per level, and an average case first
-# stores 128 MiB of 8-byte class weights (about 170 MB peak).  Its cost is its
-# outcome cells, its means times the cells per mean at its highest level
-# (`_outcome_cells_per_mean`): 4 up to 8/pi^2, so 2^26 at N = 2^24.  A screened
-# worst case (`_screens`) evaluates a few means per value and level whatever N
-# (`_screen_means`), a few ms at M = 64 and N = 2^30, the largest grid the
-# bounds suite's nested-grid check covers, so it may reach that N.  A sweep
-# has one output per outcome j < M, at most _MAX_OUTCOMES.
+# sweep evaluates all N+1 means k/N: at N = 2^24 a worst case takes seconds
+# per level, and an average case first stores 128 MiB of class weights.  Its
+# cost is its means times the outcome cells per mean at its highest level
+# (`_outcome_cells_per_mean`).  A screened worst case (`_screens`) reads a few
+# means per value and level whatever N (`_screen_means`), a few ms at M = 64
+# and N = 2^30, the largest grid the bounds suite's nested-grid check covers,
+# so it may reach that N.  A sweep has one output per outcome j < M.
 _MAX_OUTCOMES = 1 << 20
 _MAX_SWEEP_N_LOG2 = 24
 _MAX_SCREEN_N_LOG2 = 30
@@ -495,11 +462,9 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
     levels up to p_max, the cost by which oversized sweeps are refused.
 
     Up to 8/pi^2 the pair pass decides nearly every mean from its first two
-    values, 4 cells.  That is an upper estimate, kept on purpose so that
-    refusals do not change: at 4 <= M <= _SCREEN_MAX_M the paper's lower
-    bounds on the law decide about half of the means without it, and the
-    rest mostly from the first value's 2 outcomes (`level_errors`), about 2
-    cells per mean at M = 64.  Above it the walk adds one value's two twin
+    values, 4 cells: an upper estimate, kept so that refusals do not change,
+    as the law's lower bounds leave about 2 cells per mean at M = 64
+    (`level_errors`).  Above it the walk adds one value's two twin
     outcomes per step; the kernel's tail beyond distance d carries less than
     about 1/(pi^2 d) per side, so it stops after about h values per side,
     h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
@@ -548,41 +513,44 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
 
 def _lead_masses(
     sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The running mass of `level_errors` after the near value's twins, and
-    at `rows` after the second value's as well, summed in its order; one
-    `_twin_probs` call."""
+) -> np.ndarray:
+    """Each row's running mass in `level_errors` after its near value's twins
+    and after its second value's too, shape (2, rows), with the pair pass's
+    bits, in one `_twin_probs` call; the second only at `rows`, else 2.0."""
     n = sigma.size
     probs = _twin_probs(np.concatenate([sigma, sigma[rows]]),
                         np.concatenate([near, second[rows]]), M)
-    first = np.add(probs[0, :n], probs[1, :n])
-    both = first[rows] + probs[0, n:]
+    masses = np.full((2, n), 2.0)
+    np.add(probs[0, :n], probs[1, :n], out=masses[0])
+    both = masses[0, rows] + probs[0, n:]
     both += probs[1, n:]
-    return first, both
+    masses[1, rows] = both
+    return masses
 
 
-def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
-    """The means the screen evaluates, as sorted distinct k, within the range
-    where an error may reach every level's maximum (`_screened_range`).
+def _flips(short: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(stage, level, gap) of each gap wider than a row whose ends differ in short."""
+    return np.nonzero((short[..., :-1] != short[..., 1:]) & (np.diff(ks) > 1))
+
+
+def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
+    """The screen's rows within the range where an error may reach every
+    level's maximum (`_screened_range`): sorted distinct k, each row's piece,
+    near and second value indices and two masses (`_lead_masses`), shape
+    (2, rows), and the rounds of its flip search.
 
     The candidates are the grid neighbours floor(x N)-1..+2 of every value,
-    of the midpoints of values one apart (where the near value changes) and
-    two apart (where the far value and the value beyond the near one swap),
-    and of the range's ends.  So a gap between candidates wider than one row
-    lies in one piece (`_screened_worst_errors`, which checks it), its three
-    nearest values keep their order, and a level reports the first, second
-    or third as the running mass after the first, or the first two, reaches
-    it.  In every such gap whose ends differ in either mass's side of a
-    level, a search over all such (gap, level, mass) at once finds the two
-    rows around the flip from that mass alone (`_lead_masses`), with the
-    first two values of the gap's left end (`_first_values`); they join the
-    candidates.  The search keeps a bracket [left, right] around the flip
-    and probes the rows g, g+1 at a guess, then at the Newton step from
-    those two, or at the midpoint once the step leaves the bracket or
-    _NEWTON_ROUNDS have passed, until right = left + 1.  Plain bisection
-    would take about log2(N/M) rounds; from its first guess, where the near
-    value's kernel alone or the false position puts the flip, the search
-    takes two to four.
+    of the midpoints of values one and two apart (where the near value
+    changes, and where the far value and the value beyond the near one
+    swap) and of the range's ends, so a gap between candidates wider than
+    one row lies in one piece and its three nearest values keep their order.
+    In every gap whose ends differ in either mass's side of a level
+    (`_flips`), a search over all such (gap, level, mass) at once finds the
+    two rows around the flip, which take the gap's values and their probes'
+    masses.  It probes rows g, g+1 at a guess, then at the Newton step from
+    those two, or at the bracket's midpoint once the step leaves it or
+    _NEWTON_ROUNDS have passed: mostly one or two rounds from its first
+    guess, where bisection would take about log2(N/M).
     """
     edges = _value_edges(M)
     values = edges[2:-2]
@@ -596,46 +564,53 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
     ks = ks[np.diff(ks, prepend=-1) > 0]
     means = ks / N
     sigma = sigmas_of(means, M)
-    _, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
-    # the mass of the first two values is computed only where the second is
-    # the value beyond the near one: elsewhere they are the two values
-    # bracketing sigma, which reach every level (`_brackets_reach`, as
-    # everywhere the screen runs); 2 stands for such a mass
-    beyond = np.flatnonzero(beyond_first | (not _brackets_reach(M, ps)))
+    lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
+    piece = 2 * np.floor(sigma) + (near - lo)
+    # the law is read where its lower bounds leave a level open, as in the
+    # pair pass (`_floor_reach`, and `_brackets_reach` wherever it screens)
+    paired = beyond_first | (not _brackets_reach(M, ps))
+    reach = _floor_reach(float(thresholds.max())) if _law_bounds_apply(M) else -1.0
+    rows = np.flatnonzero(np.abs(sigma - near) > reach)
     masses = np.full((2, ks.size), 2.0)
-    masses[0], masses[1, beyond] = _lead_masses(sigma, near, second, M, beyond)
+    masses[:, rows] = _lead_masses(sigma[rows], near[rows], second[rows], M,
+                                   np.flatnonzero(paired[rows]))
 
-    # excess[stage, level, row]: the mass after the nearest value (stage 0)
-    # or two (stage 1) less the level's threshold, >= 0 where it reaches it
+    # excess[stage, level, row]: the near (stage 0) or two values' mass less
+    # the level's threshold
     excess = masses[:, None, :] - thresholds[:, None]
-    above = excess >= 0
-    stage, level, gap = np.nonzero((above[..., :-1] != above[..., 1:]) & (np.diff(ks) > 1))
+    stage, level, gap = _flips(excess < 0, ks)
     left, right = ks[gap], ks[gap + 1]
-    near, second = near[gap], second[gap]
-    f_left, f_right = excess[stage, level, gap], excess[stage, level, gap + 1]
-    left_above = f_left >= 0
-    # the near value's mass is about the kernel K(sigma - near) of its
-    # nearer twin, which falls to the threshold at |sigma - near| = delta
-    # (`_kernel_table`); the two values' search starts at the false position
-    delta = np.interp(thresholds, *_kernel_table(M))[level]
-    ahead = np.sign(sigma[gap] + sigma[gap + 1] - 2 * near)
-    guess = np.where(stage == 0, np.sin(np.pi / M * (near + ahead * delta)) ** 2 * N,
-                     left + (right - left) * (f_left / (f_left - f_right)))
+    left_above = excess[stage, level, gap] >= 0
+    g_near, g_second, g_paired = near[gap], second[gap], paired[gap] | (stage == 1)
+    m_left, m_right = masses[:, gap], masses[:, gap + 1]
+    # at sigma = near + ahead d the near mass is D(d) + D(sigma + near), the
+    # two's adds D(1 + d) + D(sigma + second) (no twin at i = 0 or 2 i = M):
+    # the first terms (`_kernel_table`) fall to the level less the twins,
+    # taken where the first terms alone do
+    ahead = np.sign(sigma[gap] + sigma[gap + 1] - 2 * g_near)
+    values, target = np.stack([g_near, g_second]), thresholds[level] + 2 * stage
+    delta = np.interp(target, *_kernel_table(M))
+    twins = dirichlet_kernel_sq(g_near + ahead * delta + values, M)
+    twins[(values == 0) | (2 * values == M)] = 0.0
+    delta = np.interp(target - twins[0] - stage * twins[1], *_kernel_table(M))
+    guess = np.sin(np.pi / M * (g_near + ahead * delta)) ** 2 * N
     todo = np.arange(gap.size)
     rounds = 0
     while todo.size:
         lo_k, hi_k = left[todo], right[todo]
         g0 = np.clip(np.floor(guess[todo]), lo_k + 1, hi_k - 1).astype(np.int64)
         g1 = np.minimum(g0 + 1, hi_k - 1)
-        owner = np.tile(todo, 2)
-        pair_rows = np.flatnonzero(stage[owner])
-        mass, both = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M),
-                                  near[owner], second[owner], M, pair_rows)
-        mass[pair_rows] = both
+        owner = np.concatenate([todo, todo])
+        lead = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M), g_near[owner],
+                            g_second[owner], M, np.flatnonzero(g_paired[owner]))
+        mass = lead[stage[owner], np.arange(owner.size)]
         mass -= thresholds[level[owner]]
         f0, f1 = mass[:todo.size], mass[todo.size:]
         at0 = (f0 >= 0) != left_above[todo]
         at1 = (f1 >= 0) != left_above[todo]
+        m0, m1 = lead[:, :todo.size], lead[:, todo.size:]
+        m_right[:, todo] = np.where(at0, m0, np.where(at1, m1, m_right[:, todo]))
+        m_left[:, todo] = np.where(at0, m_left[:, todo], np.where(at1, m0, m1))
         right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
         left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
         rounds += 1
@@ -644,25 +619,26 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
         inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
         guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
         todo = todo[hi_k - lo_k > 1]
-    ks = np.sort(np.concatenate([ks, left, right]))
-    return ks[np.diff(ks, prepend=-1) > 0]
+    # each row once, a candidate before a flip row
+    rows = np.concatenate([ks, left, right])
+    order = np.argsort(rows, kind="stable")
+    order = order[np.diff(rows[order], prepend=-1) > 0]
+    src = np.concatenate([np.arange(ks.size), gap, gap])[order]
+    masses = np.concatenate([masses, m_left, m_right], axis=1).take(order, axis=1)
+    return rows[order], piece[src], near[src], second[src], masses, rounds
 
 
 def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
     """The means [low, high] the screen looks at: those outside lie between
     two values closer than w/2 - 1/N, w the widest gap between values, so no
-    error there reaches every level's maximum.
-
-    Every error is at least the nearest value's distance, so every level's
-    maximum is at least w/2 - 1/N, at the grid row next to the widest gap's
-    midpoint.  The two values bracketing sigma reach every level
-    (`_brackets_reach`, as everywhere the screen runs), so a row's error is
-    at most the farther one's distance, at most the gap between the two
-    values.  The gaps widen towards a = 1/2, so those at
-    least w/2 - 1/N wide, less a margin for rounding, are one run: [low,
-    high] runs from its first value to its last (to 1 where it reaches the
-    top value of odd M, above which an error is at most 1 less the value
-    below it)."""
+    error there reaches every level's maximum, which is at least w/2 - 1/N,
+    the nearest value's distance at the grid row next to the widest gap's
+    midpoint.  A row's error is at most its bracketing gap, as the two
+    values bracketing sigma reach every level (`_brackets_reach`).  The gaps
+    widen towards a = 1/2, so those at least w/2 - 1/N wide, less a margin
+    for rounding, are one run from its first value to its last (to 1 where
+    it reaches the top value of odd M, above which an error is at most 1
+    less the value below it)."""
     gaps = np.append(np.diff(values), 1.0 - values[-2] if values[-1] < 1.0 else 0.0)
     wide = np.flatnonzero(gaps * (1.0 + 1e-9) >= gaps.max() / 2 - 1 / N)
     first, last = wide[0], wide[-1]
@@ -670,65 +646,71 @@ def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_table(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The squared Dirichlet kernel of M at 257 points d in [0, 1], and the
-    points, both in descending d, so that `np.interp` over them gives, per
-    threshold, the d where the kernel falls to it, or 1 where it stays
-    above it; read-only, built once per M."""
-    grid = np.linspace(0.0, 1.0, 257)[::-1]
+def _kernel_table(M: int) -> np.ndarray:
+    """Rows xp, fp for `np.interp`: the squared Dirichlet kernel D(d) of M and,
+    2 above it, D(d) + D(1 + d), both falling from 1 to 0, against d at 1025
+    points of [0, 1], so that x, or x + 2, gives the d where either falls to
+    x; read-only, built once per M."""
+    grid = np.linspace(0.0, 1.0, 1025)[::-1]
     kernel = dirichlet_kernel_sq(grid, M)
-    grid.flags.writeable = kernel.flags.writeable = False
-    return kernel, grid
+    table = np.stack([np.concatenate([kernel, 2.0 + kernel + dirichlet_kernel_sq(1.0 + grid, M)]),
+                      np.tile(grid, 2)])
+    table.flags.writeable = False
+    return table
 
 
 def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
-    """`_full_worst_errors` from the means `_screen_plan` picks and the gaps
-    between them that must be filled; every level at most 8/pi^2 and M >= 4,
-    so that each row's error is the distance of one of the values nearest it.
+    """`_full_worst_errors`, bit for bit, from the rows `_screen_rows` reads and
+    one `level_errors` call on the means it leaves (its bits hold per mean)."""
+    _, errs, fill = _screen_rows(M, N, ps)
+    if fill.size:
+        errs = np.hstack([errs, level_errors(fill / N, M, ps)])
+    return errs.max(axis=1)
 
-    A piece is a run of means with one floor(sigma) and one near value (the
-    nearer of v_lo and v_lo+1); each row's piece and three nearest values
-    are read from the row itself (`_first_values`), not from the plan.  In a
-    gap between candidates the distance of each value moves monotonically
-    with the mean, and at level p a row reports the near value where the
-    near value's twin mass reaches p - LEVEL_SLACK, the second nearest where
-    the mass of the two does, and the third elsewhere.  Both masses fall away from the near value, so each
-    flips at most once per gap and level, and once the flips' neighbours are
-    rows too, a gap whose two ends lie in one piece and report the same value
-    at every level reports it throughout: its errors lie between its ends'.
-    Every other gap is filled; a fill of more means than the screen's own
-    estimate (`_screen_means`), which only a flip the search missed could
-    ask for, raises instead.  `level_errors` gives each mean the same bits
-    whatever else it is called with, so the maximum is the dense sweep's bit
-    for bit.
+
+def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The rows k of `_screen_plan` whose errors it reads, those errors,
+    shape (levels, rows), and the means k it leaves to `level_errors`.
+
+    A level takes a row's near value's distance where that value's twin mass
+    reaches p - LEVEL_SLACK, the second's where the two's mass does, else the
+    far bracketing value's, after which it reaches every level
+    (`_brackets_reach`): `level_errors` bit for bit, unless the value beyond
+    the value beyond the near one comes first.  Such a row, which no plan
+    has shown, is left to `level_errors` with its gaps.  In a gap within one
+    piece (one floor(sigma) and near value) each value's distance moves
+    monotonically and each mass flips at most once per level, so with the
+    flips' rows in the plan, a gap whose ends share a piece and second value
+    and the side of every level by both masses has its errors between its
+    ends'.  Every other gap is filled; a fill of more means than
+    `_screen_means`, which only a missed flip could ask for, raises.
     """
-    ks = _screen_plan(M, N, ps)
+    ks, piece, near, second, masses, _ = _screen_plan(M, N, ps)
     means = ks / N
-    errs = level_errors(means, M, ps)
-    # each row's own piece and three nearest values, in the order
-    # `level_errors` takes them; an index outside 0..M//2 reads an infinite
-    # edge, which no error equals
     edges = _value_edges(M)
-    sigma = sigmas_of(means, M)
-    lo, near, second, _, _, _ = _first_values(means, sigma, edges)
-    piece = 2 * np.floor(sigma) + (near - lo)
-    reported = np.full(errs.shape, -1)
-    for i in (2 * near - second, second, near):
-        np.copyto(reported, i, where=errs == np.abs(edges[i + 2] - means))
-    keep = (piece[:-1] == piece[1:]) & (reported[:, :-1] == reported[:, 1:]).all(axis=0)
-    keep &= (reported[:, :-1] >= 0).all(axis=0)
+    # the third value is the far one where the second is the one beyond
+    dists = np.abs(edges[np.stack([near, second, 2 * near - second]) + 2] - means)
+    short = masses[:, None, :] < np.asarray(ps, dtype=np.float64)[:, None] - LEVEL_SLACK
+    errs = _lead_errors(short, dists)
+    # rows short after two values whose third is not the far one (ties: lower)
+    rows = np.flatnonzero(short[1].any(axis=0))
+    d_next, d_far = np.abs(edges[2 * second[rows] - near[rows] + 2] - means[rows]), dists[2, rows]
+    rows = rows[np.where(second[rows] < near[rows], d_next <= d_far, d_next < d_far)]
+    sides = (short[..., :-1] == short[..., 1:]).reshape(-1, ks.size - 1)
+    keep = (piece[:-1] == piece[1:]) & (second[:-1] == second[1:]) & sides.all(axis=0)
+    keep[np.clip(np.concatenate([rows - 1, rows]), 0, keep.size - 1)] = False
     widths = np.diff(ks)
     gaps = np.flatnonzero(~keep & (widths > 1))
-    best = errs.max(axis=1)
-    if gaps.size:
-        starts, sizes = ks[gaps] + 1, widths[gaps] - 1
-        fill, budget = int(sizes.sum()), _screen_means(M, len(ps))
-        if fill > budget:
-            raise ValueError(f"the worst-case screen at M={M}, N={N} would fill {fill} "
-                             f"means, more than its estimate of {budget}")
-        rows = np.arange(fill) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        best = np.maximum(best, level_errors(rows / N, M, ps).max(axis=1))
-    return best
+    starts, sizes = ks[gaps] + 1, widths[gaps] - 1
+    count, budget = int(sizes.sum()), _screen_means(M, len(ps))
+    if count > budget:
+        raise ValueError(f"the worst-case screen at M={M}, N={N} would fill {count} "
+                         f"means, more than its estimate of {budget}")
+    fill = np.arange(count) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    if rows.size:
+        fill = np.concatenate([fill, ks[rows]])
+        ks, errs = np.delete(ks, rows), np.delete(errs, rows, axis=1)
+    return ks, errs, fill
 
 
 def worst_probabilistic_error(M: int, N: int, p: float) -> ErrorRecord:

@@ -30,6 +30,7 @@ from .bounds import (
     _full_level_errors,
     _full_worst_errors,
     _lead_masses,
+    _screen_rows,
     _screened_worst_errors,
     _screens,
     _value_edges,
@@ -71,6 +72,7 @@ __all__ = [
     "gate_grid_deviation",
     "level_error_mismatches",
     "screen_mismatches",
+    "screen_row_mismatches",
     "nested_grid_worst",
 ]
 
@@ -208,9 +210,9 @@ def _level_means(M: int) -> np.ndarray:
                            np.random.default_rng(M + 1).random(30)])
 
 
-def _running_masses(means: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+def _running_masses(means: np.ndarray, M: int) -> np.ndarray:
     """Each row's running mass after its first value and after its first
-    two, as the pair pass sums them."""
+    two, as the pair pass sums them; shape (2, rows)."""
     sigma = sigmas_of(means, M)
     _, near, second, _, _, _ = _first_values(means, sigma, _value_edges(M))
     return _lead_masses(sigma, near, second, M, np.arange(means.size))
@@ -232,23 +234,26 @@ def _level_sets(M: int) -> list:
             rng.uniform(0.3, 0.995, 2).tolist(), sorted(rng.uniform(0.05, 1.0, 4))]
 
 
-def level_error_mismatches(means: np.ndarray, M: int, level_sets) -> int:
-    """The level sets at which `level_errors` gives other bits than the full
-    sort `_full_level_errors`, one call of which answers their union."""
+def level_error_mismatches(means: np.ndarray, M: int, level_sets, counts=None) -> int:
+    """The (count, level set) pairs at which `level_errors` on the first
+    count means (all by default) gives other bits than the full sort
+    `_full_level_errors`, whose rows are independent: one call answers all."""
     full = _full_level_errors(means, M, [p for ps in level_sets for p in ps])
-    differ = start = 0
-    for ps in level_sets:
-        got = level_errors(means, M, ps)
-        differ += not np.array_equal(got.view(np.int64),
-                                     full[start:start + len(ps)].view(np.int64))
-        start += len(ps)
+    differ = 0
+    for count in [means.size] if counts is None else counts:
+        start = 0
+        for ps in level_sets:
+            got = level_errors(means[:count], M, ps).view(np.int64)
+            differ += not np.array_equal(got, full[start:start + len(ps), :count].view(np.int64))
+            start += len(ps)
     return differ
 
 
 def screen_mismatches(sweeps) -> tuple[int, int, int]:
     """(mismatches, screened, forced) of worst-case sweeps {(M, N, ps):
     records} against the dense `_full_worst_errors` in float.hex; a sweep
-    that stayed dense at M >= 4 is screened here too."""
+    that stayed dense at M >= 4 is screened here too, and a screen also
+    differs where one of its rows does (`screen_row_mismatches`)."""
     differ = screened = forced = 0
     for (M, N, ps), recs in sweeps.items():
         full = list(map(float.hex, _full_worst_errors(M, N, ps)))
@@ -258,7 +263,17 @@ def screen_mismatches(sweeps) -> tuple[int, int, int]:
         elif M >= 4:
             differ += list(map(float.hex, _screened_worst_errors(M, N, ps))) != full
             forced += 1
+        if M >= 4:
+            differ += screen_row_mismatches(M, N, ps) > 0
     return differ, screened, forced
+
+
+def screen_row_mismatches(M: int, N: int, ps) -> int:
+    """The rows whose errors the worst-case screen at (M, N, ps) reads
+    (`_screen_rows`) with other bits than `level_errors` gives, at any level."""
+    ks, errs, _ = _screen_rows(M, N, ps)
+    want = level_errors(ks / N, M, ps)
+    return int(np.count_nonzero((errs.view(np.int64) != want.view(np.int64)).any(axis=0)))
 
 
 def nested_grid_worst(M: int) -> tuple[int, float]:

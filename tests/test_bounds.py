@@ -95,9 +95,10 @@ class TestErrorAtLevel:
     def test_block_boundaries_change_no_bit(self, monkeypatch, budget, M):
         # mean counts that fill at most one block and that split into two
         # even blocks (3 block // 2 + 1 rounds to two) and into several, all
-        # prefixes of one draw, each against its full sort.  Every call is
-        # cut into blocks of 4 cells, the pair pass's, per mean, at every
-        # level and M; the walk continues each block's rows
+        # prefixes of one draw, each against the rows of one full sort of
+        # the draw.  Every call is cut into blocks of 4 cells, the pair
+        # pass's, per mean, at every level and M; the walk continues each
+        # block's rows
         rng = np.random.default_rng(budget + M)
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         block = max(1, budget // 4)
@@ -107,8 +108,7 @@ class TestErrorAtLevel:
             assert blocks >= 2 if count > block else blocks == min(count, 1), count
         means = np.concatenate([[0.0, 0.5, 1.0], rng.random(counts[-1])])[:counts[-1]]
         level_sets = [[0.51, EIGHT_OVER_PI_SQ], WALK_LEVELS]
-        for count in counts:
-            assert suites.level_error_mismatches(means[:count], M, level_sets) == 0, count
+        assert suites.level_error_mismatches(means, M, level_sets, counts) == 0
 
     @pytest.mark.parametrize("budget", BUDGET_ROWS)
     @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
@@ -342,19 +342,27 @@ class TestWorstError:
         assert rec.value <= 3 * math.pi / 16
 
     def test_sweep_screens_the_mean_grid(self, chunk_sizes):
-        # at M = 64 the screen makes one level_errors call, on its candidates
-        # and the rows around each side flip: a few hundred means at N = 2^15
-        # and as few at 2^24; the maximum, pinned at 2^15, is the dense sweep's
+        # at M = 64 the screen reads every error from its plan's masses, its
+        # candidates' and those of the rows around each side flip: a few
+        # hundred means at N = 2^15 and as few at 2^24, with no level_errors
+        # call; the maximum, pinned at 2^15, is the dense sweep's
         levels = [0.51, 0.75, EIGHT_OVER_PI_SQ]
         records = bounds.worst_probabilistic_errors(64, 1 << 15, levels)
-        assert len(chunk_sizes) == 1
-        assert chunk_sizes[0] < ((1 << 15) + 1) / 32
+        assert chunk_sizes == []
         assert [r.value.hex() for r in records] == [
             "0x1.c400000000000p-6", "0x1.1c80000000000p-5", "0x1.2d40000000000p-5"]
-        chunk_sizes.clear()
         bounds.worst_probabilistic_errors(64, 1 << 24, levels)
-        assert len(chunk_sizes) == 1
-        assert chunk_sizes[0] < 10_000
+        assert chunk_sizes == []
+
+    @pytest.mark.parametrize("M, N, rows, rounds", [
+        (64, 1 << 15, 356, 1), (64, 1 << 20, 356, 1), (1024, 1 << 24, 5465, 1)])
+    def test_plan_rows_and_rounds(self, M, N, rows, rounds):
+        # the plan at 8/pi^2, at the CI sweep's point (64, 2^20) among
+        # them: its candidates and flip rows, and the rounds of probes its
+        # search takes from a first guess that puts each flip of the near
+        # value's mass within a row
+        ks, *_, plan_rounds = bounds._screen_plan(M, N, [EIGHT_OVER_PI_SQ])
+        assert (ks.size, plan_rounds) == (rows, rounds)
 
     def test_screen_equals_the_full_sweep(self):
         # seeded (M, N, levels) draws, none of them the bounds check's, each
@@ -376,13 +384,12 @@ class TestWorstError:
         assert screened >= 60 and screened + forced == len(sweeps)
 
     def test_gaps_left_without_their_flips_are_filled(self, monkeypatch, chunk_sizes):
-        # masses that reach every level hide every side flip from the search,
-        # so the gaps whose ends report different values are filled mean by
-        # mean in a second level_errors call, and the maximum is still the
-        # dense sweep's; the fill passes the screen's own estimate, so it
-        # raises unless that estimate is lifted
-        monkeypatch.setattr(bounds, "_lead_masses", lambda sigma, near, second, M, rows: (
-            np.full(sigma.size, 2.0), np.full(rows.size, 2.0)))
+        # a search that finds no side flip leaves every gap whose ends lie
+        # on different sides of a level to be filled mean by mean in one
+        # level_errors call, and the maximum is still the dense sweep's; the
+        # fill passes the screen's own estimate, so it raises unless that
+        # estimate is lifted
+        monkeypatch.setattr(bounds, "_flips", lambda short, ks: (np.empty(0, np.int64),) * 3)
         cases = ((16, 1 << 13, [0.6, EIGHT_OVER_PI_SQ]), (64, 1 << 12, [0.75]),
                  (5, 1 << 10, [0.51]))
         for M, N, ps in cases:
@@ -392,11 +399,49 @@ class TestWorstError:
         for M, N, ps in cases:
             chunk_sizes.clear()
             bounds._screened_worst_errors(M, N, ps)
-            assert len(chunk_sizes) == 2
+            assert len(chunk_sizes) == 1
         # each case now stays dense, so the differential forces its screen
         sweeps = {(M, N, tuple(ps)): bounds.worst_probabilistic_errors(M, N, ps)
                   for M, N, ps in cases}
         assert suites.screen_mismatches(sweeps) == (0, 0, len(cases))
+
+    def test_screen_rows_at_levels_on_their_own_masses(self):
+        # levels whose thresholds are the running masses of plan rows, after
+        # their first value or their first two: each row reaches the level
+        # there, in the screen as in level_errors
+        M, N = 16, 1 << 13
+        masses = bounds._screen_plan(M, N, [EIGHT_OVER_PI_SQ])[4].ravel()
+        masses = np.unique(masses[(masses > 0.5) & (masses < EIGHT_OVER_PI_SQ - 1e-9)])
+        levels = masses[:: max(1, masses.size // 8)] + bounds.LEVEL_SLACK
+        levels = [p for q in levels for p in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0))]
+        exact = [p for p in levels if p - bounds.LEVEL_SLACK in masses]
+        assert len(exact) >= 8
+        for p in exact:
+            assert suites.screen_row_mismatches(M, N, [p]) == 0, p
+
+    def test_rows_whose_third_value_is_not_the_far_one_are_filled(self, monkeypatch):
+        # a row short of a level after its two values takes the far value
+        # next, unless the value beyond the value beyond the near one is
+        # nearer.  No real plan row has needed that (at every level the
+        # screen runs at, such rows carry more after two values), so a plan
+        # is made with one: the mean next to v_2 at M = 64, whose values are
+        # v_2, then v_1, then v_0 before v_3, with its masses lowered below
+        # the level.  The row and both its gaps are left to level_errors
+        M, N = 64, 1 << 15
+        v = output_grid(M)
+        k = round(v[2] * N)
+        ks = np.array([k - 5, k, k + 5])
+        means = ks / N
+        sigma = sigmas_of(means, M)
+        lo, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
+        assert (near[1], second[1]) == (2, 1) and means[1] - v[0] < v[3] - means[1]
+        masses = bounds._lead_masses(sigma, near, second, M, np.arange(3))
+        masses[:, 1] = 0.5
+        plan = ks, 2 * np.floor(sigma) + (near - lo), near, second, masses, 0
+        monkeypatch.setattr(bounds, "_screen_plan", lambda *args: plan)
+        read, _, fill = bounds._screen_rows(M, N, [0.75])
+        assert read.tolist() == [k - 5, k + 5]
+        assert sorted(fill.tolist()) == list(range(k - 4, k + 5))
 
     @pytest.mark.parametrize("M", [4, 5, 4096])
     def test_screen_is_nondecreasing_along_nested_grids(self, M):

@@ -341,11 +341,10 @@ class TestError:
         assert (code, err, asked) == (0, "", [(M, 1 << 24)])
 
     def test_a_screen_past_its_estimate_exits_two(self, capsys, monkeypatch):
-        # masses that reach every level hide every side flip, so the screen
-        # would fill past its own estimate of means; it raises instead, and
-        # the command ends in one error line
-        monkeypatch.setattr(bounds, "_lead_masses", lambda sigma, near, second, M, rows: (
-            np.full(sigma.size, 2.0), np.full(rows.size, 2.0)))
+        # a search that finds no side flip leaves the screen to fill past
+        # its own estimate of means; it raises instead, and the command ends
+        # in one error line
+        monkeypatch.setattr(bounds, "_flips", lambda short, ks: (np.empty(0, np.int64),) * 3)
         code, out, err = run_cli(capsys, "error", "--setting", "worst", "--m", "64",
                                  "--n", "16", "--p", "0.75")
         assert (code, out) == (2, "")
