@@ -57,10 +57,12 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Outcome cells per block of rows of the pair pass, about: 4 per mean, and 2
-# per step of the walk that continues a block's rows.  The even blocks
-# (`_even_slices`) hold 3/4 to 3/2 of this, so their work arrays stay in a
-# core's L2 cache.  Rows are independent, so blocks change no bit.
+# Kernel cells per block of rows of the pair pass, about: 2 per mean, the
+# first value's mass (`_value_probs`), 2 more where it takes the second, and 2
+# per step of the walk that continues a block's rows.  Blocks are cut at 4
+# per mean (`_row_blocks`), and the even blocks (`_even_slices`) hold 3/4 to
+# 3/2 of this, so their work arrays stay in a core's L2 cache.  Rows are
+# independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
 
 # Cells per chunk when sweeping all means k/N: about _CHUNK_CELLS // M means,
@@ -85,11 +87,12 @@ _NEWTON_ROUNDS = 8
 
 # The pair pass lets the law's lower bound D >= v decide a row only where v
 # clears the highest threshold by this margin (`_floor_reach`), so that the
-# law's rounding cannot reverse the decision.  Its masses over the means
-# k/2^10 sum to 1 within 6.4e-15 at M = 64, 9.7e-14 at 1024 and 3.9e-13 at
-# 4096, the largest M the rule runs at (`_law_bounds_apply`); rounding
-# j -/+ sigma, below M, moves a kernel cell by about 1e-12 more at most, and
-# sigma - near by an ulp of M/2.  All are over 500 times below the margin.
+# law's rounding cannot reverse the decision.  Its value masses over the
+# means k/2^10 sum to 1 within 3.1e-15 at M = 64, 1.9e-15 at 1024 and
+# 1.6e-15 at 4096, the largest M the rule runs at (`_law_bounds_apply`);
+# rounding i -/+ sigma, below M, moves a kernel cell by about 1e-12 more at
+# most, and sigma - near by an ulp of M/2.  All are over 500 times below the
+# margin.
 _FLOOR_MARGIN = 1e-9
 
 
@@ -130,22 +133,21 @@ def _validate_p(p: float) -> None:
 def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     """Level errors for many means and levels at once; shape (len(ps), len(means)).
 
-    For each mean: order outcomes by (|abar(j) - a|, i, j), where i = min(j,
-    M - j) indexes the value v_i = sin^2(pi i/M) that j reports, accumulate
-    probability in that order, and report the distance at which the running
-    mass first reaches p - LEVEL_SLACK, or the farthest distance where no
-    outcome reaches it.  Equidistant outcomes share their distance, so their
-    order is a convention, which the tests pin to move no bit.
-    `_full_level_errors` does exactly this by one stable sort of all M
-    outcomes; it is the tests' oracle.
+    For each mean: order the values v_i = sin^2(pi i/M), i = 0..M//2, by
+    (|v_i - a|, i), accumulate their masses in that order, and report the
+    distance at which the running mass first reaches p - LEVEL_SLACK, or the
+    farthest distance where none reaches it.  v_i is reported by the outcomes
+    j = i and j = M - i, which carry the same mass, so it carries 2 p(i), or
+    p(i) where it has one outcome (`_value_probs`).  `_full_level_errors`
+    does exactly this by one stable sort of the values; it is the tests'
+    oracle.
 
-    The values increase with i, and v_i is reported by the twins j = i and
-    j = M - i (a missing twin, at i = 0 or i = M/2 for even M, adds +0.0).
-    So the order merges the values below a, walked downward, with those
-    above, walked upward, one value's twins per step, the lower value first
-    on an exact tie.  The running mass adds the same probabilities (one
-    per-cell formula, `outcome_probabilities_at`) in the same order as the
-    full sort's cumulative sum, so the errors are bit-identical.
+    The values increase with i, so the order merges the values below a,
+    walked downward, with those above, walked upward, one value per step,
+    the lower value first on an exact tie.  The running mass adds the same
+    masses (one per-cell formula, `outcome_probabilities_at`, doubled) in
+    the same order as the full sort's cumulative sum, so the errors are
+    bit-identical.
 
     The pair pass (`_pair_block`) takes every row's first two values in even
     blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache,
@@ -185,15 +187,16 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     """Whether the two values bracketing sigma reach every level of ps: at
     every level at most 8/pi^2, where `_law_bounds_apply`.
 
-    v_lo and v_lo+1, lo = floor(sigma), bracket sigma, and their twins carry
+    v_lo and v_lo+1, lo = floor(sigma), bracket sigma, and their masses are
     at least D(sigma - lo) + D(lo + 1 - sigma) (`_floor_reach`), which is at
     least v(d) + v(1 - d) = g(d) >= 8/pi^2, d = sigma - lo: the kernel D(d) =
     sin^2(pi d)/(M sin(pi d/M))^2 is at least v(d) = sin^2(pi d)/(pi d)^2.
-    At odd M and sigma above M//2, the top value's own twins bracket sigma
-    and carry the same.  D exceeds v by a factor of at least 1 + (pi d/M)^2/3,
-    so at d = 1/2, where g is least, the pair's mass exceeds 8/pi^2 by about
-    2/(3 M^2), 4e-8 at M = 4096: far above the law's rounding
-    (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK below it.
+    At odd M and sigma above M//2, the top value's two outcomes bracket
+    sigma and carry the same.  D exceeds v by a factor of at least 1 +
+    (pi d/M)^2/3, so at d = 1/2, where g is least, the pair's mass exceeds
+    8/pi^2 by about 2/(3 M^2), 4e-8 at M = 4096: far above the law's
+    rounding (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK
+    below it.
     So a row's error is the distance of one of its three nearest values."""
     return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
 
@@ -201,7 +204,7 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
 @functools.lru_cache(maxsize=64)
 def _floor_reach(h: float) -> float:
     """The largest d in [0, 1], rounded down, with v(d) >= h + _FLOOR_MARGIN,
-    by scalar bisection, or -1 where none has.  The twins of v_n carry at
+    by scalar bisection, or -1 where none has.  The value v_n carries at
     least D(n - sigma) >= v(|sigma - n|), and v decreases on [0, 1], so where
     |sigma - n| <= d their mass reaches h, however it rounds."""
     target = h + _FLOOR_MARGIN
@@ -225,9 +228,9 @@ def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.
     stably sorted by distance accumulate mass, and the error at p is the
     distance of the first cell whose running mass reaches p - LEVEL_SLACK,
     the count of cells below it, clipped to the farthest distance where no
-    cell does; shape (len(ps), rows).  With cells in value order
-    (`_value_order`) the sort is the (distance, value, j) order of
-    `level_errors`, its one definition."""
+    cell does; shape (len(ps), rows).  With one cell per value, in the order
+    i = 0..M//2, the sort is the (distance, value) order of `level_errors`,
+    its one definition."""
     order = np.argsort(dists, axis=1, kind="stable")
     sorted_dists = np.take_along_axis(dists, order, axis=1)
     cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
@@ -268,15 +271,13 @@ def _value_edges(M: int) -> np.ndarray:
     return edges
 
 
-def _twin_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
-    """Probabilities of outcomes j = i and j = M - i, shape (2, len(i)); a
-    missing twin (i = 0, or i = M/2 at even M) has mass +0.0."""
-    j = np.empty((2, i.size))
-    j[0] = i
-    np.subtract(M, i, out=j[1])
-    probs = outcome_probabilities_at(sigma, j, M)
-    probs[1, (i == 0) | (2 * i == M)] = 0.0
-    return probs
+def _value_probs(sigma: np.ndarray, i: np.ndarray, M: int) -> np.ndarray:
+    """The mass of the value v_i at each sigma, one per entry: p(i), doubled
+    where v_i has two outcomes j = i and j = M - i (i != 0 and 2i != M),
+    which carry the same mass, p(j) = p(M - j).  2 p(i) is fl(D(i - sigma) +
+    D(i + sigma)) bit for bit: the law's halving and this doubling are exact."""
+    probs = outcome_probabilities_at(sigma, i, M)
+    return np.multiply(probs, 2.0, out=probs, where=(i != 0) & (2 * i != M))
 
 
 def _first_values(
@@ -310,15 +311,14 @@ def _pair_block(
 ) -> None:
     """The pair pass of `level_errors` on one block of rows, whose errors it
     writes into `out`.  A row within `reach` of its first value takes that
-    value's distance at every level (`_floor_reach`); the others add its
-    twins' mass, and the second value's where that falls short of the
+    value's distance at every level (`_floor_reach`); the others take its
+    mass, and add the second value's where that falls short of the
     highest level, unless `bracketed` and the second is the far bracketing
     value (`_brackets_reach`); the rows still short go on to `_walk_block`."""
     _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
     np.copyto(out, d_near)
     rows = np.flatnonzero(np.abs(sigma - near) > reach)
-    probs = _twin_probs(sigma[rows], near[rows], M)
-    mass = np.add(probs[0], probs[1], out=probs[0])
+    mass = _value_probs(sigma[rows], near[rows], M)
     out[:, rows] = _lead_errors([mass < thresholds], (d_near[rows], d_second[rows]))
     highest = thresholds.max(initial=-np.inf)
     short = mass < highest
@@ -327,9 +327,7 @@ def _pair_block(
     rows = rows[short]
     if not rows.size:
         return
-    probs = _twin_probs(sigma[rows], second[rows], M)
-    mass = mass[short] + probs[0]
-    mass += probs[1]
+    mass = mass[short] + _value_probs(sigma[rows], second[rows], M)
     short = mass < highest
     if short.any():
         rows, mass = rows[short], mass[short]
@@ -375,27 +373,20 @@ def _walk_block(
             return
         np.copyto(errors, dist, where=mass < thresholds)
         take_lo = d_lo <= d_hi
-        probs = _twin_probs(sigma, np.where(take_lo, lo, hi) - 2, M)
-        mass += probs[0]
-        mass += probs[1]
+        mass += _value_probs(sigma, np.where(take_lo, lo, hi) - 2, M)
         lo -= take_lo
         hi += ~take_lo
 
 
-def _value_order(M: int) -> np.ndarray:
-    """The outcomes j = 0..M-1 by the index i = min(j, M - j) of the value
-    they report, then by j: 0, 1, M - 1, 2, M - 2, ..."""
-    j = np.arange(M)
-    return np.argsort(np.minimum(j, M - j), kind="stable")
-
-
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
-    """The level errors of `level_errors` from one stable sort of all M
-    outcomes per mean, in value order; the tests' oracle for the pair pass
-    and the walk."""
-    order = _value_order(M)
-    dists = np.abs(output_grid(M)[order] - means[:, None])
-    return _crossings(dists, outcome_probabilities(sigmas_of(means, M), M)[:, order], ps)
+    """The level errors of `level_errors` from one stable sort of the M//2 + 1
+    values per mean, each carrying its outcome j = i of the full outcome law,
+    doubled where it has a twin (0 < i < M/2); the tests' oracle for the pair
+    pass, the walk and the screen."""
+    values = M // 2 + 1
+    probs = outcome_probabilities(sigmas_of(means, M), M)[:, :values]
+    probs[:, 1:(M + 1) // 2] *= 2.0
+    return _crossings(np.abs(output_grid(M)[:values] - means[:, None]), probs, ps)
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:
@@ -461,14 +452,16 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
     """Estimated outcome cells per mean that `level_errors` evaluates for
     levels up to p_max, the cost by which oversized sweeps are refused.
 
-    Up to 8/pi^2 the pair pass decides nearly every mean from its first two
-    values, 4 cells: an upper estimate, kept so that refusals do not change,
-    as the law's lower bounds leave about 2 cells per mean at M = 64
-    (`level_errors`).  Above it the walk adds one value's two twin
-    outcomes per step; the kernel's tail beyond distance d carries less than
-    about 1/(pi^2 d) per side, so it stops after about h values per side,
-    h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
-    outcomes once 2h values would reach the M//2+1 values, and at p_max = 1.
+    The estimate counts a value's two outcomes, twice the cells the level
+    errors read, one outcome per value (`_value_probs`); it is kept so that
+    refusals do not change.  Up to 8/pi^2 the pair pass decides nearly every
+    mean from its first two values, 4 cells: an upper estimate, as the law's
+    lower bounds leave about one outcome per two means at M = 64.  Above it
+    the walk adds one value per step; the kernel's tail beyond distance d
+    carries less than about 1/(pi^2 d) per side, so it stops after about h
+    values per side, h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The
+    estimate is all M outcomes once 2h values would reach the M//2+1 values,
+    and at p_max = 1.
     """
     if p_max >= 1.0:
         return M
@@ -514,17 +507,15 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
 def _lead_masses(
     sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
 ) -> np.ndarray:
-    """Each row's running mass in `level_errors` after its near value's twins
-    and after its second value's too, shape (2, rows), with the pair pass's
-    bits, in one `_twin_probs` call; the second only at `rows`, else 2.0."""
+    """Each row's running mass in `level_errors` after its near value and
+    after its second value too, shape (2, rows), with the pair pass's
+    bits, in one `_value_probs` call; the second only at `rows`, else 2.0."""
     n = sigma.size
-    probs = _twin_probs(np.concatenate([sigma, sigma[rows]]),
-                        np.concatenate([near, second[rows]]), M)
+    probs = _value_probs(np.concatenate([sigma, sigma[rows]]),
+                         np.concatenate([near, second[rows]]), M)
     masses = np.full((2, n), 2.0)
-    np.add(probs[0, :n], probs[1, :n], out=masses[0])
-    both = masses[0, rows] + probs[0, n:]
-    both += probs[1, n:]
-    masses[1, rows] = both
+    masses[0] = probs[:n]
+    masses[1, rows] = probs[rows] + probs[n:]
     return masses
 
 
@@ -659,10 +650,11 @@ def _kernel_table(M: int) -> np.ndarray:
     return table
 
 
-def _screened_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
+def _screened_worst_errors(M: int, N: int, ps: Sequence[float], screen=None) -> np.ndarray:
     """`_full_worst_errors`, bit for bit, from the rows `_screen_rows` reads and
-    one `level_errors` call on the means it leaves (its bits hold per mean)."""
-    _, errs, fill = _screen_rows(M, N, ps)
+    one `level_errors` call on the means it leaves (its bits hold per mean);
+    `screen` passes in that `_screen_rows` result where it is at hand."""
+    _, errs, fill = _screen_rows(M, N, ps) if screen is None else screen
     if fill.size:
         errs = np.hstack([errs, level_errors(fill / N, M, ps)])
     return errs.max(axis=1)
@@ -672,7 +664,7 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The rows k of `_screen_plan` whose errors it reads, those errors,
     shape (levels, rows), and the means k it leaves to `level_errors`.
 
-    A level takes a row's near value's distance where that value's twin mass
+    A level takes a row's near value's distance where that value's mass
     reaches p - LEVEL_SLACK, the second's where the two's mass does, else the
     far bracketing value's, after which it reaches every level
     (`_brackets_reach`): `level_errors` bit for bit, unless the value beyond

@@ -112,10 +112,11 @@ def _snap(sigma: np.ndarray) -> np.ndarray:
 def outcome_probabilities_at(sigma, j, M: int) -> np.ndarray:
     """Probabilities of outcomes j at sigma, where sigma and j broadcast
     against each other: a column of sigma values against a row of outcomes
-    asks every sigma for the same outcomes, a (2, K) j against a row of K
-    sigma values gives each sigma two of its own; one sigma and one outcome
-    give shape (1,).  Each cell is computed on its own, so a cell's value does
-    not depend on which other outcomes are asked for.
+    asks every sigma for the same outcomes, a row of K outcomes against a
+    row of K sigma values gives each sigma one of its own (each value's mass
+    in the level errors); one sigma and one outcome give shape (1,).  Each
+    cell is computed on its own, so a cell's value does not depend on which
+    other outcomes are asked for.
     """
     s = _snap(np.atleast_1d(np.asarray(sigma, dtype=np.float64)))
     j = np.asarray(j, dtype=np.float64)

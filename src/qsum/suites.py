@@ -195,9 +195,9 @@ def _law_bound_edges(M: int) -> np.ndarray:
 
 def _level_means(M: int) -> np.ndarray:
     """Means at the edges of the pair pass and the walk: a in {0, 1/2, 1};
-    means between the two lowest and the two highest values, where a twin
-    is missing (i = 0, and i = M/2 at even M) on the near or the far side;
-    up to about 64 midpoints of adjacent values, where two distances
+    means between the two lowest and the two highest values, where a value
+    has one outcome (i = 0, and i = M/2 at even M) on the near or the far
+    side; up to about 64 midpoints of adjacent values, where two distances
     nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
     integer sigma; the edges of the law's lower bounds (`_law_bound_edges`);
     and seeded random means."""
@@ -253,25 +253,29 @@ def screen_mismatches(sweeps) -> tuple[int, int, int]:
     """(mismatches, screened, forced) of worst-case sweeps {(M, N, ps):
     records} against the dense `_full_worst_errors` in float.hex; a sweep
     that stayed dense at M >= 4 is screened here too, and a screen also
-    differs where one of its rows does (`screen_row_mismatches`)."""
+    differs where one of its rows does (`screen_row_mismatches`), both from
+    one `_screen_rows` call."""
     differ = screened = forced = 0
     for (M, N, ps), recs in sweeps.items():
         full = list(map(float.hex, _full_worst_errors(M, N, ps)))
         differ += [rec.value.hex() for rec in recs] != full
+        if M < 4:
+            continue
+        screen = _screen_rows(M, N, ps)
         if _screens(M, N, ps):
             screened += 1
-        elif M >= 4:
-            differ += list(map(float.hex, _screened_worst_errors(M, N, ps))) != full
+        else:
+            differ += list(map(float.hex, _screened_worst_errors(M, N, ps, screen))) != full
             forced += 1
-        if M >= 4:
-            differ += screen_row_mismatches(M, N, ps) > 0
+        differ += screen_row_mismatches(M, N, ps, screen) > 0
     return differ, screened, forced
 
 
-def screen_row_mismatches(M: int, N: int, ps) -> int:
+def screen_row_mismatches(M: int, N: int, ps, screen=None) -> int:
     """The rows whose errors the worst-case screen at (M, N, ps) reads
-    (`_screen_rows`) with other bits than `level_errors` gives, at any level."""
-    ks, errs, _ = _screen_rows(M, N, ps)
+    (`_screen_rows`, or its result `screen`) with other bits than
+    `level_errors` gives, at any level."""
+    ks, errs, _ = _screen_rows(M, N, ps) if screen is None else screen
     want = level_errors(ks / N, M, ps)
     return int(np.count_nonzero((errs.view(np.int64) != want.view(np.int64)).any(axis=0)))
 

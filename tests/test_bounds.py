@@ -110,11 +110,12 @@ class TestErrorAtLevel:
         level_sets = [[0.51, EIGHT_OVER_PI_SQ], WALK_LEVELS]
         assert suites.level_error_mismatches(means, M, level_sets, counts) == 0
 
-    @pytest.mark.parametrize("budget", BUDGET_ROWS)
+    @pytest.mark.parametrize("budget", [1, 12])
     @pytest.mark.parametrize("M", [4, 5, 6, 7, 10, 16, 17, 22])
     def test_pair_pass_is_bit_identical_at_its_edges(self, monkeypatch, budget, M):
-        # the differential's means and level sets in blocks of one row, of
-        # three, and in one block
+        # the differential's means and level sets in blocks of one row and of
+        # three; in one block, the default, the bounds check "level errors
+        # equal the full sort bit for bit" runs them
         monkeypatch.setattr(bounds, "_BLOCK_CELLS", budget)
         rows = BUDGET_ROWS[budget]
         assert bounds._row_blocks(2 * rows) == [slice(0, rows), slice(rows, 2 * rows)]
@@ -133,28 +134,6 @@ class TestErrorAtLevel:
                 if step == bounds._BLOCK_CELLS // 4:
                     assert bounds._row_blocks(rows) == blocks
 
-    def test_tie_order_moves_no_bit(self):
-        # the (distance, value, j) order of the oracle's cells against the
-        # (distance, j) order: equal errors at every M <= 300 on the grids
-        # N = 2^6 and 2^12, a = 1/2 among them.  Only a row with two values
-        # at one distance orders its cells differently, so only those rows,
-        # 692 of them, are sorted both ways
-        levels = [0.51, FOUR_OVER_PI_SQ, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
-        means = np.concatenate([np.arange(65) / 64, np.arange(4097) / 4096])
-        tied = 0
-        for M in range(1, 301):
-            values = output_grid(M)[: M // 2 + 1]
-            value_dists = np.sort(np.abs(values - means[:, None]), axis=1)
-            rows = means[(np.diff(value_dists, axis=1) == 0).any(axis=1)]
-            tied += rows.size
-            dists = np.abs(output_grid(M) - rows[:, None])
-            probs = closedform.outcome_probabilities(sigmas_of(rows, M), M)
-            order = bounds._value_order(M)
-            by_j = bounds._crossings(dists, probs, levels)
-            by_value = bounds._crossings(dists[:, order], probs[:, order], levels)
-            assert [x.hex() for x in by_j.ravel()] == [x.hex() for x in by_value.ravel()], M
-        assert tied == 692
-
     @pytest.fixture
     def kernel_cells(self, monkeypatch):
         """The sizes of every squared-kernel evaluation, in call order."""
@@ -165,26 +144,27 @@ class TestErrorAtLevel:
         return cells
 
     def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
-        # the pair pass takes the first value's two outcomes (4 kernel cells)
-        # only of the means whose sigma lies beyond the floor's reach of it,
-        # about half of them here, and the second's only where the first
-        # falls short of the highest level and the second is the value
-        # beyond the near one; the walk takes the few rows still short: 2.02
+        # the pair pass takes the first value's mass, one outcome (2 kernel
+        # cells), only of the means whose sigma lies beyond the floor's reach
+        # of it, about half of them here, and the second's only where the
+        # first falls short of the highest level and the second is the value
+        # beyond the near one; the walk takes the few rows still short: 1.01
         # cells per mean here, where reading the law of every first value
-        # took 6.01 and the full sort takes 128
+        # took 3.0 and the full sort reads all 64 outcomes, 128 cells
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 66040
+        assert sum(kernel_cells) == 33020
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
-        # each value adds its two outcomes (4 kernel cells), the first two in
-        # the pair pass and the rest in the walk, which stops each mean at
-        # the highest level, but the means within the floor's reach of their
-        # first value, about a ninth of them at 0.99, take none: 76.2 cells
-        # per mean here (76.7 before the floor), where the full sort takes 472
+        # each value adds the mass of one outcome (2 kernel cells), the first
+        # two in the pair pass and the rest in the walk, which stops each
+        # mean at the highest level, but the means within the floor's reach
+        # of their first value, about a ninth of them at 0.99, take none:
+        # 38.1 cells per mean here (38.4 before the floor), where the full
+        # sort reads all 236 outcomes, 472 cells
         N = 1 << 12
         level_errors(np.arange(N + 1) / N, 236, [0.99])
-        assert sum(kernel_cells) == 312208
+        assert sum(kernel_cells) == 156104
 
     @pytest.fixture
     def pass_log(self, monkeypatch):
@@ -325,6 +305,26 @@ class TestErrorAtLevel:
         # any p above 1/2 must pull in the whole tie group
         assert level_errors([Fraction(1, 2)], 2, [0.6])[0, 0] == 0.5
         assert level_errors([Fraction(1, 2)], 2, [0.5])[0, 0] == 0.5
+
+
+class TestValueLaw:
+    def test_value_masses_are_their_outcomes_mass_and_sum_to_one(self):
+        # the mass of v_i, 2 p(i) where it has two outcomes, is p(i) + p(M -
+        # i) to within LEVEL_SLACK (3.8e-13 here at M = 4096: the far
+        # outcome's argument reduction), and the values' masses sum to 1
+        # within 1e-14 (6.7e-16 here), where the outcome law's sum misses by
+        # up to 1.6e-12 at M = 16384
+        rng = np.random.default_rng(37)
+        means = np.concatenate([[0.0, 0.5, 1.0], rng.random(61)])
+        for M in [1, 2, 3, 4, 5, 16, 17, 64, 65, 236, 1024, 4096, 16384]:
+            sigma = sigmas_of(means, M)
+            i = np.arange(M // 2 + 1)
+            values = bounds._value_probs(sigma[:, None], i, M)
+            assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-14, M
+            if M <= 4096:
+                probs = closedform.outcome_probabilities(sigma, M)
+                twins = np.where((i == 0) | (2 * i == M), 0.0, probs[:, (M - i) % M])
+                assert np.abs(values - probs[:, i] - twins).max() <= bounds.LEVEL_SLACK, M
 
 
 class TestWorstError:

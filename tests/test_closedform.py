@@ -133,11 +133,11 @@ class TestDistribution:
         cells = outcome_probabilities_at(sigma[:, None], j, M)
         assert np.array_equal(cells.view(np.int64),
                               np.take_along_axis(full, j, axis=1).view(np.int64))
-        # a (2, len(sigma)) j against a row of sigma gives each sigma two
-        # outcomes of its own, as the level errors ask for a value's twins
-        twins = outcome_probabilities_at(sigma, j[:, :2].T, M)
-        assert np.array_equal(twins.view(np.int64),
-                              np.take_along_axis(full, j[:, :2], axis=1).T.view(np.int64))
+        # a row of K outcomes against a row of K sigma values gives each sigma
+        # one outcome of its own, as the level errors ask for a value's mass
+        own = outcome_probabilities_at(sigma, j[:, 0], M)
+        assert np.array_equal(own.view(np.int64),
+                              full[np.arange(sigma.size), j[:, 0]].view(np.int64))
         # one sigma and one outcome give one cell
         one = outcome_probabilities_at(sigma[3], j[3, 0], M)
         assert one.shape == (1,) and one[0] == full[3, j[3, 0]]
