@@ -57,11 +57,11 @@ FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 # (mass exactly p, e.g. a = 1/2 with 4 | M) are not lost to summation noise.
 LEVEL_SLACK = 1e-12
 
-# Kernel cells per block of rows of the pair pass, about: 2 per mean, the
-# first value's mass (`_value_probs`), 2 more where it takes the second, and 2
-# per step of the walk that continues a block's rows.  Blocks are cut at 4
-# per mean (`_row_blocks`), and the even blocks (`_even_slices`) hold 3/4 to
-# 3/2 of this, so their work arrays stay in a core's L2 cache.  Rows are
+# Kernel cells per block of rows of the pair pass, about: 2 per mass of its
+# first two values that `_lead_masses` reads, at most 4 per mean, and 2 per
+# step of the walk that continues a block's rows.  Blocks are cut at 4 per
+# mean (`_row_blocks`), and the even blocks (`_even_slices`) hold 3/4 to 3/2
+# of this, so their work arrays stay in a core's L2 cache.  Rows are
 # independent, so blocks change no bit.
 _BLOCK_CELLS = 1 << 14
 
@@ -151,9 +151,10 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
 
     The pair pass (`_pair_block`) takes every row's first two values in even
     blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache,
-    and reads the law only where the paper's lower bounds on it leave a
-    level open (`_law_bounds_apply`); the walk (`_walk_block`) continues a
-    block's rows still short.
+    and reads their masses only where the paper's lower bounds on the law
+    leave a level open (`_lead_masses`, at the M of `_law_bounds_apply`);
+    the walk (`_walk_block`) continues a block's rows whose two values fall
+    short of the highest level.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -310,31 +311,20 @@ def _pair_block(
     thresholds: np.ndarray, reach: float, bracketed: bool, out: np.ndarray,
 ) -> None:
     """The pair pass of `level_errors` on one block of rows, whose errors it
-    writes into `out`.  A row within `reach` of its first value takes that
-    value's distance at every level (`_floor_reach`); the others take its
-    mass, and add the second value's where that falls short of the
-    highest level, unless `bracketed` and the second is the far bracketing
-    value (`_brackets_reach`); the rows still short go on to `_walk_block`."""
+    writes into `out`: each row's first two values and their running masses
+    (`_lead_masses`; the second unread where `bracketed` and it is the far
+    bracketing value), the crossing rule on them, where a level the first
+    leaves short takes the second's distance, and `_walk_block` for the rows
+    whose two values fall short of the highest level."""
     _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
-    np.copyto(out, d_near)
-    rows = np.flatnonzero(np.abs(sigma - near) > reach)
-    mass = _value_probs(sigma[rows], near[rows], M)
-    out[:, rows] = _lead_errors([mass < thresholds], (d_near[rows], d_second[rows]))
-    highest = thresholds.max(initial=-np.inf)
-    short = mass < highest
-    if bracketed:
-        short &= beyond_first[rows]
-    rows = rows[short]
-    if not rows.size:
-        return
-    mass = mass[short] + _value_probs(sigma[rows], second[rows], M)
-    short = mass < highest
-    if short.any():
-        rows, mass = rows[short], mass[short]
+    masses = _lead_masses(sigma, near, second, M, reach, beyond_first | (not bracketed))
+    out[...] = _lead_errors(masses[:1, None, :] < thresholds, (d_near, d_second))
+    rows = np.flatnonzero(masses[1] < thresholds.max(initial=-np.inf))
+    if rows.size:
         # the two values taken are adjacent; the walk starts from their neighbours
         taken = np.minimum(near[rows], second[rows])
-        _walk_block(means[rows], sigma[rows], rows, taken + 1, taken + 4, mass, edges, M,
-                    thresholds, out)
+        _walk_block(means[rows], sigma[rows], rows, taken + 1, taken + 4, masses[1, rows],
+                    edges, M, thresholds, out)
 
 
 def _lead_errors(short, dists: Sequence[np.ndarray]) -> np.ndarray:
@@ -505,17 +495,23 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
 
 
 def _lead_masses(
-    sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
+    sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, reach: float,
+    paired: np.ndarray,
 ) -> np.ndarray:
     """Each row's running mass in `level_errors` after its near value and
-    after its second value too, shape (2, rows), with the pair pass's
-    bits, in one `_value_probs` call; the second only at `rows`, else 2.0."""
-    n = sigma.size
-    probs = _value_probs(np.concatenate([sigma, sigma[rows]]),
-                         np.concatenate([near, second[rows]]), M)
-    masses = np.full((2, n), 2.0)
-    masses[0] = probs[:n]
-    masses[1, rows] = probs[rows] + probs[n:]
+    after its second too, shape (2, rows): the one place where the paper's
+    lower bounds on the law decide which masses are read.  Both are 2.0, past
+    every level, within `reach` of the near value (`_floor_reach`; none at
+    reach -1), and the second where a row is not `paired`, its second value
+    the far bracketing one (`_brackets_reach`); one `_value_probs` call reads
+    the rest."""
+    rows = np.flatnonzero(np.abs(sigma - near) > reach)
+    pairs = rows[paired[rows]]
+    probs = _value_probs(np.concatenate([sigma[rows], sigma[pairs]]),
+                         np.concatenate([near[rows], second[pairs]]), M)
+    masses = np.full((2, sigma.size), 2.0)
+    masses[0, rows] = probs[:rows.size]
+    masses[1, pairs] = masses[0, pairs] + probs[rows.size:]
     return masses
 
 
@@ -528,7 +524,9 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     """The screen's rows within the range where an error may reach every
     level's maximum (`_screened_range`): sorted distinct k, each row's piece,
     near and second value indices and two masses (`_lead_masses`), shape
-    (2, rows), and the rounds of its flip search.
+    (2, rows), and the rounds of its flip search.  It needs
+    `_brackets_reach(M, ps)`, as `_screens` does, under which a row's error
+    is the distance of one of its three nearest values.
 
     The candidates are the grid neighbours floor(x N)-1..+2 of every value,
     of the midpoints of values one and two apart (where the near value
@@ -557,14 +555,8 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     sigma = sigmas_of(means, M)
     lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
     piece = 2 * np.floor(sigma) + (near - lo)
-    # the law is read where its lower bounds leave a level open, as in the
-    # pair pass (`_floor_reach`, and `_brackets_reach` wherever it screens)
-    paired = beyond_first | (not _brackets_reach(M, ps))
-    reach = _floor_reach(float(thresholds.max())) if _law_bounds_apply(M) else -1.0
-    rows = np.flatnonzero(np.abs(sigma - near) > reach)
-    masses = np.full((2, ks.size), 2.0)
-    masses[:, rows] = _lead_masses(sigma[rows], near[rows], second[rows], M,
-                                   np.flatnonzero(paired[rows]))
+    masses = _lead_masses(sigma, near, second, M, _floor_reach(float(thresholds.max())),
+                          beyond_first)
 
     # excess[stage, level, row]: the near (stage 0) or two values' mass less
     # the level's threshold
@@ -572,7 +564,7 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     stage, level, gap = _flips(excess < 0, ks)
     left, right = ks[gap], ks[gap + 1]
     left_above = excess[stage, level, gap] >= 0
-    g_near, g_second, g_paired = near[gap], second[gap], paired[gap] | (stage == 1)
+    g_near, g_second, g_paired = near[gap], second[gap], beyond_first[gap] | (stage == 1)
     m_left, m_right = masses[:, gap], masses[:, gap + 1]
     # at sigma = near + ahead d the near mass is D(d) + D(sigma + near), the
     # two's adds D(1 + d) + D(sigma + second) (no twin at i = 0 or 2 i = M):
@@ -592,8 +584,9 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
         g0 = np.clip(np.floor(guess[todo]), lo_k + 1, hi_k - 1).astype(np.int64)
         g1 = np.minimum(g0 + 1, hi_k - 1)
         owner = np.concatenate([todo, todo])
+        # no floor at the probes: a 2.0 mass there would break the Newton step
         lead = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M), g_near[owner],
-                            g_second[owner], M, np.flatnonzero(g_paired[owner]))
+                            g_second[owner], M, -1.0, g_paired[owner])
         mass = lead[stage[owner], np.arange(owner.size)]
         mass -= thresholds[level[owner]]
         f0, f1 = mass[:todo.size], mass[todo.size:]
@@ -750,7 +743,7 @@ def _record(
     - ImprovedCor, (3/4) pi/M: the worst case at p = 8/pi^2;
     - WA4 (upper): the uniform-function measure, 4 | M, N >= 2 and p <= 8/pi^2;
     - WAn4 (lower, with beta): the uniform-function measure, 4 not | M, M > 4;
-    - GlobalCor, C(p) pi/M: everything else.
+    - GlobalCor, C(p) pi/M: everything else; exactly 1 above 8/pi^2.
     """
     uniform_functions = measure is Measure.UNIFORM_FUNCTIONS
     if setting is Setting.WORST_PROBABILISTIC and abs(p - EIGHT_OVER_PI_SQ) <= 1e-15:
@@ -759,6 +752,8 @@ def _record(
         bound, ref = wa4_upper_bound(M, N), "WA4"
     elif uniform_functions and M % 4 != 0 and M > 4:
         bound, ref = wan4_lower_bound(M, N, beta), "WAn4"
+    elif p > EIGHT_OVER_PI_SQ:
+        bound, ref = 1.0, "GlobalCor"
     else:
         bound, ref = c_bound(p, M) * math.pi / M, "GlobalCor"
     return ErrorRecord(M=M, N=N, p=p, setting=setting, measure=measure,

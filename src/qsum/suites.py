@@ -25,6 +25,7 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
+    _brackets_reach,
     _first_values,
     _floor_reach,
     _full_level_errors,
@@ -215,7 +216,7 @@ def _running_masses(means: np.ndarray, M: int) -> np.ndarray:
     two, as the pair pass sums them; shape (2, rows)."""
     sigma = sigmas_of(means, M)
     _, near, second, _, _, _ = _first_values(means, sigma, _value_edges(M))
-    return _lead_masses(sigma, near, second, M, np.arange(means.size))
+    return _lead_masses(sigma, near, second, M, -1.0, np.ones(means.size, dtype=bool))
 
 
 def _lead_mass_levels(M: int) -> list[float]:
@@ -252,14 +253,14 @@ def level_error_mismatches(means: np.ndarray, M: int, level_sets, counts=None) -
 def screen_mismatches(sweeps) -> tuple[int, int, int]:
     """(mismatches, screened, forced) of worst-case sweeps {(M, N, ps):
     records} against the dense `_full_worst_errors` in float.hex; a sweep
-    that stayed dense at M >= 4 is screened here too, and a screen also
-    differs where one of its rows does (`screen_row_mismatches`), both from
-    one `_screen_rows` call."""
+    that stayed dense where a screen may run (`_brackets_reach`) is screened
+    here too, and a screen also differs where one of its rows does
+    (`screen_row_mismatches`), both from one `_screen_rows` call."""
     differ = screened = forced = 0
     for (M, N, ps), recs in sweeps.items():
         full = list(map(float.hex, _full_worst_errors(M, N, ps)))
         differ += [rec.value.hex() for rec in recs] != full
-        if M < 4:
+        if not _brackets_reach(M, ps):
             continue
         screen = _screen_rows(M, N, ps)
         if _screens(M, N, ps):

@@ -232,18 +232,3 @@ class TestFirstMoment:
 
     def test_uniform_means_small(self):
         assert first_moment(Measure.UNIFORM_MEANS, 2) == pytest.approx(1 / 3, abs=1e-15)
-
-    @pytest.mark.parametrize("N", range(1, 25))
-    def test_closed_form_equals_direct_sum(self, N):
-        ks = np.arange(N + 1)
-        direct = float(
-            np.dot(class_weights(Measure.UNIFORM_FUNCTIONS, N), np.abs(0.5 - ks / N))
-        )
-        assert abs(first_moment(Measure.UNIFORM_FUNCTIONS, N) - direct) <= 1e-14
-
-    def test_uniform_functions_scaling(self, suite_runs):
-        check = "uniform-function moment decays like 1/sqrt(2 pi N)"
-        assert suite_runs["average-case"].check(check).passed
-
-    def test_uniform_means_limit(self, suite_runs):
-        assert suite_runs["average-case"].check("uniform-mean moment approaches 1/4").passed

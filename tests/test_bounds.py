@@ -62,9 +62,6 @@ class TestErrorAtLevel:
         assert val <= 3 * math.pi / 32
         assert [val] == brute_force_errors_at_levels(Fraction(17, 64), 8, [EIGHT_OVER_PI_SQ])
 
-    def test_nondecreasing_in_p(self, suite_runs):
-        assert suite_runs["bounds"].check("level error is nondecreasing in p").passed
-
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             level_errors([Fraction(1, 2)], 4, [0.0])
@@ -72,7 +69,7 @@ class TestErrorAtLevel:
             level_errors([Fraction(1, 2)], 4, [1.5])
 
     @pytest.mark.parametrize("M", [*suites.LEVEL_ERROR_MS, 1024, 4096])
-    def test_window_is_bit_identical_to_full_sort(self, M):
+    def test_level_errors_are_bit_identical_to_full_sort(self, M):
         # what the bounds check "level errors equal the full sort bit for
         # bit" does not run: its means and level sets at M = 1024 and 4096;
         # at its own M, each level on the near-integer rows' running masses
@@ -146,14 +143,15 @@ class TestErrorAtLevel:
     def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
         # the pair pass takes the first value's mass, one outcome (2 kernel
         # cells), only of the means whose sigma lies beyond the floor's reach
-        # of it, about half of them here, and the second's only where the
-        # first falls short of the highest level and the second is the value
-        # beyond the near one; the walk takes the few rows still short: 1.01
-        # cells per mean here, where reading the law of every first value
-        # took 3.0 and the full sort reads all 64 outcomes, 128 cells
+        # of it, about half of them here, and the second's of those whose
+        # second value is the value beyond the near one, even where the first
+        # already reaches the highest level (two rows here); the walk takes
+        # the few rows still short: 1.01 cells per mean here, where reading
+        # the law of every first value took 3.0 and the full sort reads all
+        # 64 outcomes, 128 cells
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 33020
+        assert sum(kernel_cells) == 33024
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
         # each value adds the mass of one outcome (2 kernel cells), the first
@@ -354,14 +352,19 @@ class TestWorstError:
         bounds.worst_probabilistic_errors(64, 1 << 24, levels)
         assert chunk_sizes == []
 
-    @pytest.mark.parametrize("M, N, rows, rounds", [
-        (64, 1 << 15, 356, 1), (64, 1 << 20, 356, 1), (1024, 1 << 24, 5465, 1)])
-    def test_plan_rows_and_rounds(self, M, N, rows, rounds):
-        # the plan at 8/pi^2, at the CI sweep's point (64, 2^20) among
-        # them: its candidates and flip rows, and the rounds of probes its
-        # search takes from a first guess that puts each flip of the near
-        # value's mass within a row
-        ks, *_, plan_rounds = bounds._screen_plan(M, N, [EIGHT_OVER_PI_SQ])
+    @pytest.mark.parametrize("M, N, ps, rows, rounds", [
+        (64, 1 << 15, [EIGHT_OVER_PI_SQ], 356, 1), (64, 1 << 20, [EIGHT_OVER_PI_SQ], 356, 1),
+        (1024, 1 << 24, [EIGHT_OVER_PI_SQ], 5465, 1), (4096, 1 << 24, [0.75], 20782, 2),
+        (1024, 1 << 27, [0.75], 5477, 2)], ids=[
+        "64-32768-356-1", "64-1048576-356-1", "1024-16777216-5465-1",
+        "4096-16777216-0.75-20782-2", "1024-134217728-0.75-5477-2"])
+    def test_plan_rows_and_rounds(self, M, N, ps, rows, rounds):
+        # the plan at the CI sweep's point (64, 2^20) among others: its
+        # candidates and flip rows, and the rounds of probes its search
+        # takes from a first guess that puts each flip of the near value's
+        # mass within a row.  The probes read the law at every row: with the
+        # floor's 2.0 there, the Newton steps at 0.75 take 4 and 5 rounds
+        ks, *_, plan_rounds = bounds._screen_plan(M, N, ps)
         assert (ks.size, plan_rounds) == (rows, rounds)
 
     def test_screen_equals_the_full_sweep(self):
@@ -435,7 +438,7 @@ class TestWorstError:
         sigma = sigmas_of(means, M)
         lo, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
         assert (near[1], second[1]) == (2, 1) and means[1] - v[0] < v[3] - means[1]
-        masses = bounds._lead_masses(sigma, near, second, M, np.arange(3))
+        masses = bounds._lead_masses(sigma, near, second, M, -1.0, np.ones(3, dtype=bool))
         masses[:, 1] = 0.5
         plan = ks, 2 * np.floor(sigma) + (near - lo), near, second, masses, 0
         monkeypatch.setattr(bounds, "_screen_plan", lambda *args: plan)
@@ -673,10 +676,14 @@ class TestErrorRecord:
         (AVG, P1, 6, 1 << 12, 0.75, "WAn4", wan4_lower_bound(6, 1 << 12, 2.0), True),
         (AVG, P1, 3, 256, 0.75, "GlobalCor", c_bound(0.75, 3) * math.pi / 3, False),
         (AVG, P2, 8, 256, 0.75, "GlobalCor", c_bound(0.75, 8) * math.pi / 8, False),
-        # WA4 is derived up to 8/pi^2, and the value here is above it
-        (AVG, P1, 64, 1 << 12, 0.9, "GlobalCor", c_bound(0.9, 64) * math.pi / 64, False),
+        # WA4 is derived up to 8/pi^2, and the value here is above it, where
+        # C(p) pi/M is 1
+        (AVG, P1, 64, 1 << 12, 0.9, "GlobalCor", 1.0, False),
+        # c_bound(0.99, 236) * pi / 236 rounds to 1.0000000000000002
+        (WORST, None, 236, 1 << 14, 0.99, "GlobalCor", 1.0, False),
     ], ids=["ImprovedCor", "worst-GlobalCor", "WA4", "WA4-N1-GlobalCor", "WAn4",
-            "p1-small-M-GlobalCor", "p2-GlobalCor", "p1-above-8-over-pi2-GlobalCor"])
+            "p1-small-M-GlobalCor", "p2-GlobalCor", "p1-above-8-over-pi2-GlobalCor",
+            "worst-above-8-over-pi2-GlobalCor"])
     def test_attached_bound(self, setting, measure, M, N, p, ref, bound, lower):
         if setting is WORST:
             rec = worst_probabilistic_error(M, N, p)

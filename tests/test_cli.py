@@ -421,9 +421,6 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
-    def test_unitarity_suite_passes(self, suite_runs):
-        assert all(r.passed for r in suite_runs["unitarity"].results)
-
     def test_oracle_equivalence_suite_passes_within_a_minute(self, suite_runs):
         run = suite_runs["oracle-equivalence"]
         assert all(r.passed for r in run.results)
