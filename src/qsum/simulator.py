@@ -62,9 +62,8 @@ _MAX_FOURIER_WORK = 1 << 34
 # slices of 1 or 7 columns do not.  At N <= 256 a slice is the whole product.
 _FOURIER_COLUMNS = 256
 # Amplitudes per group of index rows whose squared magnitudes the marginal
-# sums at once, and per slab of a Walsh plan's butterfly stage, whose one
-# scratch is that size: their temporaries stay near 1 MiB, or one row where
-# a row is longer, not half the state.
+# sums at once: its temporaries stay near 1 MiB, or one row where a row is
+# longer, not the state's size.
 _MARGINAL_AMPS = 1 << 16
 
 
@@ -154,13 +153,13 @@ class StateVector:
 # The Walsh and Grover kernels act in place on a buffer of shape (..., N, T)
 # through its `_WalshPlan`: axis -2 is the data register and the trailing
 # axis stacks T vectors that share it, so the butterflies' inner loops run
-# over rows of T.  A state's (index_dim, N) blocks pass as blocks[..., None],
-# with a plan per call (per sweep in `apply_lambda`); the batched chain keeps
-# its K runs in one (N, K) work buffer and one plan for the run.  The Fourier
-# and marginal kernels act on blocks of shape (..., index_dim, N), any
-# leading axes stacking runs.  Every element goes through the same IEEE
-# operations in the same order whatever the shape, so a stacked run is
-# bit-identical to the runs done one at a time.
+# over rows of T.  A state's complex (index_dim, N) blocks pass as
+# blocks[..., None], with a plan per call (per sweep in `apply_lambda`); the
+# batched chain keeps its K runs in one real (N, K) work buffer and one plan
+# for the run.  The Fourier and marginal kernels act on blocks of shape
+# (..., index_dim, N), any leading axes stacking runs.  Every element goes
+# through the same IEEE operations in the same order whatever the shape, so
+# a stacked run is bit-identical to the runs done one at a time.
 
 def _index_marginals(blocks: np.ndarray) -> np.ndarray:
     # A few index rows at a time (_MARGINAL_AMPS); a row's sum over its data
@@ -177,40 +176,33 @@ class _WalshPlan:
     # Fast Walsh-Hadamard transform of one buffer along its data axis -2,
     # 1/sqrt(N) normalized and its own inverse, planned once per buffer.
     # Splitting that axis keeps a view; stage h pairs each run of h data rows
-    # with the next.  The plan lists each stage as (lo, hi) slabs of `pairs`
-    # pairs and `rows` of their rows, about _MARGINAL_AMPS amplitudes (one
-    # row where a row is longer), so a buffer that small takes a stage as one
-    # slab; one scratch, the size of the largest slab, holds lo while it is
-    # written.  Every amplitude takes the same operations in the same order
-    # whatever the slab.
-    __slots__ = ("blocks", "slabs", "scale")
+    # with the next.  The plan allocates one twin of the buffer, and its
+    # stages alternate between the two: each lists the (lo, hi) halves it
+    # reads from one and the halves it writes in the other, so no stage
+    # writes what it still reads.  The closing scaling writes the last
+    # stage's result back into the buffer.
+    __slots__ = ("blocks", "stages", "result", "scale")
 
     def __init__(self, blocks: np.ndarray) -> None:
         *lead, n, t = blocks.shape
-        across = math.prod(lead) * t
-        views = []
+        read, write = blocks, np.empty_like(blocks)
+        self.stages = []
         h = 1
         while h < n:
-            v = blocks.reshape(*lead, n // (2 * h), 2, h, t)
-            rows = min(h, max(1, _MARGINAL_AMPS // across))
-            pairs = max(1, _MARGINAL_AMPS // (across * rows))
-            for p in range(0, n // (2 * h), pairs):
-                for r in range(0, h, rows):
-                    slab = v[..., p:p + pairs, :, r:r + rows, :]
-                    views.append((slab[..., 0, :, :], slab[..., 1, :, :]))
+            a, b = (x.reshape(*lead, n // (2 * h), 2, h, t) for x in (read, write))
+            self.stages.append((a[..., 0, :, :], a[..., 1, :, :],
+                                b[..., 0, :, :], b[..., 1, :, :]))
+            read, write = write, read
             h *= 2
-        scratch = np.empty(max((lo.size for lo, _ in views), default=0), blocks.dtype)
-        self.blocks = blocks
-        self.slabs = [(lo, hi, scratch[:lo.size].reshape(lo.shape)) for lo, hi in views]
+        self.blocks, self.result = blocks, read
         self.scale = 1.0 / math.sqrt(n)
 
     def run(self, sign: float = 1.0) -> None:
-        # (lo, hi) -> (lo + hi, lo - hi) slab by slab, then one scaling
-        for lo, hi, top in self.slabs:
-            np.copyto(top, lo)
-            lo += hi
-            np.subtract(top, hi, out=hi)
-        self.blocks *= sign * self.scale
+        # (lo, hi) -> (lo + hi, lo - hi) stage by stage, then one scaling
+        for lo, hi, top, bottom in self.stages:
+            np.add(lo, hi, out=top)
+            np.subtract(lo, hi, out=bottom)
+        np.multiply(self.result, sign * self.scale, out=self.blocks)
 
 
 def _fourier_matrix(M: int) -> np.ndarray:
@@ -246,13 +238,13 @@ def _grover_blocks(walsh: _WalshPlan, signs: np.ndarray) -> None:
 
 def _chain_blocks(blocks: np.ndarray, signs: np.ndarray) -> int:
     # Walsh preparation and index-controlled power on (K, M, N) blocks whose
-    # M blocks per run are equal on entry.  Block 0 of the K runs is copied
-    # into one C-contiguous (N, K) work buffer (a copy: at K = 1 the
-    # transpose is already contiguous, and a view would write into block 0),
-    # whose one Walsh plan serves all 2M-1 transforms.  The buffer is written
-    # out as block j after its j-th Grover application, with `signs` of
-    # shape (N, K).  Returns the number of S_f applications per run.
-    work = blocks[:, 0, :].T.copy()
+    # M blocks per run are equal and real on entry: Fourier column 0 is
+    # real, and so are W, S_f and S0.  The real parts of block 0 of the K
+    # runs are copied into one C-contiguous float64 (N, K) work buffer, whose
+    # one Walsh plan serves all 2M-1 transforms.  The buffer is written out
+    # as block j after its j-th Grover application, with `signs` of shape
+    # (N, K).  Returns the number of S_f applications per run.
+    work = blocks[:, 0, :].real.T.copy()
     walsh = _WalshPlan(work)
     walsh.run()
     blocks[:, 0, :] = work.T
@@ -275,7 +267,8 @@ def _query_signs(state: StateVector, f: BooleanFunction | None) -> np.ndarray:
 def apply_primitive(
     state: StateVector, which: Primitive, f: BooleanFunction | None = None
 ) -> StateVector:
-    """Apply one primitive in place and return the state."""
+    """Apply one primitive in place and return the state.  Walsh-Hadamard's
+    plan holds a transient complex twin of the blocks while it runs."""
     blocks = state.blocks()
     if which is Primitive.S0:
         blocks[:, 0] *= -1.0
@@ -310,7 +303,8 @@ def apply_standard_query(state: StateVector, f: BooleanFunction) -> StateVector:
 
 
 def apply_grover(state: StateVector, f: BooleanFunction) -> StateVector:
-    """Apply the Grover operator to every index block in place."""
+    """Apply the Grover operator to every index block in place, through a
+    Walsh plan that holds a transient complex twin of the blocks."""
     _grover_blocks(_WalshPlan(state.blocks()[..., None]), _query_signs(state, f)[:, None])
     return state
 
@@ -321,8 +315,9 @@ def apply_lambda(state: StateVector, f: BooleanFunction) -> StateVector:
     Implemented by sweeping t = 1..index_dim-1 and hitting blocks [t:] once
     per sweep, so it is correct on any state, at index_dim*(index_dim-1)/2
     block applications, each sweep's blocks [t:] with a Walsh plan of their
-    own.  `run_qs_batch` chains the blocks of the prepared state instead
-    (M-1 applications), and this sweep is its test oracle.
+    own, which holds a transient complex twin of them.  `run_qs_batch`
+    chains the blocks of the prepared state instead (M-1 applications), and
+    this sweep is its test oracle.
     """
     blocks, signs = state.blocks(), _query_signs(state, f)[:, None]
     for t in range(1, blocks.shape[0]):
@@ -446,10 +441,12 @@ def run_qs_batch(n: int, M: int, tables) -> QSBatch:
     |0>|0>, the index-controlled Grover power, then the inverse Fourier.  Row
     k of the result is bit-identical to the run of table k alone.
 
-    Column 0 of the Fourier block is constant, so the Fourier preparation
-    leaves the same data vector in every block j < M.  Block 0 of the K runs
-    is copied into one (N, K) work buffer, where the preparation's Walsh
-    transform runs once; the power then chains on that buffer: for
+    Column 0 of the Fourier block is real and constant, so the Fourier
+    preparation leaves the same real data vector in every block j < M, and
+    W, S_f and S0 keep it real.  Block 0's real parts for the K runs are
+    copied into one float64 (N, K) work buffer, where the preparation's
+    Walsh transform runs once, through a plan whose real twin of that buffer
+    is its only scratch; the power then chains on that buffer: for
     j = 1..M-1 it gets one more Grover application and is written out as
     block j, which ends up with exactly j of them.  `queries` counts the S_f
     applications the chain made, M-1 per run.  Blocks j >= M, which the

@@ -61,23 +61,35 @@ class TestLayout:
 
 
 class TestPrimitives:
-    @pytest.mark.parametrize("slab", [1, 3, 64, 1 << 12, 1 << 30])
-    def test_walsh_slabs_change_no_bit(self, monkeypatch, slab):
-        # a plan's butterflies over slabs of pairs, of rows of one pair, of
-        # single amplitudes or of whole stages give the bits of the
-        # butterflies of each stage over the whole buffer at once, on stacks
-        # of runs; a buffer of at most a slab takes each stage as one slab
-        monkeypatch.setattr(simulator, "_MARGINAL_AMPS", slab)
+    @pytest.mark.parametrize("shape,dtype", [
+        pytest.param(shape, dtype, id=f"{np.dtype(dtype).name}-{'x'.join(map(str, shape))}")
+        for shape, dtype in [
+            ((1, 1), complex), ((8, 1), complex), ((64, 3), complex), ((4, 256, 1), complex),
+            ((1 << 12, 2), complex), ((3, 1 << 10, 4), complex),
+            ((1, 3), float), ((2, 1), float), ((4, 5), float), ((8, 2), float),
+        ]])
+    def test_walsh_twin_plan_changes_no_bit(self, shape, dtype):
+        # a plan's stages alternate between the buffer and its twin, 0 to 12
+        # of them, odd and even counts, and the result lands in the caller's
+        # buffer with the bits of each stage's butterflies over the whole
+        # buffer at once, on stacks of runs and on real (N, K) buffers like
+        # the chain's.  The chain runs one plan 2M-1 times, so a plan run
+        # twice, with S0's negation between, gives the bits of two fresh ones
         rng = np.random.default_rng(37)
-        for shape in ((1, 1), (8, 1), (64, 3), (4, 256, 1), (1 << 12, 2), (3, 1 << 10, 4)):
-            blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            whole = blocks.copy()
-            _written_out_walsh(whole)
-            plan = simulator._WalshPlan(blocks)
-            plan.run()
-            assert np.array_equal(blocks.view(np.int64), whole.view(np.int64)), shape
-            if blocks.size <= slab:
-                assert len(plan.slabs) == shape[-2].bit_length() - 1
+        blocks = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            blocks.imag = rng.normal(size=shape)
+        fresh = blocks.copy()
+        _written_out_walsh(fresh)
+        plan = simulator._WalshPlan(blocks)
+        plan.run()
+        assert plan.blocks is blocks
+        assert np.array_equal(blocks.view(np.int64), fresh.view(np.int64))
+        for x in (blocks, fresh):
+            x[..., 0, :] *= -1.0
+        plan.run(-1.0)
+        simulator._WalshPlan(fresh).run(-1.0)
+        assert np.array_equal(blocks.view(np.int64), fresh.view(np.int64))
 
     @pytest.mark.parametrize("n", range(7))
     def test_primitives_match_written_out_butterflies(self, n):
@@ -329,6 +341,7 @@ class TestBatchedCore:
         batch = run_qs_batch(n, M, tables)
         (entry,) = entries
         assert entry.shape == (len(tables), M, 1 << n)
+        assert (entry.imag == 0).all()
         assert (entry == entry[:, :1, :]).all()
         for k, row in enumerate(tables):
             state = StateVector.zero(QubitLayout(n=n, M=M))
@@ -374,17 +387,16 @@ class TestBatchedCore:
         monkeypatch.setattr(simulator, "_WalshPlan", Plan)
         batch = run_qs_batch(2, M, np.eye(3, 4, dtype=np.int8))
         assert len(calls) == M - 1 == batch.queries
-        # one plan per run, on the one (N, K) work buffer, serves every
+        # one plan per run, on the one real (N, K) work buffer, serves every
         # application and the preparation's transform
         (plan,) = plans
-        assert plan.blocks.shape == (4, 3)
+        assert plan.blocks.shape == (4, 3) and plan.blocks.dtype == np.float64
         assert all(walsh is plan for walsh in calls)
 
     @pytest.mark.parametrize("M", [1, 5, 16])
     @pytest.mark.parametrize("n", [0, 3, 10])
     def test_single_table_is_bit_identical_to_the_sweep(self, monkeypatch, n, M):
-        # at K = 1 the (N, 1) transpose of block 0 is contiguous, so a work
-        # buffer taken as a view instead of a copy would write into block 0
+        # one run alone, on an (N, 1) work buffer
         rng = np.random.default_rng(47 + n * 100 + M)
         self._assert_chain_is_the_sweep(monkeypatch, n, M, rng.integers(0, 2, (1, 1 << n)))
 
