@@ -709,9 +709,9 @@ def avg_probabilistic_errors(
     """Average-case records for several levels from one set of class weights
     and one sweep over the mean grid in the fixed chunks of _CHUNK_CELLS.  A
     chunk whose weights are all zero would add +0.0 to each level's fsum and
-    is skipped before its level errors: the `p1` weights underflow to zero
-    beyond about 19 sqrt(N) means either side of N/2, so its sweep evaluates
-    a few chunks whatever N."""
+    is skipped before its level errors: the `p1` weights are exactly 0.0
+    beyond sqrt(373 N) = 19.31 sqrt(N) means either side of N/2 (see
+    `class_weights`), so its sweep evaluates a few chunks whatever N."""
     for p in ps:
         _validate_p(p)
     weights = class_weights(measure, N)

@@ -191,10 +191,12 @@ class TestClassWeight:
         assert np.array_equal(*weights)
 
     def test_support_only_build_equals_the_whole_range_build(self):
-        # the slices stop at the first all-zero one on each side of N/2; the
+        # only the means within isqrt(373 N) + 1 of N/2 are evaluated; the
         # weights are those of the exact tail plus one Stirling call over the
-        # whole middle, bit for bit, zeros included
-        for N in [*(1 << n for n in range(21)), 3, 127, 129, 255, (1 << 16) + 3]:
+        # whole middle, bit for bit, zeros included.  From N = 1445 on the
+        # exact tail is all 0.0
+        for N in [*(1 << n for n in range(22)), 3, 127, 129, 255, *range(1440, 1451),
+                  (1 << 16) + 3]:
             edge = min(64, (N + 2) // 2)
             whole = np.empty(N + 1)
             for k in range(edge):
@@ -203,6 +205,22 @@ class TestClassWeight:
             whole[edge:N + 1 - edge] = np.exp(boolfn._log_weights_stirling(N, middle))
             w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
             assert np.array_equal(w.view(np.int64), whole.view(np.int64)), N
+
+    @pytest.mark.parametrize("N", [1 << 20, 1 << 24])
+    def test_only_the_support_is_evaluated(self, monkeypatch, N):
+        # no exact binomial, which is 0.0 this far out, and at most
+        # 2 isqrt(373 N) + 3 Stirling means, none beyond isqrt(373 N) + 1 of N/2
+        exact, stirling = [], []
+        monkeypatch.setattr(boolfn, "_weight_uniform_functions",
+                            lambda *a: exact.append(a) or 0.0)
+        log_weights = boolfn._log_weights_stirling
+        monkeypatch.setattr(boolfn, "_log_weights_stirling",
+                            lambda N, ks: stirling.append(ks) or log_weights(N, ks))
+        class_weights(Measure.UNIFORM_FUNCTIONS, N)
+        ks = np.concatenate(stirling)
+        assert exact == []
+        assert ks.size <= 2 * math.isqrt(373 * N) + 3
+        assert np.abs(ks - N / 2).max() <= math.isqrt(373 * N) + 1
 
     def test_slices_keep_the_peak_near_the_weight_array(self):
         # at N = 2^20 the 8 MiB weight array plus one slice's temporaries,

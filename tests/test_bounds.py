@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -216,6 +217,22 @@ class TestErrorAtLevel:
             for a in (Fraction(0), Fraction(3, 16), Fraction(1, 2), Fraction(13, 16)):
                 assert brute_force_errors_at_levels(a, M, levels) == [
                     brute_force_errors_at_levels(a, M, [p])[0] for p in levels]
+
+    def test_even_m_errors_are_symmetric_under_a_to_one_minus_a(self):
+        # at even M, j -> M/2 - j carries the law at a onto the law at 1 - a
+        # and each estimate onto one minus it, so the errors at k/N and
+        # (N - k)/N agree up to rounding (2.8e-16 at most); at odd M there is
+        # no such map, and they differ by 0.31, 0.092 and 0.024 at M = 5, 17
+        # and 65
+        N = 1 << 12
+        means = np.arange(N + 1) / N
+        ps = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
+        for M in (2, 4, 6, 16, 18, 64, 236, 1024):
+            errs = np.array(level_errors(means, M, ps))
+            assert np.abs(errs - errs[:, ::-1]).max() <= 4.4e-16, M
+        for M in (5, 17, 65):
+            (errs,) = level_errors(means, M, [0.51])
+            assert np.abs(errs - errs[::-1]).max() >= 0.02, M
 
     def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
             self, monkeypatch, no_law_bounds):
@@ -520,9 +537,9 @@ class TestAvgError:
         assert [r.value.hex() for r in records] == ["0x1.d6ead8b895656p-9", "0x1.63e13fbcfba5fp-4"]
 
     def test_chunks_without_weight_are_skipped(self, chunk_sizes):
-        # the p1 weights underflow to 0.0 beyond about 19 sqrt(N) means either
-        # side of N/2, so a sweep evaluates only the chunks around the middle;
-        # the values are those of the sweep over every chunk
+        # the p1 weights are 0.0 beyond sqrt(373 N) = 19.31 sqrt(N) means
+        # either side of N/2, so a sweep evaluates only the chunks around the
+        # middle; the values are those of the sweep over every chunk
         N = 1 << 20
         records = avg_probabilistic_errors(64, N, [0.51, 0.75], Measure.UNIFORM_FUNCTIONS)
         assert 0 < sum(chunk_sizes) < (N + 1) / 8
@@ -558,6 +575,18 @@ class TestVCalculus:
             v_inverse(0.3)
         with pytest.raises(ValueError):
             v_inverse(0.9)
+
+    def test_c_bound_is_one_minus_a_50_digit_v_inverse(self):
+        # d solves v(d) = p on [1/4, 1/2] at 50 digits, on a 41-point grid of
+        # [4/pi^2, 8/pi^2] with both ends; C(p) was 4.55e-13 from 1 - d at
+        # most.  At 8/pi^2 the float lies on the safe side of 3/4
+        # (0x1.7fffffffff000p-1)
+        with mpmath.workdps(50):
+            for p in np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 41).tolist():
+                d = mpmath.findroot(lambda d: (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 - p,
+                                    mpmath.mpf(3) / 8)
+                assert abs(c_bound(p, 64) - (1 - d)) <= 1e-12, p
+        assert c_bound(EIGHT_OVER_PI_SQ, 64) <= 0.75
 
     def test_c_bound_branches(self):
         assert c_bound(0.1, 7) == 0.5

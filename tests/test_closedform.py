@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from qsum.boolfn import sigma_of
+from qsum.boolfn import sigma_of, sigmas_of
 from qsum.closedform import (
     SIGMA_INTEGRALITY_TOL,
     dirichlet_kernel_sq,
@@ -149,6 +150,55 @@ class TestDistribution:
             dist = distribution(a, M)
             mass = dist.probs[np.abs(dist.outputs - float(a)) <= 1e-12].sum()
             assert abs(mass - 1.0) <= 1e-12
+
+
+def _law_50_digits(sigma: float, j: int, M: int):
+    """(D(j - sigma) + D(j + sigma)) / 2 at 50 digits, at the float sigma."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for d in (j - mpmath.mpf(sigma), j + mpmath.mpf(sigma)):
+            den = mpmath.sinpi(d / M)
+            total += 1 if den == 0 else (mpmath.sinpi(d) / (M * den)) ** 2
+        return total / 2
+
+
+class TestFiftyDigitLaw:
+    """The float law against the same law at 50 digits.  Each tolerance is
+    today's largest error on the test's own sample, rounded up by less than
+    1.5x, so a more accurate law shows up as smaller numbers here."""
+
+    # largest |p_float - p_50| on the cells below: 6.06e-15, 9.65e-14,
+    # 3.84e-13 and 1.54e-12, each at an outcome M - floor(sigma), where the
+    # float j + sigma near M is rounded
+    CELL_TOL = {64: 8e-15, 1024: 1.2e-13, 4096: 5e-13, 16384: 2e-12}
+
+    @pytest.mark.parametrize("M", sorted(CELL_TOL))
+    def test_cells(self, M):
+        # seeded sigma, integral or more than 1e-9 from an integer so that
+        # the snap does not enter; per sigma its four bracketing outcomes and
+        # four drawn ones
+        rng = np.random.default_rng(M)
+        sigma = np.concatenate([[0.0, 1.0, M / 4, M / 2], rng.uniform(0.0, M / 2, 60)])
+        off = np.abs(sigma - np.round(sigma))
+        assert np.all((off == 0.0) | (off > SIGMA_INTEGRALITY_TOL))
+        near = np.floor(sigma)[:, None] + [0, 1]
+        j = np.concatenate([near, M - near, rng.integers(0, M, (sigma.size, 4))], axis=1) % M
+        cells = outcome_probabilities_at(sigma[:, None], j, M)
+        err = max(abs(_law_50_digits(s, int(k), M) - cell)
+                  for s, row, cell_row in zip(sigma, j, cells) for k, cell in zip(row, cell_row))
+        assert err <= self.CELL_TOL[M]
+
+    # largest |sum - 1| over the means k/2^8: 3.88e-13 and 1.55e-12
+    SUM_TOL = {4096: 5e-13, 16384: 2e-12}
+
+    @pytest.mark.parametrize("M", sorted(SUM_TOL))
+    def test_sums(self, M):
+        # 64 means per call keep the traced peak at 50 MiB at M = 16384,
+        # against 200 MiB in one call
+        sigma = sigmas_of(np.arange(257) / 256, M)
+        gap = max(np.abs(outcome_probabilities(sigma[at:at + 64], M).sum(axis=1) - 1.0).max()
+                  for at in range(0, sigma.size, 64))
+        assert gap <= self.SUM_TOL[M]
 
 
 class TestOutputValue:
