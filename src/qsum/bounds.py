@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,10 @@ _CHUNK_CELLS = 1 << 21
 # (`_screen_means`) and its fixed cost, the numpy passes of its plan and
 # search counted in means of the dense sweep, are fewer than N+1.  Fitted on
 # a 2-core x86-64 machine at N = 2^12..2^17, M = 5..4096 and one or four
-# levels, where the screen took 0.03-0.95x the dense sweep's time.
+# levels.  The fit does not always pick the faster route: at M = 232..240,
+# N = 2^13 and four levels the screen took 1.16-1.39x the dense sweep's time,
+# against 0.18-0.34x at M = 16..17 and 62..66, N = 2^15 (in-process medians
+# of interleaved calls at perfbench's worst_sweep points, seeds 0-9).
 _SCREEN_MAX_M = 4096
 _SCREEN_FIXED_MEANS = 1 << 12
 
@@ -101,9 +104,6 @@ class Setting(Enum):
     AVG_PROBABILISTIC = "avg"
 
 
-_LOWER_BOUND_REFS = frozenset({"WAn4"})
-
-
 @dataclass
 class ErrorRecord:
     """One computed error value with the analytic bound that applies to it."""
@@ -119,8 +119,9 @@ class ErrorRecord:
 
     @property
     def bound_holds(self) -> bool:
-        """Whether value respects the attached bound, on the bound's side."""
-        if self.bound_ref in _LOWER_BOUND_REFS:
+        """Whether value respects the attached bound, on its statement's side
+        (`_STATEMENTS`); a ref not in the table is an upper bound."""
+        if self.bound_ref in _STATEMENTS and _STATEMENTS[self.bound_ref][2]:
             return self.value >= self.bound
         return self.value <= self.bound * (1.0 + 1e-12) + 1e-300
 
@@ -734,30 +735,43 @@ def avg_probabilistic_error(
     return avg_probabilistic_errors(M, N, [p], measure, beta)[0]
 
 
-def _record(
-    setting: Setting, measure: Measure | None, M: int, N: int, p: float,
-    value: float, beta: float | None = None,
-) -> ErrorRecord:
-    """The error value with the one bound that applies to it.
+# The paper's statements on the error, keyed by the ref a record carries,
+# each a hypothesis on (setting, measure, M, N, p), its bound at (M, N, p,
+# beta) and whether that bound is a lower one.  A record attaches the first
+# whose hypothesis holds, in this order (`_stated`).
+_STATEMENTS = {
+    # (3/4) pi/M with probability 8/pi^2
+    "ImprovedCor": (lambda setting, measure, M, N, p: setting is Setting.WORST_PROBABILISTIC
+                    and abs(p - EIGHT_OVER_PI_SQ) <= 1e-15,
+                    lambda M, N, p, beta: 0.75 * math.pi / M, False),
+    # the uniform-function average, derived up to 8/pi^2
+    "WA4": (lambda setting, measure, M, N, p: measure is Measure.UNIFORM_FUNCTIONS
+            and M % 4 == 0 and N >= 2 and p <= EIGHT_OVER_PI_SQ,
+            lambda M, N, p, beta: wa4_upper_bound(M, N), False),
+    "WAn4": (lambda setting, measure, M, N, p: measure is Measure.UNIFORM_FUNCTIONS
+             and M % 4 != 0 and M > 4, lambda M, N, p, beta: wan4_lower_bound(M, N, beta), True),
+    # C(p) pi/M at every point, and exactly 1, the trivial bound, above
+    # 8/pi^2, where C(p) pi/M is about 1 and may round above it
+    "GlobalCor": (lambda *point: True, lambda M, N, p, beta: (
+        1.0 if p > EIGHT_OVER_PI_SQ else c_bound(p, M) * math.pi / M), False),
+}
 
-    - ImprovedCor, (3/4) pi/M: the worst case at p = 8/pi^2;
-    - WA4 (upper): the uniform-function measure, 4 | M, N >= 2 and p <= 8/pi^2;
-    - WAn4 (lower, with beta): the uniform-function measure, 4 not | M, M > 4;
-    - GlobalCor, C(p) pi/M: everything else; exactly 1 above 8/pi^2.
-    """
-    uniform_functions = measure is Measure.UNIFORM_FUNCTIONS
-    if setting is Setting.WORST_PROBABILISTIC and abs(p - EIGHT_OVER_PI_SQ) <= 1e-15:
-        bound, ref = 0.75 * math.pi / M, "ImprovedCor"
-    elif uniform_functions and M % 4 == 0 and N >= 2 and p <= EIGHT_OVER_PI_SQ:
-        bound, ref = wa4_upper_bound(M, N), "WA4"
-    elif uniform_functions and M % 4 != 0 and M > 4:
-        bound, ref = wan4_lower_bound(M, N, beta), "WAn4"
-    elif p > EIGHT_OVER_PI_SQ:
-        bound, ref = 1.0, "GlobalCor"
-    else:
-        bound, ref = c_bound(p, M) * math.pi / M, "GlobalCor"
-    return ErrorRecord(M=M, N=N, p=p, setting=setting, measure=measure,
-                       value=value, bound=bound, bound_ref=ref)
+
+def _stated(setting: Setting, measure: Measure | None, M: int, N: int, p: float, value: float,
+            beta: float | None = None) -> Iterator[ErrorRecord]:
+    """The error value with each statement whose hypothesis holds at
+    (setting, measure, M, N, p), one record each, in `_STATEMENTS` order;
+    GlobalCor's always holds."""
+    for ref, (applies, bound, _) in _STATEMENTS.items():
+        if applies(setting, measure, M, N, p):
+            yield ErrorRecord(M=M, N=N, p=p, setting=setting, measure=measure, value=value,
+                              bound=bound(M, N, p, beta), bound_ref=ref)
+
+
+def _record(setting: Setting, measure: Measure | None, M: int, N: int, p: float, value: float,
+            beta: float | None = None) -> ErrorRecord:
+    """The error value with the first statement that applies to it (`_stated`)."""
+    return next(_stated(setting, measure, M, N, p, value, beta))
 
 
 def v_func(delta):
@@ -864,11 +878,12 @@ def wan4_lower_bound(M: int, N: int, beta: float) -> float:
 def queries_for_epsilon(epsilon: float, p: float) -> int:
     """Smallest M with guaranteed error <= epsilon at probability p.
 
-    Returns M = ceil((1 - v^-1(p)) pi / epsilon); the run then uses M - 1
-    queries.  Requires epsilon in (0, 1) and p in (1/2, 8/pi^2].
+    Returns M = ceil(C(p) pi / epsilon), C(p) = 1 - v^-1(p) (`c_bound`); the
+    run then uses M - 1 queries.  Requires epsilon in (0, 1) and p in (1/2,
+    8/pi^2]; a p at most 1e-12 above 8/pi^2 counts as 8/pi^2.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0.5 < p <= EIGHT_OVER_PI_SQ + 1e-12:
         raise ValueError(f"p must lie in (1/2, 8/pi^2], got {p}")
-    return math.ceil((1.0 - v_inverse(p)) * math.pi / epsilon)
+    return math.ceil(c_bound(min(p, EIGHT_OVER_PI_SQ), 1) * math.pi / epsilon)

@@ -137,9 +137,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace, Ms: list[int], ps: list[float]) -> int:
-    """Refuse an oversized sweep before any work, then write one row per M at
-    one level, or one row per level at one M from one multi-level sweep."""
+    """Refuse a beta of at most 1 (WAn4's) and an oversized sweep before any
+    work, then write one row per M at one level, or one row per level at one
+    M from one multi-level sweep."""
     setting, N, measure = Setting(args.setting), 1 << args.n, Measure(args.measure)
+    if not args.beta > 1.0:
+        raise ValueError(f"beta must exceed 1, got {args.beta}")
     refuse_sweeps(setting, N, Ms, ps)
     worst = setting is Setting.WORST_PROBABILISTIC
     if len(ps) == 1:

@@ -25,6 +25,7 @@ from .bounds import (
     EIGHT_OVER_PI_SQ,
     FOUR_OVER_PI_SQ,
     LEVEL_SLACK,
+    _STATEMENTS,
     _brackets_reach,
     _first_values,
     _floor_reach,
@@ -34,9 +35,9 @@ from .bounds import (
     _screen_rows,
     _screened_worst_errors,
     _screens,
+    _stated,
     _value_edges,
     avg_probabilistic_errors,
-    c_bound,
     g_func,
     h_func,
     level_errors,
@@ -87,11 +88,6 @@ class CheckResult:
 
 # What a suite yields per check: (name, passed, detail); passed may be np.bool_.
 Checks = Iterator[tuple[str, bool, str]]
-
-
-def _max_excess(records) -> float:
-    """Largest value - bound over records that carry a bound."""
-    return max(rec.value - rec.bound for rec in records)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,8 @@ def nested_grid_worst(M: int) -> tuple[int, float]:
     rows = np.array([[rec.value for rec in worst_probabilistic_errors(M, 1 << n, levels)]
                      for n in range(12, 31)])
     falls = int(np.count_nonzero(np.diff(rows, axis=0) < 0.0))
-    return falls, float((rows / [c_bound(p, M) * math.pi / M for p in levels]).max())
+    _, sharp, _ = _STATEMENTS["GlobalCor"]
+    return falls, float((rows / [sharp(M, None, p, None) for p in levels]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +444,10 @@ def _suite_oracle_equivalence() -> Checks:
 def _suite_bounds() -> Checks:
     N12 = 1 << 12
 
-    dist_excess = -math.inf
-    for M in range(2, 65):
-        outputs = output_grid(M)
-        for k in range(65):
-            sigma = sigma_of(k / 64, M).sigma
-            for j in (math.floor(sigma), math.ceil(sigma)):
-                dist_excess = max(dist_excess, abs(float(outputs[j]) - k / 64)
-                                  - math.pi * abs(j - sigma) / M)
+    dist_excess = max(abs(float(outputs[j]) - k / 64) - math.pi * abs(j - sigma) / M
+                      for M in range(2, 65) for outputs in [output_grid(M)] for k in range(65)
+                      for sigma in [sigma_of(k / 64, M).sigma]
+                      for j in (math.floor(sigma), math.ceil(sigma)))
     yield ("bracketing outputs lie within pi |j - sigma| / M of the mean",
            dist_excess <= 1e-15,
            f"max (error - pi |j - sigma| / M) = {dist_excess:.3e} at j = floor, ceil "
@@ -462,17 +455,18 @@ def _suite_bounds() -> Checks:
 
     levels = [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ]
     swept = {(M, N, tuple(levels)): worst_probabilistic_errors(M, N, levels)
-             for N in (1 << 2, 1 << 8, N12) for M in range(2, 65)}
+             for N in (1 << 2, 1 << 8, N12, 1 << 20) for M in range(2, 65)
+             if N < 1 << 20 or M == 64}
     worst = [rec for recs in swept.values() for rec in recs]
     improved = [rec for rec in worst if rec.N == N12 and rec.p == EIGHT_OVER_PI_SQ]
     yield ("worst error at p = 8/pi^2 stays below (3/4) pi / M",
            all(rec.bound_ref == "ImprovedCor" and rec.bound_holds for rec in improved),
-           f"max (value - bound) = {_max_excess(improved):.3e} over M = 2..64, N = 2^12")
-    yield ("worst error respects C(p) pi / M for all p branches",
-           all(rec.bound_holds for rec in worst),
-           f"max (value - bound) = {_max_excess(worst):.3e} over M<=64, N in {{2^2,2^8,2^12}}")
+           f"max (value - bound) = {max(rec.value - rec.bound for rec in improved):.3e} "
+           f"over M = 2..64, N = 2^12")
 
-    # WA4 is derived up to 8/pi^2; above it a p1 record at 4 | M takes GlobalCor
+    # every statement that applies at a record, not only the one it carries:
+    # WA4 is derived up to 8/pi^2, so above it a p1 record at 4 | M meets
+    # GlobalCor alone
     wide = [*levels, 0.85, 0.9, 0.99]
     grid = [(M, N) for N in (1, 2, 16, 256) for M in [*range(1, 21), 32, 36, 64]]
     attached = [rec for M, N in grid for rec in worst_probabilistic_errors(M, N, wide)]
@@ -483,30 +477,46 @@ def _suite_bounds() -> Checks:
     attached += [rec for M in range(5, 20) if M % 4 != 0
                  for rec in avg_probabilistic_errors(M, 1 << 13, levels,
                                                      Measure.UNIFORM_FUNCTIONS)]
-    refs = sorted(Counter(rec.bound_ref for rec in attached).items())
-    wan4 = [rec.bound > 0.0 for rec in attached if rec.bound_ref == "WAn4"]
+    # WAn4 at beta = 2, with which the average records were built
+    stated = [rec for each in [*worst, *attached] for rec in _stated(
+        each.setting, each.measure, each.M, each.N, each.p, each.value, 2.0)]
+    refs = sorted(Counter(rec.bound_ref for rec in stated).items())
+    wan4 = [rec.bound > 0.0 for rec in stated if rec.bound_ref == "WAn4"]
     yield ("every attached bound holds at p <= 0.99",
-           all(rec.bound_holds for rec in attached) and any(wan4),
-           f"{len(attached)} records, N in {{1,2,16,256}}, M in 1..20,32,36,64 at p up to "
-           f"0.99, and N = 2^13 under p1 at M in 5..19 with 4 not | M up to 8/pi^2: "
-           f"{', '.join(f'{ref} {n}' for ref, n in refs)} "
-           f"({sum(wan4)} WAn4 positive, {wan4.count(False)} non-positive)")
+           all(rec.bound_holds for rec in stated) and any(wan4),
+           f"{len(worst) + len(attached)} records under every statement that applies: "
+           f"{', '.join(f'{ref} {n}' for ref, n in refs)} ({sum(wan4)} WAn4 positive, "
+           f"{wan4.count(False)} non-positive); worst cases at M = 2..64, N in "
+           f"{{2^2,2^8,2^12}} and M = 64, N = 2^20 up to 8/pi^2; both settings at N in "
+           f"{{1,2,16,256}}, M in 1..20,32,36,64 up to 0.99; N = 2^13 under p1 at M in 5..19 "
+           f"with 4 not | M up to 8/pi^2")
 
-    recs = swept[64, 1 << 20, tuple(levels)] = worst_probabilistic_errors(64, 1 << 20, levels)
-    ratios = [rec.value / ((1.0 - v_inverse(rec.p)) * math.pi / 64) for rec in recs]
+    _, sharp, _ = _STATEMENTS["GlobalCor"]
+    ratios = [rec.value / sharp(64, rec.N, rec.p, None)
+              for rec in swept[64, 1 << 20, tuple(levels)]]
     yield ("worst error at M=64, N=2^20 sits in [0.85, 1.0] of the sharp rate",
            min(ratios) >= 0.85 and max(ratios) <= 1.0,
            f"ratios {', '.join(f'{r:.6f}' for r in ratios)}")
 
-    gap = 0.0
     subset_levels = (0.51, 0.75, EIGHT_OVER_PI_SQ)
-    for M in range(1, 11):
-        greedy = level_errors(np.arange(17) / 16, M, subset_levels)
-        for k in range(17):
-            brute = brute_force_errors_at_levels(k / 16, M, subset_levels)
-            gap = max(gap, float(np.abs(greedy[:, k] - brute).max()))
+    gap = max(float(np.abs(errs - brute_force_errors_at_levels(k / 16, M, subset_levels)).max())
+              for M in range(1, 11)
+              for k, errs in enumerate(level_errors(np.arange(17) / 16, M, subset_levels).T))
     yield ("greedy level error equals exhaustive subset minimum",
            gap <= 1e-12, f"max |greedy - brute force| = {gap:.3e} (M<=10, a=k/16)")
+
+    # at even M, j -> M/2 - j carries the law at a onto the law at 1 - a and
+    # each estimate onto one minus it, so the errors at k/N and (N - k)/N
+    # agree up to rounding; at odd M there is no such map
+    gaps = [float(np.abs(errs - errs[:, ::-1]).max())
+            for M in (2, 4, 6, 16, 18, 64, 236, 1024, 5, 17, 65)
+            for errs in [level_errors(np.arange(N12 + 1) / N12, M, [0.51] if M % 2 else
+                                      [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0])]]
+    even, odd = max(gaps[:8]), min(gaps[8:])
+    yield ("level errors are symmetric under a -> 1 - a at even M only",
+           even <= 4.4e-16 and odd >= 0.02,
+           f"max |error(a) - error(1 - a)| {even:.1e} (<= 4.4e-16) at even M = 2..1024, "
+           f"p = 0.51..1; min {odd:.3f} (>= 0.02) at M = 5, 17, 65, p = 0.51; a = k/2^12")
 
     cases = [(_level_means(M), M, _level_sets(M)) for M in LEVEL_ERROR_MS]
     cases += [(_near_integer_means(M), M, [_lead_mass_levels(M)]) for M in LEVEL_ERROR_MS]
@@ -517,15 +527,9 @@ def _suite_bounds() -> Checks:
            f"each level alone, the sets up to 8/pi^2 and to 1, and two seeded sets; the "
            f"near-integer means at the levels on their own running masses, as one set)")
 
-    rounding_ok = True
-    for N in (2, 4, 8):
-        M = int(1.5 * math.pi * N) + 1
-        for k in range(N + 1):
-            a = k / N
-            dist = distribution(a, M)
-            hits = np.round(dist.outputs * N) / N == a
-            if dist.probs[hits].sum() < EIGHT_OVER_PI_SQ - 1e-12:
-                rounding_ok = False
+    rounding_ok = all(dist.probs[np.round(dist.outputs * N) / N == k / N].sum()
+                      >= EIGHT_OVER_PI_SQ - 1e-12 for N in (2, 4, 8) for k in range(N + 1)
+                      for dist in [distribution(k / N, int(1.5 * math.pi * N) + 1)])
     yield ("for M > (3 pi / 2) N rounding recovers the mean w.p. >= 8/pi^2",
            rounding_ok, "exhaustive over N in {2, 4, 8}")
 
@@ -548,13 +552,10 @@ def _suite_bounds() -> Checks:
            f"{falls} falls from N = 2^n to 2^(n+1), n = 12..29, at M = 64 and p in "
            f"{{0.51, 0.75, 8/pi^2}}; largest ratio to C(p) pi / M {ratio:.6f} (<= 1)")
 
-    mono_ok = True
-    grid = np.linspace(0.05, 1.0, 20)
-    for M in (3, 7, 12):
-        for k in (1, 5, 9, 14):
-            errs = level_errors([k / 16], M, list(grid))[:, 0]
-            if np.any(np.diff(errs) < -1e-15):
-                mono_ok = False
+    # the rows of one call are independent, so each a in it has its own bits
+    grid = list(np.linspace(0.05, 1.0, 20))
+    mono_ok = all((np.diff(level_errors(np.array([1, 5, 9, 14]) / 16, M, grid), axis=0)
+                   >= -1e-15).all() for M in (3, 7, 12))
     yield ("level error is nondecreasing in p", mono_ok,
            "checked on a 20-point p grid for several (a, M)")
 

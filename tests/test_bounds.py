@@ -218,21 +218,13 @@ class TestErrorAtLevel:
                 assert brute_force_errors_at_levels(a, M, levels) == [
                     brute_force_errors_at_levels(a, M, [p])[0] for p in levels]
 
-    def test_even_m_errors_are_symmetric_under_a_to_one_minus_a(self):
-        # at even M, j -> M/2 - j carries the law at a onto the law at 1 - a
-        # and each estimate onto one minus it, so the errors at k/N and
-        # (N - k)/N agree up to rounding (2.8e-16 at most); at odd M there is
-        # no such map, and they differ by 0.31, 0.092 and 0.024 at M = 5, 17
-        # and 65
-        N = 1 << 12
-        means = np.arange(N + 1) / N
-        ps = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99, 1.0]
-        for M in (2, 4, 6, 16, 18, 64, 236, 1024):
-            errs = np.array(level_errors(means, M, ps))
-            assert np.abs(errs - errs[:, ::-1]).max() <= 4.4e-16, M
-        for M in (5, 17, 65):
-            (errs,) = level_errors(means, M, [0.51])
-            assert np.abs(errs - errs[::-1]).max() >= 0.02, M
+    def test_even_m_errors_are_symmetric_under_a_to_one_minus_a(self, suite_runs):
+        # the bounds check: the errors at k/2^12 and (2^12 - k)/2^12 agree
+        # within 4.4e-16 at even M (2.8e-16 at most), and differ by 0.31,
+        # 0.092 and 0.024 at M = 5, 17 and 65
+        check = suite_runs["bounds"].check(
+            "level errors are symmetric under a -> 1 - a at even M only")
+        assert check.passed, check.detail
 
     def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
             self, monkeypatch, no_law_bounds):
@@ -724,6 +716,27 @@ class TestErrorRecord:
         # bound_holds faces the bound's direction: past it on the wrong side fails
         assert replace(rec, value=rec.bound + 0.1).bound_holds is lower
         assert replace(rec, value=rec.bound - 0.1).bound_holds is not lower
+
+    def test_a_ref_outside_the_statements_is_an_upper_bound(self):
+        rec = replace(avg_probabilistic_error(6, 1 << 12, 0.75, P1), bound_ref="BHMT")
+        assert replace(rec, value=rec.bound - 0.1).bound_holds
+        assert not replace(rec, value=rec.bound + 0.1).bound_holds
+
+    @pytest.mark.parametrize("ref,tighten", [
+        ("GlobalCor", lambda bound, p: 0.9 * bound),
+        # only the worst case comes within 0.9 of it, and at 8/pi^2 it
+        # carries ImprovedCor: the check must run GlobalCor there too
+        ("GlobalCor", lambda bound, p: 0.9 * bound if p == EIGHT_OVER_PI_SQ else bound),
+        ("WAn4", lambda bound, p: bound + 1.0),  # a lower bound tightens upward
+    ], ids=["GlobalCor", "GlobalCor-beyond-ImprovedCor", "WAn4"])
+    def test_every_statement_check_fails_on_a_row_made_too_tight(self, monkeypatch, ref,
+                                                                 tighten):
+        applies, bound, lower = bounds._STATEMENTS[ref]
+        monkeypatch.setitem(bounds._STATEMENTS, ref, (
+            applies, lambda M, N, p, beta: tighten(bound(M, N, p, beta), p), lower))
+        # the suite yields lazily, so it stops at this check, its third
+        assert not next(passed for name, passed, _ in suites._suite_bounds()
+                        if name == "every attached bound holds at p <= 0.99")
 
 
 class NoNumpy:

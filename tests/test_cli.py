@@ -240,6 +240,19 @@ class TestError:
         assert code == 2 and out == ""
         assert err == "error: beta must exceed 1, got nan\n"
 
+    @pytest.mark.parametrize("argv,shown", [
+        # at 4 | M no record carries WAn4, and the worst case never does
+        (["error", "--setting", "avg", "--m", "8", "--beta", "nan"], "nan"),
+        (["error", "--setting", "worst", "--m", "8", "--beta", "-3"], "-3.0"),
+        # refused before the sweep at M = 8, not once it reaches M = 6
+        (["curve", "--setting", "avg", "--m-values", "8,6", "--beta", "0.5"], "0.5"),
+    ])
+    def test_beta_of_at_most_one_is_refused_before_any_work(self, capsys, no_sweep, argv,
+                                                            shown):
+        code, out, err = run_cli(capsys, *argv, "--n", "12", "--p", "0.75")
+        assert code == 2 and out == ""
+        assert err == f"error: beta must exceed 1, got {shown}\n"
+
     @pytest.mark.parametrize("M", ["4", "8"])
     def test_avg_at_one_point_takes_the_global_bound(self, capsys, M):
         # WA4 needs N >= 2; at N = 1 both means are exact, so the error is 0
