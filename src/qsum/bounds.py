@@ -75,14 +75,26 @@ _CHUNK_CELLS = 1 << 21
 # The screened worst case (`_screened_worst_errors`) runs at M up to
 # _SCREEN_MAX_M, the range its oracle tests cover, where its estimated means
 # (`_screen_means`) and its fixed cost, the numpy passes of its plan and
-# search counted in means of the dense sweep, are fewer than N+1.  Fitted on
-# a 2-core x86-64 machine at N = 2^12..2^17, M = 5..4096 and one or four
-# levels.  The fit does not always pick the faster route: at M = 232..240,
-# N = 2^13 and four levels the screen took 1.16-1.39x the dense sweep's time,
-# against 0.18-0.34x at M = 16..17 and 62..66, N = 2^15 (in-process medians
-# of interleaved calls at perfbench's worst_sweep points, seeds 0-9).
+# search counted in means of the dense sweep, are fewer than N+1 (`_screens`).
+# The fixed cost was fitted on a 2-core x86-64 machine (Python 3.11, numpy
+# 2.4) to in-process medians of interleaved screened and dense calls.  The
+# screen's time over the dense sweep's, * where the rule screens:
+#
+#   levels    0.75                          0.55, 0.6, 0.7, 8/pi^2
+#   M \ N     2^12  2^13   2^14   2^15      2^12  2^13   2^14   2^15
+#   16        1.11  0.60*  0.38*  0.24*     1.35  0.75*  0.36*  0.23*
+#   64        1.19  0.66*  0.41*  0.24*     1.34  0.69*  0.37*  0.25*
+#   236       1.86  1.00   0.51*  0.27*     2.33  1.29   0.58*  0.33*
+#   512       2.28  1.19   0.64*  0.34*     2.64  1.74   0.92*  0.48*
+#   1024      2.18  1.29   0.68*  0.35*     2.75  2.21   1.30   0.56*
+#
+# and at perfbench's worst_sweep points, four levels, seeds 0-9: 0.24-0.28*
+# at M = 15..17 and 62..66, N = 2^15, and 1.27-1.35 at M = 232..240, N =
+# 2^13.  Every point takes its faster route for a fixed cost from 6408 to
+# 7103 means, and the constant sits in the middle; at (236, 2^13, 0.75) the
+# two routes tie.  A misfit costs only time: both routes give the same bits.
 _SCREEN_MAX_M = 4096
-_SCREEN_FIXED_MEANS = 1 << 12
+_SCREEN_FIXED_MEANS = 6750
 
 # Rounds of the screen's flip search that may take a Newton step; later
 # rounds bisect, so a search ends within this many plus log2 N rounds.
@@ -318,7 +330,8 @@ def _pair_block(
     leaves short takes the second's distance, and `_walk_block` for the rows
     whose two values fall short of the highest level."""
     _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
-    masses = _lead_masses(sigma, near, second, M, reach, beyond_first | (not bracketed))
+    masses = _lead_masses(sigma, near, second, M, _unfloored(sigma, near, reach),
+                          beyond_first | (not bracketed))
     out[...] = _lead_errors(masses[:1, None, :] < thresholds, (d_near, d_second))
     rows = np.flatnonzero(masses[1] < thresholds.max(initial=-np.inf))
     if rows.size:
@@ -410,18 +423,21 @@ def _full_worst_errors(M: int, N: int, ps: Sequence[float]) -> np.ndarray:
 def _screens(M: int, N: int, ps: Sequence[float]) -> bool:
     """Whether the worst case is screened: where the two values bracketing
     sigma reach every level (`_brackets_reach`) and the screen's means, with
-    its fixed cost, are fewer than the dense sweep's N+1."""
+    its fixed cost of _SCREEN_FIXED_MEANS, are fewer than the dense sweep's
+    N+1, which is then the slower route (the grid above _SCREEN_MAX_M)."""
     if not _brackets_reach(M, ps):
         return False
     return _SCREEN_FIXED_MEANS + _screen_means(M, len(ps)) < N + 1
 
 
 def _screen_means(M: int, levels: int) -> int:
-    """The screen's cost in means of the dense sweep, whatever N: 9 + 6
-    levels per value, fitted to timings (_SCREEN_MAX_M).  Over the about 2/3
-    of the values it keeps (`_screened_range`) it reads 12 candidates per
-    value and the rows around up to two flips per value and level, and probes
-    a few more (`_screen_plan`).  A larger fill raises (`_screen_rows`)."""
+    """The screen's cost in means of the dense sweep beyond its fixed cost,
+    whatever N: 9 + 6 levels per value, fitted to timings at M = 5..4096, N
+    = 2^12..2^17 and one or four levels.  Over the about 2/3 of the values it
+    keeps (`_screened_range`) it reads 12 candidates per value and the rows
+    around up to two flips per value and level, and probes a few more
+    (`_screen_plan`).  It is also the screen's fill budget, a larger fill
+    raises (`_screen_rows`), and the price `refuse_sweeps` puts on it."""
     return (9 + 6 * levels) * (M // 2 + 1)
 
 
@@ -495,18 +511,24 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
                              f"2^{_MAX_SWEEP_CELLS_LOG2} cells")
 
 
+def _unfloored(sigma: np.ndarray, near: np.ndarray, reach: float) -> np.ndarray:
+    """The rows whose near value lies farther than `reach` from sigma
+    (`_floor_reach`), whose masses `_lead_masses` reads: within it, both
+    masses reach every level however they round."""
+    return np.flatnonzero(np.abs(sigma - near) > reach)
+
+
 def _lead_masses(
-    sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, reach: float,
+    sigma: np.ndarray, near: np.ndarray, second: np.ndarray, M: int, rows: np.ndarray,
     paired: np.ndarray,
 ) -> np.ndarray:
     """Each row's running mass in `level_errors` after its near value and
-    after its second too, shape (2, rows): the one place where the paper's
-    lower bounds on the law decide which masses are read.  Both are 2.0, past
-    every level, within `reach` of the near value (`_floor_reach`; none at
-    reach -1), and the second where a row is not `paired`, its second value
-    the far bracketing one (`_brackets_reach`); one `_value_probs` call reads
-    the rest."""
-    rows = np.flatnonzero(np.abs(sigma - near) > reach)
+    after its second too, shape (2, rows): with `_unfloored`, which picks
+    `rows` where a floor applies, the one place where the paper's lower
+    bounds on the law decide which masses are read.  Both are 2.0, past
+    every level, but at `rows`, and the second where a row is not `paired`,
+    its second value the far bracketing one (`_brackets_reach`); one
+    `_value_probs` call reads the rest."""
     pairs = rows[paired[rows]]
     probs = _value_probs(np.concatenate([sigma[rows], sigma[pairs]]),
                          np.concatenate([near[rows], second[pairs]]), M)
@@ -545,18 +567,19 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     edges = _value_edges(M)
     values = edges[2:-2]
     thresholds = np.asarray(ps, dtype=np.float64) - LEVEL_SLACK
-    marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
-                            (values[:-2] + values[2:]) / 2])
     low, high = _screened_range(values, N)
-    marks = np.append(marks[(marks >= low) & (marks <= high)], high)
-    neighbours = np.floor(marks * N)[:, None] + np.arange(-1, 3)
-    ks = np.sort(np.clip(neighbours, 0, N).astype(np.int64).ravel())
-    ks = ks[np.diff(ks, prepend=-1) > 0]
+    marks = np.concatenate([values, (values[:-1] + values[1:]) / 2,
+                            (values[:-2] + values[2:]) / 2, [high]])
+    marks = marks[(marks >= low) & (marks <= high)]
+    neighbours = np.floor(marks * N).astype(np.int64)[:, None] + np.arange(-1, 3)
+    ks = np.sort(np.minimum(np.maximum(neighbours.ravel(), 0), N))
+    ks = ks[_run_starts(ks)]
     means = ks / N
     sigma = sigmas_of(means, M)
     lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
     piece = 2 * np.floor(sigma) + (near - lo)
-    masses = _lead_masses(sigma, near, second, M, _floor_reach(float(thresholds.max())),
+    masses = _lead_masses(sigma, near, second, M,
+                          _unfloored(sigma, near, _floor_reach(float(thresholds.max()))),
                           beyond_first)
 
     # excess[stage, level, row]: the near (stage 0) or two values' mass less
@@ -572,7 +595,7 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     # the first terms (`_kernel_table`) fall to the level less the twins,
     # taken where the first terms alone do
     ahead = np.sign(sigma[gap] + sigma[gap + 1] - 2 * g_near)
-    values, target = np.stack([g_near, g_second]), thresholds[level] + 2 * stage
+    values, target = np.array([g_near, g_second]), thresholds[level] + 2 * stage
     delta = np.interp(target, *_kernel_table(M))
     twins = dirichlet_kernel_sq(g_near + ahead * delta + values, M)
     twins[(values == 0) | (2 * values == M)] = 0.0
@@ -580,37 +603,49 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     guess = np.sin(np.pi / M * (g_near + ahead * delta)) ** 2 * N
     todo = np.arange(gap.size)
     rounds = 0
-    while todo.size:
-        lo_k, hi_k = left[todo], right[todo]
-        g0 = np.clip(np.floor(guess[todo]), lo_k + 1, hi_k - 1).astype(np.int64)
-        g1 = np.minimum(g0 + 1, hi_k - 1)
-        owner = np.concatenate([todo, todo])
-        # no floor at the probes: a 2.0 mass there would break the Newton step
-        lead = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M), g_near[owner],
-                            g_second[owner], M, -1.0, g_paired[owner])
-        mass = lead[stage[owner], np.arange(owner.size)]
-        mass -= thresholds[level[owner]]
-        f0, f1 = mass[:todo.size], mass[todo.size:]
-        at0 = (f0 >= 0) != left_above[todo]
-        at1 = (f1 >= 0) != left_above[todo]
-        m0, m1 = lead[:, :todo.size], lead[:, todo.size:]
-        m_right[:, todo] = np.where(at0, m0, np.where(at1, m1, m_right[:, todo]))
-        m_left[:, todo] = np.where(at0, m_left[:, todo], np.where(at1, m0, m1))
-        right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
-        left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
-        rounds += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a probe pair's masses may be equal, and its Newton step then infinite
+    # or NaN, which leaves the bracket: the next probe bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            lo_k, hi_k = left[todo], right[todo]
+            g0 = np.minimum(np.maximum(np.floor(guess[todo]), lo_k + 1), hi_k - 1).astype(np.int64)
+            g1 = np.minimum(g0 + 1, hi_k - 1)
+            owner = np.concatenate([todo, todo])
+            # every probe's law is read: a 2.0 mass would break the Newton step
+            probes = np.arange(owner.size)
+            lead = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M), g_near[owner],
+                                g_second[owner], M, probes, g_paired[owner])
+            mass = lead[stage[owner], probes]
+            mass -= thresholds[level[owner]]
+            f0, f1 = mass[:todo.size], mass[todo.size:]
+            at0 = (f0 >= 0) != left_above[todo]
+            at1 = (f1 >= 0) != left_above[todo]
+            m0, m1 = lead[:, :todo.size], lead[:, todo.size:]
+            m_right[:, todo] = np.where(at0, m0, np.where(at1, m1, m_right[:, todo]))
+            m_left[:, todo] = np.where(at0, m_left[:, todo], np.where(at1, m0, m1))
+            right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
+            left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
+            rounds += 1
             newton = g0 - f0 / (f1 - f0)
-        inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
-        guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
-        todo = todo[hi_k - lo_k > 1]
+            inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
+            guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
+            todo = todo[hi_k - lo_k > 1]
     # each row once, a candidate before a flip row
     rows = np.concatenate([ks, left, right])
     order = np.argsort(rows, kind="stable")
-    order = order[np.diff(rows[order], prepend=-1) > 0]
+    order = order[_run_starts(rows[order])]
     src = np.concatenate([np.arange(ks.size), gap, gap])[order]
     masses = np.concatenate([masses, m_left, m_right], axis=1).take(order, axis=1)
     return rows[order], piece[src], near[src], second[src], masses, rounds
+
+
+def _run_starts(ks: np.ndarray) -> np.ndarray:
+    """Whether each entry of sorted ks starts a run of equal entries: the
+    mask that keeps one of each."""
+    starts = np.empty(ks.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=starts[1:])
+    return starts
 
 
 def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
@@ -624,7 +659,8 @@ def _screened_range(values: np.ndarray, N: int) -> tuple[float, float]:
     for rounding, are one run from its first value to its last (to 1 where
     it reaches the top value of odd M, above which an error is at most 1
     less the value below it)."""
-    gaps = np.append(np.diff(values), 1.0 - values[-2] if values[-1] < 1.0 else 0.0)
+    gaps = np.concatenate([values[1:] - values[:-1],
+                           [1.0 - values[-2] if values[-1] < 1.0 else 0.0]])
     wide = np.flatnonzero(gaps * (1.0 + 1e-9) >= gaps.max() / 2 - 1 / N)
     first, last = wide[0], wide[-1]
     return values[first], (1.0 if last + 1 >= values.size else values[last + 1])
@@ -675,7 +711,7 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
     means = ks / N
     edges = _value_edges(M)
     # the third value is the far one where the second is the one beyond
-    dists = np.abs(edges[np.stack([near, second, 2 * near - second]) + 2] - means)
+    dists = np.abs(edges[np.array([near, second, 2 * near - second]) + 2] - means)
     short = masses[:, None, :] < np.asarray(ps, dtype=np.float64)[:, None] - LEVEL_SLACK
     errs = _lead_errors(short, dists)
     # rows short after two values whose third is not the far one (ties: lower)
@@ -684,7 +720,8 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
     rows = rows[np.where(second[rows] < near[rows], d_next <= d_far, d_next < d_far)]
     sides = (short[..., :-1] == short[..., 1:]).reshape(-1, ks.size - 1)
     keep = (piece[:-1] == piece[1:]) & (second[:-1] == second[1:]) & sides.all(axis=0)
-    keep[np.clip(np.concatenate([rows - 1, rows]), 0, keep.size - 1)] = False
+    keep[np.maximum(rows - 1, 0)] = False
+    keep[np.minimum(rows, keep.size - 1)] = False
     widths = np.diff(ks)
     gaps = np.flatnonzero(~keep & (widths > 1))
     starts, sizes = ks[gaps] + 1, widths[gaps] - 1

@@ -212,7 +212,8 @@ def _running_masses(means: np.ndarray, M: int) -> np.ndarray:
     two, as the pair pass sums them; shape (2, rows)."""
     sigma = sigmas_of(means, M)
     _, near, second, _, _, _ = _first_values(means, sigma, _value_edges(M))
-    return _lead_masses(sigma, near, second, M, -1.0, np.ones(means.size, dtype=bool))
+    return _lead_masses(sigma, near, second, M, np.arange(means.size),
+                        np.ones(means.size, dtype=bool))
 
 
 def _lead_mass_levels(M: int) -> list[float]:
@@ -614,11 +615,12 @@ def _suite_calculus() -> Checks:
            wmin >= FOUR_OVER_PI_SQ, f"min over M<=64 is {wmin:.6f} >= {FOUR_OVER_PI_SQ:.6f}")
 
     rng = np.random.default_rng(77)
-    triples = [(int(rng.integers(1, 33)), float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-               for _ in range(1000)]
+    by_m: dict[int, list[tuple[float, float]]] = {}
+    for _ in range(1000):
+        M = int(rng.integers(1, 33))
+        by_m.setdefault(M, []).append((float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))))
     gap = 0.0
-    for M in sorted({M for M, _, _ in triples}):
-        pairs = [(w1, w2) for m, w1, w2 in triples if m == M]
+    for M, pairs in sorted(by_m.items()):
         kernel = dirichlet_kernel_sq([M * (w1 - w2) for w1, w2 in pairs], M)
         direct = [kernel_direct_sum(w1, w2, M) for w1, w2 in pairs]
         gap = max(gap, float(np.abs(kernel - direct).max()))

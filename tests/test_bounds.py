@@ -334,6 +334,26 @@ class TestValueLaw:
                 assert np.abs(values - probs[:, i] - twins).max() <= bounds.LEVEL_SLACK, M
 
 
+# The faster route of a worst-case sweep, screened or dense, where it was
+# timed (the grid in the comment above bounds._SCREEN_MAX_M) and at the CI
+# sweeps, where the dense sweep would take seconds.  Only the count of
+# levels and the highest level matter.
+FOUR_LEVELS = (0.55, 0.6, 0.7, EIGHT_OVER_PI_SQ)
+ROUTES = [
+    # (M, N, levels, screened)
+    (236, 1 << 13, (0.75,), False), (512, 1 << 13, (0.75,), False),
+    (1024, 1 << 14, FOUR_LEVELS, False),
+    *((M, 1 << 13, ps, True) for M in (16, 64) for ps in ((0.75,), FOUR_LEVELS)),
+    (236, 1 << 14, FOUR_LEVELS, True),
+    # perfbench's worst_sweep bands, with M = 236 at 2^13 among them
+    *((M, 1 << 13, FOUR_LEVELS, False) for M in range(232, 241)),
+    *((M, 1 << 15, FOUR_LEVELS, True) for M in (*range(15, 18), *range(62, 67))),
+    # the CI sweeps at n = 20, 24 and 30
+    (64, 1 << 20, (EIGHT_OVER_PI_SQ,), True), (64, 1 << 24, (0.75,), True),
+    *((M, 1 << 30, (EIGHT_OVER_PI_SQ,), True) for M in (4, 16, 64, 236, 1024, 4096)),
+]
+
+
 class TestWorstError:
     def test_hand_enumerable_case(self):
         # N=2: means {0, 1/2, 1}; the half mean needs both outcomes of M=2,
@@ -447,7 +467,7 @@ class TestWorstError:
         sigma = sigmas_of(means, M)
         lo, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
         assert (near[1], second[1]) == (2, 1) and means[1] - v[0] < v[3] - means[1]
-        masses = bounds._lead_masses(sigma, near, second, M, -1.0, np.ones(3, dtype=bool))
+        masses = bounds._lead_masses(sigma, near, second, M, np.arange(3), np.ones(3, dtype=bool))
         masses[:, 1] = 0.5
         plan = ks, 2 * np.floor(sigma) + (near - lo), near, second, masses, 0
         monkeypatch.setattr(bounds, "_screen_plan", lambda *args: plan)
@@ -464,6 +484,13 @@ class TestWorstError:
         assert bounds._screens(M, 1 << 30, (0.51, 0.75, EIGHT_OVER_PI_SQ))
         falls, ratio = suites.nested_grid_worst(M)
         assert falls == 0 and ratio <= 1.0
+
+    @pytest.mark.parametrize("M, N, ps, screened", ROUTES, ids=[
+        f"{M}-{N}-{len(ps)}-{'screen' if screened else 'dense'}" for M, N, ps, screened in ROUTES])
+    def test_route_at_the_measured_points(self, M, N, ps, screened):
+        # each sweep takes the route that was faster where it was timed: the
+        # route changes no bit, only the time
+        assert bounds._screens(M, N, ps) == screened
 
     @pytest.mark.parametrize("M, ps", [(64, [0.75, 0.9]), (3, [0.75]), (4097, [0.75])])
     def test_dense_sweep_outside_the_screen(self, monkeypatch, M, ps):
