@@ -192,14 +192,16 @@ def _weight_uniform_functions(N: int, k: int) -> float:
 def class_weights(measure: Measure, N: int) -> np.ndarray:
     """All N+1 class weights at once; sums to 1 within 1e-12 up to N = 2**20.
 
-    Under the uniform-function measure only the means within
-    isqrt(373 N) + 1 of N/2 are evaluated: every weight farther than
-    sqrt(373 N) = 19.31 sqrt(N) from N/2 is exactly 0.0.
+    Under the uniform-means measure every weight is 1/(N+1): a read-only
+    view of that one value, so no N+1 array is stored.  Under the
+    uniform-function measure only the means within isqrt(373 N) + 1 of N/2
+    are evaluated: every weight farther than sqrt(373 N) = 19.31 sqrt(N)
+    from N/2 is exactly 0.0.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if measure is Measure.UNIFORM_MEANS:
-        return np.full(N + 1, 1.0 / (N + 1))
+        return np.broadcast_to(1.0 / (N + 1), (N + 1,))
     w = np.zeros(N + 1)
     # Every weight with x = |k - N/2| >= sqrt(373 N) is 0.0 in binary64, so
     # only the means within `reach` of N/2 are evaluated.  Where x**2 >= 373 N

@@ -164,10 +164,13 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
 
     The pair pass (`_pair_block`) takes every row's first two values in even
     blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache,
-    and reads their masses only where the paper's lower bounds on the law
-    leave a level open (`_lead_masses`, at the M of `_law_bounds_apply`);
-    the walk (`_walk_block`) continues a block's rows whose two values fall
-    short of the highest level.
+    reads their masses only where the paper's lower bounds on the law leave
+    a level open (`_lead_masses`, at the M of `_law_bounds_apply`), and
+    reads up to three values' distances (`_three_value_errors`); the walk
+    (`_walk_block`) continues a block's rows that rule leaves open, or,
+    where the bracketing values need not reach every level
+    (`_brackets_reach`), every row whose two values fall short of the
+    highest.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -211,7 +214,9 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     8/pi^2 by about 2/(3 M^2), 4e-8 at M = 4096: far above the law's
     rounding (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK
     below it.
-    So a row's error is the distance of one of its three nearest values."""
+    So a row's error is the distance of its near value, its second or the
+    far one, unless the value beyond the second comes before the far one
+    (`_three_value_errors`)."""
     return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
 
 
@@ -302,8 +307,10 @@ def _first_values(
     max(M//2 - 1, 0), bracket the mean to within rounding, so the near one
     comes first, v_lo on a tie; then the far one or the value beyond the
     near one (an infinite edge where that runs out), whichever is nearer,
-    the lower on a tie.  Returns lo, the near and second value indices,
-    their distances, and whether the second is the value beyond."""
+    the lower on a tie.  Returns lo, the near and second value indices, the
+    distances of the near, second and third values, the third being 2 near
+    - second, the other of the far one and the value beyond, and whether
+    the second is the value beyond."""
     lo = np.minimum(sigma.astype(np.int64), max(edges.size - 6, 0))  # M//2 - 1
     d_lo = np.abs(edges[lo + 2] - means)
     d_hi = np.abs(edges[lo + 3] - means)
@@ -314,9 +321,8 @@ def _first_values(
     d_far = np.maximum(d_lo, d_hi)
     d_beyond = np.abs(edges[beyond + 2] - means)
     beyond_first = np.where(near_is_lo, d_beyond <= d_far, d_beyond < d_far)
-    second = np.where(beyond_first, beyond, far)
-    return (lo, near, second, np.minimum(d_lo, d_hi), np.minimum(d_beyond, d_far),
-            beyond_first)
+    dists = np.minimum(d_lo, d_hi), np.minimum(d_beyond, d_far), np.maximum(d_beyond, d_far)
+    return lo, near, np.where(beyond_first, beyond, far), dists, beyond_first
 
 
 def _pair_block(
@@ -326,14 +332,14 @@ def _pair_block(
     """The pair pass of `level_errors` on one block of rows, whose errors it
     writes into `out`: each row's first two values and their running masses
     (`_lead_masses`; the second unread where `bracketed` and it is the far
-    bracketing value), the crossing rule on them, where a level the first
-    leaves short takes the second's distance, and `_walk_block` for the rows
-    whose two values fall short of the highest level."""
-    _, near, second, d_near, d_second, beyond_first = _first_values(means, sigma, edges)
+    bracketing value), the errors from up to its first three values
+    (`_three_value_errors`), and `_walk_block` for the rows that rule leaves
+    open."""
+    _, near, second, dists, beyond_first = _first_values(means, sigma, edges)
     masses = _lead_masses(sigma, near, second, M, _unfloored(sigma, near, reach),
                           beyond_first | (not bracketed))
-    out[...] = _lead_errors(masses[:1, None, :] < thresholds, (d_near, d_second))
-    rows = np.flatnonzero(masses[1] < thresholds.max(initial=-np.inf))
+    out[...], rows = _three_value_errors(means, near, second, dists, masses, thresholds,
+                                         bracketed, edges)
     if rows.size:
         # the two values taken are adjacent; the walk starts from their neighbours
         taken = np.minimum(near[rows], second[rows])
@@ -341,14 +347,35 @@ def _pair_block(
                     edges, M, thresholds, out)
 
 
-def _lead_errors(short, dists: Sequence[np.ndarray]) -> np.ndarray:
-    """The crossing rule on a row's first values: each level takes the
-    distance dists[s] of the first value s whose running mass is not short
-    of it (short[s], shape (levels, rows)), or dists[-1] where all are."""
-    errors = dists[-1]
-    for s in reversed(range(len(short))):
-        errors = np.where(short[s], errors, dists[s])
-    return errors
+def _three_value_errors(
+    means: np.ndarray, near: np.ndarray, second: np.ndarray, dists: Sequence[np.ndarray],
+    masses: np.ndarray, thresholds: np.ndarray, bracketed: bool, edges: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing rule on each row's first three values: its errors, shape
+    (levels, rows), and the rows it leaves open.  It takes the near and
+    second value indices, the distances of the near, second and third
+    values, the third being 2 near - second, their running masses
+    (`_lead_masses`), shape (2, rows), and the level thresholds, shape
+    (levels, 1).  A level takes the near value's distance where its mass
+    reaches the level, the second's where the two's does, else the third's.
+
+    Where the second is the value beyond the near one, the third is the far
+    bracketing value, after which every level is reached where `bracketed`
+    (`_brackets_reach`), unless the value beyond the second, 2 second -
+    near, comes before it, the lower first on an exact tie: the rows that
+    fall short of a level after two values and do so are left open.  Where
+    not `bracketed`, every row short after two values is left open, with
+    the second's distance at the levels it leaves short.  An open row's
+    errors past its second value are the walk's."""
+    short = masses[:, None, :] < thresholds
+    errors = np.where(short[0], dists[1], dists[0])
+    rows = np.flatnonzero(short[1].any(axis=0))
+    if not (bracketed and rows.size):
+        return errors, rows
+    near, second, d_third = near[rows], second[rows], dists[2][rows]
+    errors[:, rows] = np.where(short[1][:, rows], d_third, errors[:, rows])
+    d_next = np.abs(edges[2 * second - near + 2] - means[rows])
+    return errors, rows[np.where(second < near, d_next <= d_third, d_next < d_third)]
 
 
 def _walk_block(
@@ -461,14 +488,15 @@ def _outcome_cells_per_mean(M: int, p_max: float) -> int:
 
     The estimate counts a value's two outcomes, twice the cells the level
     errors read, one outcome per value (`_value_probs`); it is kept so that
-    refusals do not change.  Up to 8/pi^2 the pair pass decides nearly every
-    mean from its first two values, 4 cells: an upper estimate, as the law's
-    lower bounds leave about one outcome per two means at M = 64.  Above it
-    the walk adds one value per step; the kernel's tail beyond distance d
-    carries less than about 1/(pi^2 d) per side, so it stops after about h
-    values per side, h = ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The
-    estimate is all M outcomes once 2h values would reach the M//2+1 values,
-    and at p_max = 1.
+    refusals do not change.  Up to 8/pi^2 the pair pass decides every mean
+    from its first three values, reading the masses of the first two at
+    most, 4 cells: an upper estimate, as the law's lower bounds leave about
+    one outcome per two means at M = 64.  Above it the walk adds one value
+    per step; the kernel's tail beyond distance d carries less than about
+    1/(pi^2 d) per side, so it stops after about h values per side, h =
+    ceil(2/(pi^2 (1 - p_max))) + 1: 4h cells.  The estimate is all M
+    outcomes once 2h values would reach the M//2+1 values, and at
+    p_max = 1.
     """
     if p_max >= 1.0:
         return M
@@ -548,8 +576,8 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     level's maximum (`_screened_range`): sorted distinct k, each row's piece,
     near and second value indices and two masses (`_lead_masses`), shape
     (2, rows), and the rounds of its flip search.  It needs
-    `_brackets_reach(M, ps)`, as `_screens` does, under which a row's error
-    is the distance of one of its three nearest values.
+    `_brackets_reach(M, ps)`, as `_screens` does, under which a row's errors
+    are read from its first three values (`_three_value_errors`).
 
     The candidates are the grid neighbours floor(x N)-1..+2 of every value,
     of the midpoints of values one and two apart (where the near value
@@ -576,7 +604,7 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     ks = ks[_run_starts(ks)]
     means = ks / N
     sigma = sigmas_of(means, M)
-    lo, near, second, _, _, beyond_first = _first_values(means, sigma, edges)
+    lo, near, second, _, beyond_first = _first_values(means, sigma, edges)
     piece = 2 * np.floor(sigma) + (near - lo)
     masses = _lead_masses(sigma, near, second, M,
                           _unfloored(sigma, near, _floor_reach(float(thresholds.max()))),
@@ -694,30 +722,23 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The rows k of `_screen_plan` whose errors it reads, those errors,
     shape (levels, rows), and the means k it leaves to `level_errors`.
 
-    A level takes a row's near value's distance where that value's mass
-    reaches p - LEVEL_SLACK, the second's where the two's mass does, else the
-    far bracketing value's, after which it reaches every level
-    (`_brackets_reach`): `level_errors` bit for bit, unless the value beyond
-    the value beyond the near one comes first.  Such a row, which no plan
-    has shown, is left to `level_errors` with its gaps.  In a gap within one
-    piece (one floor(sigma) and near value) each value's distance moves
-    monotonically and each mass flips at most once per level, so with the
-    flips' rows in the plan, a gap whose ends share a piece and second value
-    and the side of every level by both masses has its errors between its
-    ends'.  Every other gap is filled; a fill of more means than
-    `_screen_means`, which only a missed flip could ask for, raises.
+    A row's errors are read from its first three values
+    (`_three_value_errors`): `level_errors` bit for bit.  A row that rule
+    leaves open, which no plan has shown, is left to `level_errors` with its
+    gaps.  In a gap within one piece (one floor(sigma) and near value) each
+    value's distance moves monotonically and each mass flips at most once
+    per level, so with the flips' rows in the plan, a gap whose ends share a
+    piece and second value and the side of every level by both masses has
+    its errors between its ends'.  Every other gap is filled; a fill of more
+    means than `_screen_means`, which only a missed flip could ask for,
+    raises.
     """
     ks, piece, near, second, masses, _ = _screen_plan(M, N, ps)
-    means = ks / N
-    edges = _value_edges(M)
-    # the third value is the far one where the second is the one beyond
+    means, edges = ks / N, _value_edges(M)
     dists = np.abs(edges[np.array([near, second, 2 * near - second]) + 2] - means)
-    short = masses[:, None, :] < np.asarray(ps, dtype=np.float64)[:, None] - LEVEL_SLACK
-    errs = _lead_errors(short, dists)
-    # rows short after two values whose third is not the far one (ties: lower)
-    rows = np.flatnonzero(short[1].any(axis=0))
-    d_next, d_far = np.abs(edges[2 * second[rows] - near[rows] + 2] - means[rows]), dists[2, rows]
-    rows = rows[np.where(second[rows] < near[rows], d_next <= d_far, d_next < d_far)]
+    thresholds = np.asarray(ps, dtype=np.float64)[:, None] - LEVEL_SLACK
+    errs, rows = _three_value_errors(means, near, second, dists, masses, thresholds, True, edges)
+    short = masses[:, None, :] < thresholds
     sides = (short[..., :-1] == short[..., 1:]).reshape(-1, ks.size - 1)
     keep = (piece[:-1] == piece[1:]) & (second[:-1] == second[1:]) & sides.all(axis=0)
     keep[np.maximum(rows - 1, 0)] = False

@@ -211,7 +211,7 @@ def _running_masses(means: np.ndarray, M: int) -> np.ndarray:
     """Each row's running mass after its first value and after its first
     two, as the pair pass sums them; shape (2, rows)."""
     sigma = sigmas_of(means, M)
-    _, near, second, _, _, _ = _first_values(means, sigma, _value_edges(M))
+    _, near, second, *_ = _first_values(means, sigma, _value_edges(M))
     return _lead_masses(sigma, near, second, M, np.arange(means.size),
                         np.ones(means.size, dtype=bool))
 

@@ -161,6 +161,16 @@ class TestClassWeight:
     def test_uniform_means_is_flat(self):
         assert class_weights(Measure.UNIFORM_MEANS, 4).tolist() == [0.2] * 5
 
+    def test_uniform_means_hold_one_read_only_value(self):
+        # every entry is the one stored value 1/(N+1), viewed with stride 0,
+        # so the weights take 8 bytes at any N, not 8(N+1); a write raises
+        N = 1 << 20
+        weights = class_weights(Measure.UNIFORM_MEANS, N)
+        assert weights.shape == (N + 1,) and weights.strides == (0,)
+        assert weights[0] == weights[N] == 1.0 / (N + 1)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[N // 2] = 0.0
+
     def test_log_space_matches_big_integer_oracle(self):
         # big-integer binomial oracle, correctly rounded through Fraction; at
         # N = 300 the points straddle the switch from exact to log-space entries

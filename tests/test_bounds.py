@@ -146,13 +146,14 @@ class TestErrorAtLevel:
         # cells), only of the means whose sigma lies beyond the floor's reach
         # of it, about half of them here, and the second's of those whose
         # second value is the value beyond the near one, even where the first
-        # already reaches the highest level (two rows here); the walk takes
-        # the few rows still short: 1.01 cells per mean here, where reading
-        # the law of every first value took 3.0 and the full sort reads all
-        # 64 outcomes, 128 cells
+        # already reaches the highest level (two rows here); the rows still
+        # short take the far value third, which carries no cell, and none
+        # walks: 32912 cells, 1.004 per mean here, where walking those 56
+        # rows one value on took 33024, reading the law of every first value
+        # took 3.0 per mean and the full sort reads all 64 outcomes, 128
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 33024
+        assert sum(kernel_cells) == 32912
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
         # each value adds the mass of one outcome (2 kernel cells), the first
@@ -191,25 +192,87 @@ class TestErrorAtLevel:
 
     def test_one_route_at_every_m_and_level(self, pass_log):
         # the pair pass takes every mean at every M and level, M <= 3 and
-        # p = 1 included; the walk takes exactly the means whose first two
-        # values carry less than the highest level.  At a = 1/2 and M = 2
-        # mod 4 (10, 22, 38), sigma = M/4 lies halfway between two values
-        # whose distances from 1/2 tie exactly, and their four outcomes
-        # reach every level up to 8/pi^2, so the pair pass decides the row
+        # p = 1 included.  Above 8/pi^2, at M < 4 and at M > 4096 the walk
+        # takes exactly the means whose first two values carry less than
+        # the highest level; where the two values bracketing sigma reach
+        # every level (`_brackets_reach`) it takes only those whose third
+        # value in (distance, value) order is the value beyond the second,
+        # not the far one.  That is none here: of the 38 means short after
+        # two values at such cases (12 at M = 16 and 8/pi^2, 18, 6 and 2 at
+        # M = 10, 22 and 38), each takes the far value third.  At a = 1/2
+        # and M = 2 mod 4 (10, 22, 38), sigma = M/4 lies halfway between two
+        # values whose distances from 1/2 tie exactly, and their four
+        # outcomes reach every level up to 8/pi^2, so the pair pass decides
+        # the row
         means = np.arange(513) / 512
         cases = [(M, ps) for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096)
                  for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0])]
+        bracketed_short = 0
         for M, ps in cases + [(M, PAIR_LEVELS) for M in (10, 22, 38)]:
             _, two = suites._running_masses(means, M)
             pass_log.clear()
             level_errors(means, M, ps)
             assert np.array_equal(self._rows(pass_log, "pair"), means), (M, ps)
-            short = means[two < max(ps) - bounds.LEVEL_SLACK]
-            assert np.array_equal(self._rows(pass_log, "walk"), short), (M, ps)
-            if M % 4 == 2 and ps == PAIR_LEVELS:
+            short = two < max(ps) - bounds.LEVEL_SLACK
+            if bounds._brackets_reach(M, ps):
+                bracketed_short += np.count_nonzero(short)
                 v = output_grid(M)[: M // 2 + 1]
+                order = np.argsort(np.abs(v - means[:, None]), axis=1, kind="stable")
+                short &= order[:, 2] == 2 * order[:, 1] - order[:, 0]
+            assert np.array_equal(self._rows(pass_log, "walk"), means[short]), (M, ps)
+            if M % 4 == 2 and ps == PAIR_LEVELS:
                 assert 0.5 - v[(M - 2) // 4] == v[(M + 2) // 4] - 0.5
-                assert 0.5 not in short
+                assert not short[256]
+        assert bracketed_short == 38
+
+    @pytest.mark.parametrize("M, n, ps", [
+        *((M, 12, (0.68,)) for M in (12, 16, 24, 32, 64)),
+        *((M, 13, ps) for M in (226, 230, 232)
+          for ps in ((0.75,), (0.55, 0.6, 0.7, EIGHT_OVER_PI_SQ)))])
+    def test_rows_that_take_the_far_value_third_do_not_walk(self, pass_log, M, n, ps):
+        # dense sweeps whose means short of the highest level after their
+        # near value and the value beyond it walked one step, to the far
+        # value (5, 16, 14, 8 and 2 of them at M = 12..64 and p = 0.68, and
+        # the means 3/N and 1 - 3/N at M = 226..232 and N = 2^13): the far
+        # value comes third, and the bracketing pair's mass reaches every
+        # level, so the pair pass decides them with the full sort's bits,
+        # and no mean walks
+        N = 1 << n
+        means = np.arange(N + 1) / N
+        _, two = suites._running_masses(means, M)
+        short = np.flatnonzero(two < max(ps) - bounds.LEVEL_SLACK)
+        assert short.size == {12: 5, 16: 16, 24: 14, 32: 8, 64: 2}.get(M, 2)
+        if M >= 226:
+            assert short.tolist() == [3, N - 3]
+        got = level_errors(means, M, ps)
+        assert {kind for kind, _ in pass_log} == {"pair"}
+        want = bounds._full_level_errors(means[short], M, ps)
+        assert np.array_equal(got[:, short].view(np.int64), want.view(np.int64))
+
+    def test_row_that_takes_the_value_beyond_the_second_third_walks(self, monkeypatch,
+                                                                    pass_log):
+        # the mean next to v_2 at M = 64 takes v_2, then v_1, then v_0
+        # before the far value v_3.  With both its running masses lowered to
+        # 0.5, as the screen's test lowers them, the pair pass leaves it to
+        # the walk, which reaches a level just above 0.5 at v_0 and 0.75 at
+        # no value: the crossing rule on its values' masses, which the far
+        # value's distance would miss
+        M, N = 64, 1 << 15
+        v = output_grid(M)
+        means = np.array([round(v[2] * N) / N])
+        sigma = sigmas_of(means, M)
+        _, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
+        assert (near[0], second[0]) == (2, 1) and means[0] - v[0] < v[3] - means[0]
+        probs = bounds._value_probs(sigma[:, None], np.arange(M // 2 + 1), M)
+        probs[0, [2, 1]] = 0.5, 0.0
+        ps = [0.5 + probs[0, 0] / 2, 0.75]
+        monkeypatch.setattr(bounds, "_lead_masses",
+                            lambda sigma, *args: np.full((2, sigma.size), 0.5))
+        got = level_errors(means, M, ps)
+        assert [kind for kind, _ in pass_log] == ["pair", "walk"]
+        want = bounds._crossings(np.abs(v[: M // 2 + 1] - means[:, None]), probs, ps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[:, 0].tolist() == [means[0] - v[0], 1.0 - means[0]]
 
     def test_subset_oracle_answers_every_level_from_one_enumeration(self):
         levels = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.95]
@@ -225,6 +288,37 @@ class TestErrorAtLevel:
         check = suite_runs["bounds"].check(
             "level errors are symmetric under a -> 1 - a at even M only")
         assert check.passed, check.detail
+
+    def test_three_value_rule_takes_the_lower_value_first_on_a_tie(self):
+        # at a = 1/2 and M = 6, v_0 = 0 and v_3 = 1 lie at the same distance.
+        # Two rows short of the level after two values: near v_1 then v_2,
+        # whose value beyond, v_3, ties the far v_0 and comes after it, so
+        # the row takes v_0's distance; and near v_2 then v_1, whose value
+        # beyond, v_0, ties the far v_3 and comes first, so the row is open
+        M = 6
+        v = output_grid(M)
+        assert 0.5 - v[0] == v[3] - 0.5
+        means, near, second = np.full(2, 0.5), np.array([1, 2]), np.array([2, 1])
+        dists = [np.abs(v[i] - means) for i in (near, second, 2 * near - second)]
+        errors, rows = bounds._three_value_errors(
+            means, near, second, dists, np.full((2, 2), 0.5), np.array([[0.75]]), True,
+            bounds._value_edges(M))
+        assert rows.tolist() == [1] and errors[0, 0] == 0.5
+
+    def test_symmetry_check_fails_where_odd_m_errors_are_symmetric(self, monkeypatch):
+        # the check also asks for asymmetry at odd M, where no map carries a
+        # onto 1 - a: level errors made symmetric there, each the larger of
+        # the errors at a and at 1 - a on a symmetric grid, must fail it
+        level = suites.level_errors
+
+        def symmetric_at_odd_m(means, M, ps):
+            errors = level(means, M, ps)
+            return np.maximum(errors, errors[:, ::-1]) if M % 2 else errors
+
+        monkeypatch.setattr(suites, "level_errors", symmetric_at_odd_m)
+        name = "level errors are symmetric under a -> 1 - a at even M only"
+        # the suite yields lazily, so it stops at this check
+        assert not next(passed for check, passed, _ in suites._suite_bounds() if check == name)
 
     def test_full_sort_takes_the_farthest_distance_when_no_cell_reaches_p(
             self, monkeypatch, no_law_bounds):
