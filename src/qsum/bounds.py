@@ -101,13 +101,13 @@ _SCREEN_FIXED_MEANS = 6750
 _NEWTON_ROUNDS = 8
 
 # The pair pass lets the law's lower bound D >= v decide a row only where v
-# clears the highest threshold by this margin (`_floor_reach`), so that the
-# law's rounding cannot reverse the decision.  Its value masses over the
-# means k/2^10 sum to 1 within 3.1e-15 at M = 64, 1.9e-15 at 1024 and
-# 1.6e-15 at 4096, the largest M the rule runs at (`_law_bounds_apply`);
-# rounding i -/+ sigma, below M, moves a kernel cell by about 1e-12 more at
-# most, and sigma - near by an ulp of M/2.  All are over 500 times below the
-# margin.
+# clears the highest threshold by this margin, as its Taylor square does
+# within `_floor_reach`, so that the law's rounding cannot reverse the
+# decision.  Its value masses over the means k/2^10 sum to 1 within 3.1e-15
+# at M = 64, 1.9e-15 at 1024 and 1.6e-15 at 4096, the largest M the rule
+# runs at (`_law_bounds_apply`); rounding i -/+ sigma, below M, moves a
+# kernel cell by about 1e-12 more at most, and sigma - near by an ulp of
+# M/2.  All are over 500 times below the margin.
 _FLOOR_MARGIN = 1e-9
 
 
@@ -205,9 +205,10 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     every level at most 8/pi^2, where `_law_bounds_apply`.
 
     v_lo and v_lo+1, lo = floor(sigma), bracket sigma, and their masses are
-    at least D(sigma - lo) + D(lo + 1 - sigma) (`_floor_reach`), which is at
-    least v(d) + v(1 - d) = g(d) >= 8/pi^2, d = sigma - lo: the kernel D(d) =
-    sin^2(pi d)/(M sin(pi d/M))^2 is at least v(d) = sin^2(pi d)/(pi d)^2.
+    at least D(sigma - lo) + D(lo + 1 - sigma), which is at least v(d) +
+    v(1 - d) = g(d) >= 8/pi^2, d = sigma - lo: the kernel D(d) = sin^2(pi
+    d)/(M sin(pi d/M))^2 is at least v(d) = sin^2(pi d)/(pi d)^2, the bound
+    `_floor_reach` reads through v's Taylor square.
     At odd M and sigma above M//2, the top value's two outcomes bracket
     sigma and carry the same.  D exceeds v by a factor of at least 1 +
     (pi d/M)^2/3, so at d = 1/2, where g is least, the pair's mass exceeds
@@ -220,26 +221,21 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
 
 
-@functools.lru_cache(maxsize=64)
 def _floor_reach(h: float) -> float:
-    """The largest d in [0, 1], rounded down, with v(d) >= h + _FLOOR_MARGIN,
-    by scalar bisection, or -1 where none has.  The value v_n carries at
-    least D(n - sigma) >= v(|sigma - n|), and v decreases on [0, 1], so where
-    |sigma - n| <= d their mass reaches h, however it rounds."""
-    target = h + _FLOOR_MARGIN
-    if v_func(0.0) < target:
+    """A d in [0, sqrt(6)/pi] with v(d) >= t = h + _FLOOR_MARGIN, in closed
+    form, or -1 where t > 1.  The value v_n carries at least D(n - sigma) >=
+    v(|sigma - n|), so where |sigma - n| <= d their mass reaches h, however
+    it rounds.  On [0, sqrt(6)], sin x/x >= 1 - x^2/6 >= 0, so v(d) is at
+    least the Taylor square (1 - (pi d)^2/6)^2, which falls from 1 to 0 and
+    equals t at d = sqrt(6 (1 - sqrt t))/pi, within 0.031 of v's own root on
+    [4/pi^2, 1).  Near t = 1, v exceeds the square by only (pi d)^4/60, so
+    1 - sqrt t is taken as s/(1 + sqrt(1 - s)), s = (1 - h) - _FLOOR_MARGIN
+    with 1 - h exact from h = 1/2 up, and d less 2^-49 of itself, more than
+    the rounding of its operations, so that v(d) >= t holds exactly."""
+    s = min(1.0 - h - _FLOOR_MARGIN, 1.0)
+    if s < 0.0:
         return -1.0
-    lo, hi = 0.0, 1.0
-    if v_func(hi) >= target:
-        return hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return lo
-        if v_func(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+    return (1.0 - 2.0**-49) * math.sqrt(6.0 * s / (1.0 + math.sqrt(1.0 - s))) / math.pi
 
 
 def _crossings(dists: np.ndarray, probs: np.ndarray, ps: Sequence[float]) -> np.ndarray:
@@ -541,8 +537,9 @@ def refuse_sweeps(setting: Setting, N: int, Ms: Sequence[int], ps: Sequence[floa
 
 def _unfloored(sigma: np.ndarray, near: np.ndarray, reach: float) -> np.ndarray:
     """The rows whose near value lies farther than `reach` from sigma
-    (`_floor_reach`), whose masses `_lead_masses` reads: within it, both
-    masses reach every level however they round."""
+    (`_floor_reach`), whose masses `_lead_masses` reads: within it, v's
+    Taylor square, and so the kernel, clears the highest level by
+    _FLOOR_MARGIN, and both masses reach every level however they round."""
     return np.flatnonzero(np.abs(sigma - near) > reach)
 
 
@@ -835,19 +832,13 @@ def _record(setting: Setting, measure: Measure | None, M: int, N: int, p: float,
 def v_func(delta):
     """sin^2(pi d)/(pi d)^2 with the limit 1 at d = 0; decreasing on [0, 1],
     and inverted on [1/4, 1/2].  A float gives a float; an array gives an
-    array, each entry by the float's operations (`np.sin` for `math.sin`),
-    which the tests pin to give the float's bits."""
-    if np.ndim(delta) == 0:
-        delta = float(delta)
-        if abs(delta) < 1e-9:
-            return 1.0 - (math.pi * delta) ** 2 / 3.0
-        s = math.sin(math.pi * delta) / (math.pi * delta)
-        return s * s
+    array, each entry the float's bits."""
     d = np.asarray(delta, dtype=np.float64)
     x = np.pi * d
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sin(x) / x
-    return np.where(np.abs(d) < 1e-9, 1.0 - x**2 / 3.0, s * s)
+    v = np.where(np.abs(d) < 1e-9, 1.0 - x**2 / 3.0, s * s)
+    return float(v) if v.ndim == 0 else v
 
 
 def v_inverse(p):

@@ -249,22 +249,23 @@ def level_error_mismatches(means: np.ndarray, M: int, level_sets, counts=None) -
 
 def screen_mismatches(sweeps) -> tuple[int, int, int]:
     """(mismatches, screened, forced) of worst-case sweeps {(M, N, ps):
-    records} against the dense `_full_worst_errors` in float.hex; a sweep
-    that stayed dense where a screen may run (`_brackets_reach`) is screened
-    here too, and a screen also differs where one of its rows does
+    records} in float.hex, where a screen may run (`_brackets_reach`): a
+    screened sweep against the dense `_full_worst_errors`, and a sweep that
+    stayed dense, whose records are that sweep's, against its screen, forced
+    here.  A screen also differs where one of its rows does
     (`screen_row_mismatches`), both from one `_screen_rows` call."""
     differ = screened = forced = 0
     for (M, N, ps), recs in sweeps.items():
-        full = list(map(float.hex, _full_worst_errors(M, N, ps)))
-        differ += [rec.value.hex() for rec in recs] != full
         if not _brackets_reach(M, ps):
             continue
         screen = _screen_rows(M, N, ps)
         if _screens(M, N, ps):
+            want = _full_worst_errors(M, N, ps)
             screened += 1
         else:
-            differ += list(map(float.hex, _screened_worst_errors(M, N, ps, screen))) != full
+            want = _screened_worst_errors(M, N, ps, screen)
             forced += 1
+        differ += [rec.value.hex() for rec in recs] != list(map(float.hex, want))
         differ += screen_row_mismatches(M, N, ps, screen) > 0
     return differ, screened, forced
 

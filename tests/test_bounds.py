@@ -144,27 +144,33 @@ class TestErrorAtLevel:
     def test_kernel_cells_per_mean_up_to_eight_over_pi_sq(self, kernel_cells):
         # the pair pass takes the first value's mass, one outcome (2 kernel
         # cells), only of the means whose sigma lies beyond the floor's reach
-        # of it, about half of them here, and the second's of those whose
-        # second value is the value beyond the near one, even where the first
-        # already reaches the highest level (two rows here); the rows still
-        # short take the far value third, which carries no cell, and none
-        # walks: 32912 cells, 1.004 per mean here, where walking those 56
-        # rows one value on took 33024, reading the law of every first value
-        # took 3.0 per mean and the full sort reads all 64 outcomes, 128
+        # of it, 16644 of the 32769 here, and the second's of the 70 of those
+        # whose second value is the value beyond the near one, even where the
+        # first already reaches the highest level; the rows still short take
+        # the far value third, which carries no cell, and none walks: 33428
+        # cells, 1.020 per mean here, where reading every first value's law
+        # takes 3.0 per mean and the full sort reads all 64 outcomes, 128.
+        # The reach, from the Taylor square under v (`_floor_reach`), is
+        # 0.2462 at 8/pi^2, 0.0038 short of v's own root, which the
+        # bisection it replaced found: then 16388 means and 68 seconds read
+        # the law, 32912 cells
         N = 1 << 15
         level_errors(np.arange(N + 1) / N, 64, [0.51, 0.6, 0.75, EIGHT_OVER_PI_SQ])
-        assert sum(kernel_cells) == 32912
+        assert sum(kernel_cells) == 33428
 
     def test_kernel_cells_per_mean_above_eight_over_pi_sq(self, kernel_cells):
         # each value adds the mass of one outcome (2 kernel cells), the first
         # two in the pair pass and the rest in the walk, which stops each
         # mean at the highest level, but the means within the floor's reach
-        # of their first value, about a ninth of them at 0.99, take none:
-        # 38.1 cells per mean here (38.4 before the floor), where the full
-        # sort reads all 236 outcomes, 472 cells
+        # of their first value, 461 of the 4097 at 0.99, take none: 38.1
+        # cells per mean here (38.4 before the floor), where the full sort
+        # reads all 236 outcomes, 472 cells.  The reach, from the Taylor
+        # square under v (`_floor_reach`), is 4.2e-5 short of v's own root,
+        # which the bisection it replaced found, so two of that reach's 463
+        # means read their first two values' law: 8 cells above its 156104
         N = 1 << 12
         level_errors(np.arange(N + 1) / N, 236, [0.99])
-        assert sum(kernel_cells) == 156104
+        assert sum(kernel_cells) == 156112
 
     @pytest.fixture
     def pass_log(self, monkeypatch):
@@ -700,6 +706,32 @@ class TestVCalculus:
                                     mpmath.mpf(3) / 8)
                 assert abs(c_bound(p, 64) - (1 - d)) <= 1e-12, p
         assert c_bound(EIGHT_OVER_PI_SQ, 64) <= 0.75
+
+    def test_floor_reach_keeps_v_above_the_level_by_the_margin(self):
+        # the pair pass takes a mean within reach of its near value as past
+        # every level without the law; at 50 digits, at each level h and an
+        # ulp either side, v(reach) is at least t = h + _FLOOR_MARGIN, reach
+        # is -1 exactly where t > 1, and on [4/pi^2, 1) it is short of v's
+        # own root by at most 0.031, the cost of the Taylor square's closed
+        # form (0.0300 at 4/pi^2, 0.0202 at 0.51, 0.0038 at 8/pi^2)
+        def v(d):
+            return (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 if d else mpmath.mpf(1)
+
+        levels = [1e-13, 0.3, FOUR_OVER_PI_SQ, 0.51, 0.68, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99,
+                  1.0 - 2e-9, 1.0 - bounds._FLOOR_MARGIN, 1.0]
+        with mpmath.workdps(50):
+            for p in levels:
+                for h in (math.nextafter(p, 0.0), p, math.nextafter(p, 2.0)):
+                    reach = bounds._floor_reach(h)
+                    t = mpmath.mpf(h) + mpmath.mpf(bounds._FLOOR_MARGIN)
+                    assert (reach == -1.0) == (t > 1), h
+                    if t > 1:
+                        continue
+                    assert 0.0 <= reach <= 1.0 and v(mpmath.mpf(reach)) >= t, h
+                    if FOUR_OVER_PI_SQ <= h and t < 1:
+                        root = mpmath.findroot(lambda d: v(d) - t, (mpmath.mpf(10) ** -30, 1),
+                                               solver="bisect")
+                        assert 0.0 <= root - reach <= 0.031, h
 
     def test_c_bound_branches(self):
         assert c_bound(0.1, 7) == 0.5
