@@ -166,11 +166,14 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     blocks of about _BLOCK_CELLS cells, so its work arrays stay in cache,
     reads their masses only where the paper's lower bounds on the law leave
     a level open (`_lead_masses`, at the M of `_law_bounds_apply`), and
-    reads up to three values' distances (`_three_value_errors`); the walk
-    (`_walk_block`) continues a block's rows that rule leaves open, or,
-    where the bracketing values need not reach every level
-    (`_brackets_reach`), every row whose two values fall short of the
-    highest.
+    reads up to three values' distances (`_three_value_errors`).  Where the
+    two values bracketing sigma reach every level (`_brackets_reach`), that
+    rule decides every row: the third value of a row short after two is the
+    far bracketing one, as the value beyond the second comes first only
+    within the floor's reach (`_floor_reach`), where no row falls short.
+    Elsewhere, above 8/pi^2 or at M outside 4..4096, the walk
+    (`_walk_block`) continues a block's rows whose two values fall short of
+    the highest level.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -216,8 +219,10 @@ def _brackets_reach(M: int, ps: Sequence[float]) -> bool:
     rounding (_FLOOR_MARGIN), and each level's threshold lies LEVEL_SLACK
     below it.
     So a row's error is the distance of its near value, its second or the
-    far one, unless the value beyond the second comes before the far one
-    (`_three_value_errors`)."""
+    far one: the value beyond the second comes before the far one only at
+    |sigma - near| <= 0.1214, within _floor_reach(8/pi^2 - LEVEL_SLACK) =
+    0.2462, where the near value alone reaches every level
+    (`_three_value_errors`).  No row walks."""
     return _law_bounds_apply(M) and max(ps, default=1.0) <= EIGHT_OVER_PI_SQ
 
 
@@ -329,13 +334,12 @@ def _pair_block(
     writes into `out`: each row's first two values and their running masses
     (`_lead_masses`; the second unread where `bracketed` and it is the far
     bracketing value), the errors from up to its first three values
-    (`_three_value_errors`), and `_walk_block` for the rows that rule leaves
-    open."""
+    (`_three_value_errors`), and, where not `bracketed`, `_walk_block` for
+    the rows that rule leaves open."""
     _, near, second, dists, beyond_first = _first_values(means, sigma, edges)
     masses = _lead_masses(sigma, near, second, M, _unfloored(sigma, near, reach),
                           beyond_first | (not bracketed))
-    out[...], rows = _three_value_errors(means, near, second, dists, masses, thresholds,
-                                         bracketed, edges)
+    out[...], rows = _three_value_errors(dists, masses, thresholds, bracketed)
     if rows.size:
         # the two values taken are adjacent; the walk starts from their neighbours
         taken = np.minimum(near[rows], second[rows])
@@ -344,34 +348,39 @@ def _pair_block(
 
 
 def _three_value_errors(
-    means: np.ndarray, near: np.ndarray, second: np.ndarray, dists: Sequence[np.ndarray],
-    masses: np.ndarray, thresholds: np.ndarray, bracketed: bool, edges: np.ndarray,
+    dists: Sequence[np.ndarray], masses: np.ndarray, thresholds: np.ndarray, bracketed: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The crossing rule on each row's first three values: its errors, shape
-    (levels, rows), and the rows it leaves open.  It takes the near and
-    second value indices, the distances of the near, second and third
-    values, the third being 2 near - second, their running masses
-    (`_lead_masses`), shape (2, rows), and the level thresholds, shape
-    (levels, 1).  A level takes the near value's distance where its mass
-    reaches the level, the second's where the two's does, else the third's.
+    (levels, rows), and the rows it leaves open.  It takes the distances of
+    the near, second and third values, the third being 2 near - second,
+    their running masses (`_lead_masses`), shape (2, rows), and the level
+    thresholds, shape (levels, 1).  A level takes the near value's distance
+    where its mass reaches the level, the second's where the two's does,
+    else the third's.
 
-    Where the second is the value beyond the near one, the third is the far
-    bracketing value, after which every level is reached where `bracketed`
-    (`_brackets_reach`), unless the value beyond the second, 2 second -
-    near, comes before it, the lower first on an exact tie: the rows that
-    fall short of a level after two values and do so are left open.  Where
-    not `bracketed`, every row short after two values is left open, with
-    the second's distance at the levels it leaves short.  An open row's
-    errors past its second value are the walk's."""
+    Where `bracketed` (`_brackets_reach`), no row is left open.  A row short
+    of a level after two values has the value beyond the near one second and
+    the far bracketing value third, after which every level is reached.  The
+    value beyond the second, 2 second - near, could come first only where
+    two value gaps on one side of the near value sum to at most the one gap
+    on the other.  The gap from v_i to v_i+1 is sin(pi (2i + 1)/M) sin(pi/M),
+    and sin is concave on [0, pi] and 0 at 0, so the gaps at (2i - 3) pi/M
+    and (2i - 1) pi/M sum past the one at (2i + 1) pi/M from i = 3 on, and
+    by symmetry likewise at the top.  It happens only at near = 2, or its
+    mirror M/2 - 2 at even M, with a <= v_3/2 (or 1 - a): at |sigma - near|
+    <= sqrt(4.5) - 2 in the limit and 0.1214 at most over M = 4..4096 (a
+    test pins it).  That lies within _floor_reach(8/pi^2 - LEVEL_SLACK) =
+    0.2462, where both masses are past every level, read or not: the near
+    value alone carries at least v(0.1214) > 0.95.  Where not `bracketed`,
+    every row short after two values is left open, with the second's
+    distance at the levels it leaves short; an open row's errors past its
+    second value are the walk's."""
     short = masses[:, None, :] < thresholds
     errors = np.where(short[0], dists[1], dists[0])
-    rows = np.flatnonzero(short[1].any(axis=0))
-    if not (bracketed and rows.size):
-        return errors, rows
-    near, second, d_third = near[rows], second[rows], dists[2][rows]
-    errors[:, rows] = np.where(short[1][:, rows], d_third, errors[:, rows])
-    d_next = np.abs(edges[2 * second - near + 2] - means[rows])
-    return errors, rows[np.where(second < near, d_next <= d_third, d_next < d_third)]
+    if not bracketed:
+        return errors, np.flatnonzero(short[1].any(axis=0))
+    np.copyto(errors, dists[2], where=short[1])
+    return errors, np.empty(0, dtype=np.int64)
 
 
 def _walk_block(
@@ -583,11 +592,12 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     one row lies in one piece and its three nearest values keep their order.
     In every gap whose ends differ in either mass's side of a level
     (`_flips`), a search over all such (gap, level, mass) at once finds the
-    two rows around the flip, which take the gap's values and their probes'
-    masses.  It probes rows g, g+1 at a guess, then at the Newton step from
-    those two, or at the bracket's midpoint once the step leaves it or
-    _NEWTON_ROUNDS have passed: mostly one or two rounds from its first
-    guess, where bisection would take about log2(N/M).
+    two rows around the flip, carrying only its bracket: every row it probes
+    joins the plan with the gap's values and the masses it read, the two
+    around the flip among them.  It probes rows g, g+1 at a guess, then at
+    the Newton step from those two, or at the bracket's midpoint once the
+    step leaves it or _NEWTON_ROUNDS have passed: mostly one or two rounds
+    from its first guess, where bisection would take about log2(N/M).
     """
     edges = _value_edges(M)
     values = edges[2:-2]
@@ -614,7 +624,6 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     left, right = ks[gap], ks[gap + 1]
     left_above = excess[stage, level, gap] >= 0
     g_near, g_second, g_paired = near[gap], second[gap], beyond_first[gap] | (stage == 1)
-    m_left, m_right = masses[:, gap], masses[:, gap + 1]
     # at sigma = near + ahead d the near mass is D(d) + D(sigma + near), the
     # two's adds D(1 + d) + D(sigma + second) (no twin at i = 0 or 2 i = M):
     # the first terms (`_kernel_table`) fall to the level less the twins,
@@ -628,6 +637,8 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
     guess = np.sin(np.pi / M * (g_near + ahead * delta)) ** 2 * N
     todo = np.arange(gap.size)
     rounds = 0
+    # (rows, source row, masses): the candidates, then each round's probes
+    found = [(ks, np.arange(ks.size), masses)]
     # a probe pair's masses may be equal, and its Newton step then infinite
     # or NaN, which leaves the bracket: the next probe bisects
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -638,16 +649,15 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
             owner = np.concatenate([todo, todo])
             # every probe's law is read: a 2.0 mass would break the Newton step
             probes = np.arange(owner.size)
-            lead = _lead_masses(sigmas_of(np.concatenate([g0, g1]) / N, M), g_near[owner],
-                                g_second[owner], M, probes, g_paired[owner])
+            probe_ks = np.concatenate([g0, g1])
+            lead = _lead_masses(sigmas_of(probe_ks / N, M), g_near[owner], g_second[owner], M,
+                                probes, g_paired[owner])
+            found.append((probe_ks, gap[owner], lead))
             mass = lead[stage[owner], probes]
             mass -= thresholds[level[owner]]
             f0, f1 = mass[:todo.size], mass[todo.size:]
             at0 = (f0 >= 0) != left_above[todo]
             at1 = (f1 >= 0) != left_above[todo]
-            m0, m1 = lead[:, :todo.size], lead[:, todo.size:]
-            m_right[:, todo] = np.where(at0, m0, np.where(at1, m1, m_right[:, todo]))
-            m_left[:, todo] = np.where(at0, m_left[:, todo], np.where(at1, m0, m1))
             right[todo] = hi_k = np.where(at0, g0, np.where(at1, g1, hi_k))
             left[todo] = lo_k = np.where(at0, lo_k, np.where(at1, g0, g1))
             rounds += 1
@@ -655,18 +665,18 @@ def _screen_plan(M: int, N: int, ps: Sequence[float]) -> tuple:
             inside = (newton > lo_k) & (newton < hi_k) & (rounds < _NEWTON_ROUNDS)
             guess[todo] = np.where(inside, newton, (lo_k + hi_k) / 2)
             todo = todo[hi_k - lo_k > 1]
-    # each row once, a candidate before a flip row
-    rows = np.concatenate([ks, left, right])
+    # each row once, a candidate before a probe, and an earlier probe first
+    rows, src, masses = (np.concatenate(part, axis=-1) for part in zip(*found))
     order = np.argsort(rows, kind="stable")
     order = order[_run_starts(rows[order])]
-    src = np.concatenate([np.arange(ks.size), gap, gap])[order]
-    masses = np.concatenate([masses, m_left, m_right], axis=1).take(order, axis=1)
-    return rows[order], piece[src], near[src], second[src], masses, rounds
+    src = src[order]
+    return rows[order], piece[src], near[src], second[src], masses.take(order, axis=1), rounds
 
 
 def _run_starts(ks: np.ndarray) -> np.ndarray:
     """Whether each entry of sorted ks starts a run of equal entries: the
-    mask that keeps one of each."""
+    mask that keeps one of each, from one comparison of neighbours, where
+    np.unique would sort ks again."""
     starts = np.empty(ks.size, dtype=bool)
     starts[:1] = True
     np.not_equal(ks[1:], ks[:-1], out=starts[1:])
@@ -720,26 +730,26 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
     shape (levels, rows), and the means k it leaves to `level_errors`.
 
     A row's errors are read from its first three values
-    (`_three_value_errors`): `level_errors` bit for bit.  A row that rule
-    leaves open, which no plan has shown, is left to `level_errors` with its
-    gaps.  In a gap within one piece (one floor(sigma) and near value) each
-    value's distance moves monotonically and each mass flips at most once
-    per level, so with the flips' rows in the plan, a gap whose ends share a
-    piece and second value and the side of every level by both masses has
-    its errors between its ends'.  Every other gap is filled; a fill of more
-    means than `_screen_means`, which only a missed flip could ask for,
-    raises.
+    (`_three_value_errors`): `level_errors` bit for bit.  The screen runs
+    only where the two values bracketing sigma reach every level, so that
+    rule leaves no row open: a row whose value beyond the second comes
+    before the far one lies within the floor's reach, and its masses, a
+    probe's read from the law too, are past every level.  In a gap within
+    one piece (one floor(sigma) and near value) each value's distance moves
+    monotonically and each mass flips at most once per level, so with the
+    flips' rows in the plan, a gap whose ends share a piece and second value
+    and the side of every level by both masses has its errors between its
+    ends'.  Every other gap is filled; a fill of more means than
+    `_screen_means`, which only a missed flip could ask for, raises.
     """
     ks, piece, near, second, masses, _ = _screen_plan(M, N, ps)
     means, edges = ks / N, _value_edges(M)
     dists = np.abs(edges[np.array([near, second, 2 * near - second]) + 2] - means)
     thresholds = np.asarray(ps, dtype=np.float64)[:, None] - LEVEL_SLACK
-    errs, rows = _three_value_errors(means, near, second, dists, masses, thresholds, True, edges)
+    errs, _ = _three_value_errors(dists, masses, thresholds, True)
     short = masses[:, None, :] < thresholds
     sides = (short[..., :-1] == short[..., 1:]).reshape(-1, ks.size - 1)
     keep = (piece[:-1] == piece[1:]) & (second[:-1] == second[1:]) & sides.all(axis=0)
-    keep[np.maximum(rows - 1, 0)] = False
-    keep[np.minimum(rows, keep.size - 1)] = False
     widths = np.diff(ks)
     gaps = np.flatnonzero(~keep & (widths > 1))
     starts, sizes = ks[gaps] + 1, widths[gaps] - 1
@@ -748,9 +758,6 @@ def _screen_rows(M: int, N: int, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
         raise ValueError(f"the worst-case screen at M={M}, N={N} would fill {count} "
                          f"means, more than its estimate of {budget}")
     fill = np.arange(count) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    if rows.size:
-        fill = np.concatenate([fill, ks[rows]])
-        ks, errs = np.delete(ks, rows), np.delete(errs, rows, axis=1)
     return ks, errs, fill
 
 

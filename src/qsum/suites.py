@@ -197,12 +197,16 @@ def _level_means(M: int) -> np.ndarray:
     side; up to about 64 midpoints of adjacent values, where two distances
     nearly or exactly tie (at a = 1/2 and M = 2 mod 4, exactly); near-
     integer sigma; the edges of the law's lower bounds (`_law_bound_edges`);
-    and seeded random means."""
+    from M = 13, a = v_3/2 and 1 - v_3/2 with an ulp either side, up to
+    which the value beyond the second comes before the far one
+    (`_three_value_errors`); and seeded random means."""
     v = output_grid(M)[: M // 2 + 1]
     ends = np.concatenate([np.linspace(0.0, v[min(2, v.size - 1)], 13),
                            np.linspace(v[max(v.size - 3, 0)], 1.0, 13)])
     mids = 0.5 * (v[:-1] + v[1:])
+    third = np.array([v[3] / 2, 1.0 - v[3] / 2] if M >= 13 else [])
     return np.concatenate([[0.0, 0.5, 1.0], ends, mids[:: max(1, mids.size // 64)],
+                           np.nextafter(third, 0.0), third, np.nextafter(third, 1.0),
                            _near_integer_means(M), _law_bound_edges(M),
                            np.random.default_rng(M + 1).random(30)])
 

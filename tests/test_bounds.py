@@ -198,18 +198,15 @@ class TestErrorAtLevel:
 
     def test_one_route_at_every_m_and_level(self, pass_log):
         # the pair pass takes every mean at every M and level, M <= 3 and
-        # p = 1 included.  Above 8/pi^2, at M < 4 and at M > 4096 the walk
-        # takes exactly the means whose first two values carry less than
-        # the highest level; where the two values bracketing sigma reach
-        # every level (`_brackets_reach`) it takes only those whose third
-        # value in (distance, value) order is the value beyond the second,
-        # not the far one.  That is none here: of the 38 means short after
-        # two values at such cases (12 at M = 16 and 8/pi^2, 18, 6 and 2 at
-        # M = 10, 22 and 38), each takes the far value third.  At a = 1/2
-        # and M = 2 mod 4 (10, 22, 38), sigma = M/4 lies halfway between two
-        # values whose distances from 1/2 tie exactly, and their four
-        # outcomes reach every level up to 8/pi^2, so the pair pass decides
-        # the row
+        # p = 1 included.  Where the two values bracketing sigma reach every
+        # level (`_brackets_reach`) no mean walks, though 38 here are short
+        # after two values (12 at M = 16 and 8/pi^2, 18, 6 and 2 at M = 10,
+        # 22 and 38): each takes the far value third.  Above 8/pi^2, at M < 4
+        # and at M > 4096 the walk takes exactly the means whose first two
+        # values carry less than the highest level.  At a = 1/2 and M = 2
+        # mod 4 (10, 22, 38), sigma = M/4 lies halfway between two values
+        # whose distances from 1/2 tie exactly, and their four outcomes reach
+        # every level up to 8/pi^2
         means = np.arange(513) / 512
         cases = [(M, ps) for M in (1, 2, 3, 4, 5, 16, 64, 236, 4096)
                  for ps in ([0.51], [EIGHT_OVER_PI_SQ], [0.6, 0.9], [0.99], [0.75, 1.0])]
@@ -220,13 +217,14 @@ class TestErrorAtLevel:
             level_errors(means, M, ps)
             assert np.array_equal(self._rows(pass_log, "pair"), means), (M, ps)
             short = two < max(ps) - bounds.LEVEL_SLACK
+            walked = self._rows(pass_log, "walk")
             if bounds._brackets_reach(M, ps):
                 bracketed_short += np.count_nonzero(short)
-                v = output_grid(M)[: M // 2 + 1]
-                order = np.argsort(np.abs(v - means[:, None]), axis=1, kind="stable")
-                short &= order[:, 2] == 2 * order[:, 1] - order[:, 0]
-            assert np.array_equal(self._rows(pass_log, "walk"), means[short]), (M, ps)
+                assert walked.size == 0, (M, ps)
+            else:
+                assert np.array_equal(walked, means[short]), (M, ps)
             if M % 4 == 2 and ps == PAIR_LEVELS:
+                v = output_grid(M)
                 assert 0.5 - v[(M - 2) // 4] == v[(M + 2) // 4] - 0.5
                 assert not short[256]
         assert bracketed_short == 38
@@ -255,30 +253,61 @@ class TestErrorAtLevel:
         want = bounds._full_level_errors(means[short], M, ps)
         assert np.array_equal(got[:, short].view(np.int64), want.view(np.int64))
 
-    def test_row_that_takes_the_value_beyond_the_second_third_walks(self, monkeypatch,
-                                                                    pass_log):
-        # the mean next to v_2 at M = 64 takes v_2, then v_1, then v_0
-        # before the far value v_3.  With both its running masses lowered to
-        # 0.5, as the screen's test lowers them, the pair pass leaves it to
-        # the walk, which reaches a level just above 0.5 at v_0 and 0.75 at
-        # no value: the crossing rule on its values' masses, which the far
-        # value's distance would miss
-        M, N = 64, 1 << 15
-        v = output_grid(M)
-        means = np.array([round(v[2] * N) / N])
-        sigma = sigmas_of(means, M)
-        _, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
-        assert (near[0], second[0]) == (2, 1) and means[0] - v[0] < v[3] - means[0]
-        probs = bounds._value_probs(sigma[:, None], np.arange(M // 2 + 1), M)
-        probs[0, [2, 1]] = 0.5, 0.0
-        ps = [0.5 + probs[0, 0] / 2, 0.75]
-        monkeypatch.setattr(bounds, "_lead_masses",
-                            lambda sigma, *args: np.full((2, sigma.size), 0.5))
-        got = level_errors(means, M, ps)
-        assert [kind for kind, _ in pass_log] == ["pair", "walk"]
-        want = bounds._crossings(np.abs(v[: M // 2 + 1] - means[:, None]), probs, ps)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert got[:, 0].tolist() == [means[0] - v[0], 1.0 - means[0]]
+    def test_value_beyond_the_second_comes_first_only_within_the_floors_reach(self):
+        # the premise under which the three-value rule leaves no row open
+        # where the bracketing values reach every level: the condition it no
+        # longer tests, a row whose second value, in (distance, value) order,
+        # is the value beyond the near one, not the other bracketing value,
+        # and whose third is the value beyond that, not the far one.  A
+        # stable sort of 8 values at each end, at every M = 4..4096, finds it
+        # only at near = 2 and, at even M, its mirror M/2 - 2, at most
+        # 0.12132 from sigma (sqrt(4.5) - 2 in the limit): within the floor's
+        # reach at 8/pi^2, 0.2462.  Read from the law, as a probe reads it,
+        # those rows' two values carry at least 0.9659 (with every M read),
+        # above v(0.1214) = 0.952.  The means: 17 on [0, v_4] and on [v_2,
+        # v_3], where the condition ends at a = v_3/2, taken with an ulp
+        # either side, and their mirrors at the top
+        Ms = np.arange(4, 4097)
+        tops = Ms // 2
+        # the values 0..7 and tops - 7..tops, infinite past either end
+        index = np.stack([np.zeros_like(Ms), tops - 7], axis=1)[..., None] + np.arange(8)
+        values = np.full(index.shape, np.inf)
+        for row, M in enumerate(Ms.tolist()):
+            v = output_grid(M)[: M // 2 + 1]
+            values[row, 0, : min(8, v.size)] = v[:8]
+            values[row, 1, -min(8, v.size):] = v[-8:]
+        values[index < 0] = -np.inf
+        low, high = values[:, 0].clip(max=1.0), values[:, 1].clip(min=0.0)
+
+        def spread(lo, hi, edge):
+            return np.concatenate([np.linspace(lo[0], hi[0], 17, axis=1),
+                                   np.linspace(lo[1], hi[1], 17, axis=1),
+                                   np.stack([np.nextafter(edge, 0.0), edge,
+                                             np.nextafter(edge, 1.0)], axis=1)], axis=1)
+
+        means = np.stack([spread((0.0, low[:, 2]), (low[:, 4], low[:, 3]), low[:, 3] / 2),
+                          spread((high[:, 3], high[:, 4]), (1.0, high[:, 5]), 1.0 - low[:, 3] / 2)],
+                         axis=1)
+        order = np.argsort(np.abs(values[:, :, None, :] - means[..., None]), axis=-1,
+                           kind="stable")[..., :3]
+        near, second, third = np.moveaxis(
+            np.take_along_axis(index[:, :, None, :], order, axis=-1), -1, 0)
+        sigma = sigmas_of(means, Ms[:, None, None])
+        lo = np.minimum(sigma.astype(np.int64), (tops - 1)[:, None, None])
+        first = (third - second == second - near) & ((second < lo) | (second > lo + 1))
+        mirror = (Ms % 2 == 0)[:, None, None] & (near == (tops - 2)[:, None, None])
+        assert np.all(((near == 2) | mirror)[first]) and np.any(mirror[first])
+        off = np.abs(sigma - near)[first]
+        reach = bounds._floor_reach(EIGHT_OVER_PI_SQ - bounds.LEVEL_SLACK)
+        assert 0.1213 < off.max() <= 0.1214 <= reach
+        # the law at M <= 64 and every 16th M above, one call per M
+        at = np.column_stack(np.nonzero(first & ((Ms <= 64) | (Ms % 16 == 0))[:, None, None]))
+        least = min(
+            bounds._lead_masses(sigma[rows], near[rows], second[rows], int(Ms[part[0, 0]]),
+                                np.arange(len(part)), np.ones(len(part), dtype=bool))[1].min()
+            for part in np.split(at, np.flatnonzero(np.diff(at[:, 0])) + 1)
+            for rows in [tuple(part.T)])
+        assert least >= v_func(0.1214) > EIGHT_OVER_PI_SQ
 
     def test_subset_oracle_answers_every_level_from_one_enumeration(self):
         levels = [0.51, 0.75, EIGHT_OVER_PI_SQ, 0.95]
@@ -295,21 +324,19 @@ class TestErrorAtLevel:
             "level errors are symmetric under a -> 1 - a at even M only")
         assert check.passed, check.detail
 
-    def test_three_value_rule_takes_the_lower_value_first_on_a_tie(self):
-        # at a = 1/2 and M = 6, v_0 = 0 and v_3 = 1 lie at the same distance.
-        # Two rows short of the level after two values: near v_1 then v_2,
-        # whose value beyond, v_3, ties the far v_0 and comes after it, so
-        # the row takes v_0's distance; and near v_2 then v_1, whose value
-        # beyond, v_0, ties the far v_3 and comes first, so the row is open
+    def test_three_value_rule_takes_the_third_distance_past_two_short_values(self):
+        # at a = 1/2 and M = 6 a row with near v_1 and second v_2, both short
+        # of the level, takes v_0's distance third where the bracketing
+        # values reach every level, and is left open with v_2's where not
         M = 6
         v = output_grid(M)
-        assert 0.5 - v[0] == v[3] - 0.5
-        means, near, second = np.full(2, 0.5), np.array([1, 2]), np.array([2, 1])
+        means, near, second = np.full(1, 0.5), np.array([1]), np.array([2])
         dists = [np.abs(v[i] - means) for i in (near, second, 2 * near - second)]
-        errors, rows = bounds._three_value_errors(
-            means, near, second, dists, np.full((2, 2), 0.5), np.array([[0.75]]), True,
-            bounds._value_edges(M))
-        assert rows.tolist() == [1] and errors[0, 0] == 0.5
+        masses, thresholds = np.full((2, 1), 0.5), np.array([[0.75]])
+        errors, rows = bounds._three_value_errors(dists, masses, thresholds, True)
+        assert errors[0, 0] == 0.5 and rows.size == 0
+        errors, rows = bounds._three_value_errors(dists, masses, thresholds, False)
+        assert errors[0, 0] == v[2] - 0.5 and rows.tolist() == [0]
 
     def test_symmetry_check_fails_where_odd_m_errors_are_symmetric(self, monkeypatch):
         # the check also asks for asymmetry at odd M, where no map carries a
@@ -483,16 +510,19 @@ class TestWorstError:
 
     @pytest.mark.parametrize("M, N, ps, rows, rounds", [
         (64, 1 << 15, [EIGHT_OVER_PI_SQ], 356, 1), (64, 1 << 20, [EIGHT_OVER_PI_SQ], 356, 1),
-        (1024, 1 << 24, [EIGHT_OVER_PI_SQ], 5465, 1), (4096, 1 << 24, [0.75], 20782, 2),
-        (1024, 1 << 27, [0.75], 5477, 2)], ids=[
+        (1024, 1 << 24, [EIGHT_OVER_PI_SQ], 5465, 1), (4096, 1 << 24, [0.75], 20791, 2),
+        (1024, 1 << 27, [0.75], 5567, 2)], ids=[
         "64-32768-356-1", "64-1048576-356-1", "1024-16777216-5465-1",
-        "4096-16777216-0.75-20782-2", "1024-134217728-0.75-5477-2"])
+        "4096-16777216-0.75-20791-2", "1024-134217728-0.75-5567-2"])
     def test_plan_rows_and_rounds(self, M, N, ps, rows, rounds):
         # the plan at the CI sweep's point (64, 2^20) among others: its
-        # candidates and flip rows, and the rounds of probes its search
-        # takes from a first guess that puts each flip of the near value's
-        # mass within a row.  The probes read the law at every row: with the
-        # floor's 2.0 there, the Newton steps at 0.75 take 4 and 5 rounds
+        # candidates and every row its search probes, and the rounds of
+        # probes it takes from a first guess that puts each flip of the near
+        # value's mass within a row.  After one round the probes are the two
+        # rows around each flip; a second round's first probes join the
+        # plan too (20782 and 5477 rows when it kept only the final
+        # brackets).  The probes read the law at every row: with the floor's
+        # 2.0 there, the Newton steps at 0.75 take 4 and 5 rounds
         ks, *_, plan_rounds = bounds._screen_plan(M, N, ps)
         assert (ks.size, plan_rounds) == (rows, rounds)
 
@@ -550,30 +580,6 @@ class TestWorstError:
         assert len(exact) >= 8
         for p in exact:
             assert suites.screen_row_mismatches(M, N, [p]) == 0, p
-
-    def test_rows_whose_third_value_is_not_the_far_one_are_filled(self, monkeypatch):
-        # a row short of a level after its two values takes the far value
-        # next, unless the value beyond the value beyond the near one is
-        # nearer.  No real plan row has needed that (at every level the
-        # screen runs at, such rows carry more after two values), so a plan
-        # is made with one: the mean next to v_2 at M = 64, whose values are
-        # v_2, then v_1, then v_0 before v_3, with its masses lowered below
-        # the level.  The row and both its gaps are left to level_errors
-        M, N = 64, 1 << 15
-        v = output_grid(M)
-        k = round(v[2] * N)
-        ks = np.array([k - 5, k, k + 5])
-        means = ks / N
-        sigma = sigmas_of(means, M)
-        lo, near, second, *_ = bounds._first_values(means, sigma, bounds._value_edges(M))
-        assert (near[1], second[1]) == (2, 1) and means[1] - v[0] < v[3] - means[1]
-        masses = bounds._lead_masses(sigma, near, second, M, np.arange(3), np.ones(3, dtype=bool))
-        masses[:, 1] = 0.5
-        plan = ks, 2 * np.floor(sigma) + (near - lo), near, second, masses, 0
-        monkeypatch.setattr(bounds, "_screen_plan", lambda *args: plan)
-        read, _, fill = bounds._screen_rows(M, N, [0.75])
-        assert read.tolist() == [k - 5, k + 5]
-        assert sorted(fill.tolist()) == list(range(k - 4, k + 5))
 
     @pytest.mark.parametrize("M", [4, 5, 4096])
     def test_screen_is_nondecreasing_along_nested_grids(self, M):
@@ -676,16 +682,33 @@ class TestVCalculus:
             assert v_func(v_inverse(float(p))) == pytest.approx(float(p), abs=1e-10)
 
     def test_array_forms_give_the_floats_bits(self):
-        # the calculus suite runs its grids through the array forms; each
-        # entry must be the float form's value, bit for bit
+        # the calculus suite runs its grids through the array forms.  v, g
+        # and h take one numpy path for a float and an array, so each array
+        # entry is checked against 50 digits: within 4 ulp of its value for
+        # v at d <= 1/2 (v >= 4/pi^2) and for g and h on [0, 1] (2.85, 3.29
+        # and 3.09 ulp at most here), and within 2^-51 everywhere (3.7e-16
+        # at most), as v's relative error grows near its root at d = 1,
+        # where pi d rounds (8e9 ulp of its value at 1 - 1e-10).  v^-1
+        # bisects an array's entries together, with the floats' bits
+        def v(d):
+            return (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 if d else mpmath.mpf(1)
+
         deltas = np.concatenate([[0.0, 1e-10, -1e-10, 1.0 - 1e-10, 1.0],
                                  np.linspace(0.0, 1.0, 1001)])
+        exact = {v_func: v, g_func: lambda d: v(d) + v(1 - d),
+                 h_func: lambda d: max(v(d), v(1 - d))}
+        with mpmath.workdps(50):
+            for f, true in exact.items():
+                assert {type(f(float(d))) for d in deltas} == {float}
+                for d, got in zip(deltas.tolist(), f(deltas).tolist()):
+                    want = true(mpmath.mpf(d))
+                    err = abs(got - want)
+                    assert err <= 2.0**-51, (f, d)
+                    assert f is v_func and d > 0.5 or err <= 4 * math.ulp(float(want)), (f, d)
         levels = np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 101)
-        for f, grid in ((v_func, deltas), (g_func, deltas), (h_func, deltas),
-                        (v_inverse, levels)):
-            want = [f(float(x)) for x in grid]
-            assert {type(x) for x in want} == {float}
-            assert [x.hex() for x in f(grid).tolist()] == [x.hex() for x in want], f
+        want = [v_inverse(float(p)) for p in levels]
+        assert {type(x) for x in want} == {float}
+        assert [x.hex() for x in v_inverse(levels).tolist()] == [x.hex() for x in want]
         with pytest.raises(ValueError):
             v_inverse(np.array([0.5, 0.9]))
 
