@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 # Below this, min(k, N-k) is small enough that exact big-integer binomials
-# are cheap; above it the log-space Stirling form is accurate to ~1e-15.
+# are cheap; above it the log-space Stirling form holds a normal weight to a
+# relative 1.4e-14 at N = 2**8 and 5.9e-13 at 2**14 (`_log_weights_stirling`).
 _EXACT_TAIL = 64
 
 # Means per slice of the Stirling middle of `class_weights`, which spans at
@@ -172,8 +173,15 @@ def _log_weights_stirling(N: int, ks: np.ndarray) -> np.ndarray:
     """ln(C(N,k) * 2**-N) for 64 <= k <= N-64, without cancellation.
 
     A direct lgamma difference loses ~1e-9 absolute at N = 2**20, which would
-    break the 1e-12 weight-sum contract; writing the exponent through
-    log1p(+-t) with t = 2k/N - 1 keeps each weight accurate to ~1e-15.
+    break the 1e-12 weight-sum contract; the exponent is written through
+    log1p(+-t) with t = 2k/N - 1 instead.  Against exact big-integer
+    binomials, the largest relative error of a normal (not subnormal) weight
+    was 1.4e-14 at N = 2**8, 1.4e-13 at 2**10, 2.9e-13 at 2**12 and 5.9e-13
+    at 2**14, and 1.4e-14 to 8.5e-14 within 3 sqrt(N) of N/2 (x86-64, numpy
+    2.4; the bits follow numpy's SIMD dispatch).  The cause is cancellation:
+    (1+t) log1p(t) + (1-t) log1p(-t) is about t**2, formed from two terms of
+    size t, and then multiplied by N.  A subnormal tail weight carries only
+    binary64's own few bits.
     """
     ks = np.asarray(ks, dtype=np.float64)
     t = (2.0 * ks - N) / N

@@ -23,10 +23,11 @@ import numpy as np
 from .boolfn import Measure, class_weights, sigmas_of
 from .closedform import (
     dirichlet_kernel_sq,
-    outcome_probabilities,
     outcome_probabilities_at,
     output_grid,
 )
+# not called here; imported only so that perfbench/layers.py can hook it
+from .closedform import outcome_probabilities  # noqa: F401
 
 __all__ = [
     "EIGHT_OVER_PI_SQ",
@@ -77,22 +78,29 @@ _CHUNK_CELLS = 1 << 21
 # (`_screen_means`) and its fixed cost, the numpy passes of its plan and
 # search counted in means of the dense sweep, are fewer than N+1 (`_screens`).
 # The fixed cost was fitted on a 2-core x86-64 machine (Python 3.11, numpy
-# 2.4) to in-process medians of interleaved screened and dense calls.  The
-# screen's time over the dense sweep's, * where the rule screens:
+# 2.4) to in-process medians of interleaved screened and dense calls.  Re-
+# measured there by medians of 41 such calls, the screen's time over the
+# dense sweep's, * where the rule screens:
 #
 #   levels    0.75                          0.55, 0.6, 0.7, 8/pi^2
 #   M \ N     2^12  2^13   2^14   2^15      2^12  2^13   2^14   2^15
-#   16        1.11  0.60*  0.38*  0.24*     1.35  0.75*  0.36*  0.23*
-#   64        1.19  0.66*  0.41*  0.24*     1.34  0.69*  0.37*  0.25*
-#   236       1.86  1.00   0.51*  0.27*     2.33  1.29   0.58*  0.33*
-#   512       2.28  1.19   0.64*  0.34*     2.64  1.74   0.92*  0.48*
-#   1024      2.18  1.29   0.68*  0.35*     2.75  2.21   1.30   0.56*
+#   16        1.35  0.74*  0.38*  0.23*     1.60  0.84*  0.45*  0.24*
+#   64        1.47  0.79*  0.42*  0.20*     1.64  0.83*  0.47*  0.23*
+#   236       1.82  1.00   0.51*  0.26*     2.13  1.17   0.61*  0.32*
+#   512       2.24  1.15   0.59*  0.30*     2.78  1.52   0.82*  0.43*
+#   1024      2.00  1.06   0.61*  0.33*     2.37  1.67   0.87   0.48*
 #
-# and at perfbench's worst_sweep points, four levels, seeds 0-9: 0.24-0.28*
-# at M = 15..17 and 62..66, N = 2^15, and 1.27-1.35 at M = 232..240, N =
-# 2^13.  Every point takes its faster route for a fixed cost from 6408 to
-# 7103 means, and the constant sits in the middle; at (236, 2^13, 0.75) the
-# two routes tie.  A misfit costs only time: both routes give the same bits.
+# At perfbench's worst_sweep points, four levels, seeds 0-9, it is 0.23-0.28*
+# at M = 15..17 and 62..66, N = 2^15, and 1.06-1.30 at M = 232..240, N =
+# 2^13.  At perfbench's cli_calls worst-case commands, N = 2^12 and one
+# level, it is 1.20-1.67 over its curve's M = 4, 8, 16, 32, 64 at p = 0.55,
+# 0.65, 0.75 and 8/pi^2, and 1.27-1.71 at its error sweeps' M = 5, 6, 7, 12,
+# 24 at 0.75.  Screening every bracketed sweep would slow those curves, the
+# commands at that workload's latency tail, by about 40 %, so the benchmark
+# has sweeps on both sides of the rule: worst_sweep's two lower bands
+# screened, its large_M band and every cli_calls sweep dense.  A misfit, as
+# at (1024, 2^14) with four levels, costs only time: both routes give the
+# same bits.
 _SCREEN_MAX_M = 4096
 _SCREEN_FIXED_MEANS = 6750
 
@@ -173,7 +181,9 @@ def level_errors(means, M: int, ps: Sequence[float]) -> np.ndarray:
     within the floor's reach (`_floor_reach`), where no row falls short.
     Elsewhere, above 8/pi^2 or at M outside 4..4096, the walk
     (`_walk_block`) continues a block's rows whose two values fall short of
-    the highest level.
+    the highest level.  At M = 1 the kernel's numerator and denominator are
+    one float, so the one value carries mass exactly 1.0 and every level is
+    reached at its distance a: no error is the walk's infinite edge.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -416,13 +426,11 @@ def _walk_block(
 
 def _full_level_errors(means: np.ndarray, M: int, ps: Sequence[float]) -> np.ndarray:
     """The level errors of `level_errors` from one stable sort of the M//2 + 1
-    values per mean, each carrying its outcome j = i of the full outcome law,
-    doubled where it has a twin (0 < i < M/2); the tests' oracle for the pair
-    pass, the walk and the screen."""
-    values = M // 2 + 1
-    probs = outcome_probabilities(sigmas_of(means, M), M)[:, :values]
-    probs[:, 1:(M + 1) // 2] *= 2.0
-    return _crossings(np.abs(output_grid(M)[:values] - means[:, None]), probs, ps)
+    values per mean, each carrying its mass (`_value_probs`); the tests'
+    oracle for the pair pass, the walk and the screen."""
+    values = np.arange(M // 2 + 1)
+    probs = _value_probs(sigmas_of(means, M)[:, None], values, M)
+    return _crossings(np.abs(output_grid(M)[values] - means[:, None]), probs, ps)
 
 
 def worst_probabilistic_errors(M: int, N: int, ps: Sequence[float]) -> list[ErrorRecord]:

@@ -25,12 +25,12 @@ from .bounds import (
     _MAX_OUTCOMES,
     ErrorRecord,
     Setting,
-    avg_probabilistic_error,
     avg_probabilistic_errors,
     refuse_sweeps,
-    worst_probabilistic_error,
     worst_probabilistic_errors,
 )
+# not called here; imported only so that perfbench/layers.py can hook them
+from .bounds import avg_probabilistic_error, worst_probabilistic_error  # noqa: F401
 from .closedform import distribution
 from .simulator import refuse_runs, run_qs
 from .suites import SUITE_NAMES, run_suite
@@ -138,20 +138,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sweep(args: argparse.Namespace, Ms: list[int], ps: list[float]) -> int:
     """Refuse a beta of at most 1 (WAn4's) and an oversized sweep before any
-    work, then write one row per M at one level, or one row per level at one
-    M from one multi-level sweep."""
+    work, then write one row per (M, level) from one multi-level sweep per M."""
     setting, N, measure = Setting(args.setting), 1 << args.n, Measure(args.measure)
     if not args.beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {args.beta}")
     refuse_sweeps(setting, N, Ms, ps)
     worst = setting is Setting.WORST_PROBABILISTIC
-    if len(ps) == 1:
-        recs = [worst_probabilistic_error(M, N, ps[0]) if worst
-                else avg_probabilistic_error(M, N, ps[0], measure, beta=args.beta) for M in Ms]
-    else:
-        (M,) = Ms
-        recs = (worst_probabilistic_errors(M, N, ps) if worst
-                else avg_probabilistic_errors(M, N, ps, measure, beta=args.beta))
+    recs = [rec for M in Ms for rec in (
+        worst_probabilistic_errors(M, N, ps) if worst
+        else avg_probabilistic_errors(M, N, ps, measure, beta=args.beta))]
     _emit("\n".join([_ERROR_HEADER, *map(_record_row, recs)]) + "\n", args.out)
     return 0
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -180,6 +181,23 @@ class TestClassWeight:
             for k in ks:
                 exact = float(Fraction(math.comb(N, k), 2**N))
                 assert w[k] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("N, bound, middle", [
+        (1 << 8, 2e-14, 2e-14), (1 << 10, 2e-13, 3e-14), (1 << 12, 4e-13, 6e-14)])
+    def test_normal_weights_keep_their_measured_accuracy(self, N, bound, middle):
+        # the relative error of every normal weight against the exact
+        # C(N, k) 2^-N, in integers, was at most 1.43e-14, 1.41e-13 and
+        # 2.92e-13 at N = 2^8, 2^10 and 2^12, and 1.43e-14, 2.10e-14 and
+        # 4.13e-14 within 3 sqrt(N) of N/2; the bounds are under 1.5x these
+        w = class_weights(Measure.UNIFORM_FUNCTIONS, N)
+        comb, errors = 1, np.zeros(N + 1)
+        for k, x in enumerate(w.tolist()):
+            if x >= sys.float_info.min:
+                num, den = x.as_integer_ratio()
+                errors[k] = abs((num << N) - comb * den) / (comb * den)
+            comb = comb * (N - k) // (k + 1)
+        assert errors.max() <= bound
+        assert errors[np.abs(np.arange(N + 1) - N / 2) <= 3 * math.sqrt(N)].max() <= middle
 
     def test_exact_edge_is_bit_identical_to_the_fraction_form(self):
         # the entries within 64 of either end are the correctly rounded

@@ -28,6 +28,12 @@ from qsum.bounds import (
 from qsum.closedform import dirichlet_kernel_sq, output_grid
 from qsum.suites import LEVELS, PAIR_LEVELS, WALK_LEVELS, brute_force_errors_at_levels
 
+
+def mp_v(d):
+    """v(d) = sin^2(pi d)/(pi d)^2, and 1 at d = 0, at mpmath's working precision."""
+    return (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 if d else mpmath.mpf(1)
+
+
 # block budgets in cells, and the rows per block each makes at 4 cells per
 # row: one row, an odd count above one, and the default
 BUDGET_ROWS = {1: 1, 12: 3, bounds._BLOCK_CELLS: 4096}
@@ -358,9 +364,7 @@ class TestErrorAtLevel:
         # with half the mass no level above 1/2 is reached, so each mean takes
         # its farthest outcome: abar = 1 from 0.3, abar = 0 from 0.7; the
         # walk takes it once its values run out
-        full_mass, mass_at = bounds.outcome_probabilities, bounds.outcome_probabilities_at
-        monkeypatch.setattr(bounds, "outcome_probabilities",
-                            lambda sigma, M: 0.5 * full_mass(sigma, M))
+        mass_at = bounds.outcome_probabilities_at
         monkeypatch.setattr(bounds, "outcome_probabilities_at",
                             lambda sigma, j, M: 0.5 * mass_at(sigma, j, M))
         means = np.array([0.3, 0.7])
@@ -377,9 +381,6 @@ class TestErrorAtLevel:
             return np.full(np.broadcast_shapes(np.shape(j), np.shape(sigma)), 1.0 / M)
 
         monkeypatch.setattr(bounds, "outcome_probabilities_at", uniform)
-        monkeypatch.setattr(bounds, "outcome_probabilities",
-                            lambda sigma, M: uniform(np.reshape(sigma, (-1, 1)),
-                                                     np.arange(M), M))
         means = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(8).random(40)])
         exact = [k / 8 + bounds.LEVEL_SLACK for k in (4, 5, 6)]
         assert [p - bounds.LEVEL_SLACK for p in exact] == [0.5, 0.625, 0.75]
@@ -397,9 +398,6 @@ class TestErrorAtLevel:
             return np.full(np.broadcast_shapes(np.shape(j), np.shape(sigma)), 1.0 / M)
 
         monkeypatch.setattr(bounds, "outcome_probabilities_at", uniform)
-        monkeypatch.setattr(bounds, "outcome_probabilities",
-                            lambda sigma, M: uniform(np.reshape(sigma, (-1, 1)),
-                                                     np.arange(M), M))
         means = np.random.default_rng(4).uniform(0.3, 0.7, 40)
         ps = [0.5 + bounds.LEVEL_SLACK]
         assert ps[0] - bounds.LEVEL_SLACK == 0.5
@@ -432,6 +430,49 @@ class TestErrorAtLevel:
 
         monkeypatch.setattr(bounds, "_row_blocks", no_blocks)
         got = bounds._full_level_errors(means, M, ps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64, 236])
+    def test_full_sort_reads_each_values_mass_once(self, monkeypatch, M):
+        # the oracle reads the M//2 + 1 values' masses as the pair pass and
+        # the walk do (`_value_probs`), one (rows, M//2 + 1) call, and never
+        # the outcome law of all M outcomes; its errors are those of the
+        # full law's outcomes j = i, doubled where v_i has a twin
+        rng = np.random.default_rng(M)
+        means = np.concatenate([[0.0, 0.5, 1.0], np.arange(257) / 256, rng.random(50)])
+        ps = PAIR_LEVELS + WALK_LEVELS
+        i = np.arange(M // 2 + 1)
+        law = closedform.outcome_probabilities(sigmas_of(means, M), M)[:, i]
+        law[:, (i != 0) & (2 * i != M)] *= 2.0
+        want = bounds._crossings(np.abs(output_grid(M)[i] - means[:, None]), law, ps)
+        shapes = []
+        mass_at = bounds.outcome_probabilities_at
+
+        def counted(sigma, j, M):
+            shapes.append(np.broadcast_shapes(np.shape(sigma), np.shape(j)))
+            return mass_at(sigma, j, M)
+
+        def no_law(sigma, M):
+            raise AssertionError("the full sort read the outcome law")
+
+        monkeypatch.setattr(bounds, "outcome_probabilities_at", counted)
+        monkeypatch.setattr(bounds, "outcome_probabilities", no_law)
+        got = bounds._full_level_errors(means, M, ps)
+        assert shapes == [(means.size, M // 2 + 1)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_value_at_m_one_carries_all_the_mass(self):
+        # at M = 1 the kernel's numerator and denominator are one float, so
+        # the one value v_0 = 0 carries mass exactly 1.0 and every level up
+        # to 1 is reached at its distance a: no error is infinite
+        means = np.concatenate([np.arange(1025) / 1024, [0.0, 0.5, 1.0],
+                                np.random.default_rng(1).random(200)])
+        sigma = sigmas_of(means, 1)
+        assert np.all(bounds._value_probs(sigma, np.zeros(means.size, dtype=np.int64), 1) == 1.0)
+        ps = [1e-13, 0.51, EIGHT_OVER_PI_SQ, 0.99, 1.0]
+        got = level_errors(means, 1, ps)
+        assert np.array_equal(got, np.tile(means, (len(ps), 1)))
+        want = bounds._full_level_errors(means, 1, ps)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_tie_grouping(self):
@@ -475,6 +516,10 @@ ROUTES = [
     # perfbench's worst_sweep bands, with M = 236 at 2^13 among them
     *((M, 1 << 13, FOUR_LEVELS, False) for M in range(232, 241)),
     *((M, 1 << 15, FOUR_LEVELS, True) for M in (*range(15, 18), *range(62, 67))),
+    # perfbench's cli_calls worst-case commands at N = 2^12, one level each:
+    # its curve over M = 4, 8, 16, 32, 64 and its error sweeps at M = 5, 6,
+    # 7, 8, 12, 16, 24, 32
+    *((M, 1 << 12, (0.75,), False) for M in (4, 5, 6, 7, 8, 12, 16, 24, 32, 64)),
     # the CI sweeps at n = 20, 24 and 30
     (64, 1 << 20, (EIGHT_OVER_PI_SQ,), True), (64, 1 << 24, (0.75,), True),
     *((M, 1 << 30, (EIGHT_OVER_PI_SQ,), True) for M in (4, 16, 64, 236, 1024, 4096)),
@@ -690,13 +735,10 @@ class TestVCalculus:
         # at most), as v's relative error grows near its root at d = 1,
         # where pi d rounds (8e9 ulp of its value at 1 - 1e-10).  v^-1
         # bisects an array's entries together, with the floats' bits
-        def v(d):
-            return (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 if d else mpmath.mpf(1)
-
         deltas = np.concatenate([[0.0, 1e-10, -1e-10, 1.0 - 1e-10, 1.0],
                                  np.linspace(0.0, 1.0, 1001)])
-        exact = {v_func: v, g_func: lambda d: v(d) + v(1 - d),
-                 h_func: lambda d: max(v(d), v(1 - d))}
+        exact = {v_func: mp_v, g_func: lambda d: mp_v(d) + mp_v(1 - d),
+                 h_func: lambda d: max(mp_v(d), mp_v(1 - d))}
         with mpmath.workdps(50):
             for f, true in exact.items():
                 assert {type(f(float(d))) for d in deltas} == {float}
@@ -725,8 +767,7 @@ class TestVCalculus:
         # (0x1.7fffffffff000p-1)
         with mpmath.workdps(50):
             for p in np.linspace(FOUR_OVER_PI_SQ, EIGHT_OVER_PI_SQ, 41).tolist():
-                d = mpmath.findroot(lambda d: (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 - p,
-                                    mpmath.mpf(3) / 8)
+                d = mpmath.findroot(lambda d: mp_v(d) - p, mpmath.mpf(3) / 8)
                 assert abs(c_bound(p, 64) - (1 - d)) <= 1e-12, p
         assert c_bound(EIGHT_OVER_PI_SQ, 64) <= 0.75
 
@@ -737,9 +778,6 @@ class TestVCalculus:
         # is -1 exactly where t > 1, and on [4/pi^2, 1) it is short of v's
         # own root by at most 0.031, the cost of the Taylor square's closed
         # form (0.0300 at 4/pi^2, 0.0202 at 0.51, 0.0038 at 8/pi^2)
-        def v(d):
-            return (mpmath.sinpi(d) / (mpmath.pi * d)) ** 2 if d else mpmath.mpf(1)
-
         levels = [1e-13, 0.3, FOUR_OVER_PI_SQ, 0.51, 0.68, 0.75, EIGHT_OVER_PI_SQ, 0.9, 0.99,
                   1.0 - 2e-9, 1.0 - bounds._FLOOR_MARGIN, 1.0]
         with mpmath.workdps(50):
@@ -750,9 +788,9 @@ class TestVCalculus:
                     assert (reach == -1.0) == (t > 1), h
                     if t > 1:
                         continue
-                    assert 0.0 <= reach <= 1.0 and v(mpmath.mpf(reach)) >= t, h
+                    assert 0.0 <= reach <= 1.0 and mp_v(mpmath.mpf(reach)) >= t, h
                     if FOUR_OVER_PI_SQ <= h and t < 1:
-                        root = mpmath.findroot(lambda d: v(d) - t, (mpmath.mpf(10) ** -30, 1),
+                        root = mpmath.findroot(lambda d: mp_v(d) - t, (mpmath.mpf(10) ** -30, 1),
                                                solver="bisect")
                         assert 0.0 <= root - reach <= 0.031, h
 

@@ -323,9 +323,10 @@ class TestError:
         # N = 2^24 and M = 2^20 are within the limits; the sweep itself is
         # replaced, since it takes seconds
         asked = []
-        for name in ("worst_probabilistic_error", "avg_probabilistic_error"):
-            monkeypatch.setattr(cli, name, lambda M, N, p, *a, **kw: asked.append((M, N))
-                                or bounds._record(bounds.Setting(setting), None, M, N, p, 0.0))
+        for name in ("worst_probabilistic_errors", "avg_probabilistic_errors"):
+            monkeypatch.setattr(cli, name, lambda M, N, ps, *a, **kw: asked.append((M, N))
+                                or [bounds._record(bounds.Setting(setting), None, M, N, p, 0.0)
+                                    for p in ps])
         code, _, _ = run_cli(capsys, "error", "--setting", setting, "--m", str(1 << 20),
                              "--n", "24", "--p", "0.75")
         assert code == 0 and asked == [(1 << 20, 1 << 24)]
@@ -412,6 +413,29 @@ class TestCurve:
                                "--measure", measure)
         assert code == 0 and calls == [1]
         assert out.split("\n")[1:-1] == rows
+
+    @pytest.mark.parametrize("setting,measure", [("worst", "p1"), ("avg", "p1"),
+                                                  ("avg", "p2")])
+    def test_every_sweep_takes_the_multi_level_drivers(self, capsys, monkeypatch, setting,
+                                                       measure):
+        # `error` and an M curve make one multi-level sweep per M, not a
+        # one-level call, and print the one-level records' bytes
+        N, p, Ms = 1 << 8, 0.75, [4, 5, 6, 8, 12]
+        one = (bounds.worst_probabilistic_error if setting == "worst" else
+               lambda M, N, p: bounds.avg_probabilistic_error(M, N, p, boolfn.Measure(measure)))
+        want = [cli._record_row(one(M, N, p)) for M in Ms]
+
+        def no_call(*args, **kwargs):
+            pytest.fail("a sweep took a one-level name")
+
+        for name in ("worst_probabilistic_error", "avg_probabilistic_error"):
+            monkeypatch.setattr(cli, name, no_call)
+        common = ["--setting", setting, "--n", "8", "--p", "0.75", "--measure", measure]
+        code, out, _ = run_cli(capsys, "curve", *common, "--m-values", ",".join(map(str, Ms)))
+        assert code == 0 and out.split("\n")[1:-1] == want
+        for M, row in zip(Ms, want):
+            code, out, _ = run_cli(capsys, "error", *common, "--m", str(M))
+            assert code == 0 and out.split("\n")[1:-1] == [row]
 
     def test_requires_exactly_one_sweep(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--setting", "worst", "--n", "6")
